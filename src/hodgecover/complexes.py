@@ -35,12 +35,6 @@ class SparseIntMatrix:
                 raise ComplexError(f"stored zero at ({r},{c})")
             seen.add((r, c))
 
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.rows, self.cols), dtype=object)
-        for r, c, v in self.entries:
-            a[r, c] = v
-        return a
-
     def to_float(self) -> np.ndarray:
         a = np.zeros((self.rows, self.cols), dtype=float)
         for r, c, v in self.entries:
@@ -64,6 +58,19 @@ class SparseIntMatrix:
             if a[r][c] != 0
         )
         return SparseIntMatrix(rows, cols, entries)
+
+    def transpose(self) -> "SparseIntMatrix":
+        return SparseIntMatrix(self.cols, self.rows, tuple(
+            sorted((c, r, v) for r, c, v in self.entries)))
+
+    def apply(self, x) -> list:
+        """The exact product A x for a vector of ints or Fractions."""
+        if len(x) != self.cols:
+            raise ComplexError("dimension mismatch")
+        out = [0] * self.rows
+        for r, c, v in self.entries:
+            out[r] += v * x[c]
+        return out
 
     def matmul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.cols != other.rows:
@@ -140,9 +147,7 @@ class SimplicialComplex:
 
     def coboundary_matrix(self, q: int) -> SparseIntMatrix:
         """Coboundary from q-cochains to (q+1)-cochains: transpose of the boundary."""
-        b = self.boundary_matrix(q + 1)
-        return SparseIntMatrix(
-            b.cols, b.rows, tuple(sorted((c, r, v) for r, c, v in b.entries)))
+        return self.boundary_matrix(q + 1).transpose()
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** q * len(cs) for q, cs in enumerate(self.cells))

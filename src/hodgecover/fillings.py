@@ -36,10 +36,8 @@ class EdgeCycle:
         K = self.complex
         if len(self.coefficients) != K.n_cells(1):
             raise FillingError("coefficient vector has wrong length")
-        bd = K.boundary_matrix(1).to_pylists()
-        for row in bd:
-            if sum(r * c for r, c in zip(row, self.coefficients)) != 0:
-                raise FillingError("chain has nonzero boundary")
+        if any(K.boundary_matrix(1).apply(self.coefficients)):
+            raise FillingError("chain has nonzero boundary")
 
     def length(self, geometry: ComplexGeometry | None = None) -> float:
         """Riemannian length when edge lengths are present, else edge count."""
@@ -119,13 +117,12 @@ def rationally_null(f: EdgeCycle):
         i = next(i for i, c in enumerate(b) if c != 0)
         y = [Fraction(int(i == j)) for j in range(len(b))]
         return False, y
-    A = K.boundary_matrix(2).to_pylists()
+    A = K.boundary_matrix(2)
     x = rat_solve(A, b)
     if x is not None:
         return True, x
     # certificate: functional vanishing on the image of the 2-boundary
-    At = [list(col) for col in zip(*A)]
-    for y in rat_nullspace(At):
+    for y in rat_nullspace(A.transpose()):
         pairing = sum(yi * bi for yi, bi in zip(y, b))
         if pairing != 0:
             return False, y
@@ -160,16 +157,15 @@ class FillingCertificate:
 
     def integral_chain(self) -> list[int]:
         out = [c * self.m for c in self.g]
-        assert all(c.denominator == 1 for c in out)
+        if any(c.denominator != 1 for c in out):
+            raise FillingError(f"m = {self.m} does not clear the denominators")
         return [int(c) for c in out]
 
 
 def _certify(f: EdgeCycle, g: list[Fraction], inner: str, delta: float,
              norm_g: float) -> FillingCertificate:
-    K = f.complex
-    bd = K.boundary_matrix(2).to_pylists()
-    for row, target in zip(bd, f.coefficients):
-        assert sum(Fraction(a) * x for a, x in zip(row, g)) == target
+    if f.complex.boundary_matrix(2).apply(g) != list(f.coefficients):
+        raise FillingError("chain does not bound the cycle exactly")
     m = 1
     for c in g:
         m = m * c.denominator // math.gcd(m, c.denominator)
@@ -193,18 +189,16 @@ def least_norm_filling(f: EdgeCycle, inner: str = "comb",
     K = f.complex
     if K.dim < 2:
         raise FillingError("filling needs 2-cells")
-    A = K.boundary_matrix(2).to_pylists()  # n1 x n2
+    A = K.boundary_matrix(2)  # n1 x n2
     n2 = K.n_cells(2)
     b = list(f.coefficients)
 
     if inner == "comb":
-        AAt = [[sum(A[i][k] * A[j][k] for k in range(n2))
-                for j in range(len(A))] for i in range(len(A))]
-        y = rat_solve(AAt, b)
+        At = A.transpose()
+        y = rat_solve(A.matmul(At), b)
         if y is None:
             raise FillingError("cycle is not rationally null")
-        g = [sum(Fraction(A[i][j]) * y[i] for i in range(len(A)))
-             for j in range(n2)]
+        g = At.apply(y)
         norm_g = math.sqrt(float(sum(c * c for c in g)))
         return _certify(f, g, "comb", 0.0, norm_g)
 
@@ -218,7 +212,7 @@ def least_norm_filling(f: EdgeCycle, inner: str = "comb",
         raise FillingError("cycle is not rationally null")
     kernel = rat_nullspace(A)
     M = ip.matrix
-    Af = np.array(A, dtype=float)
+    Af = A.to_float()
     bf = np.array(b, dtype=float)
     # floating M-norm minimizer: M^{-1} A^T (A M^{-1} A^T)^+ b
     MinvAt = ip.solve(Af.T)
@@ -258,7 +252,7 @@ def l1_filling(f: EdgeCycle, denominator: int = 10 ** 6) -> FillingCertificate:
     K = f.complex
     if K.dim < 2:
         raise FillingError("filling needs 2-cells")
-    A = K.boundary_matrix(2).to_pylists()
+    A = K.boundary_matrix(2)
     n2 = K.n_cells(2)
     b = list(f.coefficients)
     g0 = rat_solve(A, b)

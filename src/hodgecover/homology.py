@@ -1,8 +1,12 @@
-"""Exact integral homology via Smith normal form.
+"""Exact integral homology from one sparse elimination per boundary map.
 
-Betti numbers come from exact ranks of the boundary matrices; torsion
-invariant factors come from the Smith diagonal of the boundary one degree up.
-All arithmetic uses Python big integers.
+Each boundary matrix is reduced once by the unimodular mode of the
+`ratlinalg` elimination kernel: +-1 pivots are eliminated sparsely, which
+leaves the Smith invariant factors unchanged, and the smallest-magnitude
+Smith loop runs on the small residual block that remains.  The number of
+nonzero invariant factors of the boundary leaving degree q is its rank, which
+gives the Betti numbers; the factors > 1 of the boundary entering degree q
+are the torsion of H_q.  All arithmetic uses Python big integers.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, SparseIntMatrix
-from .ratlinalg import rat_rank
+from .ratlinalg import echelon, rat_rank, sparse_rows
 
 
 @dataclass
@@ -35,50 +39,51 @@ def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(A) -> SmithDecomposition:
-    """Smith normal form with transforms, smallest-magnitude pivoting.
+def _smith(D: list[list[int]], U: list[list[int]] | None = None,
+           V: list[list[int]] | None = None) -> None:
+    """Bring the dense integer matrix D to Smith normal form in place, by
+    smallest-magnitude pivoting.
 
-    Accepts a SparseIntMatrix or a dense list-of-lists.  Maintains
-    A = U @ D @ V throughout: every row operation applied to D is undone on U,
-    every column operation undone on V.
+    When U and V are given (identities of matching size), every row operation
+    applied to D is undone on U and every column operation on V, so that
+    U @ D @ V stays equal to the input throughout.
     """
-    if isinstance(A, SparseIntMatrix):
-        D = A.to_pylists()
-    else:
-        D = [[int(x) for x in row] for row in A]
     m = len(D)
     n = len(D[0]) if m else 0
-    U = _identity(m)
-    V = _identity(n)
 
     def row_add(i, j, k):
         # D[i] += k*D[j]; compensate on U with the inverse column op
         for c in range(n):
             D[i][c] += k * D[j][c]
-        for r in range(m):
-            U[r][j] -= k * U[r][i]
+        if U is not None:
+            for r in range(m):
+                U[r][j] -= k * U[r][i]
 
     def col_add(i, j, k):
         # D[:,i] += k*D[:,j]
         for r in range(m):
             D[r][i] += k * D[r][j]
-        for c in range(n):
-            V[j][c] -= k * V[i][c]
+        if V is not None:
+            for c in range(n):
+                V[j][c] -= k * V[i][c]
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
-        for r in range(m):
-            U[r][i], U[r][j] = U[r][j], U[r][i]
+        if U is not None:
+            for r in range(m):
+                U[r][i], U[r][j] = U[r][j], U[r][i]
 
     def col_swap(i, j):
         for r in range(m):
             D[r][i], D[r][j] = D[r][j], D[r][i]
-        V[i], V[j] = V[j], V[i]
+        if V is not None:
+            V[i], V[j] = V[j], V[i]
 
     def row_negate(i):
         D[i] = [-x for x in D[i]]
-        for r in range(m):
-            U[r][i] = -U[r][i]
+        if U is not None:
+            for r in range(m):
+                U[r][i] = -U[r][i]
 
     t = 0
     while True:
@@ -123,14 +128,50 @@ def smith_normal_form(A) -> SmithDecomposition:
             continue
         t += 1
 
+
+def smith_normal_form(A) -> SmithDecomposition:
+    """Smith normal form with transforms, smallest-magnitude pivoting.
+
+    Accepts a SparseIntMatrix or a dense list-of-lists.  Maintains
+    A = U @ D @ V throughout: every row operation applied to D is undone on U,
+    every column operation undone on V.
+    """
+    if isinstance(A, SparseIntMatrix):
+        D = A.to_pylists()
+    else:
+        D = [[int(x) for x in row] for row in A]
+    U = _identity(len(D))
+    V = _identity(len(D[0]) if D else 0)
+    _smith(D, U, V)
     return SmithDecomposition(U, D, V)
 
 
+def invariant_factors(A) -> list[int]:
+    """Nonzero Smith invariant factors d1 | d2 | ... of an integer matrix
+    (SparseIntMatrix or dense rows); their number is its rank.
+
+    The +-1 pivots are eliminated sparsely, contributing one factor 1 each;
+    the Smith loop, without transforms, reduces the residual block.
+    """
+    rows, _ = sparse_rows(A)
+    pivots, residual = echelon(rows, unimodular=True)
+    residual = [row for row in residual if row]
+    where = {c: j for j, c in enumerate(sorted({c for row in residual
+                                                for c in row}))}
+    D = [[0] * len(where) for _ in residual]
+    for i, row in enumerate(residual):
+        for c, v in row.items():
+            D[i][where[c]] = v
+    _smith(D)
+    diagonal = [D[i][i] for i in range(min(len(D), len(where)))]
+    return [1] * len(pivots) + [d for d in diagonal if d != 0]
+
+
 def betti_numbers(K: SimplicialComplex) -> list[int]:
-    """b_q for q = 0..dim, via exact rational ranks of the boundary maps."""
+    """b_q for q = 0..dim, via exact ranks of the boundary maps."""
     ranks = [0] * (K.dim + 2)
     for q in range(1, K.dim + 1):
-        ranks[q] = rat_rank(K.boundary_matrix(q).to_pylists())
+        ranks[q] = rat_rank(K.boundary_matrix(q))
     return [K.n_cells(q) - ranks[q] - ranks[q + 1] for q in range(K.dim + 1)]
 
 
@@ -144,8 +185,7 @@ def torsion_invariants(K: SimplicialComplex, q: int) -> list[int]:
     """
     if not 0 <= q < K.dim:
         raise ValueError(f"degree {q} out of range [0, {K.dim})")
-    snf = smith_normal_form(K.boundary_matrix(q + 1))
-    return [d for d in snf.diagonal if d > 1]
+    return [d for d in invariant_factors(K.boundary_matrix(q + 1)) if d > 1]
 
 
 def torsion_order(K: SimplicialComplex, q: int) -> int:
@@ -156,13 +196,16 @@ def torsion_order(K: SimplicialComplex, q: int) -> int:
 
 
 def homology_table(K: SimplicialComplex) -> list[dict]:
-    """Per-degree summary: betti number, invariant factors, torsion order."""
-    betti = betti_numbers(K)
+    """Per-degree summary: betti number, invariant factors, torsion order;
+    one elimination of each boundary map gives both rank and torsion."""
+    factors = [[]] + [invariant_factors(K.boundary_matrix(q))
+                      for q in range(1, K.dim + 1)] + [[]]
     table = []
     for q in range(K.dim + 1):
-        inv = torsion_invariants(K, q) if q < K.dim else []
-        row = {"q": q, "betti": betti[q], "torsion": inv,
-               "torsion_order": 1}
+        inv = [d for d in factors[q + 1] if d > 1]
+        row = {"q": q,
+               "betti": K.n_cells(q) - len(factors[q]) - len(factors[q + 1]),
+               "torsion": inv, "torsion_order": 1}
         for d in inv:
             row["torsion_order"] *= d
         table.append(row)

@@ -1,78 +1,184 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything here operates on plain Python lists of ints/Fractions; matrices
-stay desk-scale, so clarity wins over asymptotics.
+One sparse, fraction-free elimination kernel answers every exact question in
+the package: rank, rational solve and kernel basis here, the Smith diagonal in
+`homology`, and the reciprocal-sum gap bound in `spectra` (after Dumas,
+Heckenbach, Saunders and Welker, "Computing simplicial homology based on
+efficient Smith normal form algorithms", 2003).
+
+A matrix enters as a list of sparse integer rows, each a ``{col: value}`` dict
+of its nonzeros (`sparse_rows`).  `echelon` reduces each row against the pivot
+row keyed by its leading column, cross-multiplying so that no fraction ever
+appears, until the leading column is free; the row then becomes that column's
+pivot.  The pivot is always the leading column in natural order, so the pivot
+set is exactly the RREF's, and a back-substitution over the integers followed
+by one division per entry gives the canonical RREF.  Work and storage follow
+the nonzeros and fill-in, not the matrix shape.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+from .complexes import SparseIntMatrix
 
 
-def _as_fraction_rows(A) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in A]
+def sparse_rows(A, rhs=()) -> tuple[list[dict[int, int]], int]:
+    """Sparse integer rows of A and its column count.
+
+    A is a SparseIntMatrix or a dense list of rows of ints or Fractions.  Each
+    vector in `rhs` is appended as one more column.  A row with rational
+    entries is scaled by the lcm of its denominators, which changes neither its
+    row space nor the solutions of its equation.
+    """
+    if isinstance(A, SparseIntMatrix):
+        ncols = A.cols
+        rows: list[dict] = [{} for _ in range(A.rows)]
+        for r, c, v in A.entries:
+            rows[r][c] = v
+    else:
+        ncols = len(A[0]) if A else 0
+        rows = [{j: x for j, x in enumerate(row) if x} for row in A]
+    for k, b in enumerate(rhs):
+        if len(b) != len(rows):
+            raise ValueError(f"right-hand side of length {len(b)} for "
+                             f"{len(rows)} equations")
+        for row, x in zip(rows, b):
+            if x:
+                row[ncols + k] = x
+    for i, row in enumerate(rows):
+        if any(not isinstance(x, int) for x in row.values()):
+            row = {j: Fraction(x) for j, x in row.items()}
+            den = lcm(*(x.denominator for x in row.values()))
+            rows[i] = {j: int(x * den) for j, x in row.items()}
+    return rows, ncols
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return row if g == 1 else {k: v // g for k, v in row.items()}
+
+
+def _eliminate(row: dict[int, int], p: dict[int, int], c: int,
+               primitive: bool = True) -> dict[int, int]:
+    """(b/g) row - (a/g) p with a = row[c], b = p[c], g = gcd(a, b): the
+    integer combination that clears column c."""
+    a, b = row[c], p[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {k: b * v for k, v in row.items()} if b != 1 else dict(row)
+    for k, v in p.items():
+        w = out.get(k, 0) - a * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return _primitive(out) if primitive and out else out
+
+
+def echelon(rows, unimodular: bool = False
+            ) -> tuple[dict[int, dict[int, int]], list[dict[int, int]]]:
+    """Row echelon form of sparse integer rows: (pivots, residual).
+
+    `pivots` maps each pivot column to the row whose leading entry sits there.
+    Over the rationals (the default) every nonzero row ends up a pivot, with
+    content 1, and `residual` is empty.
+
+    With `unimodular`, every operation is a unimodular integer row operation
+    and only +-1 leading entries become pivots.  A row whose leading entry is
+    not a unit and has no pivot to reduce against goes to `residual`, which is
+    then cleared in every pivot column.  Column operations against the pivots
+    finish the job, so the Smith invariant factors of the input are one 1 per
+    pivot followed by those of the residual rows.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    residual = []
+    for row in rows:
+        while row:
+            c = min(row)
+            p = pivots.get(c)
+            if p is not None:
+                row = _eliminate(row, p, c, not unimodular)
+            elif not unimodular:
+                pivots[c] = _primitive(row)
+                break
+            elif abs(row[c]) == 1:
+                pivots[c] = row
+                break
+            else:
+                residual.append(row)
+                break
+    for i, row in enumerate(residual):
+        while (c := min((k for k in row if k in pivots), default=None)) \
+                is not None:
+            row = _eliminate(row, pivots[c], c, False)
+        residual[i] = row
+    return pivots, residual
+
+
+def _rref(A, rhs=()) -> tuple[dict[int, dict[int, int]], int, int]:
+    """RREF of A (with rhs columns appended) as primitive integer rows keyed
+    by pivot column; each row's only pivot-column entry is its own.  Returns
+    (rows, number of rows of A, number of columns of A)."""
+    rows, ncols = sparse_rows(A, rhs)
+    pivots, _ = echelon(rows)
+    done: dict[int, dict[int, int]] = {}
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        # the rows in `done` carry no other pivot column, so this list of
+        # columns to clear is complete before the first elimination
+        for k in [k for k in row if k != c and k in done]:
+            row = _eliminate(row, done[k], k)
+        done[c] = row
+    return done, len(rows), ncols
 
 
 def rat_rref(A) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over the rationals; returns (rref, pivot cols)."""
-    M = _as_fraction_rows(A)
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if M[i][c] != 0), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        pv = M[r][c]
-        M[r] = [x / pv for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    R, nrows, ncols = _rref(A)
+    pivots = sorted(R)
+    M = []
+    for c in pivots:
+        row = [Fraction(0)] * ncols
+        d = R[c][c]
+        for j, v in R[c].items():
+            row[j] = Fraction(v, d)
+        M.append(row)
+    M.extend([Fraction(0)] * ncols for _ in range(nrows - len(pivots)))
     return M, pivots
 
 
 def rat_rank(A) -> int:
-    return len(rat_rref(A)[1])
+    rows, _ = sparse_rows(A)
+    return len(echelon(rows)[0])
 
 
 def rat_solve(A, b) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None if inconsistent."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    aug = [[Fraction(A[i][j]) for j in range(cols)] + [Fraction(b[i])]
-           for i in range(rows)]
-    R, pivots = rat_rref(aug)
-    if cols in pivots:
+    """One exact solution of A x = b, free variables 0; None if inconsistent."""
+    R, _, ncols = _rref(A, [b])
+    if ncols in R:
         return None
-    x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = R[r][cols]
+    x = [Fraction(0)] * ncols
+    for c, row in R.items():
+        x[c] = Fraction(row.get(ncols, 0), row[c])
     return x
 
 
 def rat_nullspace(A) -> list[list[Fraction]]:
-    """Basis of the rational kernel of A (list of column vectors)."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[Fraction(i == j) for i in range(cols)] for j in range(cols)]
-    R, pivots = rat_rref(A)
-    free = [c for c in range(cols) if c not in pivots]
+    """Basis of the rational kernel of A (list of column vectors): one per
+    free column f, with 1 at f, 0 at the other free columns, and minus the
+    RREF's column f at the pivots."""
+    R, _, ncols = _rref(A)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
+    for f in range(ncols):
+        if f in R:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for c, row in R.items():
+            if f in row:
+                v[c] = Fraction(-row[f], row[c])
         basis.append(v)
     return basis
 
@@ -103,22 +209,22 @@ def bareiss_det(A) -> int:
 def charpoly_int(A) -> list[int]:
     """Coefficients [1, c_{n-1}, ..., c_0] of det(xI - A), A integer, exact.
 
-    Faddeev-LeVerrier recursion; every division is exact.
+    Faddeev-LeVerrier recursion over the integers: the coefficients of an
+    integer matrix's characteristic polynomial are integers, so every
+    division by k is exact.  A matrix with a non-integer entry raises
+    ValueError.
     """
     n = len(A)
-    F = [[Fraction(A[i][j]) for j in range(n)] for i in range(n)]
-    coeffs = [Fraction(1)]
-    M = [[Fraction(0)] * n for _ in range(n)]
+    F = [[int(A[i][j]) for j in range(n)] for i in range(n)]
+    if any(F[i][j] != A[i][j] for i in range(n) for j in range(n)):
+        raise ValueError("charpoly_int needs an integer matrix")
+    coeffs = [1]
+    M = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
         for i in range(n):
             M[i][i] += coeffs[-1]
         # M <- F @ M
         M = [[sum(F[i][t] * M[t][j] for t in range(n)) for j in range(n)]
              for i in range(n)]
-        c = -sum(M[i][i] for i in range(n)) / k
-        coeffs.append(c)
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1
-        out.append(int(c))
-    return out
+        coeffs.append(-sum(M[i][i] for i in range(n)) // k)
+    return coeffs

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .complexes import SimplicialComplex, SparseIntMatrix
-from .ratlinalg import charpoly_int, rat_rank
+from .ratlinalg import echelon, rat_rank, rat_rref, sparse_rows
 from .whitney import InnerProduct
 
 
@@ -63,7 +63,7 @@ class SpectralSplit:
 def _rank(K: SimplicialComplex, q: int) -> int:
     if not 1 <= q <= K.dim:
         return 0
-    return rat_rank(K.boundary_matrix(q).to_pylists())
+    return rat_rank(K.boundary_matrix(q))
 
 
 def lambda1_split(K: SimplicialComplex, q: int,
@@ -131,10 +131,17 @@ def charpoly_gap_bound(K: SimplicialComplex, q: int,
                        size_limit: int = 60) -> Fraction:
     """Exact upper bound on 1/lambda_1 of the integer up-Laplacian in degree q.
 
-    With A the integer matrix of d* d on q-chains and charpoly
-    x^n + a_{n-1} x^{n-1} + ... + a_0, the sum of reciprocals of the nonzero
-    eigenvalues equals |a_{k+1}| / |a_k| where a_k is the last nonzero
-    coefficient.  That sum dominates 1/lambda_1.
+    With A = d d^T the integer matrix of d* d on q-chains (d the boundary map
+    entering degree q), the bound is the sum of the reciprocals of the
+    nonzero eigenvalues, tr(A^+), which dominates 1/lambda_1.  It equals
+    |a_{k+1}| / |a_k| for the characteristic polynomial
+    x^n + a_{n-1} x^{n-1} + ... + a_0 with a_k its last nonzero coefficient.
+
+    It is computed as tr(A^+) = tr((C^T C)^{-1} A[S,S]), where S is the set of
+    pivot columns the elimination kernel finds in A and C = A[:, S]: A is
+    symmetric positive semidefinite of rank |S|, so A = C A[S,S]^{-1} C^T
+    with C of full column rank.  That is one exact solve with |S| right-hand
+    sides.
     """
     if not 0 <= q < K.dim:
         raise SpectralError(f"degree {q} out of range for an up-Laplacian")
@@ -143,13 +150,18 @@ def charpoly_gap_bound(K: SimplicialComplex, q: int,
         raise SpectralError(
             f"{n} cells exceeds the exact-charpoly size limit {size_limit}")
     b = K.boundary_matrix(q + 1)
-    bt = SparseIntMatrix(b.cols, b.rows,
-                         tuple(sorted((c, r, v) for r, c, v in b.entries)))
-    A = b.matmul(bt).to_pylists()
-    coeffs = charpoly_int(A)  # [1, a_{n-1}, ..., a_0]
-    # last nonzero coefficient, scanning from the constant term
-    tail = list(reversed(coeffs))  # [a_0, a_1, ..., 1]
-    k = next((i for i, c in enumerate(tail) if c != 0), None)
-    if k is None or k == n:
+    A = b.matmul(b.transpose())
+    rows, _ = sparse_rows(A)
+    S = sorted(echelon(rows)[0])
+    r = len(S)
+    if r == 0:
         raise SpectralError("up-Laplacian is zero; no positive eigenvalues")
-    return Fraction(abs(tail[k + 1]), abs(tail[k]))
+    index = {c: i for i, c in enumerate(S)}
+    C = SparseIntMatrix(n, r, tuple((i, index[c], v) for i, c, v in A.entries
+                                    if c in index))
+    G = C.transpose().matmul(C)
+    # [C^T C | A[S,S]] reduces to [I | (C^T C)^{-1} A[S,S]]
+    aug = SparseIntMatrix(r, 2 * r, G.entries + tuple(
+        (index[i], r + j, v) for i, j, v in C.entries if i in index))
+    R, _ = rat_rref(aug)
+    return sum((R[i][r + i] for i in range(r)), Fraction(0))

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +91,10 @@ def test_sparse_matrix_validation_and_matmul():
     a = SparseIntMatrix.from_dense([[1, 2], [3, 4]])
     b = SparseIntMatrix.from_dense([[0, 1], [1, 0]])
     assert a.matmul(b).to_pylists() == [[2, 1], [4, 3]]
+    assert a.transpose().to_pylists() == [[1, 3], [2, 4]]
+    assert a.apply([Fraction(1, 2), 1]) == [Fraction(5, 2), Fraction(11, 2)]
+    with pytest.raises(ComplexError):
+        a.apply([1])
     assert np.array_equal(a.to_float(), [[1.0, 2.0], [3.0, 4.0]])
 
 

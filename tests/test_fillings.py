@@ -1,11 +1,17 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hodgecover
 from hodgecover import (CoverError, EdgeCycle, FillingError, InnerProduct,
                         PermutationCoverSpec, build_cover, cycle_from_word,
                         free_part_coefficients, l1_filling, least_norm_filling,
@@ -342,3 +348,37 @@ class TestSclReport:
         cert = least_norm_filling(f, "comb")
         with pytest.raises(FillingError):
             scl_report(cert, self.geo, self.lam)
+
+
+def test_exactness_checks_survive_python_O():
+    """The exact checks behind a certificate raise, so `python -O` keeps them."""
+    code = textwrap.dedent("""
+        from fractions import Fraction
+        from hodgecover import FillingError
+        from hodgecover.fillings import EdgeCycle, FillingCertificate, _certify
+        from hodgecover.surfaces import genus2_surface
+        print(__debug__)
+        K = genus2_surface()
+        col = [0] * K.n_cells(1)
+        for r, c, v in K.boundary_matrix(2).entries:
+            if c == 0:
+                col[r] = v
+        f = EdgeCycle(K, tuple(col))
+        try:
+            _certify(f, [Fraction(0)] * K.n_cells(2), "comb", 0.0, 0.0)
+        except FillingError:
+            print("zero filling rejected")
+        third = FillingCertificate(f, (Fraction(1, 3),), 1, Fraction(1, 3),
+                                   Fraction(4, 3), "comb", 0.0, 0.0)
+        try:
+            third.integral_chain()
+        except FillingError:
+            print("non-integral chain rejected")
+        """)
+    src = Path(hodgecover.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "False", "zero filling rejected", "non-integral chain rejected"]

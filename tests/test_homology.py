@@ -4,11 +4,14 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from hodgecover import (betti_numbers, homology_table, smith_normal_form,
-                        torsion_invariants, torsion_order)
+from hodgecover import (betti_numbers, build_cover, homology_table,
+                        smith_normal_form, torsion_invariants, torsion_order)
+from hodgecover.homology import invariant_factors
 from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
                                  klein_bottle, projective_plane,
                                  tetrahedron_boundary, torus7, torus_grid)
+
+from helpers import random_cyclic_cover
 
 
 def random_matrix(rng, rows, cols):
@@ -63,6 +66,28 @@ def test_snf_edge_cases():
     assert check_snf([[2, 4], [6, 8]]) == [2, 4]
 
 
+def sympy_factors(A):
+    return [abs(int(d)) for d in sympy_snf(sympy.Matrix(A)).diagonal()
+            if d != 0]
+
+
+def test_invariant_factors_against_sympy():
+    rng = random.Random(6)
+    for k in range(150):
+        rows = rng.randint(1, 7)
+        cols = rng.randint(1, 7)
+        # unit-rich sparse matrices exercise the sparse pivots, unit-free
+        # ones leave everything to the Smith loop on the residual block
+        values = [-1, 0, 0, 0, 1, 2] if k % 2 else [-4, -2, 0, 2, 3, 6]
+        A = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+        assert invariant_factors(A) == sympy_factors(A)
+    for fn in FIXTURES.values():
+        K = fn()
+        for q in range(1, K.dim + 1):
+            B = K.boundary_matrix(q)
+            assert invariant_factors(B) == sympy_factors(B.to_pylists())
+
+
 def test_betti_oracles():
     assert betti_numbers(tetrahedron_boundary()) == [1, 0, 1]
     assert betti_numbers(torus7()) == [1, 2, 1]
@@ -99,3 +124,26 @@ def test_euler_characteristic_matches_betti():
         betti = betti_numbers(K)
         assert K.euler_characteristic() == sum(
             (-1) ** q * b for q, b in enumerate(betti))
+
+
+def test_degree23_cyclic_cover_homology():
+    K = build_cover(random_cyclic_cover(genus2_surface(), 23,
+                                        random.Random(23))).complex
+    # independent oracle: a cover of a closed orientable surface is one, so
+    # b0 = b2 = number of components, b1 = 2 b0 - chi, and H_1 is free
+    parent = {v: v for (v,) in K.cells[0]}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in K.cells[1]:
+        parent[find(u)] = find(v)
+    b0 = len({find(v) for (v,) in K.cells[0]})
+    chi = K.euler_characteristic()
+    assert chi == 23 * genus2_surface().euler_characteristic()
+    table = homology_table(K)
+    assert [row["betti"] for row in table] == [b0, 2 * b0 - chi, b0]
+    assert [row["torsion"] for row in table] == [[], [], []]
+    assert betti_numbers(K) == [b0, 2 * b0 - chi, b0]

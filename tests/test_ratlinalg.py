@@ -1,10 +1,16 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hodgecover.complexes import SparseIntMatrix
 from hodgecover.ratlinalg import (bareiss_det, charpoly_int, rat_nullspace,
                                   rat_rank, rat_rref, rat_solve)
+
+ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -54,6 +60,77 @@ def test_solve_inconsistent_returns_none():
     assert rat_solve([[1, 1], [1, 1]], [1, 2]) is None
 
 
+def test_solve_rejects_wrong_length_rhs():
+    with pytest.raises(ValueError):
+        rat_solve([[1, 0], [0, 1]], [1])
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=7):
+    """Sparse integer matrices, empty shapes and zero rows/columns included."""
+    m = draw(st.integers(0, max_dim))
+    n = draw(st.integers(0, max_dim))
+    cells = st.tuples(st.integers(0, max(m - 1, 0)), st.integers(0, max(n - 1, 0)))
+    values = st.integers(-6, 6).filter(bool)
+    entries = draw(st.dictionaries(cells, values, max_size=m * n))
+    return SparseIntMatrix(m, n, tuple(sorted((r, c, v) for (r, c), v in
+                                              entries.items())))
+
+
+def as_sympy(A: SparseIntMatrix) -> sympy.Matrix:
+    M = sympy.zeros(A.rows, A.cols)
+    for r, c, v in A.entries:
+        M[r, c] = v
+    return M
+
+
+def as_fractions(M) -> list[list[Fraction]]:
+    return [[Fraction(int(M[i, j].p), int(M[i, j].q)) for j in range(M.cols)]
+            for i in range(M.rows)]
+
+
+@ORACLE
+@given(sparse_matrices())
+def test_rref_and_nullspace_match_sympy(A):
+    M = as_sympy(A)
+    R, pivots = rat_rref(A)
+    expect_R, expect_pivots = M.rref()
+    assert pivots == list(expect_pivots)
+    assert R == as_fractions(expect_R)
+    assert all(type(x) is Fraction for row in R for x in row)
+    assert rat_rank(A) == M.rank()
+    basis = rat_nullspace(A)
+    assert basis == [[x[0] for x in as_fractions(v)] for v in M.nullspace()]
+    if A.rows and A.cols:
+        assert rat_rref(A.to_pylists()) == (R, pivots)
+        assert rat_nullspace(A.to_pylists()) == basis
+
+
+@ORACLE
+@given(sparse_matrices(), st.data())
+def test_solve_with_rational_rhs_matches_sympy(A, data):
+    b = data.draw(st.lists(st.fractions(-5, 5, max_denominator=6),
+                           min_size=A.rows, max_size=A.rows))
+    if data.draw(st.booleans()):
+        # force a consistent system
+        x0 = [Fraction(k, 3) for k in
+              data.draw(st.lists(st.integers(-4, 4), min_size=A.cols,
+                                 max_size=A.cols))]
+        b = A.apply(x0)
+    aug, pivots = as_sympy(A).row_join(sympy.Matrix(A.rows, 1, b)).rref()
+    if A.cols in pivots:
+        expect = None
+    else:
+        expect = [Fraction(0)] * A.cols
+        for i, c in enumerate(pivots):
+            expect[c] = as_fractions(aug)[i][A.cols]
+    x = rat_solve(A, b)
+    assert x == expect
+    if x is not None:
+        assert A.apply(x) == b
+        assert all(type(v) is Fraction for v in x)
+
+
 def test_bareiss_det_against_sympy():
     rng = random.Random(3)
     for _ in range(60):
@@ -72,3 +149,8 @@ def test_charpoly_against_sympy():
         got = charpoly_int(A)
         expect = sympy.Matrix(A).charpoly(x).all_coeffs()
         assert got == [int(c) for c in expect]
+
+
+def test_charpoly_rejects_non_integer_matrix():
+    with pytest.raises(ValueError):
+        charpoly_int([[Fraction(1, 2), 0], [0, 1]])

@@ -1,15 +1,20 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from hodgecover import (SpectralError, betti_numbers, charpoly_gap_bound,
-                        down_pencil, harmonic_projection, lambda1_split,
-                        up_pencil)
-from hodgecover.surfaces import FIXTURES, circle, tetrahedron_boundary, torus7, unit_geometry
+from hodgecover import (SpectralError, betti_numbers, build_cover,
+                        charpoly_gap_bound, down_pencil, harmonic_projection,
+                        lambda1_split, up_pencil)
+from hodgecover.ratlinalg import charpoly_int
+from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
+                                 tetrahedron_boundary, torus7, unit_geometry)
 from hodgecover.whitney import InnerProduct, whitney_mass_matrix
+
+from helpers import random_cyclic_cover
 
 
 def comb_products(K):
@@ -122,6 +127,21 @@ class TestCharpolyGapBound:
             assert abs(float(bound) - recip) < 1e-9
             lam1 = min(x for x in eigs if x > 1e-8)
             assert 1 / lam1 <= float(bound) + 1e-9
+
+    def test_equals_charpoly_coefficient_ratio(self):
+        covers = [build_cover(random_cyclic_cover(genus2_surface(), d,
+                                                  random.Random(d))).complex
+                  for d in (2, 3)]
+        cases = [(fn(), q) for fn in FIXTURES.values() for q in range(2)]
+        cases += [(K, 0) for K in covers]
+        for K, q in cases:
+            if q >= K.dim or K.n_cells(q) > 60:
+                continue
+            b = K.boundary_matrix(q + 1)
+            tail = charpoly_int(b.matmul(b.transpose()).to_pylists())[::-1]
+            k = next(i for i, c in enumerate(tail) if c != 0)
+            assert charpoly_gap_bound(K, q) == \
+                Fraction(abs(tail[k + 1]), abs(tail[k]))
 
     def test_size_limit_and_degree_checks(self):
         K = torus7()
