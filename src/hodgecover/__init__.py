@@ -9,7 +9,7 @@ from .complexes import (ComplexError, LoadReport, SimplicialComplex,
                         load_complex_report, read_complex)
 from .covers import (Cover, CoverError, FacePairing, FacePairingSet, Graph,
                      PermutationCoverSpec, SpanningTree, build_cover,
-                     graph_diameter, schreier_graph, shortest_path_tree,
+                     dual_graph, graph_diameter, shortest_path_tree,
                      tree_fundamental_domain, word_sheet_action,
                      word_tile_action)
 from .fillings import (EdgeCycle, FillingCertificate, FillingError,

@@ -313,6 +313,8 @@ def evaluate_bound(id: str, params: dict) -> BoundReport:
             raise BoundError(f"bound {id} has no parameter {name!r}")
         values[name] = {"value": value, "source": sources[name]}
     try:
+        if id == "dichotomy":
+            return _dichotomy_report(params, values)
         rhs = float(entry.rhs(params))
         lhs = entry.lhs(params)
     except KeyError as exc:
@@ -320,8 +322,6 @@ def evaluate_bound(id: str, params: dict) -> BoundReport:
     lhs = None if lhs is None else float(lhs)
     verdict = _verdict(lhs, rhs, entry.direction)
     notes = []
-    if id == "dichotomy":
-        return _dichotomy_report(params, values)
     if lhs is None:
         notes.append("left side not supplied; right side reported only")
     return BoundReport(id, values, lhs, rhs, entry.direction, verdict, notes)

@@ -10,10 +10,9 @@ import sys
 
 import numpy as np
 
-from .bounds import (BoundError, catalogue_ids, check_dichotomy,
-                     evaluate_bound, get_entry)
+from .bounds import BoundError, catalogue_ids, evaluate_bound, get_entry
 from .complexes import ComplexError, SimplicialComplex, load_complex_report
-from .covers import (Cover, CoverError, PermutationCoverSpec, build_cover,
+from .covers import (CoverError, PermutationCoverSpec, build_cover, dual_graph,
                      graph_diameter, shortest_path_tree,
                      tree_fundamental_domain)
 from .fillings import (EdgeCycle, FillingError, l1_filling, least_norm_filling,
@@ -295,7 +294,7 @@ def _computed_params(K, geometry):
     comb = _inner_products(K, geometry, "comb")
     split_w = lambda1_split(K, 1, ips) if K.dim >= 1 else None
     split_c = lambda1_split(K, 1, comb) if K.dim >= 1 else None
-    g = _dual_graph(K)
+    g = dual_graph(K)
     betti = betti_numbers(K)
     out = {
         "vol": geometry.total_volume(),
@@ -310,16 +309,6 @@ def _computed_params(K, geometry):
     if split_c is not None and split_c.lambda1_dstar is not None:
         out["lambda1_comb"] = split_c.lambda1_dstar
     return out
-
-
-def _dual_graph(K):
-    from .covers import Graph
-    adj = K.facet_adjacencies()
-    g = Graph(K.n_cells(K.dim))
-    for (i, j) in adj:
-        if i < j:
-            g.add_edge(i, j, label=(i, j))
-    return g
 
 
 def cmd_constants(args):
@@ -342,8 +331,6 @@ def build_parser():
     p = argparse.ArgumentParser(
         prog="hodgecover",
         description="Simplicial spectra, covers, and filling bounds.")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for any randomized subroutine")
     sub = p.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("complex", help="validate a complex or compute homology")
@@ -415,7 +402,6 @@ def main(argv=None) -> int:
             parser.error("bounds eval needs --id and --params")
         if args.action == "all" and not args.attach:
             parser.error("bounds all needs --attach")
-    np.random.seed(args.seed)
     try:
         args.func(args)
     except CliError as exc:

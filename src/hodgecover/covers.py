@@ -25,24 +25,21 @@ class CoverError(ValueError):
 
 
 class Graph:
-    """Undirected graph on vertices 0..n-1 with optional directed edge labels.
+    """Undirected graph on vertices 0..n-1 with optional edge labels.
 
-    An edge may carry distinct labels for its two traversal directions
-    (needed when labels are ordered base adjacencies); tuple labels default
-    to their reversal on the way back.
+    A label is an ordered pair (a, b) read in the direction u -> v of the
+    `add_edge(u, v, label)` call; the direction v -> u carries (b, a).
     """
 
-    def __init__(self, n: int, edges=(), labels: dict | None = None):
+    def __init__(self, n: int, edges=()):
         self.n = n
         self.adj: list[list[int]] = [[] for _ in range(n)]
         self.edges: set[tuple[int, int]] = set()
-        self.labels: dict[tuple[int, int], object] = {}
-        labels = labels or {}
-        for e in edges:
-            u, v = e
-            self.add_edge(u, v, labels.get((u, v)))
+        self.labels: dict[tuple[int, int], tuple] = {}
+        for u, v in edges:
+            self.add_edge(u, v)
 
-    def add_edge(self, u: int, v: int, label=None, rlabel=None):
+    def add_edge(self, u: int, v: int, label: tuple | None = None):
         if u == v:
             raise CoverError("loops not supported")
         key = (min(u, v), max(u, v))
@@ -52,10 +49,9 @@ class Graph:
         self.adj[u].append(v)
         self.adj[v].append(u)
         if label is not None:
+            a, b = label
             self.labels[(u, v)] = label
-            if rlabel is None and isinstance(label, tuple) and len(label) == 2:
-                rlabel = (label[1], label[0])
-            self.labels[(v, u)] = rlabel if rlabel is not None else label
+            self.labels[(v, u)] = (b, a)
         for w in (u, v):
             self.adj[w].sort()
 
@@ -89,8 +85,12 @@ class SpanningTree:
     tree_edges: set[tuple[int, int]]
 
     def diameter(self) -> int:
+        """Exact, by double sweep: on a tree, a vertex farthest from the root
+        ends a longest path, so the largest distance from it is the diameter
+        (Handler 1973).  The first sweep is the BFS that built the tree."""
+        far = max(self.depth, key=self.depth.get)
         g = Graph(max(self.parent) + 1, self.tree_edges)
-        return graph_diameter(g)
+        return max(g.bfs_distances(far))
 
 
 def shortest_path_tree(G: Graph, v0: int) -> SpanningTree:
@@ -126,6 +126,16 @@ def graph_diameter(G: Graph) -> int:
             raise CoverError("graph is disconnected")
         diam = max(diam, max(dist))
     return diam
+
+
+def dual_graph(K: SimplicialComplex) -> Graph:
+    """Top cells of K, adjacent when they share a facet; the direction
+    i -> j is labelled (i, j)."""
+    g = Graph(K.n_cells(K.dim))
+    for (i, j) in K.facet_adjacencies():
+        if i < j:
+            g.add_edge(i, j, label=(i, j))
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +197,6 @@ class PermutationCoverSpec:
                 raise CoverError(f"adjacency ({i},{j}) has no permutation")
         self.perms = norm
 
-    def dual_graph(self) -> Graph:
-        n_top = self.base.n_cells(self.base.dim)
-        g = Graph(n_top)
-        for (i, j) in self.adjacencies:
-            if i < j:
-                g.add_edge(i, j, label=(i, j))
-        return g
-
     def holonomy_generators(self) -> list[tuple[int, ...]]:
         """Sheet permutations of dual-graph loops based at top cell 0.
 
@@ -202,7 +204,7 @@ class PermutationCoverSpec:
         the edge along a fixed spanning tree, crosses it, and returns.  These
         loops generate every closed loop's sheet action.
         """
-        g = self.dual_graph()
+        g = dual_graph(self.base)
         if not g.is_connected():
             raise CoverError("base dual graph is disconnected")
         tree = shortest_path_tree(g, 0)
@@ -271,14 +273,18 @@ class Cover:
     top_index: dict[tuple[int, int], int]  # (base top, sheet) -> cover top cell
     top_of: list[tuple[int, int]]        # cover top cell -> (base top, sheet)
     lift: dict[tuple[int, int, int, int], int]  # (q, base cell, top, sheet) -> cover cell
-    connected: bool
+    connected: bool = field(init=False)
+
+    def __post_init__(self):
+        self.connected = self.schreier_graph().is_connected()
 
     def lift_cell(self, q: int, base_cell: int, top: int, sheet: int) -> int:
         return self.lift[(q, base_cell, top, sheet)]
 
     def schreier_graph(self) -> Graph:
-        """Dual graph of the cover's top-cell tiling, edges labelled by the
-        base adjacency they project to."""
+        """Dual graph of the cover's top-cell tiling, tiles numbered as the
+        cover complex's top cells, edges labelled by the base adjacency they
+        project to."""
         g = Graph(len(self.top_of))
         d = self.spec.degree
         for (a, b), p in self.spec.perms.items():
@@ -407,21 +413,7 @@ def build_cover(spec: PermutationCoverSpec) -> Cover:
         for s in range(d):
             lift[(n, t, t, s)] = top_index[(t, s)]
 
-    connected = schreier_graph(spec).is_connected()
-    return Cover(spec, K, projection, top_index, top_of, lift, connected)
-
-
-def schreier_graph(spec: PermutationCoverSpec) -> Graph:
-    """Dual graph of the cover tiling, without building the full complex."""
-    n_top = spec.base.n_cells(spec.base.dim)
-    d = spec.degree
-    g = Graph(n_top * d)
-    index = {(t, s): t * d + s for t in range(n_top) for s in range(d)}
-    for (a, b), p in spec.perms.items():
-        if a < b:
-            for s in range(d):
-                g.add_edge(index[(a, s)], index[(b, p[s])], label=(a, b))
-    return g
+    return Cover(spec, K, projection, top_index, top_of, lift)
 
 
 # ---------------------------------------------------------------------------

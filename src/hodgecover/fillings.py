@@ -130,18 +130,15 @@ def rationally_null(f: EdgeCycle):
 
 
 def free_part_coefficients(A, b) -> list[int]:
-    """Solve A n = b by Cramer's rule; A must be integer with det = +-1."""
+    """Solve A n = b exactly; A must be integer with det = +-1, so the
+    solution is unique and integral."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise FillingError("matrix must be square")
     d = bareiss_det(A)
     if d not in (1, -1):
         raise FillingError(f"basis pairing matrix has determinant {d}, not +-1")
-    out = []
-    for r in range(n):
-        Ar = [[b[i] if j == r else A[i][j] for j in range(n)] for i in range(n)]
-        out.append(bareiss_det(Ar) // d)
-    return out
+    return [int(x) for x in rat_solve(A, b)]
 
 
 @dataclass

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 
 class GeometryError(ValueError):
@@ -34,13 +33,17 @@ class HypPoint:
 
     def __init__(self, coordinates):
         x = np.asarray(coordinates, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise GeometryError("coordinates must be finite")
         if x[0] <= 0:
             raise GeometryError("time coordinate must be positive")
         q = minkowski_inner(x, x)
         if q >= 0:
             raise GeometryError("coordinates are not timelike")
         self.x = x / math.sqrt(-q)
-        assert abs(minkowski_inner(self.x, self.x) + 1.0) < 1e-12
+        if abs(minkowski_inner(self.x, self.x) + 1.0) >= 1e-12:
+            raise GeometryError("coordinates are too close to the light cone "
+                                "to normalize")
 
     @staticmethod
     def basepoint(n: int) -> "HypPoint":
@@ -80,6 +83,9 @@ def sphere_volume(n: int) -> float:
 
 def ball_volume(n: int, r: float, K: float = 1.0) -> float:
     """Volume of a geodesic r-ball in the hyperbolic n-space of curvature -K."""
+    from scipy.integrate import quad
+    if not (math.isfinite(r) and math.isfinite(K)):
+        raise GeometryError("radius and curvature must be finite")
     if n < 2:
         raise GeometryError("dimension must be >= 2")
     if r < 0:
@@ -89,9 +95,15 @@ def ball_volume(n: int, r: float, K: float = 1.0) -> float:
     if r == 0:
         return 0.0
     s = math.sqrt(K)
-    val, _err = quad(lambda t: (math.sinh(s * t) / s) ** (n - 1), 0.0, r,
-                     epsabs=0.0, epsrel=1e-12, limit=200)
-    return sphere_volume(n - 1) * val
+    try:
+        val, _err = quad(lambda t: (math.sinh(s * t) / s) ** (n - 1), 0.0, r,
+                         epsabs=0.0, epsrel=1e-12, limit=200)
+        vol = sphere_volume(n - 1) * val
+    except OverflowError:
+        vol = math.inf
+    if not math.isfinite(vol):
+        raise GeometryError(f"ball volume overflows a float at r = {r}")
+    return vol
 
 
 def kappa(n: int) -> float:
@@ -116,6 +128,8 @@ def moser_constant(n: int, q: int, L: float, lam: float,
     with g = n/(n-2).  The product is truncated once a rigorous bound on the
     remaining multiplicative tail drops below tail_tol.
     """
+    if not (math.isfinite(L) and math.isfinite(lam)):
+        raise GeometryError("need finite L and lam")
     if n < 3:
         raise GeometryError("need n >= 3")
     if L <= 0:
@@ -126,6 +140,10 @@ def moser_constant(n: int, q: int, L: float, lam: float,
     kap = kappa(n)
     amp = q * (n - q) + lam
     invl2 = 4.0 / (L * L)
+    # bracket k = amp g^k + invl2 4^k is then positive for every k: as
+    # g <= 3 < 4, it is at least min(amp, 0) 4^k + invl2 4^k
+    if amp + invl2 <= 0:
+        raise GeometryError("need q(n-q) + lam + 4/L^2 > 0")
 
     # |log B_k - log kappa| <= a + b*k:  B_k is squeezed between the constant
     # max(amp, 4/L^2) and (amp + 4/L^2) * 4^k
@@ -143,7 +161,6 @@ def moser_constant(n: int, q: int, L: float, lam: float,
     k = 0
     while True:
         bracket = amp * g ** k + invl2 * 4.0 ** k
-        assert bracket > 0
         log_c += (math.log(bracket) - math.log(kap)) / g ** k
         k += 1
         if tail(k) < tail_tol:

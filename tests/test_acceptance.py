@@ -18,8 +18,7 @@ from hodgecover import (EdgeCycle, InnerProduct, PermutationCoverSpec,
                         charpoly_gap_bound, down_pencil, evaluate_bound,
                         free_part_coefficients, graph_diameter, lambda1_split,
                         least_norm_filling, moser_constant,
-                        right_triangle_area, schreier_graph,
-                        shortest_path_tree, smith_normal_form,
+                        right_triangle_area, shortest_path_tree, smith_normal_form,
                         torsion_invariants, up_pencil)
 from hodgecover.cli import main as cli_main
 from hodgecover.fillings import FillingError

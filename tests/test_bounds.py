@@ -135,6 +135,12 @@ class TestErrors:
         with pytest.raises(BoundError, match="missing parameter"):
             evaluate_bound("dirichlet_diam", {"lhs": 1.0})
 
+    def test_dichotomy_missing_parameter(self):
+        params = dict(SYNTHETIC["dichotomy"])
+        del params["lambda1_comb"]
+        with pytest.raises(BoundError, match="missing parameter"):
+            evaluate_bound("dichotomy", params)
+
     def test_unexpected_parameter(self):
         params = dict(SYNTHETIC["dirichlet_diam"], bogus=1.0)
         with pytest.raises(BoundError):

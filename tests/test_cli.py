@@ -246,3 +246,14 @@ class TestConstantsCommand:
     def test_bad_ball_exit_3(self, capsys):
         code, _, err = run(capsys, "constants", "--ball", "1", "1.0", "1.0")
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("--ball", "3", "nan", "1"),
+        ("--ball", "3", "inf", "1"),
+        ("--ball", "3", "1000", "1"),    # the volume overflows a float
+        ("--moser", "3", "1", "1", "nan"),
+    ])
+    def test_non_finite_constants_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, "constants", *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure:")

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from hodgecover import (CoverError, Graph, PermutationCoverSpec, betti_numbers,
-                        build_cover, graph_diameter, schreier_graph,
+                        build_cover, dual_graph, graph_diameter,
                         shortest_path_tree, tree_fundamental_domain,
                         word_sheet_action, word_tile_action)
-from hodgecover.surfaces import circle, tetrahedron_boundary, torus7
+from hodgecover.surfaces import FIXTURES, circle, tetrahedron_boundary, torus7
 
 from helpers import brute_force_diameter, random_cover_specs, random_cyclic_cover
 
@@ -111,26 +111,38 @@ class TestSchreierGraph:
         K = tetrahedron_boundary()
         adj = K.facet_adjacencies()
         spec = PermutationCoverSpec(K, 1, {e: (0,) for e in adj if e[0] < e[1]})
-        g = schreier_graph(spec)
+        g = build_cover(spec).schreier_graph()
         assert g.n == 4 and len(g.edges) == 6
 
     def test_cyclic_circle_cover_graph(self):
-        g = schreier_graph(cyclic_circle_spec(3, 3))
+        g = build_cover(cyclic_circle_spec(3, 3)).schreier_graph()
         assert g.n == 9 and len(g.edges) == 9
         assert graph_diameter(g) == 4
 
-    def test_matches_cover_dual_graph(self):
-        cov = build_cover(cyclic_circle_spec(3, 3))
-        g1 = schreier_graph(cov.spec)
-        g2 = cov.schreier_graph()
-        assert g1.n == g2.n and len(g1.edges) == len(g2.edges)
+    def test_degree_one_tiles_are_dual_graph(self):
+        surfaces = [make() for make in FIXTURES.values()]
+        surfaces = [K for K in surfaces if K.dim == 2]
+        assert len(surfaces) == 6
+        for K in surfaces:
+            spec = PermutationCoverSpec(K, 1, {e: (0,) for e in
+                                               K.facet_adjacencies()})
+            cov = build_cover(spec)
+            g = cov.schreier_graph()
+            base = [t for t, _s in cov.top_of]
+            d = dual_graph(K)
+            assert g.n == d.n
+            assert {tuple(sorted((base[u], base[v]))) for u, v in g.edges} \
+                == d.edges
+            assert d.labels == {e: e for e in K.facet_adjacencies()}
+            assert {(base[u], base[v]): label
+                    for (u, v), label in g.labels.items()} == d.labels
 
     def test_tetrahedron_transposition_cover_connected(self):
         rng = random.Random(2)
         found = False
         for _ in range(50):
             spec = random_cyclic_cover(tetrahedron_boundary(), 2, rng)
-            g = schreier_graph(spec)
+            g = build_cover(spec).schreier_graph()
             assert g.n == 8
             found = found or not g.is_connected()
         assert found  # sphere has no connected double cover
@@ -166,6 +178,11 @@ class TestTrees:
             assert graph_diameter(g) == diam
             t = shortest_path_tree(g, rng.randrange(g.n))
             assert t.diameter() <= 2 * diam
+            tree_adj = [[] for _ in range(g.n)]
+            for u, v in t.tree_edges:
+                tree_adj[u].append(v)
+                tree_adj[v].append(u)
+            assert t.diameter() == brute_force_diameter(tree_adj)
 
     def test_disconnected_rejected(self):
         g = Graph(4, [(0, 1), (2, 3)])

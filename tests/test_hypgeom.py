@@ -1,9 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hodgecover
 from hodgecover import (GeometryError, HypPoint, SimplexMetric, ball_volume,
                         hyp_distance, kappa, minkowski_inner, moser_constant,
                         right_triangle_area, simplex_gram, simplex_volume,
@@ -24,6 +30,23 @@ class TestHyperboloid:
             HypPoint([1.0, 2.0, 0.0])
         with pytest.raises(GeometryError):
             HypPoint([-1.0, 0.0, 0.0])
+
+    def test_non_finite_rejected_under_python_O(self):
+        code = textwrap.dedent("""
+            from hodgecover import GeometryError, HypPoint
+            print(__debug__)
+            for x in ([float("nan"), 0.0, 0.0], [float("inf"), 1.0, 0.0]):
+                try:
+                    HypPoint(x)
+                except GeometryError:
+                    print("rejected")
+            """)
+        src = Path(hodgecover.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["False", "rejected", "rejected"]
 
     def test_exp_realizes_distance(self):
         rng = random.Random(0)
@@ -145,6 +168,8 @@ class TestMoserConstant:
             moser_constant(3, 1, 0.0, 1.0)
         with pytest.raises(GeometryError):
             moser_constant(3, 1, 1.0, -1.0)
+        with pytest.raises(GeometryError):   # first bracket 5(3-5) + 4 < 0
+            moser_constant(3, 5, 1.0, 0.0)
 
 
 class TestSimplexMetric:
