@@ -11,10 +11,11 @@ instead of being decided by rounding noise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .fillings import FillingCertificate
-from .hypgeom import ball_volume, moser_constant
+from .hypgeom import GeometryError, ball_volume, moser_constant
 from .spectra import SpectralSplit, lambda1_split
 from .whitney import InnerProduct, whitney_mass_matrix
 
@@ -303,23 +304,49 @@ def get_entry(id: str) -> BoundEntry:
     return _CATALOGUE[id]
 
 
+def _finite_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an int too large for a float
+        return False
+
+
 def evaluate_bound(id: str, params: dict) -> BoundReport:
-    """Substitute params into the catalogue entry and compare both sides."""
+    """Substitute params into the catalogue entry and compare both sides.
+
+    Parameter values are finite real numbers, or None for a side that is not
+    supplied; a None right-side parameter counts as missing."""
     entry = get_entry(id)
+    if not isinstance(params, dict):
+        raise BoundError(f"parameters of bound {id} must be a JSON object, "
+                         f"not {type(params).__name__}")
     sources = dict(entry.params)
     values = {}
     for name, value in params.items():
         if name not in sources:
             raise BoundError(f"bound {id} has no parameter {name!r}")
+        if value is not None and not _finite_real(value):
+            raise BoundError(f"bound {id} parameter {name!r} must be a "
+                             f"finite real number, not {value!r}")
         values[name] = {"value": value, "source": sources[name]}
+    given = {k: v for k, v in params.items() if v is not None}
     try:
         if id == "dichotomy":
-            return _dichotomy_report(params, values)
-        rhs = float(entry.rhs(params))
-        lhs = entry.lhs(params)
+            return _dichotomy_report(given, values)
+        rhs = float(entry.rhs(given))
+        lhs = entry.lhs(given)
+        lhs = None if lhs is None else float(lhs)
     except KeyError as exc:
         raise BoundError(f"bound {id} missing parameter {exc.args[0]!r}")
-    lhs = None if lhs is None else float(lhs)
+    except GeometryError:
+        raise
+    # a negative base to a fractional power is complex: float() raises
+    # TypeError on it
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise BoundError(f"bound {id} cannot be evaluated at these "
+                         f"parameters: {exc}")
     verdict = _verdict(lhs, rhs, entry.direction)
     notes = []
     if lhs is None:

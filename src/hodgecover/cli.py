@@ -265,6 +265,9 @@ def cmd_bounds(args):
     geometry = _load_geometry(K, args.geometry)
     computed = _computed_params(K, geometry)
     overrides = _load_json(args.params) if args.params else {}
+    if not (isinstance(overrides, dict)
+            and all(isinstance(v, dict) for v in overrides.values())):
+        raise CliError("bounds all --params must map bound ids to objects")
     reports = []
     for bid in catalogue_ids():
         entry = get_entry(bid)
@@ -311,14 +314,20 @@ def _computed_params(K, geometry):
     return out
 
 
+def _integer(name, x):
+    if not (math.isfinite(x) and x == int(x)):
+        raise CliError(f"{name} must be an integer, not {x}")
+    return int(x)
+
+
 def cmd_constants(args):
     out = {"kappa": {str(n): _round(kappa(n)) for n in range(3, 7)}}
     if args.ball is not None:
         n, r, k = args.ball
-        out["ball_volume"] = _round(ball_volume(int(n), r, k))
+        out["ball_volume"] = _round(ball_volume(_integer("N", n), r, k))
     if args.moser is not None:
         n, q, L, lam = args.moser
-        mc = moser_constant(int(n), int(q), L, lam)
+        mc = moser_constant(_integer("N", n), _integer("Q", q), L, lam)
         out["moser_constant"] = {"value": _round(mc.value), "terms": mc.terms,
                                  "tail_bound": mc.tail_bound}
     _emit(out, args.out)

@@ -171,6 +171,21 @@ def _certify(f: EdgeCycle, g: list[Fraction], inner: str, delta: float,
                               inner, delta, norm_g)
 
 
+def _particular_and_kernel(A, b) -> tuple[list[Fraction], list]:
+    """An exact solution g0 of A g = b and a basis of the kernel of A."""
+    g0 = rat_solve(A, b)
+    if g0 is None:
+        raise FillingError("cycle is not rationally null")
+    return g0, rat_nullspace(A)
+
+
+def _rounded_chain(g0, kernel, coeffs, denom: int) -> list[Fraction]:
+    """g0 + sum_k c_k kernel[k], each c_k rounded to a multiple of 1/denom."""
+    cr = [Fraction(round(c * denom), denom) for c in coeffs]
+    return [g0[j] + sum(ck * v[j] for ck, v in zip(cr, kernel))
+            for j in range(len(g0))]
+
+
 def least_norm_filling(f: EdgeCycle, inner: str = "comb",
                        ip: InnerProduct | None = None,
                        delta: float = 1e-6,
@@ -187,7 +202,6 @@ def least_norm_filling(f: EdgeCycle, inner: str = "comb",
     if K.dim < 2:
         raise FillingError("filling needs 2-cells")
     A = K.boundary_matrix(2)  # n1 x n2
-    n2 = K.n_cells(2)
     b = list(f.coefficients)
 
     if inner == "comb":
@@ -204,10 +218,7 @@ def least_norm_filling(f: EdgeCycle, inner: str = "comb",
     if ip is None:
         raise FillingError("whitney filling needs the degree-2 InnerProduct")
 
-    g0 = rat_solve(A, b)
-    if g0 is None:
-        raise FillingError("cycle is not rationally null")
-    kernel = rat_nullspace(A)
+    g0, kernel = _particular_and_kernel(A, b)
     M = ip.matrix
     Af = A.to_float()
     bf = np.array(b, dtype=float)
@@ -226,9 +237,7 @@ def least_norm_filling(f: EdgeCycle, inner: str = "comb",
     g0f = np.array([float(c) for c in g0])
     c, *_ = np.linalg.lstsq(N, g_float - g0f, rcond=None)
     for denom in denominators:
-        cr = [Fraction(round(ci * denom), denom) for ci in c]
-        g = [g0[j] + sum(cr[k] * kernel[k][j] for k in range(len(kernel)))
-             for j in range(n2)]
+        g = _rounded_chain(g0, kernel, c, denom)
         gf = np.array([float(x) for x in g])
         norm_g = math.sqrt(max(gf @ M @ gf, 0.0))
         if norm_g <= (1.0 + delta) * norm_float or norm_float == 0.0:
@@ -252,10 +261,7 @@ def l1_filling(f: EdgeCycle, denominator: int = 10 ** 6) -> FillingCertificate:
     A = K.boundary_matrix(2)
     n2 = K.n_cells(2)
     b = list(f.coefficients)
-    g0 = rat_solve(A, b)
-    if g0 is None:
-        raise FillingError("cycle is not rationally null")
-    kernel = rat_nullspace(A)
+    g0, kernel = _particular_and_kernel(A, b)
     if not kernel:
         gf = np.array([float(c) for c in g0])
         return _certify(f, g0, "l1", 0.0, float(np.sum(np.abs(gf))))
@@ -270,9 +276,7 @@ def l1_filling(f: EdgeCycle, denominator: int = 10 ** 6) -> FillingCertificate:
                   method="highs")
     if not res.success:
         raise FillingError(f"linear program failed: {res.message}")
-    cr = [Fraction(round(ci * denominator), denominator) for ci in res.x[:k]]
-    g = [g0[j] + sum(cr[i] * kernel[i][j] for i in range(k))
-         for j in range(n2)]
+    g = _rounded_chain(g0, kernel, res.x[:k], denominator)
     norm_g = float(sum(abs(float(x)) for x in g))
     return _certify(f, g, "l1", 0.0, norm_g)
 

@@ -1,9 +1,9 @@
 """Hodge Laplacian spectra on cochains with exact kernel accounting.
 
-The up and down Laplacians are solved as generalized symmetric eigenproblems
-against the chosen cochain inner product.  Kernel dimensions are determined
-by exact rational ranks of the boundary maps, never by thresholding floats,
-and the smallest positive eigenvalues are read off by index.
+Only up-Laplacians (d^T M_{q+1} d, M_q) are solved, as generalized symmetric
+eigenproblems: by the Hodge decomposition the positive down-spectrum in degree
+q is the positive up-spectrum in degree q-1.  Kernel dimensions come from
+exact rational ranks of the boundary maps, never from thresholding floats.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .complexes import SimplicialComplex, SparseIntMatrix
 from .ratlinalg import echelon, rat_rank, rat_rref, sparse_rows
@@ -37,7 +36,8 @@ def up_pencil(K: SimplicialComplex, q: int, ip_q: InnerProduct,
 def down_pencil(K: SimplicialComplex, q: int, ip_q: InnerProduct,
                 ip_down: InnerProduct) -> tuple[np.ndarray, np.ndarray]:
     """(B, M) whose eigenvalues are those of the down-Laplacian d d* on
-    q-cochains; B = M d M_down^{-1} d^T M is symmetric."""
+    q-cochains; B = M d M_down^{-1} d^T M is symmetric.  The spectral path
+    never builds it: it is the independent oracle for up-pencil spectra."""
     n = K.n_cells(q)
     if q == 0:
         return np.zeros((n, n)), ip_q.matrix
@@ -66,65 +66,67 @@ def _rank(K: SimplicialComplex, q: int) -> int:
     return rat_rank(K.boundary_matrix(q))
 
 
+def _positive_up(K: SimplicialComplex, q: int, ips: dict[int, InnerProduct],
+                 rank: int) -> np.ndarray:
+    """The positive eigenvalues of the degree-q up-pencil of exact rank `rank`."""
+    if rank == 0:
+        return np.zeros(0)
+    from scipy.linalg import eigh
+    A, M = up_pencil(K, q, ips[q], ips[q + 1])
+    return eigh(A, M, eigvals_only=True)[K.n_cells(q) - rank:]
+
+
 def lambda1_split(K: SimplicialComplex, q: int,
                   inner_products: dict[int, InnerProduct]) -> SpectralSplit:
     """Eigenvalues of the degree-q Hodge Laplacian and its exact/coexact split.
 
     `inner_products` must supply degrees q-1, q, q+1 as applicable.  The
-    positive part of the up (resp. down) spectrum starts at index
-    n_q - rank(boundary_{q+1}) (resp. n_q - rank(boundary_q)) of the sorted
-    pencil eigenvalues; those indices are computed exactly.
-    """
+    spectrum is the exact kernel as zeros, the positive up-spectrum of degree
+    q (coexact part) and that of degree q-1 (exact part)."""
     if not 0 <= q <= K.dim:
         raise SpectralError(f"degree {q} out of range")
-    ip_q = inner_products[q]
     n = K.n_cells(q)
-    if ip_q.matrix.shape != (n, n):
+    if inner_products[q].matrix.shape != (n, n):
         raise SpectralError("inner product dimension mismatch")
 
     r_down = _rank(K, q)        # rank of boundary leaving degree q
     r_up = _rank(K, q + 1)      # rank of boundary entering degree q
     kernel_dim = n - r_down - r_up
 
-    A_up, M = up_pencil(K, q, ip_q, inner_products[q + 1]) if q < K.dim \
-        else (np.zeros((n, n)), ip_q.matrix)
-    B_down, _ = down_pencil(K, q, ip_q, inner_products[q - 1]) if q > 0 \
-        else (np.zeros((n, n)), ip_q.matrix)
-
-    up_eigs = eigh(A_up, M, eigvals_only=True)
-    down_eigs = eigh(B_down, M, eigvals_only=True)
-    full_eigs = eigh(A_up + B_down, M, eigvals_only=True)
-
-    def first_positive(eigs, zero_dim):
-        if zero_dim >= len(eigs):
-            return None
-        return float(eigs[zero_dim])
-
-    lam_up = first_positive(up_eigs, n - r_up)
-    lam_down = first_positive(down_eigs, n - r_down)
-    lam_full = first_positive(full_eigs, kernel_dim)
-    return SpectralSplit(q, np.asarray(full_eigs), kernel_dim,
-                         lam_full, lam_down, lam_up)
+    up = _positive_up(K, q, inner_products, r_up)
+    down = _positive_up(K, q - 1, inner_products, r_down)
+    spectrum = np.sort(np.concatenate([np.zeros(kernel_dim), up, down]))
+    first = [float(e[0]) if len(e) else None
+             for e in (spectrum[kernel_dim:], down, up)]
+    return SpectralSplit(q, spectrum, kernel_dim, *first)
 
 
 def harmonic_projection(K: SimplicialComplex, q: int,
                         inner_products: dict[int, InnerProduct]) -> np.ndarray:
     """Orthogonal projector (w.r.t. the degree-q inner product) onto the
-    harmonic subspace, as a matrix acting on cochain coordinates."""
-    ip_q = inner_products[q]
+    harmonic subspace, as a matrix acting on cochain coordinates.
+
+    It is (Z Z^T - Y Y^T) M_q, with M-orthonormal bases Z of ker d_q (zero
+    block of the degree-q up-pencil) and Y = d U mu^{-1/2} of im d_{q-1}
+    (positive part mu, U of the degree-(q-1) up-pencil)."""
+    from scipy.linalg import eigh
+    M = inner_products[q].matrix
     n = K.n_cells(q)
-    r_down = _rank(K, q)
-    r_up = _rank(K, q + 1)
-    kernel_dim = n - r_down - r_up
-    if kernel_dim == 0:
+    r_down, r_up = _rank(K, q), _rank(K, q + 1)
+    if n - r_down - r_up == 0:
         return np.zeros((n, n))
-    A_up, M = up_pencil(K, q, ip_q, inner_products[q + 1]) if q < K.dim \
-        else (np.zeros((n, n)), ip_q.matrix)
-    B_down, _ = down_pencil(K, q, ip_q, inner_products[q - 1]) if q > 0 \
-        else (np.zeros((n, n)), ip_q.matrix)
-    w, vecs = eigh(A_up + B_down, M)
-    H = vecs[:, :kernel_dim]  # M-orthonormal columns spanning the kernel
-    return H @ H.T @ M
+    P = np.eye(n)               # ker d_q is everything when r_up = 0
+    if r_up:
+        _, V = eigh(*up_pencil(K, q, inner_products[q], inner_products[q + 1]))
+        Z = V[:, :n - r_up]
+        P = Z @ Z.T @ M
+    if r_down:
+        mu, U = eigh(*up_pencil(K, q - 1, inner_products[q - 1],
+                                inner_products[q]))
+        k = K.n_cells(q - 1) - r_down
+        Y = K.coboundary_matrix(q - 1).to_float() @ U[:, k:] / np.sqrt(mu[k:])
+        P = P - Y @ Y.T @ M
+    return P
 
 
 def charpoly_gap_bound(K: SimplicialComplex, q: int,
@@ -132,16 +134,14 @@ def charpoly_gap_bound(K: SimplicialComplex, q: int,
     """Exact upper bound on 1/lambda_1 of the integer up-Laplacian in degree q.
 
     With A = d d^T the integer matrix of d* d on q-chains (d the boundary map
-    entering degree q), the bound is the sum of the reciprocals of the
-    nonzero eigenvalues, tr(A^+), which dominates 1/lambda_1.  It equals
-    |a_{k+1}| / |a_k| for the characteristic polynomial
-    x^n + a_{n-1} x^{n-1} + ... + a_0 with a_k its last nonzero coefficient.
+    entering degree q), the bound is tr(A^+) >= 1/lambda_1, the sum of the
+    reciprocals of the nonzero eigenvalues.  It equals |a_{k+1}| / |a_k| for
+    the characteristic polynomial sum_i a_i x^i, a_k its last nonzero one.
 
-    It is computed as tr(A^+) = tr((C^T C)^{-1} A[S,S]), where S is the set of
-    pivot columns the elimination kernel finds in A and C = A[:, S]: A is
-    symmetric positive semidefinite of rank |S|, so A = C A[S,S]^{-1} C^T
-    with C of full column rank.  That is one exact solve with |S| right-hand
-    sides.
+    It is computed as tr((C^T C)^{-1} A[S,S]) by one exact solve with |S|
+    right-hand sides, where S is the set of pivot columns the elimination
+    kernel finds in A and C = A[:, S]: A is symmetric positive semidefinite
+    of rank |S|, so A = C A[S,S]^{-1} C^T with C of full column rank.
     """
     if not 0 <= q < K.dim:
         raise SpectralError(f"degree {q} out of range for an up-Laplacian")

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .complexes import SimplicialComplex
 from .hypgeom import GeometryError, SimplexMetric, simplex_gram
@@ -39,6 +38,7 @@ class InnerProduct:
         return InnerProduct(degree, np.eye(n))
 
     def solve(self, c: np.ndarray) -> np.ndarray:
+        from scipy.linalg import cho_factor, cho_solve
         return cho_solve(cho_factor(self.matrix), c)
 
 
@@ -253,6 +253,7 @@ def chain_dual_norm(c, spec: NormSpec, ip: InnerProduct | None = None) -> float:
 def norm_equivalence_constants(K: SimplicialComplex, geometry: ComplexGeometry,
                                q: int) -> tuple[float, float]:
     """(c_min, c_max) with c_min <= |x|_whitney2 / |x|_comb2 <= c_max for all x."""
+    from scipy.linalg import eigh
     ip = whitney_mass_matrix(K, geometry, q)
     eigs = eigh(ip.matrix, eigvals_only=True)
     return math.sqrt(max(eigs[0], 0.0)), math.sqrt(eigs[-1])

@@ -7,7 +7,7 @@ from hodgecover import (BoundError, InnerProduct, catalogue_ids,
                         lambda1_split, least_norm_filling,
                         verify_filling_chain)
 from hodgecover.fillings import EdgeCycle
-from hodgecover.hypgeom import ball_volume
+from hodgecover.hypgeom import GeometryError, ball_volume
 from hodgecover.surfaces import torus7, unit_geometry
 from hodgecover.whitney import whitney_mass_matrix
 
@@ -145,6 +145,31 @@ class TestErrors:
         params = dict(SYNTHETIC["dirichlet_diam"], bogus=1.0)
         with pytest.raises(BoundError):
             evaluate_bound("dirichlet_diam", params)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True, "2.0",
+                                       [2.0], 10 ** 400],
+                             ids=["nan", "inf", "bool", "str", "list",
+                                  "huge_int"])
+    def test_non_finite_real_parameter(self, value):
+        with pytest.raises(BoundError, match="finite real number"):
+            evaluate_bound("dirichlet_diam", dict(lhs=1.0, diam=value))
+
+    def test_none_right_side_parameter_is_missing(self):
+        with pytest.raises(BoundError, match="missing parameter 'diam'"):
+            evaluate_bound("dirichlet_diam", dict(lhs=1.0, diam=None))
+
+    @pytest.mark.parametrize("bid,change", [
+        ("exp_gap", dict(H=1e6)),                    # exp overflows
+        ("regulator_independent", dict(vol=-1.0)),   # complex power
+    ])
+    def test_evaluation_failure_names_the_bound(self, bid, change):
+        with pytest.raises(BoundError, match=f"bound {bid} cannot"):
+            evaluate_bound(bid, dict(SYNTHETIC[bid], **change))
+
+    def test_geometry_error_is_not_rewrapped(self):
+        params = dict(SYNTHETIC["lambda0_lower"], inj=-1.0)
+        with pytest.raises(GeometryError):
+            evaluate_bound("lambda0_lower", params)
 
 
 class TestDichotomy:

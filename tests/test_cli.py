@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hodgecover
 from hodgecover.cli import main
 from hodgecover.surfaces import circle, torus7
 
@@ -208,6 +213,30 @@ class TestBoundsCommands:
                            "--params", str(params))
         assert code == 2
 
+    @pytest.mark.parametrize("bid,params", [
+        ("dirichlet_diam", [3.9, 2.0]),           # not an object
+        ("dichotomy", {"lambda1_whitney": 1.0, "lambda1_comb": 1.0,
+                       "G": 0, "C": 1.0, "vol": 1.0}),   # division by zero
+        ("upper_b0", {"lam": -1, "C": 1.0, "V": 1.0, "D": 1.0,
+                      "sup_sarea_over_length": 1.0, "vol": 1.0}),  # sqrt(-1)
+    ])
+    def test_eval_malformed_params_exit_2(self, capsys, tmp_path, bid,
+                                          params):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(params))
+        code, out, err = run(capsys, "bounds", "eval", "--id", bid,
+                             "--params", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("validation error:") and err.count("\n") == 1
+
+    def test_all_params_not_an_object_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps([1.0]))
+        code, out, err = run(capsys, "bounds", "all", "--attach", "sphere",
+                             "--params", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_all_deterministic(self, capsys):
         outputs = []
         for _ in range(2):
@@ -257,3 +286,24 @@ class TestConstantsCommand:
         code, out, err = run(capsys, "constants", *argv)
         assert code == 3 and out == ""
         assert err.startswith("numerical failure:")
+
+    @pytest.mark.parametrize("argv", [
+        ("--ball", "nan", "1", "1"),
+        ("--ball", "inf", "1", "1"),
+        ("--ball", "3.7", "1", "1"),
+        ("--moser", "3", "1.5", "1", "1"),
+    ])
+    def test_non_integer_dimension_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "constants", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    src = Path(hodgecover.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, hodgecover.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

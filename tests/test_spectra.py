@@ -9,7 +9,8 @@ from scipy.linalg import eigh
 from hodgecover import (SpectralError, betti_numbers, build_cover,
                         charpoly_gap_bound, down_pencil, harmonic_projection,
                         lambda1_split, up_pencil)
-from hodgecover.ratlinalg import charpoly_int
+from hodgecover.cli import main
+from hodgecover.ratlinalg import charpoly_int, rat_rank
 from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
                                  tetrahedron_boundary, torus7, unit_geometry)
 from hodgecover.whitney import InnerProduct, whitney_mass_matrix
@@ -25,6 +26,25 @@ def comb_products(K):
 def whitney_products(K):
     geo = unit_geometry(K)
     return {q: whitney_mass_matrix(K, geo, q) for q in range(K.dim + 1)}
+
+
+def spectral_cases():
+    """(K, q, products) for every fixture and seeded degree-2 and degree-3
+    covers of genus2, both inner products, every degree."""
+    covers = [build_cover(random_cyclic_cover(genus2_surface(), d,
+                                              random.Random(d))).complex
+              for d in (2, 3)]
+    for K in [fn() for fn in FIXTURES.values()] + covers:
+        for products in (comb_products(K), whitney_products(K)):
+            for q in range(K.dim + 1):
+                yield K, q, products
+
+
+def full_pencil(K, q, products):
+    """(A_up + B_down, M): the whole Hodge Laplacian, down part included."""
+    A, M = up_pencil(K, q, products[q], products.get(q + 1))
+    B, _ = down_pencil(K, q, products[q], products.get(q - 1))
+    return A + B, M
 
 
 class TestGraphSpectra:
@@ -61,11 +81,58 @@ class TestHodgeTheorem:
                 for q in range(K.dim + 1):
                     s = lambda1_split(K, q, products)
                     assert s.kernel_dim == betti[q]
-                    # the spectrum really has that many (numerical) zeros
-                    if s.kernel_dim:
-                        assert abs(s.spectrum[s.kernel_dim - 1]) < 1e-8
                     if s.lambda1 is not None:
                         assert s.lambda1 > 1e-10
+                # the float up-spectra really split at the exact ranks
+                for q in range(K.dim):
+                    eigs = eigh(*up_pencil(K, q, products[q],
+                                           products[q + 1]),
+                                eigvals_only=True)
+                    k = K.n_cells(q) - rat_rank(K.boundary_matrix(q + 1))
+                    if k:
+                        assert abs(eigs[k - 1]) < 1e-8
+                    if k < len(eigs):
+                        assert eigs[k] > 1e-8
+
+
+class TestUpPencilsOnly:
+    def test_spectrum_matches_full_pencil(self):
+        for K, q, products in spectral_cases():
+            s = lambda1_split(K, q, products)
+            L, M = full_pencil(K, q, products)
+            assert np.allclose(s.spectrum, eigh(L, M, eigvals_only=True),
+                               rtol=1e-9, atol=1e-9)
+            for lam, pencil in (
+                    (s.lambda1_dstar, up_pencil(K, q, products[q],
+                                                products.get(q + 1))),
+                    (s.lambda1_d, down_pencil(K, q, products[q],
+                                              products.get(q - 1)))):
+                positive = [x for x in eigh(*pencil, eigvals_only=True)
+                            if x > 1e-8]
+                if positive:
+                    assert lam == pytest.approx(positive[0], rel=1e-9)
+                else:
+                    assert lam is None
+
+    def test_projection_matches_full_pencil_kernel(self):
+        for K, q, products in spectral_cases():
+            k = lambda1_split(K, q, products).kernel_dim
+            L, M = full_pencil(K, q, products)
+            V = eigh(L, M)[1][:, :k]
+            assert np.allclose(harmonic_projection(K, q, products),
+                               V @ V.T @ M, rtol=1e-9, atol=1e-9)
+
+    def test_harmonic_zeros_are_exact(self, capsys):
+        for fn in FIXTURES.values():
+            K = fn()
+            for products in (comb_products(K), whitney_products(K)):
+                for q in range(K.dim + 1):
+                    s = lambda1_split(K, q, products)
+                    zeros = s.spectrum[:s.kernel_dim]
+                    assert np.all(zeros == 0.0)
+                    assert not np.any(np.signbit(zeros))
+        assert main(["spectrum", "genus2", "--degree", "1"]) == 0
+        assert "-0.0" not in capsys.readouterr().out
 
 
 class TestSupersymmetry:
