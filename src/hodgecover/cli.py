@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -67,24 +66,59 @@ def _load_complex(path):
     return load_complex_report(data).complex
 
 
+def _integer(name, x):
+    """x as an int: an int, or a finite integral float; never a bool."""
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise CliError(f"{name} must be an integer, not {x!r}")
+
+
+def _length(name, x):
+    """x as a finite float, from an int or float that is not a bool."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool) \
+            and abs(x) <= sys.float_info.max:
+        return float(x)
+    raise CliError(f"{name} must be a finite number, not {x!r}")
+
+
+def _key(key):
+    """An "i,j" key of a geometry or cover-spec file as a pair of ints."""
+    try:
+        i, j = (int(t) for t in key.split(","))
+    except ValueError:
+        raise CliError(f'key {key!r} is not of the form "i,j"') from None
+    return i, j
+
+
+def _items(name, data, field):
+    """The (key, value) pairs of the object data[field] of a JSON object."""
+    value = data.get(field, {}) if isinstance(data, dict) else None
+    if not isinstance(value, dict):
+        raise CliError(f"{name} must be an object with an object {field!r}")
+    return value.items()
+
+
 def _load_geometry(K, path):
     if path is None:
         return ComplexGeometry.uniform(K, 1.0)
     data = _load_json(path)
-    edges = {}
-    for key, val in data.get("edges", {}).items():
-        u, v = (int(t) for t in key.split(","))
-        edges[(u, v)] = float(val)
+    edges = {_key(key): _length(f"edge {key!r}", val)
+             for key, val in _items("geometry", data, "edges")}
     return ComplexGeometry(K, edges)
 
 
 def _load_cover_spec(base, path):
     data = _load_json(path)
     perms = {}
-    for key, val in data.get("perms", {}).items():
-        i, j = (int(t) for t in key.split(","))
-        perms[(i, j)] = tuple(int(x) for x in val)
-    return PermutationCoverSpec(base, int(data["degree"]), perms)
+    for key, val in _items("cover spec", data, "perms"):
+        if not isinstance(val, list):
+            raise CliError(f"permutation {key!r} must be a list")
+        perms[_key(key)] = tuple(_integer(f"permutation {key!r} entry", x)
+                                 for x in val)
+    return PermutationCoverSpec(base, _integer("degree", data["degree"]),
+                                perms)
 
 
 def _inner_products(K, geometry, inner):
@@ -194,10 +228,13 @@ def cmd_norms(args):
 def _load_cycle(K, path):
     data = _load_json(path)
     coeffs = data["coefficients"] if isinstance(data, dict) else data
+    if not isinstance(coeffs, list):
+        raise CliError("cycle coefficients must be a list")
     if len(coeffs) != K.n_cells(1):
         raise CliError(f"cycle has {len(coeffs)} coefficients, "
                        f"complex has {K.n_cells(1)} edges")
-    return EdgeCycle(K, tuple(int(c) for c in coeffs))
+    return EdgeCycle(K, tuple(_integer("cycle coefficient", c)
+                              for c in coeffs))
 
 
 def cmd_scl(args):
@@ -312,12 +349,6 @@ def _computed_params(K, geometry):
     if split_c is not None and split_c.lambda1_dstar is not None:
         out["lambda1_comb"] = split_c.lambda1_dstar
     return out
-
-
-def _integer(name, x):
-    if not (math.isfinite(x) and x == int(x)):
-        raise CliError(f"{name} must be an integer, not {x}")
-    return int(x)
 
 
 def cmd_constants(args):

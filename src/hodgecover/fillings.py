@@ -17,7 +17,8 @@ import numpy as np
 
 from .complexes import SimplicialComplex
 from .covers import Cover, CoverError
-from .ratlinalg import bareiss_det, rat_nullspace, rat_solve
+from .ratlinalg import (bareiss_det, rat_nullspace, rat_solve,
+                        rat_solve_and_kernel)
 from .whitney import ComplexGeometry, InnerProduct
 
 
@@ -173,10 +174,10 @@ def _certify(f: EdgeCycle, g: list[Fraction], inner: str, delta: float,
 
 def _particular_and_kernel(A, b) -> tuple[list[Fraction], list]:
     """An exact solution g0 of A g = b and a basis of the kernel of A."""
-    g0 = rat_solve(A, b)
+    g0, kernel = rat_solve_and_kernel(A, b)
     if g0 is None:
         raise FillingError("cycle is not rationally null")
-    return g0, rat_nullspace(A)
+    return g0, kernel
 
 
 def _rounded_chain(g0, kernel, coeffs, denom: int) -> list[Fraction]:

@@ -154,9 +154,9 @@ def rat_rank(A) -> int:
     return len(echelon(rows)[0])
 
 
-def rat_solve(A, b) -> list[Fraction] | None:
-    """One exact solution of A x = b, free variables 0; None if inconsistent."""
-    R, _, ncols = _rref(A, [b])
+def _solution(R: dict[int, dict[int, int]], ncols: int) -> list[Fraction] | None:
+    """The solution with free variables 0 read from the RREF of [A | b]
+    (rhs in column ncols); None if column ncols is a pivot."""
     if ncols in R:
         return None
     x = [Fraction(0)] * ncols
@@ -165,11 +165,10 @@ def rat_solve(A, b) -> list[Fraction] | None:
     return x
 
 
-def rat_nullspace(A) -> list[list[Fraction]]:
-    """Basis of the rational kernel of A (list of column vectors): one per
-    free column f, with 1 at f, 0 at the other free columns, and minus the
-    RREF's column f at the pivots."""
-    R, _, ncols = _rref(A)
+def _kernel(R: dict[int, dict[int, int]], ncols: int) -> list[list[Fraction]]:
+    """The kernel basis of A read from the RREF of A (or of [A | rhs]): one
+    vector per free column f below ncols, with 1 at f, 0 at the other free
+    columns, and minus the RREF's column f at the pivots."""
     basis = []
     for f in range(ncols):
         if f in R:
@@ -181,6 +180,25 @@ def rat_nullspace(A) -> list[list[Fraction]]:
                 v[c] = Fraction(-row[f], row[c])
         basis.append(v)
     return basis
+
+
+def rat_solve(A, b) -> list[Fraction] | None:
+    """One exact solution of A x = b, free variables 0; None if inconsistent."""
+    R, _, ncols = _rref(A, [b])
+    return _solution(R, ncols)
+
+
+def rat_nullspace(A) -> list[list[Fraction]]:
+    """Basis of the rational kernel of A (list of column vectors)."""
+    R, _, ncols = _rref(A)
+    return _kernel(R, ncols)
+
+
+def rat_solve_and_kernel(A, b) -> tuple[list[Fraction] | None,
+                                        list[list[Fraction]]]:
+    """(rat_solve(A, b), rat_nullspace(A)) from one elimination of [A | b]."""
+    R, _, ncols = _rref(A, [b])
+    return _solution(R, ncols), _kernel(R, ncols)
 
 
 def bareiss_det(A) -> int:
@@ -204,27 +222,3 @@ def bareiss_det(A) -> int:
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
-
-
-def charpoly_int(A) -> list[int]:
-    """Coefficients [1, c_{n-1}, ..., c_0] of det(xI - A), A integer, exact.
-
-    Faddeev-LeVerrier recursion over the integers: the coefficients of an
-    integer matrix's characteristic polynomial are integers, so every
-    division by k is exact.  A matrix with a non-integer entry raises
-    ValueError.
-    """
-    n = len(A)
-    F = [[int(A[i][j]) for j in range(n)] for i in range(n)]
-    if any(F[i][j] != A[i][j] for i in range(n) for j in range(n)):
-        raise ValueError("charpoly_int needs an integer matrix")
-    coeffs = [1]
-    M = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        for i in range(n):
-            M[i][i] += coeffs[-1]
-        # M <- F @ M
-        M = [[sum(F[i][t] * M[t][j] for t in range(n)) for j in range(n)]
-             for i in range(n)]
-        coeffs.append(-sum(M[i][i] for i in range(n)) // k)
-    return coeffs

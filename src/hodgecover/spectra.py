@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .complexes import SimplicialComplex, SparseIntMatrix
-from .ratlinalg import echelon, rat_rank, rat_rref, sparse_rows
+from .ratlinalg import _rref, echelon, rat_rank, sparse_rows
 from .whitney import InnerProduct
 
 
@@ -129,8 +129,7 @@ def harmonic_projection(K: SimplicialComplex, q: int,
     return P
 
 
-def charpoly_gap_bound(K: SimplicialComplex, q: int,
-                       size_limit: int = 60) -> Fraction:
+def charpoly_gap_bound(K: SimplicialComplex, q: int) -> Fraction:
     """Exact upper bound on 1/lambda_1 of the integer up-Laplacian in degree q.
 
     With A = d d^T the integer matrix of d* d on q-chains (d the boundary map
@@ -146,9 +145,6 @@ def charpoly_gap_bound(K: SimplicialComplex, q: int,
     if not 0 <= q < K.dim:
         raise SpectralError(f"degree {q} out of range for an up-Laplacian")
     n = K.n_cells(q)
-    if n > size_limit:
-        raise SpectralError(
-            f"{n} cells exceeds the exact-charpoly size limit {size_limit}")
     b = K.boundary_matrix(q + 1)
     A = b.matmul(b.transpose())
     rows, _ = sparse_rows(A)
@@ -160,8 +156,10 @@ def charpoly_gap_bound(K: SimplicialComplex, q: int,
     C = SparseIntMatrix(n, r, tuple((i, index[c], v) for i, c, v in A.entries
                                     if c in index))
     G = C.transpose().matmul(C)
-    # [C^T C | A[S,S]] reduces to [I | (C^T C)^{-1} A[S,S]]
+    # [C^T C | A[S,S]] reduces to [I | (C^T C)^{-1} A[S,S]]; row i of the
+    # integer RREF is d_i [e_i | ...], so diagonal entry i is R[i][r+i] / d_i
     aug = SparseIntMatrix(r, 2 * r, G.entries + tuple(
         (index[i], r + j, v) for i, j, v in C.entries if i in index))
-    R, _ = rat_rref(aug)
-    return sum((R[i][r + i] for i in range(r)), Fraction(0))
+    R, _, _ = _rref(aug)
+    return sum((Fraction(R[i].get(r + i, 0), R[i][i]) for i in range(r)),
+               Fraction(0))

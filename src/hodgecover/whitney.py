@@ -1,9 +1,15 @@
 """Whitney-form mass matrices and the combinatorial / Whitney norm families.
 
-Local mass matrices are exact polynomials in the barycentric-gradient Gram
-matrix: the pointwise inner product of two Whitney q-forms is a quadratic in
-the barycentric coordinates, and integrals of barycentric monomials over a
-flat simplex have closed form.
+On a flat n-simplex with barycentric coordinates l_0..l_n, the Whitney form
+of a q-face sigma is W_sigma = q! sum_k (-1)^k l_{sigma_k} dl_{sigma - sigma_k}
+(Arnold, Falk and Winther, "Finite element exterior calculus", Acta Numerica
+2006), so W_sigma = sum X[sigma, (I, v)] l_v dl_I with a fixed table X of
++-q! entries.  With H the Gram of the barycentric gradients, the pointwise
+product <l_v dl_I, l_w dl_J> is l_v l_w C[I, J], C[I, J] = det H[I, J] the
+q-th compound of H, and the integral of l_v l_w is
+E[v, w] = vol (1 + [v = w]) / ((n+1)(n+2)).  Hence the local mass matrix is
+the one expression X (C kron E) X^T, and the pointwise norm of a cochain's
+form at l is w^T C w with w = (x^T X reshaped to rows I) l.
 """
 
 from __future__ import annotations
@@ -113,59 +119,44 @@ def _gradient_gram(G: np.ndarray) -> np.ndarray:
     return H
 
 
-def _pointwise_kernel(H: np.ndarray, sigma: tuple[int, ...],
-                      tau: tuple[int, ...]) -> np.ndarray:
-    """Matrix P with <W_sigma, W_tau>(lambda) = (q!)^2 sum_kl P[k,l] l_sk l_tl."""
-    q = len(sigma) - 1
-    P = np.empty((q + 1, q + 1))
-    for k in range(q + 1):
-        rows = [v for i, v in enumerate(sigma) if i != k]
-        for l in range(q + 1):
-            cols = [v for i, v in enumerate(tau) if i != l]
-            minor = H[np.ix_(rows, cols)]
-            det = np.linalg.det(minor) if q > 0 else 1.0
-            P[k, l] = (-1) ** (k + l) * det
-    return P
+def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry, q: int):
+    """Yield (glob, X, C, G) for each top simplex of K.
 
-
-def _local_mass(metric: SimplexMetric, q: int,
-                local_faces: list[tuple[int, ...]]) -> np.ndarray:
-    """Mass matrix of the Whitney q-forms of one flat top simplex."""
-    n = metric.n_vertices - 1
-    G = simplex_gram(metric)
-    H = _gradient_gram(G)
-    vol = math.sqrt(np.linalg.det(G)) / math.factorial(n)
-    # integral of l_a * l_b over the simplex
-    base = vol / ((n + 1) * (n + 2))
-    fac = math.factorial(q) ** 2
-    m = len(local_faces)
-    M = np.empty((m, m))
-    for a in range(m):
-        for b in range(a, m):
-            P = _pointwise_kernel(H, local_faces[a], local_faces[b])
-            acc = 0.0
-            for k, vk in enumerate(local_faces[a]):
-                for l, vl in enumerate(local_faces[b]):
-                    acc += P[k, l] * base * (2.0 if vk == vl else 1.0)
-            M[a, b] = M[b, a] = fac * acc
-    return M
+    glob lists the global indices of its local q-faces sigma, and row sigma
+    of X holds W_sigma in the products l_v dl_I (columns (I, v), I a q-subset
+    of the local vertices).  C[I, J] = det H[I, J] is the q-th compound of the
+    barycentric-gradient Gram H, and G is the edge-vector Gram."""
+    n = K.dim
+    faces = list(combinations(range(n + 1), q + 1))
+    subsets = list(combinations(range(n + 1), q))
+    X = np.zeros((len(faces), len(subsets), n + 1))
+    for a, f in enumerate(faces):
+        for k, v in enumerate(f):
+            X[a, subsets.index(f[:k] + f[k + 1:]), v] = \
+                (-1) ** k * math.factorial(q)
+    X = X.reshape(len(faces), -1)
+    S = np.array(subsets, dtype=int).reshape(len(subsets), q)
+    for top in K.cells[n]:
+        G = simplex_gram(geometry.top_metric(top))
+        H = _gradient_gram(G)
+        C = np.linalg.det(H[S[:, None, :, None], S[None, :, None, :]])
+        glob = [K.cell_index[q][tuple(top[i] for i in f)] for f in faces]
+        yield glob, X, C, G
 
 
 def whitney_mass_matrix(K: SimplicialComplex, geometry: ComplexGeometry,
                         q: int) -> InnerProduct:
-    """Assemble the global Whitney q-form Gram matrix over all top simplices."""
+    """Assemble the global Whitney q-form Gram matrix over all top simplices:
+    each top adds X (C kron E) X^T, E[v, w] the integral of l_v l_w."""
     if not 0 <= q <= K.dim:
         raise GeometryError(f"degree {q} out of range")
+    n = K.dim
     nq = K.n_cells(q)
     M = np.zeros((nq, nq))
-    for top in K.cells[K.dim]:
-        metric = geometry.top_metric(top)
-        local_faces = list(combinations(range(len(top)), q + 1))
-        Mloc = _local_mass(metric, q, local_faces)
-        glob = [K.cell_index[q][tuple(top[i] for i in f)] for f in local_faces]
-        for a, ga in enumerate(glob):
-            for b, gb in enumerate(glob):
-                M[ga, gb] += Mloc[a, b]
+    for glob, X, C, G in _whitney_tops(K, geometry, q):
+        vol = math.sqrt(np.linalg.det(G)) / math.factorial(n)
+        E = vol * (1 + np.eye(n + 1)) / ((n + 1) * (n + 2))
+        M[np.ix_(glob, glob)] += X @ np.kron(C, E) @ X.T
     return InnerProduct(q, M)
 
 
@@ -173,34 +164,16 @@ def whitney_pointwise_norm(K: SimplicialComplex, geometry: ComplexGeometry,
                            q: int, x: np.ndarray,
                            grid_denominator: int = 4) -> float:
     """Lower estimate of the sup-norm of the Whitney form of cochain x,
-    sampling barycentric points with the given denominator on each top cell."""
+    sampling barycentric points with the given denominator on each top cell:
+    at l the form is sum_I w_I dl_I with w = Y l, Y the (I, v) matrix of
+    x^T X, and its squared norm is w^T C w."""
     x = np.asarray(x, dtype=float)
+    grid = np.array(list(_barycentric_grid(K.dim + 1, grid_denominator)))
     best = 0.0
-    for top in K.cells[K.dim]:
-        n = len(top) - 1
-        metric = geometry.top_metric(top)
-        H = _gradient_gram(simplex_gram(metric))
-        local_faces = list(combinations(range(len(top)), q + 1))
-        coeffs = np.array([x[K.cell_index[q][tuple(top[i] for i in f)]]
-                           for f in local_faces])
-        kernels = [[_pointwise_kernel(H, fa, fb) for fb in local_faces]
-                   for fa in local_faces]
-        fac = math.factorial(q) ** 2
-        for point in _barycentric_grid(n + 1, grid_denominator):
-            acc = 0.0
-            for a, fa in enumerate(local_faces):
-                if coeffs[a] == 0:
-                    continue
-                for b, fb in enumerate(local_faces):
-                    if coeffs[b] == 0:
-                        continue
-                    P = kernels[a][b]
-                    s = 0.0
-                    for k, vk in enumerate(fa):
-                        for l, vl in enumerate(fb):
-                            s += P[k, l] * point[vk] * point[vl]
-                    acc += coeffs[a] * coeffs[b] * fac * s
-            best = max(best, math.sqrt(max(acc, 0.0)))
+    for glob, X, C, _ in _whitney_tops(K, geometry, q):
+        W = grid @ (x[glob] @ X).reshape(len(C), -1).T
+        sq = np.einsum("pi,ij,pj->p", W, C, W)
+        best = max(best, math.sqrt(max(sq.max(), 0.0)))
     return best
 
 

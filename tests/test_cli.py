@@ -78,6 +78,20 @@ class TestSpectrumCommand:
         assert code == 0
         assert json.loads(out)["kernel_dim"] == 2
 
+    @pytest.mark.parametrize("key, length", [
+        ("{}-{}", 1.0), ("{},{}", float("nan")), ("{},{}", float("inf")),
+        ("{},{}", True)], ids=["dash_key", "nan", "inf", "bool"])
+    def test_malformed_geometry_exit_2(self, capsys, tmp_path, key, length):
+        (u, v), *rest = torus7().cells[1]
+        edges = {f"{a},{b}": 1.0 for a, b in rest}
+        edges[key.format(u, v)] = length
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps({"edges": edges}))
+        code, _, err = run(capsys, "spectrum", "torus", "--degree", "1",
+                           "--inner", "whitney", "--geometry", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_degree_exit_3(self, capsys):
         code, _, err = run(capsys, "spectrum", "torus", "--degree", "9")
         assert code == 3
@@ -123,6 +137,23 @@ class TestCoverCommands:
         assert code == 0
         assert json.loads(out)["n_pairings"] == 1
 
+    @pytest.mark.parametrize("spec", [
+        {"degree": 3, "perms": {"0-1": [1, 2, 0]}},
+        {"degree": 3, "perms": {"0,1": [1, "a", 0]}},
+        {"degree": 3, "perms": {"0,1": 5}},
+        {"degree": 3, "perms": [[1, 2, 0]]},
+        {"degree": 1.5, "perms": {}},
+    ], ids=["dash_key", "string_entry", "perm_not_list", "perms_not_object",
+            "fractional_degree"])
+    def test_malformed_spec_exit_2(self, capsys, spec_file, tmp_path, spec):
+        base, _ = spec_file
+        bad = tmp_path / "badspec.json"
+        bad.write_text(json.dumps(spec))
+        code, _, err = run(capsys, "cover", "build", "--base", base,
+                           "--spec", str(bad))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_spec_exit_2(self, capsys, spec_file, tmp_path):
         base, _ = spec_file
         bad = tmp_path / "badspec.json"
@@ -145,6 +176,9 @@ class TestNormsCommand:
         assert code == 0
         m = json.loads(out)["mass_matrix"]
         assert len(m) == 4 and len(m[0]) == 4
+
+
+TORUS_COLUMN = [row[0] for row in torus7().boundary_matrix(2).to_pylists()]
 
 
 class TestSclCommands:
@@ -187,6 +221,19 @@ class TestSclCommands:
         code, _, err = run(capsys, "scl", "fill", "--base", str(base),
                            "--cycle", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("coefficients", [
+        [1.5 * c for c in TORUS_COLUMN],
+        [True if c == 1 else c for c in TORUS_COLUMN],
+        5,
+    ], ids=["fraction", "bool", "not_a_list"])
+    def test_malformed_cycle_exit_2(self, capsys, tmp_path, coefficients):
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({"coefficients": coefficients}))
+        code, out, err = run(capsys, "scl", "fill", "--base", "torus",
+                             "--cycle", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_wrong_length_exit_2(self, capsys, tmp_path):
         path = tmp_path / "short.json"

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgecover.complexes import SparseIntMatrix
-from hodgecover.ratlinalg import (bareiss_det, charpoly_int, rat_nullspace,
-                                  rat_rank, rat_rref, rat_solve)
+from hodgecover.ratlinalg import (bareiss_det, rat_nullspace, rat_rank,
+                                  rat_rref, rat_solve, rat_solve_and_kernel)
 
 ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -131,6 +131,23 @@ def test_solve_with_rational_rhs_matches_sympy(A, data):
         assert all(type(v) is Fraction for v in x)
 
 
+@ORACLE
+@given(sparse_matrices(), st.data())
+def test_solve_and_kernel_matches_solve_and_nullspace(A, data):
+    b = data.draw(st.lists(st.fractions(-5, 5, max_denominator=6),
+                           min_size=A.rows, max_size=A.rows))
+    if data.draw(st.booleans()):
+        b = A.apply([Fraction(k, 3) for k in
+                     data.draw(st.lists(st.integers(-4, 4), min_size=A.cols,
+                                        max_size=A.cols))])
+    x, kernel = rat_solve_and_kernel(A, b)
+    assert x == rat_solve(A, b)
+    assert kernel == rat_nullspace(A)
+    assert kernel == [[c[0] for c in as_fractions(v)]
+                      for v in as_sympy(A).nullspace()]
+    assert all(type(c) is Fraction for v in [x or []] + kernel for c in v)
+
+
 def test_bareiss_det_against_sympy():
     rng = random.Random(3)
     for _ in range(60):
@@ -138,19 +155,3 @@ def test_bareiss_det_against_sympy():
         A = random_matrix(rng, n, n)
         assert bareiss_det(A) == sympy.Matrix(A).det()
     assert bareiss_det([]) == 1
-
-
-def test_charpoly_against_sympy():
-    rng = random.Random(4)
-    x = sympy.Symbol("x")
-    for _ in range(25):
-        n = rng.randint(1, 6)
-        A = random_matrix(rng, n, n, -5, 5)
-        got = charpoly_int(A)
-        expect = sympy.Matrix(A).charpoly(x).all_coeffs()
-        assert got == [int(c) for c in expect]
-
-
-def test_charpoly_rejects_non_integer_matrix():
-    with pytest.raises(ValueError):
-        charpoly_int([[Fraction(1, 2), 0], [0, 1]])

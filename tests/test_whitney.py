@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -132,12 +132,19 @@ class TestMassMatrices:
 
     def test_against_quadrature_oracle_tetrahedron(self):
         K = load_complex([(0, 1, 2, 3)])
-        geo = ComplexGeometry.uniform(K, 1.0)
-        m = geo.top_metric((0, 1, 2, 3))
-        for q in range(4):
-            got = whitney_mass_matrix(K, geo, q).matrix
-            expect = local_mass_oracle(m, q)
-            assert np.allclose(got, expect, rtol=1e-10, atol=1e-12)
+        rng = np.random.default_rng(3)
+        geos = [ComplexGeometry.uniform(K, 1.0)]
+        for _ in range(4):
+            P = rng.uniform(-1.0, 1.0, (4, 3))
+            geos.append(ComplexGeometry(
+                K, {(i, j): float(np.linalg.norm(P[i] - P[j]))
+                    for i, j in combinations(range(4), 2)}))
+        for geo in geos:
+            m = geo.top_metric((0, 1, 2, 3))
+            for q in range(4):
+                got = whitney_mass_matrix(K, geo, q).matrix
+                expect = local_mass_oracle(m, q)
+                assert np.allclose(got, expect, rtol=1e-10, atol=1e-12)
 
     def test_assembled_surface_against_oracle(self):
         K = torus7()
@@ -265,3 +272,37 @@ class TestPointwiseNorm:
         l2 = cochain_norm(x, NormSpec("whitney", 2), ip)
         assert sup > 0
         assert sup ** 2 * geo.total_volume() >= l2 ** 2 - 1e-9
+
+    def test_against_direct_evaluation(self):
+        # embed random triangles and tetrahedra, evaluate
+        # W_s = q! sum_k (-1)^k l_{s_k} dl_{s - s_k} with dl_i = grad l_i and
+        # dl_i ^ dl_j = grad l_i x grad l_j at every barycentric point with
+        # denominator 4, and compare the largest |sum_s x_s W_s|
+        rng = np.random.default_rng(4)
+        wedge = {0: lambda g: np.ones(1), 1: lambda g: g[0],
+                 2: lambda g: np.cross(g[0], g[1])}
+        for n, qs in ((2, (0, 1)), (3, (0, 1, 2))):
+            K = load_complex([tuple(range(n + 1))])
+            grid = [np.array(c + (4 - sum(c),)) / 4
+                    for c in product(range(5), repeat=n) if sum(c) <= 4]
+            for _ in range(6):
+                P = rng.uniform(-1.0, 1.0, (n + 1, n))
+                geo = ComplexGeometry(
+                    K, {e: float(np.linalg.norm(P[e[0]] - P[e[1]]))
+                        for e in K.cells[1]})
+                grads = np.vstack([np.zeros(n), np.linalg.inv(
+                    embed(geo.top_metric(K.cells[n][0])).T)])
+                grads[0] = -grads[1:].sum(axis=0)
+                for q in qs:
+                    x = rng.uniform(-1.0, 1.0, K.n_cells(q))
+
+                    def form(lam):
+                        return sum(c * math.factorial(q) * sum(
+                            (-1) ** k * lam[s[k]]
+                            * wedge[q](grads[list(s[:k] + s[k + 1:])])
+                            for k in range(q + 1))
+                            for c, s in zip(x, K.cells[q]))
+
+                    sup = max(np.linalg.norm(form(lam)) for lam in grid)
+                    assert whitney_pointwise_norm(K, geo, q, x) == \
+                        pytest.approx(sup, rel=1e-12)
