@@ -41,7 +41,11 @@ def _round(x, nd=12):
 
 
 def _emit(obj, out=None):
-    text = json.dumps(obj, indent=1, sort_keys=True, default=str) + "\n"
+    try:
+        text = json.dumps(obj, indent=1, sort_keys=True, default=str,
+                          allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise CliError(f"result is not finite: {exc}", EXIT_NUMERICAL) from None
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -76,11 +80,12 @@ def _integer(name, x):
 
 
 def _length(name, x):
-    """x as a finite float, from an int or float that is not a bool."""
+    """x as a finite positive float, from an int or float that is not a
+    bool."""
     if isinstance(x, (int, float)) and not isinstance(x, bool) \
-            and abs(x) <= sys.float_info.max:
+            and 0 < x <= sys.float_info.max:
         return float(x)
-    raise CliError(f"{name} must be a finite number, not {x!r}")
+    raise CliError(f"{name} must be a finite positive number, not {x!r}")
 
 
 def _key(key):
@@ -104,8 +109,12 @@ def _load_geometry(K, path):
     if path is None:
         return ComplexGeometry.uniform(K, 1.0)
     data = _load_json(path)
-    edges = {_key(key): _length(f"edge {key!r}", val)
-             for key, val in _items("geometry", data, "edges")}
+    edges = {}
+    for key, val in _items("geometry", data, "edges"):
+        edge = tuple(sorted(_key(key)))
+        if edge not in K.cell_index[1]:
+            raise CliError(f"geometry key {key!r} names no edge of the complex")
+        edges[edge] = _length(f"edge {key!r}", val)
     return ComplexGeometry(K, edges)
 
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
 from .complexes import SimplicialComplex
-from .hypgeom import GeometryError, SimplexMetric, simplex_gram
+from .hypgeom import GeometryError, SimplexMetric
 
 
 @dataclass
@@ -39,9 +40,17 @@ class InnerProduct:
         if M.size:
             np.linalg.cholesky(self.matrix)  # raises if not positive definite
 
+    @classmethod
+    def _certified(cls, degree: int, matrix: np.ndarray) -> "InnerProduct":
+        """Wrap a matrix already known to be symmetric positive definite,
+        without the checks above."""
+        ip = object.__new__(cls)
+        ip.degree, ip.matrix = degree, matrix
+        return ip
+
     @staticmethod
     def identity(degree: int, n: int) -> "InnerProduct":
-        return InnerProduct(degree, np.eye(n))
+        return InnerProduct._certified(degree, np.eye(n))
 
     def solve(self, c: np.ndarray) -> np.ndarray:
         from scipy.linalg import cho_factor, cho_solve
@@ -107,26 +116,75 @@ class ComplexGeometry:
                    for t in self.K.cells[self.K.dim])
 
 
-def _gradient_gram(G: np.ndarray) -> np.ndarray:
-    """(n+1)x(n+1) Gram of barycentric gradients from the edge-vector Gram."""
-    n = G.shape[0]
+class _Tops(NamedTuple):
+    """Every top simplex of a complex at once, for one form degree q."""
+
+    glob: np.ndarray    # (T, m) global indices of the local q-faces sigma
+    X: np.ndarray       # (m, s (n+1)) W_sigma in the products l_v dl_I
+    C: np.ndarray       # (T, s, s) q-th compounds of the gradient Grams
+    vol: np.ndarray     # (T,) volumes
+
+
+def _cell_indices(K: SimplicialComplex, q: int, rows: np.ndarray) -> np.ndarray:
+    """Positions in K.cells[q] of the q-cells given as increasing rows of
+    vertices: the cells are sorted, so viewing rows as records turns the
+    lookup into one searchsorted."""
+    cells = np.array(K.cells[q]).reshape(-1, q + 1)
+    record = np.dtype([(f"v{i}", cells.dtype) for i in range(q + 1)])
+
+    def records(a):
+        return np.ascontiguousarray(a, dtype=cells.dtype).reshape(
+            -1, q + 1).view(record).ravel()
+
+    return np.searchsorted(records(cells), records(rows)).reshape(
+        rows.shape[:-1])
+
+
+def _gradient_grams(G: np.ndarray) -> np.ndarray:
+    """(T, n+1, n+1) Grams of barycentric gradients from the (T, n, n)
+    edge-vector Grams."""
+    T, n, _ = G.shape
     Ginv = np.linalg.inv(G)
-    H = np.zeros((n + 1, n + 1))
-    H[1:, 1:] = Ginv
-    H[0, 1:] = -Ginv.sum(axis=0)
-    H[1:, 0] = -Ginv.sum(axis=1)
-    H[0, 0] = Ginv.sum()
+    H = np.empty((T, n + 1, n + 1))
+    H[:, 1:, 1:] = Ginv
+    H[:, 0, 1:] = -Ginv.sum(axis=1)
+    H[:, 1:, 0] = -Ginv.sum(axis=2)
+    H[:, 0, 0] = Ginv.sum(axis=(1, 2))
     return H
 
 
-def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry, q: int):
-    """Yield (glob, X, C, G) for each top simplex of K.
+def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry,
+                  q: int) -> _Tops:
+    """Stacked Whitney data of every top simplex of K in degree q.
 
-    glob lists the global indices of its local q-faces sigma, and row sigma
-    of X holds W_sigma in the products l_v dl_I (columns (I, v), I a q-subset
-    of the local vertices).  C[I, J] = det H[I, J] is the q-th compound of the
-    barycentric-gradient Gram H, and G is the edge-vector Gram."""
+    Row sigma of X holds W_sigma in the products l_v dl_I (columns (I, v), I a
+    q-subset of the local vertices), C[t, I, J] = det H_t[I, J] with H_t the
+    barycentric-gradient Gram of top t, built from the edge-vector Gram G_t
+    of the law of cosines.  Raises GeometryError unless every edge length is
+    positive and every G_t passes simplex_gram's nondegeneracy test."""
+    if not 0 <= q <= K.dim:
+        raise GeometryError(f"degree {q} out of range")
     n = K.dim
+    tops = np.array(K.cells[n]).reshape(-1, n + 1)
+    pairs = np.array(list(combinations(range(n + 1), 2)))
+    lengths = np.array([geometry.edge_lengths[e] for e in K.cells[1]])
+    L = lengths[_cell_indices(K, 1, tops[:, pairs])]
+    bad = ~(L > 0)
+    if bad.any():
+        t, p = np.argwhere(bad)[0]
+        raise GeometryError(f"edge {tuple(tops[t, pairs[p]].tolist())} has "
+                            f"length {L[t, p]}; lengths must be positive")
+    L2 = np.zeros((len(tops), n + 1, n + 1))
+    L2[:, pairs[:, 0], pairs[:, 1]] = L2[:, pairs[:, 1], pairs[:, 0]] = L ** 2
+    a = L2[:, 0, 1:]
+    G = (a[:, :, None] + a[:, None, :] - L2[:, 1:, 1:]) / 2
+    eigs = np.linalg.eigvalsh(G)
+    flat = eigs[:, 0] <= 1e-12 * np.maximum(1.0, eigs[:, -1])
+    if flat.any():
+        raise GeometryError(
+            f"edge lengths of top cell {tuple(tops[flat][0].tolist())} do not "
+            "embed as a nondegenerate simplex")
+    H = _gradient_grams(G)
     faces = list(combinations(range(n + 1), q + 1))
     subsets = list(combinations(range(n + 1), q))
     X = np.zeros((len(faces), len(subsets), n + 1))
@@ -134,30 +192,52 @@ def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry, q: int):
         for k, v in enumerate(f):
             X[a, subsets.index(f[:k] + f[k + 1:]), v] = \
                 (-1) ** k * math.factorial(q)
-    X = X.reshape(len(faces), -1)
     S = np.array(subsets, dtype=int).reshape(len(subsets), q)
-    for top in K.cells[n]:
-        G = simplex_gram(geometry.top_metric(top))
-        H = _gradient_gram(G)
-        C = np.linalg.det(H[S[:, None, :, None], S[None, :, None, :]])
-        glob = [K.cell_index[q][tuple(top[i] for i in f)] for f in faces]
-        yield glob, X, C, G
+    C = np.linalg.det(H[:, S[:, None, :, None], S[None, :, None, :]])
+    vol = np.sqrt(np.linalg.det(G)) / math.factorial(n)
+    glob = _cell_indices(K, q, tops[:, faces])
+    return _Tops(glob, X.reshape(len(faces), -1), C, vol)
+
+
+def _mass_blocks(K: SimplicialComplex, geometry: ComplexGeometry,
+                 q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(glob, B): the local mass matrices B[t] = X (C_t kron E_t) X^T of every
+    top, symmetrized, E_t[v, w] the integral of l_v l_w over top t.
+
+    They certify the assembled matrix: a sum of positive definite blocks is
+    positive definite once every q-cell lies in some block.  A block that is
+    not positive definite, or a q-cell in no top, raises LinAlgError."""
+    tops = _whitney_tops(K, geometry, q)
+    n = K.dim
+    E = tops.vol[:, None, None] * (1 + np.eye(n + 1)) / ((n + 1) * (n + 2))
+    T, s, _ = tops.C.shape
+    CE = np.einsum("tij,tvw->tivjw", tops.C, E).reshape(
+        T, s * (n + 1), s * (n + 1))
+    B = tops.X @ CE @ tops.X.T
+    B = (B + B.transpose(0, 2, 1)) / 2
+    np.linalg.cholesky(B)
+    covered = np.zeros(K.n_cells(q), dtype=bool)
+    covered[tops.glob] = True
+    if not covered.all():
+        raise np.linalg.LinAlgError(
+            f"{q}-cell {K.cells[q][np.argmin(covered)]} lies in no top cell, "
+            "so the mass matrix is singular")
+    return tops.glob, B
+
+
+def _assemble(glob: np.ndarray, B: np.ndarray, size: int) -> np.ndarray:
+    """The dense sum of the blocks B[t] placed at rows and columns glob[t]."""
+    M = np.zeros((size, size))
+    np.add.at(M, (glob[:, :, None], glob[:, None, :]), B)
+    return M
 
 
 def whitney_mass_matrix(K: SimplicialComplex, geometry: ComplexGeometry,
                         q: int) -> InnerProduct:
     """Assemble the global Whitney q-form Gram matrix over all top simplices:
     each top adds X (C kron E) X^T, E[v, w] the integral of l_v l_w."""
-    if not 0 <= q <= K.dim:
-        raise GeometryError(f"degree {q} out of range")
-    n = K.dim
-    nq = K.n_cells(q)
-    M = np.zeros((nq, nq))
-    for glob, X, C, G in _whitney_tops(K, geometry, q):
-        vol = math.sqrt(np.linalg.det(G)) / math.factorial(n)
-        E = vol * (1 + np.eye(n + 1)) / ((n + 1) * (n + 2))
-        M[np.ix_(glob, glob)] += X @ np.kron(C, E) @ X.T
-    return InnerProduct(q, M)
+    glob, B = _mass_blocks(K, geometry, q)
+    return InnerProduct._certified(q, _assemble(glob, B, K.n_cells(q)))
 
 
 def whitney_pointwise_norm(K: SimplicialComplex, geometry: ComplexGeometry,
@@ -169,12 +249,12 @@ def whitney_pointwise_norm(K: SimplicialComplex, geometry: ComplexGeometry,
     x^T X, and its squared norm is w^T C w."""
     x = np.asarray(x, dtype=float)
     grid = np.array(list(_barycentric_grid(K.dim + 1, grid_denominator)))
-    best = 0.0
-    for glob, X, C, _ in _whitney_tops(K, geometry, q):
-        W = grid @ (x[glob] @ X).reshape(len(C), -1).T
-        sq = np.einsum("pi,ij,pj->p", W, C, W)
-        best = max(best, math.sqrt(max(sq.max(), 0.0)))
-    return best
+    tops = _whitney_tops(K, geometry, q)
+    T, s, _ = tops.C.shape
+    Y = (x[tops.glob] @ tops.X).reshape(T, s, -1)
+    W = grid @ Y.transpose(0, 2, 1)
+    sq = np.einsum("tpi,tij,tpj->tp", W, tops.C, W)
+    return math.sqrt(max(sq.max(), 0.0))
 
 
 def _barycentric_grid(n_coords: int, denom: int):
@@ -225,8 +305,23 @@ def chain_dual_norm(c, spec: NormSpec, ip: InnerProduct | None = None) -> float:
 
 def norm_equivalence_constants(K: SimplicialComplex, geometry: ComplexGeometry,
                                q: int) -> tuple[float, float]:
-    """(c_min, c_max) with c_min <= |x|_whitney2 / |x|_comb2 <= c_max for all x."""
-    from scipy.linalg import eigh
-    ip = whitney_mass_matrix(K, geometry, q)
-    eigs = eigh(ip.matrix, eigvals_only=True)
+    """(c_min, c_max) with c_min <= |x|_whitney2 / |x|_comb2 <= c_max for all x:
+    the square roots of the extreme eigenvalues of the mass matrix, from
+    Lanczos on its sparse assembly (a dense solve below ARPACK's 3 rows).
+    The start vector and any restart vector are seeded, so repeated calls
+    agree bit for bit."""
+    glob, B = _mass_blocks(K, geometry, q)
+    n = K.n_cells(q)
+    if n < 3:
+        eigs = np.linalg.eigvalsh(_assemble(glob, B, n))
+    else:
+        from scipy.sparse import csr_array
+        from scipy.sparse.linalg import eigsh
+        rows = np.broadcast_to(glob[:, :, None], B.shape).ravel()
+        cols = np.broadcast_to(glob[:, None, :], B.shape).ravel()
+        M = csr_array((B.ravel(), (rows, cols)), shape=(n, n))
+        rng = np.random.default_rng(0)     # also any restart vector
+        eigs = np.sort(eigsh(M, k=2, which="BE", tol=0,
+                             v0=rng.standard_normal(n), rng=rng,
+                             return_eigenvectors=False))
     return math.sqrt(max(eigs[0], 0.0)), math.sqrt(eigs[-1])

@@ -6,11 +6,14 @@ libraries than the package code so agreement is meaningful.
 
 from __future__ import annotations
 
+import math
 import random
+from itertools import combinations
 
 import mpmath as mp
+import numpy as np
 
-from hodgecover import PermutationCoverSpec
+from hodgecover import PermutationCoverSpec, simplex_gram
 from hodgecover.surfaces import FIXTURES
 
 
@@ -174,3 +177,39 @@ def brute_force_diameter(adjacency):
     best = max(max(row) for row in dist)
     assert best < INF, "disconnected"
     return best
+
+
+# ---------------------------------------------------------------------------
+# reference Whitney assembly: one top simplex at a time
+
+
+def reference_mass_matrix(K, geometry, q):
+    """Whitney q-form mass matrix built top by top: the edge-vector Gram of
+    each top from `simplex_gram`, its barycentric-gradient Gram H, the
+    compound C[I, J] = det H[I, J], and X (C kron E) X^T added in place,
+    then symmetrized."""
+    n = K.dim
+    faces = list(combinations(range(n + 1), q + 1))
+    subsets = list(combinations(range(n + 1), q))
+    X = np.zeros((len(faces), len(subsets), n + 1))
+    for a, f in enumerate(faces):
+        for k, v in enumerate(f):
+            X[a, subsets.index(f[:k] + f[k + 1:]), v] = \
+                (-1) ** k * math.factorial(q)
+    X = X.reshape(len(faces), -1)
+    S = np.array(subsets, dtype=int).reshape(len(subsets), q)
+    M = np.zeros((K.n_cells(q), K.n_cells(q)))
+    for top in K.cells[n]:
+        G = simplex_gram(geometry.top_metric(top))
+        Ginv = np.linalg.inv(G)
+        H = np.zeros((n + 1, n + 1))
+        H[1:, 1:] = Ginv
+        H[0, 1:] = -Ginv.sum(axis=0)
+        H[1:, 0] = -Ginv.sum(axis=1)
+        H[0, 0] = Ginv.sum()
+        C = np.linalg.det(H[S[:, None, :, None], S[None, :, None, :]])
+        vol = math.sqrt(np.linalg.det(G)) / math.factorial(n)
+        E = vol * (1 + np.eye(n + 1)) / ((n + 1) * (n + 2))
+        glob = [K.cell_index[q][tuple(top[i] for i in f)] for f in faces]
+        M[np.ix_(glob, glob)] += X @ np.kron(C, E) @ X.T
+    return (M + M.T) / 2

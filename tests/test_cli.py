@@ -92,6 +92,23 @@ class TestSpectrumCommand:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("extra, length", [
+        ({"1,99": 5.0}, None), ({"99,1": 5.0}, None), ({"1,1": 1.0}, None),
+        ({}, 0.0), ({}, -1.0), ({}, 0)],
+        ids=["unknown_key", "unknown_reversed_key", "loop_key",
+             "zero_length", "negative_length", "zero_int_length"])
+    def test_bad_geometry_values_exit_2(self, capsys, tmp_path, extra, length):
+        (u, v), *rest = torus7().cells[1]
+        edges = {f"{a},{b}": 1.0 for a, b in rest}
+        edges[f"{v},{u}"] = 1.0 if length is None else length
+        edges.update(extra)
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps({"edges": edges}))
+        code, out, err = run(capsys, "spectrum", "torus", "--degree", "1",
+                             "--inner", "whitney", "--geometry", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_degree_exit_3(self, capsys):
         code, _, err = run(capsys, "spectrum", "torus", "--degree", "9")
         assert code == 3
@@ -344,6 +361,62 @@ class TestConstantsCommand:
         code, out, err = run(capsys, "constants", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_non_finite_result_exit_3(capsys, monkeypatch):
+    import hodgecover.cli as cli
+    monkeypatch.setattr(cli, "kappa", lambda n: float("nan"))
+    code, out, err = run(capsys, "constants")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    monkeypatch.setattr(cli, "kappa", lambda n: float("-inf"))
+    assert run(capsys, "constants")[:2] == (3, "")
+
+
+_SCIPY_PACKAGES = """
+import json, sys
+{setup}
+print(json.dumps(sorted({{m.split(".")[1] for m in sys.modules
+                         if m.startswith("scipy.")
+                         and not m.split(".")[1].startswith("_")}})))
+print("scipy" in sys.modules)
+"""
+
+
+def _scipy_packages(setup):
+    """The public scipy subpackages loaded by `setup` in a fresh interpreter,
+    and whether scipy is loaded at all."""
+    src = Path(hodgecover.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PACKAGES.format(setup=setup)], env=env,
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    packages, loaded = out.stdout.splitlines()
+    return set(json.loads(packages)), loaded == "True"
+
+
+def test_commands_load_only_the_scipy_they_need(tmp_path):
+    K = circle(3)
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps([list(c) for c in K.cells[1]]))
+    spec = tmp_path / "spec.json"
+    edges = sorted(e for e in K.facet_adjacencies() if e[0] < e[1])
+    perms = {f"{a},{b}": [1, 2, 0] if k == 0 else [0, 1, 2]
+             for k, (a, b) in enumerate(edges)}
+    spec.write_text(json.dumps({"degree": 3, "perms": perms}))
+    run_main = ("import contextlib, io, hodgecover.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert hodgecover.cli.main({!r}) == 0")
+    for argv in (["cover", "tree", "--base", str(base), "--spec", str(spec)],
+                 ["complex", "homology", "projective_plane"]):
+        assert _scipy_packages(run_main.format(argv)) == (set(), False)
+    linalg, _ = _scipy_packages("import scipy.linalg")
+    for argv in (["spectrum", "genus2", "--degree", "1", "--inner", "whitney"],
+                 ["norms", "constants", "genus2", "--degree", "1"],
+                 ["norms", "mass", "genus2", "--degree", "1"]):
+        packages, _ = _scipy_packages(run_main.format(argv))
+        assert packages <= linalg | {"sparse"}, argv
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():

@@ -1,7 +1,11 @@
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hodgecover.covers
 from hodgecover import (CoverError, Graph, PermutationCoverSpec, betti_numbers,
                         build_cover, dual_graph, graph_diameter,
                         shortest_path_tree, tree_fundamental_domain,
@@ -194,6 +198,68 @@ class TestTrees:
     def test_complete_graph_diameter(self):
         g = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
         assert graph_diameter(g) == 1
+
+
+@st.composite
+def connected_graphs(draw, sizes=st.integers(1, 140)):
+    """A random spanning tree (each vertex joined to an earlier one) plus
+    random extra edges, on randomly permuted vertices."""
+    n = draw(sizes)
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 1:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges |= {(min(a, b), max(a, b))
+                  for a, b in draw(st.lists(pair, max_size=2 * n)) if a != b}
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+def as_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+class TestBitsetDiameter:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(connected_graphs())
+    def test_matches_networkx(self, g):
+        assert graph_diameter(g) == nx.diameter(as_networkx(g))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(connected_graphs(st.sampled_from([1, 2, 63, 64, 65, 127, 128,
+                                             129])))
+    def test_word_boundaries(self, g):
+        assert graph_diameter(g) == nx.diameter(as_networkx(g))
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
+    def test_paths_and_stars(self, n):
+        path = Graph(n, [(i, i + 1) for i in range(n - 1)])
+        star = Graph(n, [(0, i) for i in range(1, n)])
+        assert graph_diameter(path) == n - 1
+        assert graph_diameter(star) == min(n - 1, 2)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(connected_graphs(st.integers(1, 200)))
+    def test_one_word_batches(self, g):
+        old = hodgecover.covers._BITSET_WORDS
+        hodgecover.covers._BITSET_WORDS = 1
+        try:
+            assert graph_diameter(g) == nx.diameter(as_networkx(g))
+        finally:
+            hodgecover.covers._BITSET_WORDS = old
+
+    @pytest.mark.parametrize("n, edges", [
+        (2, []), (65, [(i, i + 1) for i in range(63)]),
+        (130, [(i, i + 1) for i in range(129) if i != 70])],
+        ids=["two_points", "isolated_last_vertex", "two_paths"])
+    def test_disconnected_rejected(self, n, edges):
+        with pytest.raises(CoverError):
+            graph_diameter(Graph(n, edges))
+
+    def test_empty_graph(self):
+        assert graph_diameter(Graph(0)) == 0
 
 
 def random_connected_graph(rng, max_n=40):

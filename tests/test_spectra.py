@@ -9,7 +9,7 @@ from scipy.linalg import eigh
 
 from hodgecover import (SpectralError, betti_numbers, build_cover,
                         charpoly_gap_bound, down_pencil, harmonic_projection,
-                        lambda1_split, up_pencil)
+                        lambda1_split, load_complex, up_pencil)
 from hodgecover.cli import main
 from hodgecover.ratlinalg import rat_rank
 from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
@@ -47,6 +47,53 @@ def full_pencil(K, q, products):
     A, M = up_pencil(K, q, products[q], products.get(q + 1))
     B, _ = down_pencil(K, q, products[q], products.get(q - 1))
     return A + B, M
+
+
+def dense_up(K, q, M_up):
+    d = K.coboundary_matrix(q).to_float()
+    A = d.T @ M_up @ d
+    return (A + A.T) / 2
+
+
+def random_spd_products(K, seed):
+    rng = np.random.default_rng(seed)
+    out = {}
+    for q in range(K.dim + 1):
+        R = rng.standard_normal((K.n_cells(q), K.n_cells(q)))
+        out[q] = InnerProduct(q, R @ R.T + np.eye(K.n_cells(q)))
+    return out
+
+
+class TestGatheredUpPencil:
+    def cases(self):
+        yield from spectral_cases()
+        for K in (load_complex([(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 5)]),
+                  load_complex([(0, 1, 2, 3), (1, 2, 3, 4), (0, 2, 3, 5)]),
+                  torus7()):
+            for products in (comb_products(K), random_spd_products(K, 0)):
+                for q in range(K.dim + 1):
+                    yield K, q, products
+
+    def test_matches_dense_product(self):
+        for K, q, products in self.cases():
+            A, M = up_pencil(K, q, products[q], products.get(q + 1))
+            assert type(A) is np.ndarray and M is products[q].matrix
+            if q == K.dim:
+                assert np.array_equal(A, np.zeros((K.n_cells(q),) * 2))
+                continue
+            expect = dense_up(K, q, products[q + 1].matrix)
+            assert np.array_equal(A, A.T)
+            assert np.max(np.abs(A - expect)) <= \
+                1e-13 * max(np.max(np.abs(expect)), 1.0)
+
+    def test_bitwise_below_the_top_degree(self):
+        # the top-degree Whitney mass matrix is diagonal, so every entry of
+        # d^T M d is a sum of at most two products, whatever the order
+        for K, q, products in spectral_cases():
+            if q == K.dim - 1 and K.dim == 2:
+                A, _ = up_pencil(K, q, products[q], products[q + 1])
+                assert np.array_equal(A, dense_up(K, q,
+                                                  products[q + 1].matrix))
 
 
 class TestGraphSpectra:

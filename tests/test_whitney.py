@@ -1,17 +1,28 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
-from hodgecover import (GeometryError, SimplexMetric, load_complex,
-                        simplex_gram, simplex_volume)
-from hodgecover.surfaces import tetrahedron_boundary, torus7, unit_geometry
+import hodgecover
+from hodgecover import (GeometryError, SimplexMetric, build_cover,
+                        load_complex, simplex_gram, simplex_volume)
+from hodgecover.surfaces import (FIXTURES, genus2_surface,
+                                 tetrahedron_boundary, torus7, torus_grid,
+                                 unit_geometry)
 from hodgecover.whitney import (ComplexGeometry, InnerProduct, NormSpec,
                                 chain_dual_norm, cochain_norm,
                                 norm_equivalence_constants,
                                 whitney_mass_matrix, whitney_pointwise_norm)
+
+from helpers import random_cyclic_cover, reference_mass_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -306,3 +317,150 @@ class TestPointwiseNorm:
                     sup = max(np.linalg.norm(form(lam)) for lam in grid)
                     assert whitney_pointwise_norm(K, geo, q, x) == \
                         pytest.approx(sup, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched assembly against the top-by-top reference
+
+
+def perturbed_geometry(K, seed):
+    rng = random.Random(seed)
+    return ComplexGeometry(K, {e: rng.uniform(0.9, 1.1) for e in K.cells[1]})
+
+
+def geometry_cases():
+    """(name, K, geometry): every fixture with unit and perturbed lengths,
+    random embedded tetrahedra (one and two sharing a face), and seeded
+    degree-2 and degree-3 covers of genus2."""
+    for name, build in sorted(FIXTURES.items()):
+        K = build()
+        yield name, K, unit_geometry(K)
+        yield name + "/perturbed", K, perturbed_geometry(K, len(name))
+    rng = np.random.default_rng(5)
+    for cells in ([(0, 1, 2, 3)], [(0, 1, 2, 3), (1, 2, 3, 4)]):
+        K = load_complex(cells)
+        for k in range(4):
+            P = rng.uniform(-1.0, 1.0, (K.n_cells(0), 3))
+            yield f"tetrahedra{len(cells)}/{k}", K, ComplexGeometry(
+                K, {(i, j): float(np.linalg.norm(P[i] - P[j]))
+                    for i, j in K.cells[1]})
+    base = genus2_surface()
+    for d in (2, 3):
+        K = build_cover(random_cyclic_cover(base, d, random.Random(d))).complex
+        yield f"genus2/{d}", K, unit_geometry(K)
+        yield f"genus2/{d}/perturbed", K, perturbed_geometry(K, d)
+
+
+GEOMETRY_CASES = list(geometry_cases())
+
+
+@pytest.mark.parametrize("name, K, geo", GEOMETRY_CASES,
+                         ids=[c[0] for c in GEOMETRY_CASES])
+def test_mass_matrix_matches_reference_assembly(name, K, geo):
+    for q in range(K.dim + 1):
+        got = whitney_mass_matrix(K, geo, q).matrix
+        expect = reference_mass_matrix(K, geo, q)
+        assert type(got) is np.ndarray and got.shape == expect.shape
+        assert np.array_equal(got, got.T)
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("name, K, geo", GEOMETRY_CASES,
+                         ids=[c[0] for c in GEOMETRY_CASES])
+def test_norm_constants_match_dense_extremes(name, K, geo):
+    for q in range(K.dim + 1):
+        eigs = eigh(reference_mass_matrix(K, geo, q), eigvals_only=True)
+        lo, hi = norm_equivalence_constants(K, geo, q)
+        assert lo == pytest.approx(math.sqrt(eigs[0]), rel=1e-12)
+        assert hi == pytest.approx(math.sqrt(eigs[-1]), rel=1e-12)
+        assert norm_equivalence_constants(K, geo, q) == (lo, hi)
+
+
+def test_norm_constants_on_degree_23_cover():
+    K = build_cover(random_cyclic_cover(genus2_surface(), 23,
+                                        random.Random(23))).complex
+    geo = perturbed_geometry(K, 23)
+    eigs = eigh(reference_mass_matrix(K, geo, 1), eigvals_only=True)
+    lo, hi = norm_equivalence_constants(K, geo, 1)
+    assert lo == pytest.approx(math.sqrt(eigs[0]), rel=1e-12)
+    assert hi == pytest.approx(math.sqrt(eigs[-1]), rel=1e-12)
+    assert norm_equivalence_constants(K, geo, 1) == (lo, hi)
+
+
+@pytest.mark.parametrize("K", [tetrahedron_boundary(), torus_grid(4, 4)],
+                         ids=["sphere", "torus_grid"])
+def test_norm_constants_find_extremes_orthogonal_to_ones(K):
+    # on these vertex-transitive complexes the all-ones vector is an
+    # eigenvector of the vertex mass matrix, so a Lanczos run started from
+    # it would never see the smallest eigenvalue
+    geo = unit_geometry(K)
+    eigs, V = eigh(reference_mass_matrix(K, geo, 0))
+    assert abs(np.ones(K.n_cells(0)) @ V[:, 0]) < 1e-12
+    lo, hi = norm_equivalence_constants(K, geo, 0)
+    assert lo == pytest.approx(math.sqrt(eigs[0]), rel=1e-12)
+    assert hi == pytest.approx(math.sqrt(eigs[-1]), rel=1e-12)
+
+
+def test_mass_matrix_certificate_needs_every_cell_in_a_top():
+    K = load_complex([(0, 1, 2), (3, 4)])
+    geo = ComplexGeometry.uniform(K, 1.0)
+    for q in (0, 1):
+        with pytest.raises(np.linalg.LinAlgError):
+            whitney_mass_matrix(K, geo, q)
+    assert whitney_mass_matrix(K, geo, 2).matrix.shape == (1, 1)
+
+
+BAD_TRIANGLES = {"degenerate": (1.0, 1.0, 2.0), "zero": (1.0, 1.0, 0.0),
+                 "negative": (1.0, 1.0, -1.0)}
+
+
+@pytest.mark.parametrize("name", BAD_TRIANGLES)
+def test_bad_lengths_raise_geometry_error(name):
+    K = load_complex([(0, 1, 2), (1, 2, 3)])
+    table = {(0, 1): 1.0, (1, 3): 1.0, (2, 3): 1.0}
+    table.update(zip([(0, 2), (1, 2), (0, 1)], BAD_TRIANGLES[name]))
+    geo = ComplexGeometry(K, table)
+    match = "nondegenerate" if name == "degenerate" else "positive"
+    for q in range(3):
+        for f in (whitney_mass_matrix, norm_equivalence_constants):
+            with pytest.raises(GeometryError, match=match):
+                f(K, geo, q)
+        with pytest.raises(GeometryError, match=match):
+            whitney_pointwise_norm(K, geo, q, np.ones(K.n_cells(q)))
+
+
+def test_mass_matrix_certificate_rejects_an_indefinite_block(monkeypatch):
+    import hodgecover.whitney as whitney
+    tops = whitney._whitney_tops
+
+    def flipped(*args):       # a negative volume makes one block negative
+        t = tops(*args)
+        return t._replace(vol=t.vol * np.where(np.arange(len(t.vol)), 1, -1))
+
+    monkeypatch.setattr(whitney, "_whitney_tops", flipped)
+    K = torus7()
+    for q in range(3):
+        with pytest.raises(np.linalg.LinAlgError):
+            whitney_mass_matrix(K, unit_geometry(K), q)
+
+
+def test_bad_lengths_raise_under_python_O():
+    code = textwrap.dedent(f"""
+        from hodgecover import ComplexGeometry, GeometryError, load_complex
+        from hodgecover.whitney import whitney_mass_matrix
+        print(__debug__)
+        K = load_complex([(0, 1, 2)])
+        for lengths in {list(BAD_TRIANGLES.values())!r}:
+            geo = ComplexGeometry(K, dict(zip([(0, 1), (0, 2), (1, 2)],
+                                              lengths)))
+            try:
+                whitney_mass_matrix(K, geo, 1)
+            except GeometryError:
+                print("rejected")
+        """)
+    src = Path(hodgecover.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["False"] + ["rejected"] * 3
