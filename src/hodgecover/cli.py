@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from .bounds import BoundError, catalogue_ids, evaluate_bound, get_entry
-from .complexes import ComplexError, SimplicialComplex, load_complex_report
+from .complexes import ComplexError, LoadReport, load_complex_report
 from .covers import (CoverError, PermutationCoverSpec, build_cover, dual_graph,
                      graph_diameter, shortest_path_tree,
                      tree_fundamental_domain)
@@ -64,10 +64,26 @@ def _load_json(path):
 
 
 def _load_complex(path):
+    """The LoadReport of a fixture, or of a complex file: a list of cells, or
+    an object whose "cells" is a list of cell groups of integer lists."""
     if path in FIXTURES:
-        return FIXTURES[path]()
+        return LoadReport(FIXTURES[path]())
     data = _load_json(path)
-    return load_complex_report(data).complex
+    groups = data.get("cells", []) if isinstance(data, dict) else [data]
+    labels = data.get("labels") if isinstance(data, dict) else None
+    if not (isinstance(groups, list) and isinstance(labels, (dict, type(None)))
+            and all(isinstance(g, list) for g in groups)
+            and all(isinstance(c, list) for g in groups for c in g)):
+        raise CliError(f'{path} must hold a list of cells, or an object whose '
+                       '"cells" is a list of lists of cells and whose '
+                       '"labels" is an object')
+    cells = [[_integer("vertex", v) for v in c] for g in groups for c in g]
+    return load_complex_report({"cells": [cells], "labels": labels})
+
+
+def _check_degree(K, q):
+    if not 0 <= q <= K.dim:
+        raise CliError(f"degree {q} is out of range 0..{K.dim}")
 
 
 def _integer(name, x):
@@ -115,6 +131,9 @@ def _load_geometry(K, path):
         if edge not in K.cell_index[1]:
             raise CliError(f"geometry key {key!r} names no edge of the complex")
         edges[edge] = _length(f"edge {key!r}", val)
+    missing = next((e for e in K.cells[1] if e not in edges), None)
+    if missing is not None:
+        raise CliError(f"geometry gives no length for edge {missing}")
     return ComplexGeometry(K, edges)
 
 
@@ -143,14 +162,8 @@ def _inner_products(K, geometry, inner):
 
 
 def cmd_complex(args):
-    data = _load_json(args.path) if args.path not in FIXTURES else None
-    if data is None:
-        K = FIXTURES[args.path]()
-        added = []
-    else:
-        report = load_complex_report(data)
-        K = report.complex
-        added = report.added_faces
+    report = _load_complex(args.path)
+    K, added = report.complex, report.added_faces
     if args.action == "validate":
         _emit({
             "dim": K.dim,
@@ -164,7 +177,7 @@ def cmd_complex(args):
 
 
 def cmd_cover(args):
-    base = _load_complex(args.base)
+    base = _load_complex(args.base).complex
     spec = _load_cover_spec(base, args.spec)
     cover = build_cover(spec)
     if args.action == "build":
@@ -202,7 +215,8 @@ def cmd_cover(args):
 
 
 def cmd_spectrum(args):
-    K = _load_complex(args.path)
+    K = _load_complex(args.path).complex
+    _check_degree(K, args.degree)
     geometry = _load_geometry(K, args.geometry)
     ips = _inner_products(K, geometry, args.inner)
     split = lambda1_split(K, args.degree, ips)
@@ -221,7 +235,8 @@ def cmd_spectrum(args):
 
 
 def cmd_norms(args):
-    K = _load_complex(args.path)
+    K = _load_complex(args.path).complex
+    _check_degree(K, args.degree)
     geometry = _load_geometry(K, args.geometry)
     if args.action == "constants":
         lo, hi = norm_equivalence_constants(K, geometry, args.degree)
@@ -247,7 +262,7 @@ def _load_cycle(K, path):
 
 
 def cmd_scl(args):
-    K = _load_complex(args.base)
+    K = _load_complex(args.base).complex
     geometry = _load_geometry(K, args.geometry)
     f = _load_cycle(K, args.cycle)
     null, _w = rationally_null(f)
@@ -307,7 +322,7 @@ def cmd_bounds(args):
         return
     # bounds all: evaluate every entry, pulling computed parameters from the
     # attached complex/geometry and defaults for user parameters
-    K = _load_complex(args.attach)
+    K = _load_complex(args.attach).complex
     geometry = _load_geometry(K, args.geometry)
     computed = _computed_params(K, geometry)
     overrides = _load_json(args.params) if args.params else {}

@@ -26,43 +26,17 @@ def up_pencil(K: SimplicialComplex, q: int, ip_q: InnerProduct,
               ip_up: InnerProduct) -> tuple[np.ndarray, np.ndarray]:
     """(A, M) with A = d^T M_{q+1} d the up-Laplacian stiffness on q-cochains.
 
-    Row j of d^T M is the signed sum of the rows of M at the cofaces of the
-    q-cell j, and column j of P d the same sum of columns of P, so both
-    products are gathers over a padded coface table (pad entries have sign
-    0): O(n_q n_{q+1}) work instead of dense matrix products."""
+    A is one sparse triple product, symmetrized while still sparse and made
+    dense only at the end: O(nnz) work, and no dense temporaries beyond A."""
     n = K.n_cells(q)
     if q >= K.dim:
         return np.zeros((n, n)), ip_q.matrix
+    from scipy.sparse import csr_array
     face, cell, sign = np.array(K.boundary_matrix(q + 1).entries).T
-    count = np.bincount(face, minlength=n)       # entries are sorted by face
-    slot = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
-    cof = np.zeros((n, count.max()), dtype=int)
-    sg = np.zeros(cof.shape)
-    cof[face, slot], sg[face, slot] = cell, sign
-
-    def coface_sum(R, axis):                 # d^T R, or R d for axis 1
-        signs = sg.T[:, :, None] if axis == 0 else sg.T[:, None, :]
-        out = np.take(R, cof[:, 0], axis=axis) * signs[0]
-        for k in range(1, cof.shape[1]):
-            out += np.take(R, cof[:, k], axis=axis) * signs[k]
-        return out
-
-    A = coface_sum(coface_sum(ip_up.matrix, 0), 1)
-    return (A + A.T) / 2, ip_q.matrix
-
-
-def down_pencil(K: SimplicialComplex, q: int, ip_q: InnerProduct,
-                ip_down: InnerProduct) -> tuple[np.ndarray, np.ndarray]:
-    """(B, M) whose eigenvalues are those of the down-Laplacian d d* on
-    q-cochains; B = M d M_down^{-1} d^T M is symmetric.  The spectral path
-    never builds it: it is the independent oracle for up-pencil spectra."""
-    n = K.n_cells(q)
-    if q == 0:
-        return np.zeros((n, n)), ip_q.matrix
-    d = K.coboundary_matrix(q - 1).to_float()  # (q-1)-cochains -> q-cochains
-    S = ip_q.matrix @ d
-    B = S @ ip_down.solve(S.T)
-    return (B + B.T) / 2, ip_q.matrix
+    d = csr_array((sign.astype(float), (cell, face)),
+                  shape=(K.n_cells(q + 1), n))
+    A = d.T @ csr_array(ip_up.matrix) @ d
+    return ((A + A.T) / 2).toarray(), ip_q.matrix
 
 
 @dataclass

@@ -134,6 +134,23 @@ def random_cover_specs(count: int, seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
+# spectral oracle
+
+
+def down_pencil(K, q, ip_q, ip_down):
+    """(B, M) whose eigenvalues are those of the down-Laplacian d d* on
+    q-cochains; B = M d M_down^{-1} d^T M is symmetric.  The package solves
+    only up-pencils, so this is the independent oracle for their spectra."""
+    n = K.n_cells(q)
+    if q == 0:
+        return np.zeros((n, n)), ip_q.matrix
+    d = K.coboundary_matrix(q - 1).to_float()  # (q-1)-cochains -> q-cochains
+    S = ip_q.matrix @ d
+    B = S @ ip_down.solve(S.T)
+    return (B + B.T) / 2, ip_q.matrix
+
+
+# ---------------------------------------------------------------------------
 # analytic oracles
 
 

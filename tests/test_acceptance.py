@@ -15,7 +15,7 @@ from scipy.linalg import eigh
 
 from hodgecover import (EdgeCycle, InnerProduct, PermutationCoverSpec,
                         ball_volume, betti_numbers, build_cover,
-                        charpoly_gap_bound, down_pencil, evaluate_bound,
+                        charpoly_gap_bound, evaluate_bound,
                         free_part_coefficients, graph_diameter, lambda1_split,
                         least_norm_filling, moser_constant,
                         right_triangle_area, shortest_path_tree, smith_normal_form,
@@ -26,8 +26,9 @@ from hodgecover.ratlinalg import bareiss_det, rat_nullspace
 from hodgecover.surfaces import FIXTURES, circle, tetrahedron_boundary, torus7, unit_geometry
 from hodgecover.whitney import whitney_mass_matrix
 
-from helpers import (brute_force_diameter, moser_oracle, random_cover_specs,
-                     random_cyclic_cover, right_triangle_area_oracle)
+from helpers import (brute_force_diameter, down_pencil, moser_oracle,
+                     random_cover_specs, random_cyclic_cover,
+                     right_triangle_area_oracle)
 
 
 CRITERIA = {

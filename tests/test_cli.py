@@ -48,6 +48,20 @@ class TestComplexCommands:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("action, data", [
+        ("validate", [[0, "x", 2]]), ("homology", {"cells": 5}),
+        ("validate", [[0, 1.5, 2]]), ("validate", [[0, True, 2]]),
+        ("validate", {"cells": [[0, 1, 2]]}), ("validate", 5),
+        ("validate", {"cells": [[[0, 1, 2]]], "labels": 5})],
+        ids=["string_vertex", "cells_not_a_list", "fractional_vertex",
+             "bool_vertex", "flat_cells", "not_a_list", "labels_not_object"])
+    def test_malformed_complex_exit_2(self, capsys, tmp_path, action, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "complex", action, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_invalid_complex_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([[0, 0, 1]]))
@@ -109,9 +123,22 @@ class TestSpectrumCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_bad_degree_exit_3(self, capsys):
-        code, _, err = run(capsys, "spectrum", "torus", "--degree", "9")
-        assert code == 3
+    def test_missing_edge_length_exit_2(self, capsys, tmp_path):
+        _, *rest = torus7().cells[1]
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps({"edges": {f"{a},{b}": 1.0
+                                              for a, b in rest}}))
+        code, out, err = run(capsys, "spectrum", "torus", "--degree", "1",
+                             "--inner", "whitney", "--geometry", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: geometry gives no length for edge (1, 2)\n"
+
+    def test_bad_degree_exit_2(self, capsys):
+        for degree in ("7", "9", "-1"):
+            code, out, err = run(capsys, "spectrum", "torus", "--degree",
+                                 degree)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCoverCommands:
@@ -193,6 +220,12 @@ class TestNormsCommand:
         assert code == 0
         m = json.loads(out)["mass_matrix"]
         assert len(m) == 4 and len(m[0]) == 4
+
+    @pytest.mark.parametrize("action", ["constants", "mass"])
+    def test_bad_degree_exit_2(self, capsys, action):
+        code, out, err = run(capsys, "norms", action, "torus", "--degree", "7")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 TORUS_COLUMN = [row[0] for row in torus7().boundary_matrix(2).to_pylists()]
@@ -409,7 +442,8 @@ def test_commands_load_only_the_scipy_they_need(tmp_path):
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    assert hodgecover.cli.main({!r}) == 0")
     for argv in (["cover", "tree", "--base", str(base), "--spec", str(spec)],
-                 ["complex", "homology", "projective_plane"]):
+                 ["complex", "homology", "projective_plane"],
+                 ["constants", "--ball", "3", "1.0", "1.0"]):
         assert _scipy_packages(run_main.format(argv)) == (set(), False)
     linalg, _ = _scipy_packages("import scipy.linalg")
     for argv in (["spectrum", "genus2", "--degree", "1", "--inner", "whitney"],

@@ -6,6 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -106,6 +107,25 @@ class TestBallVolume:
                 assert abs(ball_volume(n, r, K)
                            - K ** (-n / 2) * ball_volume(n, r * math.sqrt(K), 1)
                            ) < 1e-9 * ball_volume(n, r, K)
+
+    def test_against_mpmath_quadrature(self):
+        # the oracle integrates (sinh(x u) / x)^(n-1) over [0, 1] with
+        # x = sqrt(K) r, so that its integrand is of order one at every
+        # radius; at K = 1 the radii lie on both sides of the switch from
+        # Gauss-Legendre nodes to the recurrence
+        radii = [10.0 ** k for k in range(-8, 2)] + [0.999999, 1.000001,
+                                                     2.0, 20.0, 50.0]
+        with mp.workdps(30):
+            for n in range(2, 9):
+                for K in (0.25, 1.0, 2.0):
+                    for r in radii:
+                        x = mp.sqrt(K) * r
+                        exact = (2 * mp.pi ** (mp.mpf(n) / 2)
+                                 / mp.gamma(mp.mpf(n) / 2) * mp.mpf(r) ** n
+                                 * mp.quad(lambda u: (mp.sinh(x * u) / x)
+                                           ** (n - 1), [0, 1]))
+                        assert abs(ball_volume(n, r, K) - exact) \
+                            <= 1e-12 * exact, (n, K, r)
 
     def test_monotone_in_radius(self):
         vols = [ball_volume(3, r, 1) for r in (0.1, 0.5, 1.0, 2.0)]

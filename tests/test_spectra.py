@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,16 +9,17 @@ import sympy
 from scipy.linalg import eigh
 
 from hodgecover import (SpectralError, betti_numbers, build_cover,
-                        charpoly_gap_bound, down_pencil, harmonic_projection,
-                        lambda1_split, load_complex, up_pencil)
+                        charpoly_gap_bound, harmonic_projection, lambda1_split,
+                        load_complex, up_pencil)
 from hodgecover.cli import main
 from hodgecover.ratlinalg import rat_rank
 from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
                                  tetrahedron_boundary, torus7, torus_grid,
                                  unit_geometry)
-from hodgecover.whitney import InnerProduct, whitney_mass_matrix
+from hodgecover.whitney import (ComplexGeometry, InnerProduct,
+                                whitney_mass_matrix)
 
-from helpers import random_cyclic_cover
+from helpers import down_pencil, random_cyclic_cover
 
 
 def comb_products(K):
@@ -64,15 +66,32 @@ def random_spd_products(K, seed):
     return out
 
 
-class TestGatheredUpPencil:
+def perturbed_whitney_products(K, seed):
+    rng = random.Random(seed)
+    geo = ComplexGeometry(K, {e: rng.uniform(0.9, 1.1) for e in K.cells[1]})
+    return {q: whitney_mass_matrix(K, geo, q) for q in range(K.dim + 1)}
+
+
+def genus2_cover(degree):
+    return build_cover(random_cyclic_cover(genus2_surface(), degree,
+                                           random.Random(degree))).complex
+
+
+class TestUpPencil:
     def cases(self):
         yield from spectral_cases()
-        for K in (load_complex([(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 5)]),
+        # q-cells with 0, 1 and 3 cofaces: (2, 5) and (1, 2) and (0, 1)
+        book = load_complex([(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 5)])
+        for K in (book,
                   load_complex([(0, 1, 2, 3), (1, 2, 3, 4), (0, 2, 3, 5)]),
-                  torus7()):
-            for products in (comb_products(K), random_spd_products(K, 0)):
+                  load_complex([(0, 1, 2, 3)]), torus7(), genus2_cover(5)):
+            products = [comb_products(K), random_spd_products(K, 0)]
+            if K is not book:      # Whitney forms need every cell in a top
+                products += [whitney_products(K),
+                             perturbed_whitney_products(K, 1)]
+            for ips in products:
                 for q in range(K.dim + 1):
-                    yield K, q, products
+                    yield K, q, ips
 
     def test_matches_dense_product(self):
         for K, q, products in self.cases():
@@ -81,10 +100,10 @@ class TestGatheredUpPencil:
             if q == K.dim:
                 assert np.array_equal(A, np.zeros((K.n_cells(q),) * 2))
                 continue
-            expect = dense_up(K, q, products[q + 1].matrix)
+            d = K.coboundary_matrix(q).to_float()
+            expect = d.T @ products[q + 1].matrix @ d
             assert np.array_equal(A, A.T)
-            assert np.max(np.abs(A - expect)) <= \
-                1e-13 * max(np.max(np.abs(expect)), 1.0)
+            assert np.max(np.abs(A - expect)) <= 1e-13 * np.max(np.abs(expect))
 
     def test_bitwise_below_the_top_degree(self):
         # the top-degree Whitney mass matrix is diagonal, so every entry of
@@ -94,6 +113,20 @@ class TestGatheredUpPencil:
                 A, _ = up_pencil(K, q, products[q], products[q + 1])
                 assert np.array_equal(A, dense_up(K, q,
                                                   products[q + 1].matrix))
+
+    def test_no_dense_temporaries(self):
+        # the traced peak is the dense output A and sparse work beside it;
+        # a dense gather of d^T M or a dense (A + A^T) / 2 would exceed it
+        K = genus2_cover(23)
+        ips = perturbed_whitney_products(K, 23)
+        n = K.n_cells(1)
+        tracemalloc.start()
+        try:
+            up_pencil(K, 1, ips[1], ips[2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
 
 class TestGraphSpectra:
