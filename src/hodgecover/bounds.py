@@ -36,9 +36,6 @@ class BoundEntry:
     lhs: object                          # params -> float | None
     rhs: object                          # params -> float
 
-    def param_names(self):
-        return [n for n, _src in self.params]
-
 
 @dataclass
 class BoundReport:

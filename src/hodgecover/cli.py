@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import combinations
 
 import numpy as np
 
@@ -145,14 +146,24 @@ def _load_cover_spec(base, path):
             raise CliError(f"permutation {key!r} must be a list")
         perms[_key(key)] = tuple(_integer(f"permutation {key!r} entry", x)
                                  for x in val)
-    return PermutationCoverSpec(base, _integer("degree", data["degree"]),
+    return PermutationCoverSpec(base, _integer("degree", data.get("degree")),
                                 perms)
+
+
+def _check_whitney(K, q):
+    """Reject a q-cell in no top cell: its Whitney mass matrix is singular."""
+    faces = {f for t in K.cells[K.dim] for f in combinations(t, q + 1)}
+    missing = sorted(set(K.cells[q]) - faces)
+    if missing:
+        raise CliError(f"{q}-cell {missing[0]} lies in no top cell")
 
 
 def _inner_products(K, geometry, inner):
     if inner == "comb":
         return {q: InnerProduct.identity(q, K.n_cells(q))
                 for q in range(K.dim + 1)}
+    for q in range(K.dim + 1):
+        _check_whitney(K, q)
     return {q: whitney_mass_matrix(K, geometry, q)
             for q in range(K.dim + 1)}
 
@@ -237,6 +248,7 @@ def cmd_spectrum(args):
 def cmd_norms(args):
     K = _load_complex(args.path).complex
     _check_degree(K, args.degree)
+    _check_whitney(K, args.degree)
     geometry = _load_geometry(K, args.geometry)
     if args.action == "constants":
         lo, hi = norm_equivalence_constants(K, geometry, args.degree)
@@ -251,7 +263,7 @@ def cmd_norms(args):
 
 def _load_cycle(K, path):
     data = _load_json(path)
-    coeffs = data["coefficients"] if isinstance(data, dict) else data
+    coeffs = data.get("coefficients") if isinstance(data, dict) else data
     if not isinstance(coeffs, list):
         raise CliError("cycle coefficients must be a list")
     if len(coeffs) != K.n_cells(1):
@@ -471,7 +483,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ComplexError, CoverError, BoundError, KeyError) as exc:
+    except (ComplexError, CoverError, BoundError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (FillingError, SpectralError, GeometryError,

@@ -85,8 +85,9 @@ def ball_volume(n: int, r: float, K: float = 1.0) -> float:
     """Volume of a geodesic r-ball in the hyperbolic n-space of curvature -K:
     vol(S^{n-1}) J_{n-1}, J_k = int_0^r (sinh(s t) / s)^k dt with s = sqrt(K).
     For s r >= 1, J_k = (u^{k-1} cosh(s r) - (k-1) J_{k-2}) / (k K) with
-    u = sinh(s r) / s, J_0 = r and J_1 = 2 sinh^2(s r / 2) / K.  Below that
-    the recurrence cancels, and Gauss-Legendre nodes give J_{n-1} instead."""
+    u = sinh(s r) / s, J_0 = r and J_1 = 2 sinh^2(s r / 2) / K, on R_k =
+    J_k / u^{k-1}.  Below that the recurrence cancels, and Gauss-Legendre
+    nodes give J_{n-1} instead.  Logarithms keep a large n finite, or 0.0."""
     if not (math.isfinite(r) and math.isfinite(K)):
         raise GeometryError("radius and curvature must be finite")
     if n < 2:
@@ -99,22 +100,21 @@ def ball_volume(n: int, r: float, K: float = 1.0) -> float:
         return 0.0
     m, x = n - 1, math.sqrt(K) * r
     try:
-        vol = sphere_volume(m)
         if x < 1:       # n + 8 nodes are exact on the leading t^m part
             t, w = np.polynomial.legendre.leggauss(n + 8)
             f = np.sinh(x * (t + 1) / 2) / math.sqrt(K)
-            vol *= r / 2 * float(w @ f ** m)
+            log_j = m * math.log(f.max()) + math.log(
+                r / 2 * float(w @ (f / f.max()) ** m))
         else:
             u, c = math.sinh(x) / math.sqrt(K), math.cosh(x)
-            J = [r, 2 * math.sinh(x / 2) ** 2 / K]
+            R = [r * u, 2 * math.sinh(x / 2) ** 2 / K]
             for k in range(2, n):
-                J.append((u ** (k - 1) * c - (k - 1) * J[k - 2]) / (k * K))
-            vol *= J[m]
+                R.append((c - (k - 1) * R[k - 2] / u / u) / (k * K))
+            log_j = (m - 1) * math.log(u) + math.log(R[m])
+        return math.exp(math.log(2) + n / 2 * math.log(math.pi)
+                        - math.lgamma(n / 2) + log_j)
     except OverflowError:
-        vol = math.inf
-    if not math.isfinite(vol):
         raise GeometryError(f"ball volume overflows a float at r = {r}")
-    return vol
 
 
 def kappa(n: int) -> float:

@@ -35,7 +35,7 @@ def up_pencil(K: SimplicialComplex, q: int, ip_q: InnerProduct,
     face, cell, sign = np.array(K.boundary_matrix(q + 1).entries).T
     d = csr_array((sign.astype(float), (cell, face)),
                   shape=(K.n_cells(q + 1), n))
-    A = d.T @ csr_array(ip_up.matrix) @ d
+    A = d.T @ ip_up._csr() @ d
     return ((A + A.T) / 2).toarray(), ip_q.matrix
 
 

@@ -24,6 +24,8 @@ import numpy as np
 from .complexes import SimplicialComplex
 from .hypgeom import GeometryError, SimplexMetric
 
+_DENSE_MAX = 400     # norm_equivalence_constants goes dense up to this size
+
 
 @dataclass
 class InnerProduct:
@@ -31,6 +33,7 @@ class InnerProduct:
 
     degree: int
     matrix: np.ndarray
+    _blocks = None      # (glob, B) of _mass_blocks when assembled from them
 
     def __post_init__(self):
         M = self.matrix
@@ -41,12 +44,18 @@ class InnerProduct:
             np.linalg.cholesky(self.matrix)  # raises if not positive definite
 
     @classmethod
-    def _certified(cls, degree: int, matrix: np.ndarray) -> "InnerProduct":
+    def _certified(cls, degree: int, matrix: np.ndarray, blocks=None):
         """Wrap a matrix already known to be symmetric positive definite,
         without the checks above."""
         ip = object.__new__(cls)
-        ip.degree, ip.matrix = degree, matrix
+        ip.degree, ip.matrix, ip._blocks = degree, matrix, blocks
         return ip
+
+    def _csr(self):
+        """The matrix as a scipy CSR array, from its blocks if it has them."""
+        from scipy.sparse import csr_array
+        return csr_array(self.matrix) if self._blocks is None else \
+            _block_csr(*self._blocks, len(self.matrix))
 
     @staticmethod
     def identity(degree: int, n: int) -> "InnerProduct":
@@ -232,12 +241,19 @@ def _assemble(glob: np.ndarray, B: np.ndarray, size: int) -> np.ndarray:
     return M
 
 
+def _block_csr(glob: np.ndarray, B: np.ndarray, size: int):
+    """The same sum as a scipy CSR array: COO triplets, duplicates summed."""
+    from scipy.sparse import csr_array
+    ij = np.broadcast_arrays(glob[:, :, None], glob[:, None, :])
+    return csr_array((B.ravel(), [a.ravel() for a in ij]), shape=(size, size))
+
+
 def whitney_mass_matrix(K: SimplicialComplex, geometry: ComplexGeometry,
                         q: int) -> InnerProduct:
     """Assemble the global Whitney q-form Gram matrix over all top simplices:
     each top adds X (C kron E) X^T, E[v, w] the integral of l_v l_w."""
-    glob, B = _mass_blocks(K, geometry, q)
-    return InnerProduct._certified(q, _assemble(glob, B, K.n_cells(q)))
+    blocks = _mass_blocks(K, geometry, q)
+    return InnerProduct._certified(q, _assemble(*blocks, K.n_cells(q)), blocks)
 
 
 def whitney_pointwise_norm(K: SimplicialComplex, geometry: ComplexGeometry,
@@ -306,22 +322,27 @@ def chain_dual_norm(c, spec: NormSpec, ip: InnerProduct | None = None) -> float:
 def norm_equivalence_constants(K: SimplicialComplex, geometry: ComplexGeometry,
                                q: int) -> tuple[float, float]:
     """(c_min, c_max) with c_min <= |x|_whitney2 / |x|_comb2 <= c_max for all x:
-    the square roots of the extreme eigenvalues of the mass matrix, from
-    Lanczos on its sparse assembly (a dense solve below ARPACK's 3 rows).
-    The start vector and any restart vector are seeded, so repeated calls
-    agree bit for bit."""
+    the square roots of the extreme eigenvalues of the mass matrix M, by dense
+    eigvalsh up to _DENSE_MAX rows (no scipy; on one BLAS thread ARPACK costs
+    as much near 400 rows), else by Lanczos on M assembled sparse.  Its bottom,
+    a tight cluster on covers, is shift-inverted (Ericsson and Ruhe 1980) at
+    sigma = (1 - 2^-8) min_e sum_{t ∋ e} lambda_min(B_t) < lambda_min, as M
+    dominates that diagonal (Wathen 1987); its top, of multiplicity about n/3
+    on unit lengths, is not.  Start and restart vectors are seeded."""
     glob, B = _mass_blocks(K, geometry, q)
     n = K.n_cells(q)
-    if n < 3:
+    if n <= _DENSE_MAX:
         eigs = np.linalg.eigvalsh(_assemble(glob, B, n))
-    else:
-        from scipy.sparse import csr_array
-        from scipy.sparse.linalg import eigsh
-        rows = np.broadcast_to(glob[:, :, None], B.shape).ravel()
-        cols = np.broadcast_to(glob[:, None, :], B.shape).ravel()
-        M = csr_array((B.ravel(), (rows, cols)), shape=(n, n))
-        rng = np.random.default_rng(0)     # also any restart vector
-        eigs = np.sort(eigsh(M, k=2, which="BE", tol=0,
-                             v0=rng.standard_normal(n), rng=rng,
-                             return_eigenvectors=False))
-    return math.sqrt(max(eigs[0], 0.0)), math.sqrt(eigs[-1])
+        return math.sqrt(max(eigs[0], 0.0)), math.sqrt(eigs[-1])
+    from scipy.sparse import eye_array
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu
+    M = _block_csr(glob, B, n)
+    sigma = (1 - 2 ** -8) * np.bincount(glob.ravel(), np.repeat(
+        np.linalg.eigvalsh(B)[:, 0], glob.shape[1]), n).min()
+    lu = splu((M - sigma * eye_array(n)).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    rng = np.random.default_rng(0)     # also any restart vectors
+    lo, hi = (eigsh(M, k=1, tol=0, v0=rng.standard_normal(n), rng=rng,
+                    return_eigenvectors=False, **how)[0] for how in (
+        dict(sigma=sigma, which="LM", OPinv=LinearOperator((n, n), lu.solve)),
+        dict(which="LA")))
+    return math.sqrt(lo), math.sqrt(hi)

@@ -228,6 +228,40 @@ class TestNormsCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestCellInNoTop:
+    """The edge (3, 4) and its vertices lie in no triangle: no Whitney form of
+    degree 0 or 1 lives on them, but comb products and degree 2 are fine."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "stray_edge.json"
+        path.write_text(json.dumps([[0, 1, 2], [3, 4]]))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ("norms", "mass", "{}", "--degree", "0"),
+        ("norms", "constants", "{}", "--degree", "1"),
+        ("spectrum", "{}", "--degree", "0", "--inner", "whitney"),
+        ("spectrum", "{}", "--degree", "2", "--inner", "whitney"),
+        ("bounds", "all", "--attach", "{}"),
+    ], ids=["mass", "constants", "spectrum", "spectrum_top", "bounds"])
+    def test_whitney_products_exit_2(self, capsys, path, argv):
+        code, out, err = run(capsys, *(a.format(path) for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "lies in no top cell" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "{}", "--degree", "0"),
+        ("spectrum", "{}", "--degree", "1"),
+        ("norms", "mass", "{}", "--degree", "2"),
+        ("norms", "constants", "{}", "--degree", "2"),
+    ], ids=["comb0", "comb1", "mass_top", "constants_top"])
+    def test_other_products_exit_0(self, capsys, path, argv):
+        code, out, _ = run(capsys, *(a.format(path) for a in argv))
+        assert code == 0 and json.loads(out)["degree"] >= 0
+
+
 TORUS_COLUMN = [row[0] for row in torus7().boundary_matrix(2).to_pylists()]
 
 
@@ -369,6 +403,14 @@ class TestConstantsCommand:
         mc = json.loads(out)["moser_constant"]
         assert mc["value"] == pytest.approx(3.7783218670864, abs=1e-9)
 
+    @pytest.mark.parametrize("r, volume", [("0.99", 0.0),    # 5e-822
+                                           ("3", 1.8265629556840e114)])
+    def test_ball_in_high_dimension(self, capsys, r, volume):
+        code, out, _ = run(capsys, "constants", "--ball", "1000", r, "1")
+        assert code == 0
+        assert json.loads(out)["ball_volume"] == pytest.approx(volume,
+                                                               rel=1e-12)
+
     def test_bad_ball_exit_3(self, capsys):
         code, _, err = run(capsys, "constants", "--ball", "1", "1.0", "1.0")
         assert code == 3
@@ -394,6 +436,31 @@ class TestConstantsCommand:
         code, out, err = run(capsys, "constants", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["degree", "coefficients"])
+def test_missing_field_exit_2(capsys, tmp_path, field):
+    path = tmp_path / "input.json"
+    if field == "degree":
+        path.write_text(json.dumps({"perms": {}}))
+        argv = ("cover", "build", "--base", "torus", "--spec", str(path))
+    else:
+        path.write_text(json.dumps({"cycle": TORUS_COLUMN}))
+        argv = ("scl", "fill", "--base", "torus", "--cycle", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_key_error_of_a_bug_is_not_a_validation_error(capsys, monkeypatch):
+    import hodgecover.cli as cli
+
+    def broken(*args):
+        return {}["c_min"]
+
+    monkeypatch.setattr(cli, "norm_equivalence_constants", broken)
+    with pytest.raises(KeyError):
+        main(["norms", "constants", "torus"])
 
 
 def test_non_finite_result_exit_3(capsys, monkeypatch):
@@ -443,11 +510,11 @@ def test_commands_load_only_the_scipy_they_need(tmp_path):
                 "    assert hodgecover.cli.main({!r}) == 0")
     for argv in (["cover", "tree", "--base", str(base), "--spec", str(spec)],
                  ["complex", "homology", "projective_plane"],
-                 ["constants", "--ball", "3", "1.0", "1.0"]):
+                 ["constants", "--ball", "3", "1.0", "1.0"],
+                 ["norms", "constants", "genus2", "--degree", "1"]):
         assert _scipy_packages(run_main.format(argv)) == (set(), False)
     linalg, _ = _scipy_packages("import scipy.linalg")
     for argv in (["spectrum", "genus2", "--degree", "1", "--inner", "whitney"],
-                 ["norms", "constants", "genus2", "--degree", "1"],
                  ["norms", "mass", "genus2", "--degree", "1"]):
         packages, _ = _scipy_packages(run_main.format(argv))
         assert packages <= linalg | {"sparse"}, argv

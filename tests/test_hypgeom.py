@@ -127,6 +127,28 @@ class TestBallVolume:
                         assert abs(ball_volume(n, r, K) - exact) \
                             <= 1e-12 * exact, (n, K, r)
 
+    @pytest.mark.parametrize("n", [50, 200, 1000])
+    def test_high_dimension_against_mpmath(self, n):
+        # vol(S^{n-1}) alone overflows a float from n = 344 on, while the
+        # ball volume is finite, underflows or overflows with the radius
+        with mp.workdps(40):
+            for K in (0.25, 1.0, 2.0):
+                for r in (0.05, 0.5, 0.99, 1.5, 3.0, 5.0):
+                    x = mp.sqrt(K) * r
+                    exact = (2 * mp.pi ** (mp.mpf(n) / 2)
+                             / mp.gamma(mp.mpf(n) / 2) * mp.mpf(r) ** n
+                             * mp.quad(lambda u: (mp.sinh(x * u) / x)
+                                       ** (n - 1),
+                                       [0, 0.5, 0.9, 0.99, 0.999, 1]))
+                    if exact > sys.float_info.max:
+                        with pytest.raises(GeometryError, match="overflows"):
+                            ball_volume(n, r, K)
+                    elif exact < sys.float_info.min * sys.float_info.epsilon:
+                        assert ball_volume(n, r, K) == 0.0, (K, r)
+                    elif exact > sys.float_info.min:
+                        assert ball_volume(n, r, K) == pytest.approx(
+                            float(exact), rel=1e-12), (K, r)
+
     def test_monotone_in_radius(self):
         vols = [ball_volume(3, r, 1) for r in (0.1, 0.5, 1.0, 2.0)]
         assert all(a < b for a, b in zip(vols, vols[1:]))

@@ -14,6 +14,7 @@ from scipy.linalg import eigh
 import hodgecover
 from hodgecover import (GeometryError, SimplexMetric, build_cover,
                         load_complex, simplex_gram, simplex_volume)
+from hodgecover import whitney
 from hodgecover.surfaces import (FIXTURES, genus2_surface,
                                  tetrahedron_boundary, torus7, torus_grid,
                                  unit_geometry)
@@ -387,18 +388,99 @@ def test_norm_constants_on_degree_23_cover():
     assert norm_equivalence_constants(K, geo, 1) == (lo, hi)
 
 
-@pytest.mark.parametrize("K", [tetrahedron_boundary(), torus_grid(4, 4)],
-                         ids=["sphere", "torus_grid"])
-def test_norm_constants_find_extremes_orthogonal_to_ones(K):
+BIG_TORUS = torus_grid(32, 32)     # above the dense crossover in every degree
+
+
+@pytest.mark.parametrize("name", ["sphere", "torus_grid"])
+def test_norm_constants_find_extremes_orthogonal_to_ones(name):
     # on these vertex-transitive complexes the all-ones vector is an
     # eigenvector of the vertex mass matrix, so a Lanczos run started from
-    # it would never see the smallest eigenvalue
+    # it would never see the smallest eigenvalue; the torus has more vertices
+    # than whitney._DENSE_MAX, so it takes the Lanczos path
+    K = tetrahedron_boundary() if name == "sphere" else BIG_TORUS
     geo = unit_geometry(K)
     eigs, V = eigh(reference_mass_matrix(K, geo, 0))
+    assert (K.n_cells(0) > whitney._DENSE_MAX) == (name == "torus_grid")
     assert abs(np.ones(K.n_cells(0)) @ V[:, 0]) < 1e-12
     lo, hi = norm_equivalence_constants(K, geo, 0)
     assert lo == pytest.approx(math.sqrt(eigs[0]), rel=1e-12)
     assert hi == pytest.approx(math.sqrt(eigs[-1]), rel=1e-12)
+
+
+def test_norm_constants_on_a_degenerate_top_cluster():
+    # on unit lengths lambda_max has multiplicity about n/3 in degree 1
+    K = BIG_TORUS
+    geo = unit_geometry(K)
+    for q in range(3):
+        assert K.n_cells(q) > whitney._DENSE_MAX
+        eigs = eigh(reference_mass_matrix(K, geo, q), eigvals_only=True)
+        lo, hi = norm_equivalence_constants(K, geo, q)
+        assert lo == pytest.approx(math.sqrt(eigs[0]), rel=1e-12)
+        assert hi == pytest.approx(math.sqrt(eigs[-1]), rel=1e-12)
+        assert norm_equivalence_constants(K, geo, q) == (lo, hi)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_norm_constants_at_the_dense_crossover(extra):
+    # a strip of triangles (i, i+1, i+2) with _DENSE_MAX + extra vertices
+    n = whitney._DENSE_MAX + extra
+    K = load_complex([(i, i + 1, i + 2) for i in range(n - 2)])
+    geo = perturbed_geometry(K, n)
+    assert K.n_cells(0) == n
+    eigs = eigh(reference_mass_matrix(K, geo, 0), eigvals_only=True)
+    lo, hi = norm_equivalence_constants(K, geo, 0)
+    assert lo == pytest.approx(math.sqrt(eigs[0]), rel=1e-12)
+    assert hi == pytest.approx(math.sqrt(eigs[-1]), rel=1e-12)
+
+
+@pytest.fixture
+def sparse_path(monkeypatch):
+    """Send norm_equivalence_constants down its Lanczos path from two rows,
+    the least ARPACK takes; the list collects the shifts it passes to eigsh."""
+    import scipy.sparse.linalg
+    eigsh, shifts = scipy.sparse.linalg.eigsh, []
+
+    def recording(*args, **kwargs):
+        if "sigma" in kwargs:
+            shifts.append(kwargs["sigma"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
+    monkeypatch.setattr(whitney, "_DENSE_MAX", 1)
+    return shifts
+
+
+def shift_and_constants(K, geo, q, shifts):
+    """The one shift of a Lanczos-path call, checked to lie below the
+    spectrum of the mass matrix, and the call's constants."""
+    shifts.clear()
+    lo, hi = norm_equivalence_constants(K, geo, q)
+    M = whitney_mass_matrix(K, geo, q).matrix
+    (sigma,) = shifts
+    assert sigma > 0
+    np.linalg.cholesky(M - sigma * np.eye(len(M)))  # iff sigma < lambda_min
+    return M, lo, hi
+
+
+@pytest.mark.parametrize("name, K, geo", GEOMETRY_CASES,
+                         ids=[c[0] for c in GEOMETRY_CASES])
+def test_lanczos_path_shift_and_constants(name, K, geo, sparse_path):
+    for q in range(K.dim + 1):
+        if K.n_cells(q) < 2:        # ARPACK needs two rows
+            continue
+        M, lo, hi = shift_and_constants(K, geo, q, sparse_path)
+        eigs = np.linalg.eigvalsh(M)
+        assert lo == pytest.approx(math.sqrt(eigs[0]), rel=1e-12)
+        assert hi == pytest.approx(math.sqrt(eigs[-1]), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [23, 53, 101])
+def test_certified_shift_on_large_covers(d, sparse_path):
+    K = build_cover(random_cyclic_cover(genus2_surface(), d,
+                                        random.Random(d))).complex
+    for geo in (unit_geometry(K), perturbed_geometry(K, d)):
+        for q in range(3):
+            shift_and_constants(K, geo, q, sparse_path)
 
 
 def test_mass_matrix_certificate_needs_every_cell_in_a_top():
