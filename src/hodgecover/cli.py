@@ -280,9 +280,13 @@ def cmd_scl(args):
     null, _w = rationally_null(f)
     if not null:
         raise CliError("cycle is not rationally null-homologous")
+    if K.dim < 2:
+        raise CliError("a filling needs 2-cells; the base has dimension "
+                       f"{K.dim}")
     if args.l1:
         cert = l1_filling(f)
     elif args.inner == "whitney":
+        _check_whitney(K, 2)
         ip = whitney_mass_matrix(K, geometry, 2)
         cert = least_norm_filling(f, "whitney", ip, delta=args.delta)
     else:

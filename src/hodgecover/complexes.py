@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, count, repeat
 
 import numpy as np
 
@@ -93,7 +93,9 @@ class SimplicialComplex:
     """Finite oriented simplicial complex, immutable after construction.
 
     cells[q] is the sorted list of q-cells; cell_index[q] maps a cell tuple
-    to its position, which fixes the basis of C_q once and for all.
+    to its position, which fixes the basis of C_q once and for all.  The
+    validation also keeps integer tables of each degree (_rows, _keys), so
+    array code finds cells with one searchsorted per degree (_index).
     """
 
     def __init__(self, cells_by_dim: list[list[tuple[int, ...]]],
@@ -114,16 +116,71 @@ class SimplicialComplex:
         self._validate()
 
     def _validate(self):
+        """Build the integer tables of every degree and check them: each
+        q-cell has q + 1 strictly increasing vertices and all its faces are
+        cells.  The first cell that fails, by degree and then position, is
+        checked again on its own to name its fault."""
+        rank = dict(zip(chain.from_iterable(self.cells[0]), count()))
+        n0 = len(self.cells[0])
+        self._tables: list[tuple[np.ndarray, np.ndarray]] = []
         for q, cs in enumerate(self.cells):
-            for c in cs:
-                if len(c) != q + 1:
-                    raise ComplexError(f"cell {c} has wrong dimension for q={q}")
-                if any(c[i] >= c[i + 1] for i in range(len(c) - 1)):
-                    raise ComplexError(f"cell {c} not strictly increasing")
-                if q > 0:
-                    for face in combinations(c, q):
-                        if face not in self.cell_index[q - 1]:
-                            raise ComplexError(f"missing face {face} of {c}")
+            m = len(cs)
+            if set(map(len, cs)) - {q + 1}:
+                m = next(i for i, c in enumerate(cs) if len(c) != q + 1)
+            rows = np.fromiter(map(rank.get, chain.from_iterable(cs[:m]),
+                                   repeat(-1)), np.intp, m * (q + 1))
+            rows = rows.reshape(m, q + 1)
+            keys = rows[:, 0]
+            if q:       # faces c[:-1], ..., c[1:]
+                faces = self._index(q - 1, rows[:, np.array(list(
+                    combinations(range(q + 1), q)))])
+                bad = (faces < 0).any(1) | (rows[:, 1:] <= rows[:, :-1]).any(1)
+                keys = faces[:, 0] * n0 + rows[:, -1]
+                if bad.any():
+                    m = bad.argmax()
+            if m < len(cs):
+                self._raise_fault(q, cs[m])
+            # keys end in a sentinel above every key of a row of ranks
+            keys = np.concatenate((keys, [len(self.cells[q - 1]) * n0
+                                          if q else n0]))
+            rows.flags.writeable = keys.flags.writeable = False
+            self._tables.append((rows, keys))
+
+    def _raise_fault(self, q: int, c: tuple):
+        """Raise the ComplexError naming what is wrong with q-cell c."""
+        if len(c) != q + 1:
+            raise ComplexError(f"cell {c} has wrong dimension for q={q}")
+        if any(c[i] >= c[i + 1] for i in range(len(c) - 1)):
+            raise ComplexError(f"cell {c} not strictly increasing")
+        face = next(f for f in combinations(c, q)
+                    if f not in self.cell_index[q - 1])
+        raise ComplexError(f"missing face {face} of {c}")
+
+    def _rows(self, q: int) -> np.ndarray:
+        """(N_q, q + 1) vertex ranks of the q-cells: positions in cells[0],
+        never labels, so any integer labels fit."""
+        return self._tables[q][0]
+
+    def _keys(self, q: int) -> np.ndarray:
+        """key(c) = index(c[:-1]) n_0 + rank(c[-1]) of each q-cell: strictly
+        increasing in the sorted cell order and below N_(q-1) n_0."""
+        return self._tables[q][1][:-1]
+
+    def _index(self, q: int, rows) -> np.ndarray:
+        """Positions in cells[q] of rows of q + 1 vertex ranks, -1 for a
+        row that is no q-cell: one searchsorted per degree up to q."""
+        rows = np.asarray(rows, dtype=np.intp)
+        n0 = len(self.cells[0])
+        if rows.size and not 0 <= rows.min() <= rows.max() < n0:
+            rows = np.where(((rows < 0) | (rows >= n0)).any(
+                axis=-1, keepdims=True), -1, rows)  # its keys are all < 0
+        idx = rows[..., 0]
+        for k in range(1, q + 1):
+            keys = self._tables[k][1]
+            key = idx * n0 + rows[..., k]
+            pos = keys.searchsorted(key)
+            idx = np.where(keys[pos] == key, pos, -1)
+        return idx
 
     def n_cells(self, q: int) -> int:
         if 0 <= q <= self.dim:

@@ -4,11 +4,15 @@ A cover of degree d is described by one permutation of the sheet set per
 ordered dual-graph edge of the base (pairs of top cells sharing a facet),
 with the reverse edge carrying the inverse permutation.  Lower-dimensional
 cells of the cover are orbits of (cell, ambient top cell, sheet) triples
-under the gluing relation those permutations generate.
+under the gluing relation those permutations generate.  The triples are
+numbered so that the numbers sort as the triples do, and the orbits come from
+whole-array min-label propagation with pointer jumping (numpy only).  Each
+cover builds its Schreier graph once.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -51,14 +55,12 @@ class Graph:
         if key in self.edges:
             return
         self.edges.add(key)
-        self.adj[u].append(v)
-        self.adj[v].append(u)
+        insort(self.adj[u], v)
+        insort(self.adj[v], u)
         if label is not None:
             a, b = label
             self.labels[(u, v)] = label
             self.labels[(v, u)] = (b, a)
-        for w in (u, v):
-            self.adj[w].sort()
 
     def edge_label(self, u: int, v: int):
         return self.labels.get((u, v))
@@ -281,27 +283,6 @@ class PermutationCoverSpec:
         return len(seen) == self.degree
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # deterministic: smaller key becomes the root
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 @dataclass
 class Cover:
     """A built cover: the pullback complex plus bookkeeping maps."""
@@ -315,15 +296,9 @@ class Cover:
     connected: bool = field(init=False)
 
     def __post_init__(self):
-        self.connected = self.schreier_graph().is_connected()
-
-    def lift_cell(self, q: int, base_cell: int, top: int, sheet: int) -> int:
-        return self.lift[(q, base_cell, top, sheet)]
-
-    def schreier_graph(self) -> Graph:
-        """Dual graph of the cover's top-cell tiling, tiles numbered as the
-        cover complex's top cells, edges labelled by the base adjacency they
-        project to."""
+        """Build the Schreier graph once: dual graph of the cover's top-cell
+        tiling, tiles numbered as the cover complex's top cells, edges
+        labelled by the base adjacency they project to."""
         g = Graph(len(self.top_of))
         d = self.spec.degree
         for (a, b), p in self.spec.perms.items():
@@ -332,126 +307,129 @@ class Cover:
                     u = self.top_index[(a, s)]
                     v = self.top_index[(b, p[s])]
                     g.add_edge(u, v, label=(a, b))
-        return g
+        self._schreier = g
+        self.connected = g.is_connected()
+
+    def lift_cell(self, q: int, base_cell: int, top: int, sheet: int) -> int:
+        return self.lift[(q, base_cell, top, sheet)]
+
+    def schreier_graph(self) -> Graph:
+        """The Schreier graph built with the cover: the same object on every
+        call, so callers must not modify it."""
+        return self._schreier
+
+
+def _classes(size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest member of the class of each of 0..size-1 under u[i] ~ v[i]:
+    each root hooks onto the least root it is joined to, pointer jumping
+    flattens the forest, and that repeats until no pair joins two classes
+    (min-label connected components, Shiloach and Vishkin, J. Algorithms 3,
+    1982)."""
+    lab = np.arange(size)
+    while ((lu := lab[u]) != (lv := lab[v])).any():
+        np.minimum.at(lab, np.maximum(lu, lv), np.minimum(lu, lv))
+        while ((up := lab[lab]) != lab).any():
+            lab = up
+    return lab
 
 
 def build_cover(spec: PermutationCoverSpec) -> Cover:
     """Glue degree-many copies of each base cell along the sheet permutations.
 
-    Raises CoverError when the induced identifications on lower cells fail to
-    close up (two sheets of the same copy forced together).  A disconnected
-    result is legal and only flagged.
+    Element (q, c, t, s) is sheet s of base q-cell c as a face of top t.  It
+    is numbered i d + s, the incidences (q, c, t) numbered i in sorted order,
+    so numbers sort as the tuples do and a class's smallest member is its
+    representative.  Raises CoverError when the identifications fail to
+    close up (two sheets of the same copy forced together); when several
+    classes fail, the one with the smallest representative is named.  A
+    disconnected result is legal and only flagged.
     """
-    base = spec.base
+    base, d = spec.base, spec.degree
     n = base.dim
-    d = spec.degree
-    tops = base.cells[n]
+    tops = base._rows(n)
+    T = len(tops)
+    sheets = np.arange(d)
+    # per degree: the local faces, the sorted incidence keys c T + t, and
+    # where each incidence sits among the flat (top, local face) pairs
+    faces, keys, where = [], [], []
+    for q in range(n + 1):
+        f = np.array(list(combinations(range(n + 1), q + 1)))
+        k = (base._index(q, tops[:, f]) * T + np.arange(T)[:, None]).ravel()
+        o = np.argsort(k)              # the keys are distinct
+        faces.append(f)
+        keys.append(k[o])
+        where.append(o)
+    start = np.cumsum([0] + [len(k) for k in keys])
 
-    # elements: (q, base cell index, ambient top index, sheet)
-    uf = _UnionFind()
-    membership: list[list[list[int]]] = [
-        [[] for _ in base.cells[q]] for q in range(n)
-    ]  # membership[q][cell] = list of tops containing it
-    for t, cell in enumerate(tops):
-        for k in range(1, n + 1):
-            for sub in combinations(cell, k):
-                membership[k - 1][base.cell_index[k - 1][sub]].append(t)
-
-    for (a, b), facet in spec.adjacencies.items():
-        if a > b:
-            continue
-        p = spec.perms[(a, b)]
-        for k in range(1, n + 1):
-            for sub in combinations(facet, k):
-                ci = base.cell_index[k - 1][sub]
-                for s in range(d):
-                    uf.union((k - 1, ci, a, s), (k - 1, ci, b, p[s]))
-
-    # seed all elements so isolated ones become their own classes
+    # each face of the facet of a < b: sheet s over a ~ sheet p[s] over b
+    adj = sorted(e for e in spec.adjacencies if e[0] < e[1])
+    A, B = np.array(adj, dtype=np.intp).reshape(-1, 2).T
+    P = np.array([spec.perms[e] for e in adj], dtype=np.intp).reshape(-1, d)
+    shared = (tops[A][:, :, None] == tops[B][:, None, :]).any(axis=2)
+    facets = tops[A][shared].reshape(len(adj), n)
+    u, v = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for q in range(n):
-        for ci in range(base.n_cells(q)):
-            for t in membership[q][ci]:
-                for s in range(d):
-                    uf.find((q, ci, t, s))
+        g = np.array(list(combinations(range(n), q + 1)))
+        c = base._index(q, facets[:, g])
+        ia, ib = (start[q] + np.searchsorted(keys[q], c * T + X[:, None])
+                  for X in (A, B))
+        u.append((ia[..., None] * d + sheets).ravel())
+        v.append((ib[..., None] * d + P[:, None, :]).ravel())
+    lab = _classes(start[-1] * d, np.concatenate(u), np.concatenate(v))
 
-    # group into classes; detect orbit-closure failure
-    classes: dict = {}
-    for key in list(uf.parent):
-        classes.setdefault(uf.find(key), []).append(key)
-    class_of = {}
-    for root, members in classes.items():
-        members.sort()
-        seen_tops: dict[int, int] = {}
-        for (q, ci, t, s) in members:
-            if t in seen_tops and seen_tops[t] != s:
-                raise CoverError(
-                    f"inconsistent identifications on cell {base.cells[q][ci]}: "
-                    f"sheets {seen_tops[t]} and {s} of top cell {t} coincide")
-            seen_tops[t] = s
-        for key in members:
-            class_of[key] = members[0]
+    by_sheet = lab.reshape(-1, d)
+    ordered = np.sort(by_sheet, axis=1)
+    twice = ordered[:, 1:] == ordered[:, :-1]
+    if twice.any():
+        rep = ordered[:, 1:][twice].min()
+        i = np.flatnonzero((by_sheet == rep).sum(axis=1) > 1)[0]
+        s0, s1 = np.flatnonzero(by_sheet[i] == rep)[:2]
+        q = np.searchsorted(start, i, side="right") - 1
+        c, t = divmod(keys[q][i - start[q]], T)
+        raise CoverError(
+            f"inconsistent identifications on cell {base.cells[q][c]}: "
+            f"sheets {s0} and {s1} of top cell {t} coincide")
 
-    # vertex ids in deterministic order of class representatives
-    vertex_reps = sorted({class_of[k] for k in class_of if k[0] == 0})
-    vertex_id = {rep: i for i, rep in enumerate(vertex_reps)}
-
-    def cell_vertices(ci_cell: tuple[int, ...], t: int, s: int) -> tuple[int, ...]:
-        ids = []
-        for v in ci_cell:
-            vi = base.cell_index[0][(v,)]
-            ids.append(vertex_id[class_of[(0, vi, t, s)]])
-        out = tuple(sorted(ids))
-        if len(set(out)) != len(out):
+    # classes numbered by representative; the vertex classes come first
+    root = lab == np.arange(len(lab))
+    cls = (np.cumsum(root) - 1)[lab]
+    first = np.searchsorted(keys[0], tops * T + np.arange(T)[:, None])
+    vertex = cls[first[..., None] * d + sheets]    # top, local vertex, sheet
+    cells_by_dim, projection, place = [], [], []
+    for q in range(n + 1):
+        e = np.flatnonzero(root[start[q] * d:start[q + 1] * d]) + start[q] * d
+        i, s = e // d, e % d
+        at = where[q][i - start[q]]
+        t, f = at // len(faces[q]), at % len(faces[q])
+        rows = np.sort(vertex[t[:, None], faces[q][f], s[:, None]], axis=1)
+        o = np.lexsort(rows.T[::-1])
+        again = np.zeros(len(o), dtype=bool)
+        again[o[1:]] = (rows[o[1:]] == rows[o[:-1]]).all(axis=1)
+        flat = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        base_cell = keys[q][i - start[q]] // T
+        bad = np.flatnonzero(flat | again)
+        if len(bad):
+            j = bad[0]
+            what = "top-cell lifts" if q == n else f"lifts of dimension {q}"
             raise CoverError(
-                f"cover cell over {ci_cell} degenerates (repeated vertex)")
-        return out
-
-    cells_by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    proj_by_cell: list[dict[tuple[int, ...], int]] = [dict() for _ in range(n + 1)]
-    lift: dict[tuple[int, int, int, int], int] = {}
-
-    # lower-dimensional cells: one per class
-    rep_of_class: dict = {}
-    for q in range(n):
-        reps = sorted({class_of[k] for k in class_of if k[0] == q})
-        for rep in reps:
-            _, ci, t, s = rep
-            tup = cell_vertices(base.cells[q][ci], t, s)
-            if tup in proj_by_cell[q]:
-                raise CoverError(
-                    f"two distinct lifts of dimension {q} share vertex set {tup}")
-            proj_by_cell[q][tup] = ci
-            cells_by_dim[q].append(tup)
-            rep_of_class[rep] = tup
-
-    # top cells: (t, s) pairs, never identified among themselves
-    top_tuple: dict[tuple[int, int], tuple[int, ...]] = {}
-    for t, cell in enumerate(tops):
-        for s in range(d):
-            tup = cell_vertices(cell, t, s)
-            if tup in proj_by_cell[n]:
-                raise CoverError(
-                    f"two distinct top-cell lifts share vertex set {tup}")
-            proj_by_cell[n][tup] = t
-            cells_by_dim[n].append(tup)
-            top_tuple[(t, s)] = tup
+                f"cover cell over {base.cells[q][base_cell[j]]} degenerates "
+                "(repeated vertex)" if flat[j] else f"two distinct {what} "
+                f"share vertex set {tuple(rows[j].tolist())}")
+        cells_by_dim.append(list(map(tuple, rows[o].tolist())))
+        projection.append(base_cell[o].tolist())
+        rank = np.empty_like(o)
+        rank[o] = np.arange(len(o))
+        place.append(rank)
 
     K = SimplicialComplex(cells_by_dim)
-    projection = [
-        [proj_by_cell[q][c] for c in K.cells[q]] for q in range(n + 1)
-    ]
-    top_index = {
-        (t, s): K.cell_index[n][tup] for (t, s), tup in top_tuple.items()
-    }
-    top_of = [None] * K.n_cells(n)
-    for (t, s), i in top_index.items():
-        top_of[i] = (t, s)
-    for (q, ci, t, s), rep in ((k, class_of[k]) for k in class_of):
-        lift[(q, ci, t, s)] = K.cell_index[q][rep_of_class[rep]]
-    for t, cell in enumerate(tops):
-        for s in range(d):
-            lift[(n, t, t, s)] = top_index[(t, s)]
-
+    every = np.arange(len(lab))
+    key = np.concatenate(keys)[every // d]
+    degree = np.searchsorted(start, every // d, side="right") - 1
+    lift = dict(zip(zip(degree.tolist(), (key // T).tolist(),
+                        (key % T).tolist(), (every % d).tolist()),
+                    np.concatenate(place)[cls].tolist()))
+    top_of = [divmod(k, d) for k in o.tolist()]    # o orders the top rows
+    top_index = dict(zip(top_of, range(len(top_of))))
     return Cover(spec, K, projection, top_index, top_of, lift)
 
 
@@ -481,8 +459,9 @@ class FacePairingSet:
         return out
 
 
-def _invert_word(word: tuple) -> tuple:
-    return tuple((b, a) for (a, b) in reversed(word))
+def _invert_word(word: tuple, rev: dict) -> tuple:
+    """The word read backwards, each label (a, b) replaced by rev's (b, a)."""
+    return tuple(map(rev.__getitem__, reversed(word)))
 
 
 def tree_fundamental_domain(cover: Cover, tree: SpanningTree
@@ -498,6 +477,7 @@ def tree_fundamental_domain(cover: Cover, tree: SpanningTree
         raise CoverError("tree does not span the cover's dual graph")
     words = dict(tree.words)
     n = cover.spec.base.dim
+    rev = {(a, b): (b, a) for (a, b) in cover.spec.perms}
     pairings = []
     for (u, w) in sorted(g.edges):
         if (u, w) in tree.tree_edges:
@@ -509,7 +489,7 @@ def tree_fundamental_domain(cover: Cover, tree: SpanningTree
         face = (u, cover.lift_cell(n - 1, fi, tu, su))
         tw, sw = cover.top_of[w]
         paired = (w, cover.lift_cell(n - 1, fi, tw, sw))
-        word = words[u] + (label,) + _invert_word(words[w])
+        word = words[u] + (label,) + _invert_word(words[w], rev)
         pairings.append(FacePairing(face, paired, word))
     return words, FacePairingSet(pairings)
 

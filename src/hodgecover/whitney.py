@@ -134,21 +134,6 @@ class _Tops(NamedTuple):
     vol: np.ndarray     # (T,) volumes
 
 
-def _cell_indices(K: SimplicialComplex, q: int, rows: np.ndarray) -> np.ndarray:
-    """Positions in K.cells[q] of the q-cells given as increasing rows of
-    vertices: the cells are sorted, so viewing rows as records turns the
-    lookup into one searchsorted."""
-    cells = np.array(K.cells[q]).reshape(-1, q + 1)
-    record = np.dtype([(f"v{i}", cells.dtype) for i in range(q + 1)])
-
-    def records(a):
-        return np.ascontiguousarray(a, dtype=cells.dtype).reshape(
-            -1, q + 1).view(record).ravel()
-
-    return np.searchsorted(records(cells), records(rows)).reshape(
-        rows.shape[:-1])
-
-
 def _gradient_grams(G: np.ndarray) -> np.ndarray:
     """(T, n+1, n+1) Grams of barycentric gradients from the (T, n, n)
     edge-vector Grams."""
@@ -174,14 +159,15 @@ def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry,
     if not 0 <= q <= K.dim:
         raise GeometryError(f"degree {q} out of range")
     n = K.dim
-    tops = np.array(K.cells[n]).reshape(-1, n + 1)
+    tops = K._rows(n)
     pairs = np.array(list(combinations(range(n + 1), 2)))
     lengths = np.array([geometry.edge_lengths[e] for e in K.cells[1]])
-    L = lengths[_cell_indices(K, 1, tops[:, pairs])]
+    edges = K._index(1, tops[:, pairs])
+    L = lengths[edges]
     bad = ~(L > 0)
     if bad.any():
         t, p = np.argwhere(bad)[0]
-        raise GeometryError(f"edge {tuple(tops[t, pairs[p]].tolist())} has "
+        raise GeometryError(f"edge {K.cells[1][edges[t, p]]} has "
                             f"length {L[t, p]}; lengths must be positive")
     L2 = np.zeros((len(tops), n + 1, n + 1))
     L2[:, pairs[:, 0], pairs[:, 1]] = L2[:, pairs[:, 1], pairs[:, 0]] = L ** 2
@@ -191,7 +177,7 @@ def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry,
     flat = eigs[:, 0] <= 1e-12 * np.maximum(1.0, eigs[:, -1])
     if flat.any():
         raise GeometryError(
-            f"edge lengths of top cell {tuple(tops[flat][0].tolist())} do not "
+            f"edge lengths of top cell {K.cells[n][np.argmax(flat)]} do not "
             "embed as a nondegenerate simplex")
     H = _gradient_grams(G)
     faces = list(combinations(range(n + 1), q + 1))
@@ -204,7 +190,7 @@ def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry,
     S = np.array(subsets, dtype=int).reshape(len(subsets), q)
     C = np.linalg.det(H[:, S[:, None, :, None], S[None, :, None, :]])
     vol = np.sqrt(np.linalg.det(G)) / math.factorial(n)
-    glob = _cell_indices(K, q, tops[:, faces])
+    glob = K._index(q, tops[:, faces])
     return _Tops(glob, X.reshape(len(faces), -1), C, vol)
 
 

@@ -13,7 +13,9 @@ from itertools import combinations
 import mpmath as mp
 import numpy as np
 
-from hodgecover import PermutationCoverSpec, simplex_gram
+from hodgecover import CoverError, PermutationCoverSpec, simplex_gram
+from hodgecover.complexes import SimplicialComplex
+from hodgecover.covers import Cover
 from hodgecover.surfaces import FIXTURES
 
 
@@ -131,6 +133,139 @@ def random_cover_specs(count: int, seed: int = 0):
             out.append(random_circle_cover(rng.randrange(3, 8),
                                            rng.randrange(1, 6), rng))
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference cover builder: one union-find over tuple keys
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        p = self.parent.setdefault(x, x)
+        while p != self.parent[p]:
+            self.parent[p] = self.parent[self.parent[p]]
+            p = self.parent[p]
+        self.parent[x] = p
+        return p
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            # deterministic: smaller key becomes the root
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+
+def reference_build_cover(spec: PermutationCoverSpec) -> Cover:
+    """The cover glued one (q, base cell, top, sheet) tuple at a time with a
+    union-find whose roots are the smallest keys; classes are checked in the
+    order of their roots."""
+    base = spec.base
+    n = base.dim
+    d = spec.degree
+    tops = base.cells[n]
+
+    uf = _UnionFind()
+    membership: list[list[list[int]]] = [
+        [[] for _ in base.cells[q]] for q in range(n)
+    ]  # membership[q][cell] = list of tops containing it
+    for t, cell in enumerate(tops):
+        for k in range(1, n + 1):
+            for sub in combinations(cell, k):
+                membership[k - 1][base.cell_index[k - 1][sub]].append(t)
+
+    for (a, b), facet in spec.adjacencies.items():
+        if a > b:
+            continue
+        p = spec.perms[(a, b)]
+        for k in range(1, n + 1):
+            for sub in combinations(facet, k):
+                ci = base.cell_index[k - 1][sub]
+                for s in range(d):
+                    uf.union((k - 1, ci, a, s), (k - 1, ci, b, p[s]))
+
+    # seed all elements so isolated ones become their own classes
+    for q in range(n):
+        for ci in range(base.n_cells(q)):
+            for t in membership[q][ci]:
+                for s in range(d):
+                    uf.find((q, ci, t, s))
+
+    classes: dict = {}
+    for key in list(uf.parent):
+        classes.setdefault(uf.find(key), []).append(key)
+    class_of = {}
+    for root in sorted(classes):
+        members = sorted(classes[root])
+        seen_tops: dict[int, int] = {}
+        for (q, ci, t, s) in members:
+            if t in seen_tops and seen_tops[t] != s:
+                raise CoverError(
+                    f"inconsistent identifications on cell {base.cells[q][ci]}: "
+                    f"sheets {seen_tops[t]} and {s} of top cell {t} coincide")
+            seen_tops[t] = s
+        for key in members:
+            class_of[key] = members[0]
+
+    vertex_reps = sorted({class_of[k] for k in class_of if k[0] == 0})
+    vertex_id = {rep: i for i, rep in enumerate(vertex_reps)}
+
+    def cell_vertices(ci_cell, t, s):
+        ids = []
+        for v in ci_cell:
+            vi = base.cell_index[0][(v,)]
+            ids.append(vertex_id[class_of[(0, vi, t, s)]])
+        out = tuple(sorted(ids))
+        if len(set(out)) != len(out):
+            raise CoverError(
+                f"cover cell over {ci_cell} degenerates (repeated vertex)")
+        return out
+
+    cells_by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+    proj_by_cell: list[dict] = [dict() for _ in range(n + 1)]
+    rep_of_class: dict = {}
+    for q in range(n):
+        for rep in sorted({class_of[k] for k in class_of if k[0] == q}):
+            _, ci, t, s = rep
+            tup = cell_vertices(base.cells[q][ci], t, s)
+            if tup in proj_by_cell[q]:
+                raise CoverError(
+                    f"two distinct lifts of dimension {q} share vertex set {tup}")
+            proj_by_cell[q][tup] = ci
+            cells_by_dim[q].append(tup)
+            rep_of_class[rep] = tup
+
+    top_tuple: dict[tuple[int, int], tuple[int, ...]] = {}
+    for t, cell in enumerate(tops):
+        for s in range(d):
+            tup = cell_vertices(cell, t, s)
+            if tup in proj_by_cell[n]:
+                raise CoverError(
+                    f"two distinct top-cell lifts share vertex set {tup}")
+            proj_by_cell[n][tup] = t
+            cells_by_dim[n].append(tup)
+            top_tuple[(t, s)] = tup
+
+    K = SimplicialComplex(cells_by_dim)
+    projection = [
+        [proj_by_cell[q][c] for c in K.cells[q]] for q in range(n + 1)
+    ]
+    top_index = {
+        (t, s): K.cell_index[n][tup] for (t, s), tup in top_tuple.items()
+    }
+    top_of = [None] * K.n_cells(n)
+    for (t, s), i in top_index.items():
+        top_of[i] = (t, s)
+    lift = {key: K.cell_index[key[0]][rep_of_class[rep]]
+            for key, rep in class_of.items()}
+    for t in range(len(tops)):
+        for s in range(d):
+            lift[(n, t, t, s)] = top_index[(t, s)]
+    return Cover(spec, K, projection, top_index, top_of, lift)
 
 
 # ---------------------------------------------------------------------------

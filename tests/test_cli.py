@@ -8,7 +8,7 @@ import pytest
 
 import hodgecover
 from hodgecover.cli import main
-from hodgecover.surfaces import circle, torus7
+from hodgecover.surfaces import circle, genus2_surface, torus7
 
 
 def run(capsys, *argv):
@@ -34,6 +34,26 @@ class TestComplexCommands:
         data = json.loads(out)
         assert data["cells"] == [3, 3, 1]
         assert len(data["added_faces"]) == 6  # 3 edges + 3 vertices
+
+    @pytest.mark.parametrize("cells, expect", [
+        ([[-3, -1, 0], [-1, 0, 2], [-3, 0, 5]], {
+            "added_faces": [[-3], [-1], [0], [2], [5], [-3, -1], [-3, 0],
+                            [-3, 5], [-1, 0], [-1, 2], [0, 2], [0, 5]],
+            "cells": [5, 7, 3], "dim": 2, "euler_characteristic": 1,
+            "valid": True}),
+        ([[0, 1, 2 ** 70], [1, 2, 2 ** 70]], {
+            "added_faces": [[0], [1], [2], [2 ** 70], [0, 1], [0, 2 ** 70],
+                            [1, 2], [1, 2 ** 70], [2, 2 ** 70]],
+            "cells": [4, 5, 2], "dim": 2, "euler_characteristic": 1,
+            "valid": True}),
+    ], ids=["negative_labels", "label_2_to_the_70"])
+    def test_validate_any_integer_labels(self, capsys, tmp_path, cells,
+                                         expect):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(cells))
+        code, out, _ = run(capsys, "complex", "validate", str(path))
+        assert code == 0
+        assert out == json.dumps(expect, indent=1, sort_keys=True) + "\n"
 
     def test_homology_projective_plane_torsion(self, capsys):
         code, out, _ = run(capsys, "complex", "homology", "projective_plane")
@@ -319,6 +339,36 @@ class TestSclCommands:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags", [[], ["--inner", "whitney"], ["--l1"]],
+                             ids=["comb", "whitney", "l1"])
+    def test_base_without_2_cells_exit_2(self, capsys, tmp_path, monkeypatch,
+                                         flags):
+        import hodgecover.cli as cli
+
+        def unreachable(*args):
+            raise AssertionError("mass matrix assembled")
+
+        monkeypatch.setattr(cli, "whitney_mass_matrix", unreachable)
+        base = tmp_path / "c3.json"
+        base.write_text(json.dumps([[0, 1], [1, 2], [0, 2]]))
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"coefficients": [0, 0, 0]}))
+        code, out, err = run(capsys, "scl", "fill", "--base", str(base),
+                             "--cycle", str(path), *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: a filling needs 2-cells; the base has " \
+            "dimension 1\n"
+
+    def test_whitney_fill_rejects_a_2_cell_in_no_top(self, capsys, tmp_path):
+        base = tmp_path / "t3.json"
+        base.write_text(json.dumps([[0, 1, 2, 3], [3, 4, 5]]))
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"coefficients": [0] * 9}))
+        code, out, err = run(capsys, "scl", "fill", "--base", str(base),
+                             "--cycle", str(path), "--inner", "whitney")
+        assert (code, out) == (2, "")
+        assert err == "error: 2-cell (3, 4, 5) lies in no top cell\n"
+
     def test_wrong_length_exit_2(self, capsys, tmp_path):
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"coefficients": [0, 0]}))
@@ -505,10 +555,16 @@ def test_commands_load_only_the_scipy_they_need(tmp_path):
     perms = {f"{a},{b}": [1, 2, 0] if k == 0 else [0, 1, 2]
              for k, (a, b) in enumerate(edges)}
     spec.write_text(json.dumps({"degree": 3, "perms": perms}))
+    spec2 = tmp_path / "spec2.json"
+    spec2.write_text(json.dumps({"degree": 2, "perms": {
+        f"{a},{b}": [0, 1] for a, b in genus2_surface().facet_adjacencies()
+        if a < b}}))
     run_main = ("import contextlib, io, hodgecover.cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    assert hodgecover.cli.main({!r}) == 0")
     for argv in (["cover", "tree", "--base", str(base), "--spec", str(spec)],
+                 ["cover", "build", "--base", "genus2", "--spec", str(spec2)],
+                 ["complex", "validate", "genus2"],
                  ["complex", "homology", "projective_plane"],
                  ["constants", "--ball", "3", "1.0", "1.0"],
                  ["norms", "constants", "genus2", "--degree", "1"]):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -103,3 +104,80 @@ def test_coboundary_is_transpose():
     b = K.boundary_matrix(2).to_pylists()
     c = K.coboundary_matrix(1).to_pylists()
     assert [list(r) for r in zip(*b)] == c
+
+
+# ---------------------------------------------------------------------------
+# integer cell tables: vertex ranks, keys, index lookups
+
+
+def _all_complexes():
+    return [make() for make in FIXTURES.values()] + [
+        load_complex([list(range(13))]),                         # a 12-simplex
+        load_complex([(-7, -2, 5), (-2, 5, 2 ** 70), (5, 9, 2 ** 70)]),
+    ]
+
+
+@pytest.mark.parametrize("K", _all_complexes(), ids=repr)
+def test_keys_increase_and_index_inverts_rows(K):
+    n0 = K.n_cells(0)
+    for q in range(K.dim + 1):
+        rows, keys = K._rows(q), K._keys(q)
+        assert rows.shape == (K.n_cells(q), q + 1)
+        assert [tuple(K.cells[0][r][0] for r in row) for row in rows.tolist()] \
+            == K.cells[q]
+        assert (np.diff(keys) > 0).all()
+        assert 0 <= keys.min() and keys.max() < max(1, K.n_cells(q - 1)) * n0
+        assert np.array_equal(K._index(q, rows), np.arange(K.n_cells(q)))
+
+
+def test_index_is_minus_one_off_the_cells():
+    K = load_complex([(0, 1, 2), (1, 2, 3)])          # no edge (0, 3)
+    rank = {v: i for i, (v,) in enumerate(K.cells[0])}
+    probe = [(0, 3), (2, 1), (0, 0), (-1, 2), (0, 1), (3, 3), (0, 5), (1, 4)]
+    got = K._index(1, [[rank.get(v, v) for v in e] for e in probe])
+    assert got.tolist() == [-1, -1, -1, -1, K.cell_index[1][(0, 1)], -1, -1,
+                            -1]       # ranks 4 and 5 are beyond the vertices
+    assert K._index(0, [[3], [4], [-1]]).tolist() == [3, -1, -1]
+    tris = np.array([[0, 1, 3], [0, 2, 3], [1, 2, 3], [0, 1, 2], [-1, 1, 2]])
+    assert K._index(2, tris).tolist() == [-1, -1, 1, 0, -1]
+    assert K._index(2, tris.reshape(5, 1, 3)).shape == (5, 1)
+
+
+def test_twelve_simplex_tables():
+    K = load_complex([list(range(13))])
+    assert [K.n_cells(q) for q in range(13)] == \
+        [len(list(combinations(range(13), q + 1))) for q in range(13)]
+    assert K._keys(12).tolist() == [12]     # prefix (0, ..., 11) is first
+    assert K._index(12, [list(range(13))]).tolist() == [0]
+    assert K._index(6, K._rows(6)[::-1]).tolist() == \
+        list(range(K.n_cells(6)))[::-1]
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([[(0,), (1,)], [(0, 1), (0,)]], "cell (0,) has wrong dimension for q=1"),
+    ([[(0,), (1, 2)]], "cell (1, 2) has wrong dimension for q=0"),
+    ([[(0,), (1,)], [(1, 0)]], "cell (1, 0) not strictly increasing"),
+    ([[(0,), (1,)], [(2, 1), (3,)]], "cell (2, 1) not strictly increasing"),
+    ([[(0,), (1,), (2,)], [(0, 1), (1, 2)], [(0, 1, 2)]],
+     "missing face (0, 2) of (0, 1, 2)"),
+    ([[(0,), (1,)], [(0, 1), (1, 5)]], "missing face (5,) of (1, 5)"),
+    ([[(0,), (1,)], [(0, 1), (5, 1)]], "cell (5, 1) not strictly increasing"),
+    ([[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2), (2, 0)], [(0, 1, 3)]],
+     "cell (2, 0) not strictly increasing"),
+    ([[(0,), (1,), (2,)], [], [(0, 1, 2)]], "missing face (0, 1) of (0, 1, 2)"),
+], ids=["wrong_dimension", "wrong_dimension_vertex", "not_increasing",
+        "not_increasing_before_wrong_dimension", "missing_face",
+        "missing_vertex", "unknown_vertex_not_increasing",
+        "first_fault_named", "empty_degree_below"])
+def test_malformed_cells_name_the_first_fault(cells, message):
+    with pytest.raises(ComplexError) as exc:
+        SimplicialComplex(cells)
+    assert str(exc.value) == message
+
+
+def test_tables_are_read_only():
+    K = torus7()
+    with pytest.raises(ValueError):
+        K._rows(1)[0, 0] = 5
+    with pytest.raises(ValueError):
+        K._keys(1)[0] = 5

@@ -12,7 +12,8 @@ from hodgecover import (CoverError, Graph, PermutationCoverSpec, betti_numbers,
                         word_sheet_action, word_tile_action)
 from hodgecover.surfaces import FIXTURES, circle, tetrahedron_boundary, torus7
 
-from helpers import brute_force_diameter, random_cover_specs, random_cyclic_cover
+from helpers import (brute_force_diameter, random_cover_specs,
+                     random_cyclic_cover, reference_build_cover)
 
 
 def cyclic_circle_spec(n=3, d=3):
@@ -307,3 +308,135 @@ class TestFundamentalDomain:
         words, _ = tree_fundamental_domain(cov, tree)
         for tile, word in words.items():
             assert word_tile_action(cov, word, tree.root) == tile
+
+
+# ---------------------------------------------------------------------------
+# array gluing against the tuple union-find oracle
+
+
+def outcome(build, spec):
+    """Every field of the built cover, or the CoverError message."""
+    try:
+        cov = build(spec)
+    except CoverError as exc:
+        return str(exc)
+    return (cov.complex.cells, cov.projection, cov.top_index, cov.top_of,
+            cov.lift, cov.connected)
+
+
+def assert_same_as_reference(spec):
+    got = outcome(build_cover, spec)
+    assert got == outcome(reference_build_cover, spec)
+    return got
+
+
+def random_perms(K, d, rng):
+    return {e: tuple(rng.sample(range(d), d))
+            for e in K.facet_adjacencies() if e[0] < e[1]}
+
+
+def product_spec(first, second):
+    """The fibre product of two covers of one base: sheets (s, t) as s e + t."""
+    e = second.degree
+    perms = {key: tuple(p[s] * e + second.perms[key][t]
+                        for s in range(first.degree) for t in range(e))
+             for key, p in first.perms.items() if key[0] < key[1]}
+    return PermutationCoverSpec(first.base, first.degree * e, perms)
+
+
+def regauged(spec, rng):
+    """The same cover with the sheets over each top renamed at random, so
+    its permutations are no longer cyclic shifts."""
+    d = spec.degree
+    rename = [rng.sample(range(d), d) for _ in spec.base.cells[spec.base.dim]]
+    perms = {}
+    for (a, b), p in spec.perms.items():
+        if a < b:
+            back = {r: s for s, r in enumerate(rename[a])}
+            perms[(a, b)] = tuple(rename[b][p[back[r]]] for r in range(d))
+    return PermutationCoverSpec(spec.base, d, perms)
+
+
+def unbranched_spec(K, d, rng):
+    """A connected-or-not unbranched cover of a closed surface of degree d,
+    from cyclic covers of prime degree and their fibre products."""
+    if d == 1:
+        return PermutationCoverSpec(K, 1, {e: (0,) for e in
+                                           K.facet_adjacencies()})
+    for p in (2, 3, 5, 7):
+        if d % p == 0 and d > p:
+            return product_spec(random_cyclic_cover(K, p, rng),
+                                unbranched_spec(K, d // p, rng))
+    return random_cyclic_cover(K, d, rng)
+
+
+class TestArrayGluing:
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_random_permutations_match_reference(self, name, d):
+        K = FIXTURES[name]()
+        rng = random.Random(f"{name}-{d}")
+        results = [assert_same_as_reference(
+            PermutationCoverSpec(K, d, random_perms(K, d, rng)))
+            for _ in range(4)]
+        if name == "circle" or d == 1:
+            assert all(not isinstance(r, str) for r in results)
+
+    @pytest.mark.parametrize("name", sorted(set(FIXTURES) - {"circle"}))
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_unbranched_covers_match_reference(self, name, d):
+        rng = random.Random(f"{name}-{d}")
+        spec = regauged(unbranched_spec(FIXTURES[name](), d, rng), rng)
+        got = assert_same_as_reference(spec)
+        assert not isinstance(got, str)
+        assert len(got[0][2]) == d * spec.base.n_cells(2)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(FIXTURES)), st.integers(1, 7), st.randoms())
+    def test_hypothesis_specs_match_reference(self, name, d, rng):
+        K = FIXTURES[name]()
+        spec = PermutationCoverSpec(K, d, random_perms(K, d, rng))
+        assert_same_as_reference(spec)
+        if name != "circle":
+            assert_same_as_reference(regauged(unbranched_spec(K, d, rng), rng))
+
+    def test_degree_23_genus2_matches_reference(self):
+        rng = random.Random(23)
+        spec = random_cyclic_cover(FIXTURES["genus2"](), 23, rng)
+        for s in (spec, regauged(spec, rng)):
+            cells = assert_same_as_reference(s)[0]
+            assert [len(c) for c in cells] == [253, 897, 598]
+
+    def test_branched_cover_names_the_smallest_class(self):
+        # one swap across the facet (u, w): both vertex classes fail, and
+        # the smallest representative is vertex u over the first top at u
+        K = torus7()
+        (a, b), (u, w) = min((e, f) for e, f in K.facet_adjacencies().items()
+                             if e[0] < e[1])
+        perms = {e: (0, 1) for e in K.facet_adjacencies() if e[0] < e[1]}
+        perms[(a, b)] = (1, 0)
+        top = min(t for t, c in enumerate(K.cells[2]) if u in c)
+        message = (f"inconsistent identifications on cell ({u},): sheets 0 "
+                   f"and 1 of top cell {top} coincide")
+        spec = PermutationCoverSpec(K, 2, perms)
+        assert outcome(build_cover, spec) == message
+        assert outcome(reference_build_cover, spec) == message
+
+    def test_schreier_graph_built_once(self, monkeypatch):
+        cov = build_cover(random_cyclic_cover(torus7(), 3, random.Random(0)))
+        built = []
+        monkeypatch.setattr(hodgecover.covers.Graph, "add_edge",
+                            lambda *args, **kw: built.append(args))
+        g = cov.schreier_graph()
+        assert g is cov.schreier_graph()
+        tree_fundamental_domain(cov, shortest_path_tree(g, 0))
+        assert built == []
+
+    def test_inverted_words_reverse_and_flip_labels(self):
+        cov = build_cover(random_cyclic_cover(FIXTURES["genus2"](), 5,
+                                              random.Random(5)))
+        tree = shortest_path_tree(cov.schreier_graph(), 0)
+        rev = {(a, b): (b, a) for (a, b) in cov.spec.perms}
+        for word in tree.words.values():
+            assert hodgecover.covers._invert_word(word, rev) == \
+                tuple((b, a) for (a, b) in reversed(word))

@@ -511,6 +511,25 @@ def test_bad_lengths_raise_geometry_error(name):
             whitney_pointwise_norm(K, geo, q, np.ones(K.n_cells(q)))
 
 
+@pytest.mark.parametrize("shift", [2 ** 70, -2 ** 70], ids=["plus", "minus"])
+def test_any_integer_labels(shift):
+    K = torus7()
+    L = load_complex([[v + shift for v in c] for c in K.cells[2]])
+    lengths = perturbed_geometry(K, 3).edge_lengths
+    geo = ComplexGeometry(L, {(u + shift, v + shift): x
+                              for (u, v), x in lengths.items()})
+    for q in range(3):
+        assert np.array_equal(whitney_mass_matrix(L, geo, q).matrix,
+                              whitney_mass_matrix(K, perturbed_geometry(K, 3),
+                                                  q).matrix)
+    u, v = L.cells[1][0]
+    geo.edge_lengths[(u, v)] = 0.0
+    with pytest.raises(GeometryError) as exc:
+        whitney_mass_matrix(L, geo, 1)
+    assert str(exc.value) == \
+        f"edge {(u, v)} has length 0.0; lengths must be positive"
+
+
 def test_mass_matrix_certificate_rejects_an_indefinite_block(monkeypatch):
     import hodgecover.whitney as whitney
     tops = whitney._whitney_tops
