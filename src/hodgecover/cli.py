@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import combinations
 
 import numpy as np
 
@@ -152,10 +151,8 @@ def _load_cover_spec(base, path):
 
 def _check_whitney(K, q):
     """Reject a q-cell in no top cell: its Whitney mass matrix is singular."""
-    faces = {f for t in K.cells[K.dim] for f in combinations(t, q + 1)}
-    missing = sorted(set(K.cells[q]) - faces)
-    if missing:
-        raise CliError(f"{q}-cell {missing[0]} lies in no top cell")
+    if (cell := K.uncovered_cell(q)) is not None:
+        raise CliError(f"{q}-cell {cell} lies in no top cell")
 
 
 def _inner_products(K, geometry, inner):
@@ -164,8 +161,7 @@ def _inner_products(K, geometry, inner):
                 for q in range(K.dim + 1)}
     for q in range(K.dim + 1):
         _check_whitney(K, q)
-    return {q: whitney_mass_matrix(K, geometry, q)
-            for q in range(K.dim + 1)}
+    return {q: whitney_mass_matrix(K, geometry, q) for q in range(K.dim + 1)}
 
 
 # ---------------------------------------------------------------------------

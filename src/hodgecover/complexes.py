@@ -122,7 +122,7 @@ class SimplicialComplex:
         checked again on its own to name its fault."""
         rank = dict(zip(chain.from_iterable(self.cells[0]), count()))
         n0 = len(self.cells[0])
-        self._tables: list[tuple[np.ndarray, np.ndarray]] = []
+        self._tables: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for q, cs in enumerate(self.cells):
             m = len(cs)
             if set(map(len, cs)) - {q + 1}:
@@ -130,7 +130,7 @@ class SimplicialComplex:
             rows = np.fromiter(map(rank.get, chain.from_iterable(cs[:m]),
                                    repeat(-1)), np.intp, m * (q + 1))
             rows = rows.reshape(m, q + 1)
-            keys = rows[:, 0]
+            keys, faces = rows[:, 0], np.empty((m, 0), np.intp)
             if q:       # faces c[:-1], ..., c[1:]
                 faces = self._index(q - 1, rows[:, np.array(list(
                     combinations(range(q + 1), q)))])
@@ -143,8 +143,9 @@ class SimplicialComplex:
             # keys end in a sentinel above every key of a row of ranks
             keys = np.concatenate((keys, [len(self.cells[q - 1]) * n0
                                           if q else n0]))
-            rows.flags.writeable = keys.flags.writeable = False
-            self._tables.append((rows, keys))
+            for a in (rows, keys, faces):
+                a.flags.writeable = False
+            self._tables.append((rows, keys, faces))
 
     def _raise_fault(self, q: int, c: tuple):
         """Raise the ComplexError naming what is wrong with q-cell c."""
@@ -187,19 +188,25 @@ class SimplicialComplex:
             return len(self.cells[q])
         return 0
 
+    def uncovered_cell(self, q: int) -> tuple[int, ...] | None:
+        """The first q-cell that is a face of no top cell, or None."""
+        local = list(combinations(range(self.dim + 1), q + 1))
+        covered = np.zeros(self.n_cells(q), dtype=bool)
+        covered[self._index(q, self._rows(self.dim)[:, local])] = True
+        return None if covered.all() else self.cells[q][covered.argmin()]
+
     def boundary_matrix(self, q: int) -> SparseIntMatrix:
         """Matrix of the boundary map from q-chains to (q-1)-chains."""
         if not 1 <= q <= self.dim:
             raise ComplexError(f"degree {q} out of range [1, {self.dim}]")
         if q not in self._boundary_cache:
-            entries = []
-            for j, cell in enumerate(self.cells[q]):
-                for i in range(q + 1):
-                    face = cell[:i] + cell[i + 1:]
-                    row = self.cell_index[q - 1][face]
-                    entries.append((row, j, (-1) ** i))
+            faces = self._tables[q][2]   # column k drops vertex q - k
+            cols = np.broadcast_to(np.arange(len(faces))[:, None], faces.shape)
+            signs = np.broadcast_to((-1) ** np.arange(q, -1, -1), faces.shape)
+            order = np.lexsort((cols.ravel(), faces.ravel()))
             self._boundary_cache[q] = SparseIntMatrix(
-                self.n_cells(q - 1), self.n_cells(q), tuple(sorted(entries)))
+                self.n_cells(q - 1), self.n_cells(q), tuple(zip(*(
+                    a.ravel()[order].tolist() for a in (faces, cols, signs)))))
         return self._boundary_cache[q]
 
     def coboundary_matrix(self, q: int) -> SparseIntMatrix:

@@ -207,17 +207,10 @@ class PermutationCoverSpec:
         if self.degree < 1:
             raise CoverError("degree must be >= 1")
         self.adjacencies = self.base.facet_adjacencies()
-        n = self.base.dim
         # the base must be pure, otherwise lower cells have no gluing data
-        tops = self.base.cells[n]
-        covered = set()
-        for cell in tops:
-            for k in range(1, n + 1):
-                covered.update(combinations(cell, k))
-        for q in range(n):
-            for c in self.base.cells[q]:
-                if c not in covered:
-                    raise CoverError(f"cell {c} is not a face of any top cell")
+        for q in range(self.base.dim):
+            if (c := self.base.uncovered_cell(q)) is not None:
+                raise CoverError(f"cell {c} is not a face of any top cell")
 
         norm: dict[tuple[int, int], tuple[int, ...]] = {}
         for (i, j), p in self.perms.items():

@@ -69,7 +69,6 @@ def cycle_from_word(cover: Cover, word, base_vertex: int | None = None,
     if not word:
         return EdgeCycle(K, (0,) * K.n_cells(1))
     base = cover.spec.base
-    n = base.dim
     for (a, b), (c, _d) in zip(word, word[1:]):
         if b != c:
             raise FillingError(f"word letters ({a},{b}) and ({c},{_d}) do not compose")
@@ -85,7 +84,7 @@ def cycle_from_word(cover: Cover, word, base_vertex: int | None = None,
             f"open path: sheet action sends sheet {sheet} to sheet {s}")
 
     gates = []
-    t, s = word[0][0], sheet
+    s = sheet
     for (a, b) in word:
         facet = cover.spec.adjacencies[(a, b)]
         if base_vertex is not None and base_vertex in facet:
@@ -95,7 +94,6 @@ def cycle_from_word(cover: Cover, word, base_vertex: int | None = None,
         vi = base.cell_index[0][(v,)]
         gates.append(K.cells[0][cover.lift_cell(0, vi, a, s)][0])
         s = cover.spec.perms[(a, b)][s]
-        t = b
     coeffs = [0] * K.n_cells(1)
     for u, v in zip(gates, gates[1:] + gates[:1]):
         if u == v:
@@ -195,9 +193,9 @@ def least_norm_filling(f: EdgeCycle, inner: str = "comb",
 
     Combinatorial inner product: the Euclidean minimizer is g = d2^T y with
     (d2 d2^T) y = f; it is rational because the boundary map is integral, so
-    no slack is needed.  Whitney inner product: the floating minimizer is
-    projected to a rational chain (exact particular solution plus a rounded
-    kernel-basis correction) and the norm increase is verified against delta.
+    no slack is needed.  Whitney inner product: the solutions are g0 + N c, g0
+    exact and N an exact kernel basis; the minimizing c is rounded to rationals
+    and the norm increase is verified against delta.
     """
     K = f.complex
     if K.dim < 2:
@@ -221,22 +219,16 @@ def least_norm_filling(f: EdgeCycle, inner: str = "comb",
 
     g0, kernel = _particular_and_kernel(A, b)
     M = ip.matrix
-    Af = A.to_float()
-    bf = np.array(b, dtype=float)
-    # floating M-norm minimizer: M^{-1} A^T (A M^{-1} A^T)^+ b
-    MinvAt = ip.solve(Af.T)
-    g_float = MinvAt @ np.linalg.lstsq(Af @ MinvAt, bf, rcond=None)[0]
-    norm_float = math.sqrt(max(g_float @ M @ g_float, 0.0))
-
-    if not kernel:
-        g = g0
-        norm_g = math.sqrt(max(np.array([float(c) for c in g]) @ M
-                               @ np.array([float(c) for c in g]), 0.0))
-        return _certify(f, g, "whitney", 0.0, norm_g)
-
-    N = np.array([[float(x) for x in v] for v in kernel], dtype=float).T
     g0f = np.array([float(c) for c in g0])
-    c, *_ = np.linalg.lstsq(N, g_float - g0f, rcond=None)
+    if not kernel:
+        return _certify(f, g0, "whitney", 0.0,
+                        math.sqrt(max(g0f @ M @ g0f, 0.0)))
+    # the M-least-norm g0 + N c: (N^T M N) c = -N^T M g0, k x k and SPD
+    N = np.array([[float(x) for x in v] for v in kernel], dtype=float).T
+    MN = M @ N
+    c = np.linalg.solve(N.T @ MN, -(MN.T @ g0f))
+    g_float = g0f + N @ c
+    norm_float = math.sqrt(max(g_float @ M @ g_float, 0.0))
     for denom in denominators:
         g = _rounded_chain(g0, kernel, c, denom)
         gf = np.array([float(x) for x in g])

@@ -37,6 +37,8 @@ class InnerProduct:
 
     def __post_init__(self):
         M = self.matrix
+        if not np.isfinite(M).all():
+            raise GeometryError("Gram matrix not finite")
         if M.size and np.max(np.abs(M - M.T)) > 1e-12 * max(1.0, np.max(np.abs(M))):
             raise GeometryError("Gram matrix not symmetric")
         self.matrix = (M + M.T) / 2
@@ -155,7 +157,8 @@ def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry,
     q-subset of the local vertices), C[t, I, J] = det H_t[I, J] with H_t the
     barycentric-gradient Gram of top t, built from the edge-vector Gram G_t
     of the law of cosines.  Raises GeometryError unless every edge length is
-    positive and every G_t passes simplex_gram's nondegeneracy test."""
+    positive and every G_t is finite, of finite determinant and nondegenerate
+    by simplex_gram's test."""
     if not 0 <= q <= K.dim:
         raise GeometryError(f"degree {q} out of range")
     n = K.dim
@@ -170,9 +173,17 @@ def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry,
         raise GeometryError(f"edge {K.cells[1][edges[t, p]]} has "
                             f"length {L[t, p]}; lengths must be positive")
     L2 = np.zeros((len(tops), n + 1, n + 1))
-    L2[:, pairs[:, 0], pairs[:, 1]] = L2[:, pairs[:, 1], pairs[:, 0]] = L ** 2
-    a = L2[:, 0, 1:]
-    G = (a[:, :, None] + a[:, None, :] - L2[:, 1:, 1:]) / 2
+    with np.errstate(over="ignore", invalid="ignore"):    # tested below
+        L2[:, pairs[:, 0], pairs[:, 1]] = L2[:, pairs[:, 1], pairs[:, 0]] = \
+            L ** 2
+        a = L2[:, 0, 1:]
+        G = (a[:, :, None] + a[:, None, :] - L2[:, 1:, 1:]) / 2
+        det = np.linalg.det(G)
+    huge = ~(np.isfinite(G).all(axis=(1, 2)) & np.isfinite(det))
+    if huge.any():
+        raise GeometryError(
+            f"edge-vector Gram of top cell {K.cells[n][np.argmax(huge)]} "
+            "is not finite: its entries or determinant overflow")
     eigs = np.linalg.eigvalsh(G)
     flat = eigs[:, 0] <= 1e-12 * np.maximum(1.0, eigs[:, -1])
     if flat.any():
@@ -189,7 +200,7 @@ def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry,
                 (-1) ** k * math.factorial(q)
     S = np.array(subsets, dtype=int).reshape(len(subsets), q)
     C = np.linalg.det(H[:, S[:, None, :, None], S[None, :, None, :]])
-    vol = np.sqrt(np.linalg.det(G)) / math.factorial(n)
+    vol = np.sqrt(det) / math.factorial(n)
     glob = K._index(q, tops[:, faces])
     return _Tops(glob, X.reshape(len(faces), -1), C, vol)
 

@@ -332,6 +332,23 @@ def brute_force_diameter(adjacency):
 
 
 # ---------------------------------------------------------------------------
+# reference boundary matrix: one tuple slice and dict lookup per entry
+
+
+def reference_boundary_matrix(K, q):
+    """The q-th boundary matrix built entry by entry from the cell tuples:
+    deleting the i-th vertex of a cell gives a face of sign (-1)**i."""
+    from hodgecover.complexes import SparseIntMatrix
+    entries = []
+    for j, cell in enumerate(K.cells[q]):
+        for i in range(q + 1):
+            row = K.cell_index[q - 1][cell[:i] + cell[i + 1:]]
+            entries.append((row, j, (-1) ** i))
+    return SparseIntMatrix(K.n_cells(q - 1), K.n_cells(q),
+                           tuple(sorted(entries)))
+
+
+# ---------------------------------------------------------------------------
 # reference Whitney assembly: one top simplex at a time
 
 
@@ -365,3 +382,39 @@ def reference_mass_matrix(K, geometry, q):
         glob = [K.cell_index[q][tuple(top[i] for i in f)] for f in faces]
         M[np.ix_(glob, glob)] += X @ np.kron(C, E) @ X.T
     return (M + M.T) / 2
+
+
+# ---------------------------------------------------------------------------
+# reference Whitney filling: the dense normal equations
+
+
+def reference_whitney_filling(f, ip, delta=1e-6,
+                              denominators=(10 ** 6, 10 ** 9)):
+    """Whitney least-norm filling through the normal equations: the float
+    minimizer M^-1 A^T (A M^-1 A^T)^+ f from a Cholesky solve with n_1
+    right-hand sides and two least-squares solves, mapped back onto the
+    exact solution set g0 + span N and rounded as the package does."""
+    from hodgecover.fillings import (FillingError, _certify,
+                                     _particular_and_kernel, _rounded_chain)
+    A = f.complex.boundary_matrix(2)
+    b = list(f.coefficients)
+    g0, kernel = _particular_and_kernel(A, b)
+    M = ip.matrix
+    Af = A.to_float()
+    MinvAt = ip.solve(Af.T)
+    g_float = MinvAt @ np.linalg.lstsq(Af @ MinvAt, np.array(b, dtype=float),
+                                       rcond=None)[0]
+    norm_float = math.sqrt(max(g_float @ M @ g_float, 0.0))
+    g0f = np.array([float(c) for c in g0])
+    if not kernel:
+        return _certify(f, g0, "whitney", 0.0,
+                        math.sqrt(max(g0f @ M @ g0f, 0.0)))
+    N = np.array([[float(x) for x in v] for v in kernel], dtype=float).T
+    c, *_ = np.linalg.lstsq(N, g_float - g0f, rcond=None)
+    for denom in denominators:
+        g = _rounded_chain(g0, kernel, c, denom)
+        gf = np.array([float(x) for x in g])
+        norm_g = math.sqrt(max(gf @ M @ gf, 0.0))
+        if norm_g <= (1.0 + delta) * norm_float or norm_float == 0.0:
+            return _certify(f, g, "whitney", delta, norm_g)
+    raise FillingError("rounded filling exceeds the allowed norm slack")

@@ -513,6 +513,26 @@ def test_key_error_of_a_bug_is_not_a_validation_error(capsys, monkeypatch):
         main(["norms", "constants", "torus"])
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "torus", "--degree", "1", "--inner", "whitney"),
+    ("bounds", "all", "--attach", "torus"),
+    ("norms", "constants", "torus"),
+    ("norms", "mass", "torus"),
+], ids=["spectrum", "bounds", "constants", "mass"])
+def test_overflowing_edge_length_exit_3(capsys, tmp_path, argv):
+    """An edge of length 1e200 overflows its triangles' Grams: one line
+    naming the first such triangle, no traceback, no NaN matrix."""
+    K = torus7()
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"edges": {
+        f"{u},{v}": 1e200 if k == 0 else 1.0
+        for k, (u, v) in enumerate(K.cells[1])}}))
+    code, out, err = run(capsys, *argv, "--geometry", str(path))
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: edge-vector Gram of top cell " \
+        "(1, 2, 4) is not finite: its entries or determinant overflow\n"
+
+
 def test_non_finite_result_exit_3(capsys, monkeypatch):
     import hodgecover.cli as cli
     monkeypatch.setattr(cli, "kappa", lambda n: float("nan"))
@@ -559,6 +579,9 @@ def test_commands_load_only_the_scipy_they_need(tmp_path):
     spec2.write_text(json.dumps({"degree": 2, "perms": {
         f"{a},{b}": [0, 1] for a, b in genus2_surface().facet_adjacencies()
         if a < b}}))
+    cycle = tmp_path / "cycle.json"
+    bd = genus2_surface().boundary_matrix(2).to_pylists()
+    cycle.write_text(json.dumps({"coefficients": [row[0] for row in bd]}))
     run_main = ("import contextlib, io, hodgecover.cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    assert hodgecover.cli.main({!r}) == 0")
@@ -567,7 +590,9 @@ def test_commands_load_only_the_scipy_they_need(tmp_path):
                  ["complex", "validate", "genus2"],
                  ["complex", "homology", "projective_plane"],
                  ["constants", "--ball", "3", "1.0", "1.0"],
-                 ["norms", "constants", "genus2", "--degree", "1"]):
+                 ["norms", "constants", "genus2", "--degree", "1"],
+                 ["scl", "fill", "--base", "genus2", "--cycle", str(cycle),
+                  "--inner", "whitney"]):
         assert _scipy_packages(run_main.format(argv)) == (set(), False)
     linalg, _ = _scipy_packages("import scipy.linalg")
     for argv in (["spectrum", "genus2", "--degree", "1", "--inner", "whitney"],

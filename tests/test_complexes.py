@@ -181,3 +181,33 @@ def test_tables_are_read_only():
         K._rows(1)[0, 0] = 5
     with pytest.raises(ValueError):
         K._keys(1)[0] = 5
+
+
+def _seeded_covers():
+    from helpers import random_cover_specs
+    from hodgecover import build_cover
+    return [build_cover(spec).complex for spec in random_cover_specs(8, seed=3)]
+
+
+@pytest.mark.parametrize("K", _all_complexes()[:-2] + _seeded_covers() + [
+    load_complex(list(combinations(range(5), 4))),
+    load_complex([(-7, -2, 5), (-2, 5, 2 ** 70), (5, 9, 2 ** 70)])],
+    ids=repr)
+def test_boundary_matrix_matches_reference(K):
+    from helpers import reference_boundary_matrix
+    for q in range(1, K.dim + 1):
+        assert K.boundary_matrix(q) == reference_boundary_matrix(K, q)
+        assert all(type(x) is int for e in K.boundary_matrix(q).entries
+                   for x in e)
+
+
+@pytest.mark.parametrize("cells, expect", [
+    ([(0, 1, 2), (1, 2, 3)], [None, None, None]),
+    ([(0, 1, 2), (3, 4)], [(3,), (3, 4), None]),
+    ([(0, 1, 2, 3), (2, 3, 4), (5,)], [(4,), (2, 4), (2, 3, 4), None]),
+    ([(0, 1)], [None, None]),
+    ([(0,)], [None]),
+], ids=["pure", "stray_edge", "stray_triangle", "edge", "point"])
+def test_uncovered_cell_is_the_first_in_no_top(cells, expect):
+    K = load_complex(cells)
+    assert [K.uncovered_cell(q) for q in range(K.dim + 1)] == expect

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,11 @@ from hodgecover import (CoverError, EdgeCycle, FillingError, InnerProduct,
                         PermutationCoverSpec, build_cover, cycle_from_word,
                         free_part_coefficients, l1_filling, least_norm_filling,
                         lambda1_split, rationally_null, scl_report)
+from hodgecover.complexes import SparseIntMatrix
 from hodgecover.ratlinalg import bareiss_det, rat_nullspace
 from hodgecover.surfaces import (circle, load_complex, tetrahedron_boundary,
                                  torus7, unit_geometry)
-from hodgecover.whitney import whitney_mass_matrix
+from hodgecover.whitney import ComplexGeometry, whitney_mass_matrix
 
 
 def cell_boundary(K, j):
@@ -288,6 +290,58 @@ class TestWhitneyFilling:
         K = torus7()
         with pytest.raises(FillingError):
             least_norm_filling(cell_boundary(K, 0), "whitney")
+
+
+def _whitney_filling_complexes():
+    from helpers import random_cyclic_cover
+    from hodgecover.surfaces import FIXTURES
+    out = {name: make() for name, make in FIXTURES.items()
+           if make().dim == 2}
+    g2 = FIXTURES["genus2"]()
+    for d in (2, 3, 5, 7, 11):
+        for seed in (1, 2):
+            out[f"genus2_d{d}_s{seed}"] = build_cover(
+                random_cyclic_cover(g2, d, random.Random(seed))).complex
+    tet = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    out["two_tetrahedra"] = load_complex(       # kernel dimension 2
+        tet + [tuple(v + 4 for v in c) for c in tet])
+    out["boundary_4_simplex"] = load_complex(   # kernel dimension 4
+        list(combinations(range(5), 4)))
+    return out
+
+
+WHITNEY_FILLING_COMPLEXES = _whitney_filling_complexes()
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["unit", "perturbed"])
+@pytest.mark.parametrize("name", WHITNEY_FILLING_COMPLEXES)
+def test_whitney_filling_matches_normal_equations(name, perturbed):
+    """The minimizer in kernel coordinates gives the chain, denominator, norm
+    and slack of the dense normal-equations route."""
+    from helpers import reference_whitney_filling
+    K = WHITNEY_FILLING_COMPLEXES[name]
+    rng = random.Random(name)
+    geo = ComplexGeometry(K, {e: rng.uniform(0.9, 1.1) if perturbed else 1.0
+                              for e in K.cells[1]})
+    ip = whitney_mass_matrix(K, geo, 2)
+    for f in (cell_boundary(K, 0), random_null_cycle(K, rng)):
+        got = least_norm_filling(f, "whitney", ip)
+        want = reference_whitney_filling(f, ip)
+        assert (got.g, got.m, repr(got.norm_g), got.delta) == \
+            (want.g, want.m, repr(want.norm_g), want.delta)
+
+
+def test_whitney_filling_needs_no_dense_solves(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense solve called")
+
+    K = WHITNEY_FILLING_COMPLEXES["boundary_4_simplex"]
+    ip = whitney_mass_matrix(K, unit_geometry(K), 2)
+    monkeypatch.setattr(InnerProduct, "solve", refuse)
+    monkeypatch.setattr(SparseIntMatrix, "to_float", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    cert = least_norm_filling(cell_boundary(K, 0), "whitney", ip)
+    assert cert.m == 5 and cert.delta == 1e-6
 
 
 class TestL1Filling:

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -183,6 +184,13 @@ class TestInnerProduct:
     def test_rejects_indefinite(self):
         with pytest.raises(np.linalg.LinAlgError):
             InnerProduct(0, np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(GeometryError, match="not finite"):
+            InnerProduct(0, np.array([[bad]]))
+        with pytest.raises(GeometryError, match="not finite"):
+            InnerProduct(0, np.array([[1.0, bad], [bad, 1.0]]))
 
     def test_solve(self):
         ip = InnerProduct(0, np.array([[2.0, 0.0], [0.0, 4.0]]))
@@ -565,3 +573,23 @@ def test_bad_lengths_raise_under_python_O():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["False"] + ["rejected"] * 3
+
+
+@pytest.mark.parametrize("length, where", [
+    (math.inf, "one"), (1e200, "one"), (1e100, "all"), (1e160, "all")],
+    ids=["inf", "square_overflows", "determinant_overflows", "all_huge"])
+def test_overflowing_lengths_name_the_top_without_warnings(length, where):
+    """An edge length whose square, or a Gram whose determinant, overflows
+    raises GeometryError naming the first such top, and numpy warns nothing
+    (the test run turns RuntimeWarning into an error)."""
+    K = torus7()
+    table = {e: length if where == "all" or e == K.cells[1][0] else 1.0
+             for e in K.cells[1]}
+    geo = ComplexGeometry(K, table)
+    first = next(t for t in K.cells[2] if where == "all"
+                 or set(K.cells[1][0]) <= set(t))
+    match = re.escape(f"edge-vector Gram of top cell {first} is not finite")
+    for q in range(3):
+        for f in (whitney_mass_matrix, norm_equivalence_constants):
+            with pytest.raises(GeometryError, match=match):
+                f(K, geo, q)
