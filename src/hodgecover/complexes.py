@@ -113,6 +113,7 @@ class SimplicialComplex:
             {c: i for i, c in enumerate(cs)} for cs in self.cells
         ]
         self._boundary_cache: dict[int, SparseIntMatrix] = {}
+        self._factor_cache: dict[int, tuple[int, ...]] = {}  # by homology
         self._validate()
 
     def _validate(self):
@@ -220,9 +221,12 @@ class SimplicialComplex:
         """Ordered pairs of top-cell indices sharing a facet, keyed to that facet.
 
         Requires the complex to look like a pseudo-manifold: every
-        codimension-1 cell lies in at most two top cells.
+        codimension-1 cell lies in at most two top cells.  A 0-dimensional
+        complex has no facets.
         """
         n = self.dim
+        if n == 0:
+            return {}
         by_facet: dict[tuple[int, ...], list[int]] = {}
         for j, cell in enumerate(self.cells[n]):
             for facet in combinations(cell, n):

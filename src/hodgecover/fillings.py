@@ -17,8 +17,8 @@ import numpy as np
 
 from .complexes import SimplicialComplex
 from .covers import Cover, CoverError
-from .ratlinalg import (bareiss_det, rat_nullspace, rat_solve,
-                        rat_solve_and_kernel)
+from .homology import invariant_factors
+from .ratlinalg import rat_nullspace, rat_solve, rat_solve_and_kernel
 from .whitney import ComplexGeometry, InnerProduct
 
 
@@ -130,13 +130,16 @@ def rationally_null(f: EdgeCycle):
 
 def free_part_coefficients(A, b) -> list[int]:
     """Solve A n = b exactly; A must be integer with det = +-1, so the
-    solution is unique and integral."""
+    solution is unique and integral.  |det A| is the product of the
+    invariant factors, so A is unimodular when they are n ones."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise FillingError("matrix must be square")
-    d = bareiss_det(A)
-    if d not in (1, -1):
-        raise FillingError(f"basis pairing matrix has determinant {d}, not +-1")
+    factors = invariant_factors(A)
+    if factors != [1] * n:
+        d = math.prod(factors) if len(factors) == n else 0
+        raise FillingError(f"basis pairing matrix has |determinant| {d}, "
+                           "not 1")
     return [int(x) for x in rat_solve(A, b)]
 
 

@@ -5,16 +5,19 @@ Each boundary matrix is reduced once by the unimodular mode of the
 leaves the Smith invariant factors unchanged, and the smallest-magnitude
 Smith loop runs on the small residual block that remains.  The number of
 nonzero invariant factors of the boundary leaving degree q is its rank, which
-gives the Betti numbers; the factors > 1 of the boundary entering degree q
-are the torsion of H_q.  All arithmetic uses Python big integers.
+gives the Betti numbers and the harmonic dimensions in `spectra`; the factors
+> 1 of the boundary entering degree q are the torsion of H_q.  Each complex
+memoises its factor lists (`boundary_factors`), so every caller shares one
+elimination per boundary map.  All arithmetic uses Python big integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .complexes import SimplicialComplex, SparseIntMatrix
-from .ratlinalg import echelon, rat_rank, sparse_rows
+from .ratlinalg import echelon, sparse_rows
 
 
 @dataclass
@@ -167,12 +170,20 @@ def invariant_factors(A) -> list[int]:
     return [1] * len(pivots) + [d for d in diagonal if d != 0]
 
 
+def boundary_factors(K: SimplicialComplex, q: int) -> tuple[int, ...]:
+    """Nonzero invariant factors of the boundary map leaving degree q, () for
+    q outside 1..dim; their number is its rank.  Each map is eliminated once
+    per complex: the factors are memoised on K, which is immutable."""
+    if not 1 <= q <= K.dim:
+        return ()
+    if q not in K._factor_cache:
+        K._factor_cache[q] = tuple(invariant_factors(K.boundary_matrix(q)))
+    return K._factor_cache[q]
+
+
 def betti_numbers(K: SimplicialComplex) -> list[int]:
-    """b_q for q = 0..dim, via exact ranks of the boundary maps."""
-    ranks = [0] * (K.dim + 2)
-    for q in range(1, K.dim + 1):
-        ranks[q] = rat_rank(K.boundary_matrix(q))
-    return [K.n_cells(q) - ranks[q] - ranks[q + 1] for q in range(K.dim + 1)]
+    """b_q for q = 0..dim: the betti column of `homology_table`."""
+    return [row["betti"] for row in homology_table(K)]
 
 
 def torsion_invariants(K: SimplicialComplex, q: int) -> list[int]:
@@ -185,28 +196,21 @@ def torsion_invariants(K: SimplicialComplex, q: int) -> list[int]:
     """
     if not 0 <= q < K.dim:
         raise ValueError(f"degree {q} out of range [0, {K.dim})")
-    return [d for d in invariant_factors(K.boundary_matrix(q + 1)) if d > 1]
+    return [d for d in boundary_factors(K, q + 1) if d > 1]
 
 
 def torsion_order(K: SimplicialComplex, q: int) -> int:
-    out = 1
-    for d in torsion_invariants(K, q):
-        out *= d
-    return out
+    return prod(torsion_invariants(K, q))
 
 
 def homology_table(K: SimplicialComplex) -> list[dict]:
     """Per-degree summary: betti number, invariant factors, torsion order;
     one elimination of each boundary map gives both rank and torsion."""
-    factors = [[]] + [invariant_factors(K.boundary_matrix(q))
-                      for q in range(1, K.dim + 1)] + [[]]
     table = []
     for q in range(K.dim + 1):
-        inv = [d for d in factors[q + 1] if d > 1]
-        row = {"q": q,
-               "betti": K.n_cells(q) - len(factors[q]) - len(factors[q + 1]),
-               "torsion": inv, "torsion_order": 1}
-        for d in inv:
-            row["torsion_order"] *= d
-        table.append(row)
+        leaving, entering = boundary_factors(K, q), boundary_factors(K, q + 1)
+        inv = [d for d in entering if d > 1]
+        table.append({"q": q,
+                      "betti": K.n_cells(q) - len(leaving) - len(entering),
+                      "torsion": inv, "torsion_order": prod(inv)})
     return table

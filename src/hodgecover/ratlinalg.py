@@ -1,19 +1,20 @@
 """Exact linear algebra over the integers and rationals.
 
 One sparse, fraction-free elimination kernel answers every exact question in
-the package: rank, rational solve and kernel basis here, the Smith diagonal in
-`homology`, and the reciprocal-sum gap bound in `spectra` (after Dumas,
-Heckenbach, Saunders and Welker, "Computing simplicial homology based on
-efficient Smith normal form algorithms", 2003).
+the package: rational solve and kernel basis here, the Smith diagonal (and
+with it every boundary rank) in `homology`, and the reciprocal-sum gap bound
+in `spectra` (after Dumas, Heckenbach, Saunders and Welker, "Computing
+simplicial homology based on efficient Smith normal form algorithms", 2003).
 
 A matrix enters as a list of sparse integer rows, each a ``{col: value}`` dict
 of its nonzeros (`sparse_rows`).  `echelon` reduces each row against the pivot
 row keyed by its leading column, cross-multiplying so that no fraction ever
 appears, until the leading column is free; the row then becomes that column's
 pivot.  The pivot is always the leading column in natural order, so the pivot
-set is exactly the RREF's, and a back-substitution over the integers followed
-by one division per entry gives the canonical RREF.  Work and storage follow
-the nonzeros and fill-in, not the matrix shape.
+set is exactly the RREF's, and a back-substitution over the integers gives
+the RREF as primitive integer rows, from which solutions and kernel vectors
+are read with one division per entry.  Work and storage follow the nonzeros
+and fill-in, not the matrix shape.
 """
 
 from __future__ import annotations
@@ -117,10 +118,10 @@ def echelon(rows, unimodular: bool = False
     return pivots, residual
 
 
-def _rref(A, rhs=()) -> tuple[dict[int, dict[int, int]], int, int]:
+def _rref(A, rhs=()) -> tuple[dict[int, dict[int, int]], int]:
     """RREF of A (with rhs columns appended) as primitive integer rows keyed
     by pivot column; each row's only pivot-column entry is its own.  Returns
-    (rows, number of rows of A, number of columns of A)."""
+    (rows, number of columns of A)."""
     rows, ncols = sparse_rows(A, rhs)
     pivots, _ = echelon(rows)
     done: dict[int, dict[int, int]] = {}
@@ -131,27 +132,7 @@ def _rref(A, rhs=()) -> tuple[dict[int, dict[int, int]], int, int]:
         for k in [k for k in row if k != c and k in done]:
             row = _eliminate(row, done[k], k)
         done[c] = row
-    return done, len(rows), ncols
-
-
-def rat_rref(A) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (rref, pivot cols)."""
-    R, nrows, ncols = _rref(A)
-    pivots = sorted(R)
-    M = []
-    for c in pivots:
-        row = [Fraction(0)] * ncols
-        d = R[c][c]
-        for j, v in R[c].items():
-            row[j] = Fraction(v, d)
-        M.append(row)
-    M.extend([Fraction(0)] * ncols for _ in range(nrows - len(pivots)))
-    return M, pivots
-
-
-def rat_rank(A) -> int:
-    rows, _ = sparse_rows(A)
-    return len(echelon(rows)[0])
+    return done, ncols
 
 
 def _solution(R: dict[int, dict[int, int]], ncols: int) -> list[Fraction] | None:
@@ -184,41 +165,18 @@ def _kernel(R: dict[int, dict[int, int]], ncols: int) -> list[list[Fraction]]:
 
 def rat_solve(A, b) -> list[Fraction] | None:
     """One exact solution of A x = b, free variables 0; None if inconsistent."""
-    R, _, ncols = _rref(A, [b])
+    R, ncols = _rref(A, [b])
     return _solution(R, ncols)
 
 
 def rat_nullspace(A) -> list[list[Fraction]]:
     """Basis of the rational kernel of A (list of column vectors)."""
-    R, _, ncols = _rref(A)
+    R, ncols = _rref(A)
     return _kernel(R, ncols)
 
 
 def rat_solve_and_kernel(A, b) -> tuple[list[Fraction] | None,
                                         list[list[Fraction]]]:
     """(rat_solve(A, b), rat_nullspace(A)) from one elimination of [A | b]."""
-    R, _, ncols = _rref(A, [b])
+    R, ncols = _rref(A, [b])
     return _solution(R, ncols), _kernel(R, ncols)
-
-
-def bareiss_det(A) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [[int(x) for x in row] for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]

@@ -3,7 +3,8 @@
 Only up-Laplacians (d^T M_{q+1} d, M_q) are solved, as generalized symmetric
 eigenproblems: by the Hodge decomposition the positive down-spectrum in degree
 q is the positive up-spectrum in degree q-1.  Kernel dimensions come from
-exact rational ranks of the boundary maps, never from thresholding floats.
+the exact ranks of the boundary maps, read from the invariant factors that
+`homology` memoises per complex, never from thresholding floats.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .complexes import SimplicialComplex, SparseIntMatrix
-from .ratlinalg import _rref, echelon, rat_rank, sparse_rows
+from .homology import boundary_factors
+from .ratlinalg import _rref, echelon, sparse_rows
 from .whitney import InnerProduct
 
 
@@ -52,12 +54,6 @@ class SpectralSplit:
     lambda1_dstar: float | None   # smallest positive up-Laplacian eigenvalue
 
 
-def _rank(K: SimplicialComplex, q: int) -> int:
-    if not 1 <= q <= K.dim:
-        return 0
-    return rat_rank(K.boundary_matrix(q))
-
-
 def _positive_up(K: SimplicialComplex, q: int, ips: dict[int, InnerProduct],
                  rank: int) -> np.ndarray:
     """The positive eigenvalues of the degree-q up-pencil of exact rank `rank`."""
@@ -81,8 +77,8 @@ def lambda1_split(K: SimplicialComplex, q: int,
     if inner_products[q].matrix.shape != (n, n):
         raise SpectralError("inner product dimension mismatch")
 
-    r_down = _rank(K, q)        # rank of boundary leaving degree q
-    r_up = _rank(K, q + 1)      # rank of boundary entering degree q
+    r_down = len(boundary_factors(K, q))      # rank of boundary leaving q
+    r_up = len(boundary_factors(K, q + 1))    # rank of boundary entering q
     kernel_dim = n - r_down - r_up
 
     up = _positive_up(K, q, inner_products, r_up)
@@ -104,7 +100,7 @@ def harmonic_projection(K: SimplicialComplex, q: int,
     from scipy.linalg import eigh
     M = inner_products[q].matrix
     n = K.n_cells(q)
-    r_down, r_up = _rank(K, q), _rank(K, q + 1)
+    r_down, r_up = (len(boundary_factors(K, k)) for k in (q, q + 1))
     if n - r_down - r_up == 0:
         return np.zeros((n, n))
     P = np.eye(n)               # ker d_q is everything when r_up = 0
@@ -152,6 +148,6 @@ def charpoly_gap_bound(K: SimplicialComplex, q: int) -> Fraction:
     # integer RREF is d_i [e_i | ...], so diagonal entry i is R[i][r+i] / d_i
     aug = SparseIntMatrix(r, 2 * r, G.entries + tuple(
         (index[i], r + j, v) for i, j, v in C.entries if i in index))
-    R, _, _ = _rref(aug)
+    R, _ = _rref(aug)
     return sum((Fraction(R[i].get(r + i, 0), R[i][i]) for i in range(r)),
                Fraction(0))

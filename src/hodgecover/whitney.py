@@ -63,10 +63,6 @@ class InnerProduct:
     def identity(degree: int, n: int) -> "InnerProduct":
         return InnerProduct._certified(degree, np.eye(n))
 
-    def solve(self, c: np.ndarray) -> np.ndarray:
-        from scipy.linalg import cho_factor, cho_solve
-        return cho_solve(cho_factor(self.matrix), c)
-
 
 @dataclass(frozen=True)
 class NormSpec:
@@ -313,7 +309,8 @@ def chain_dual_norm(c, spec: NormSpec, ip: InnerProduct | None = None) -> float:
         raise ValueError("whitney chain norms provided for p = 2 only")
     if ip is None:
         raise ValueError("whitney-2 dual norm needs an InnerProduct")
-    return float(math.sqrt(max(c @ ip.solve(c), 0.0)))
+    from scipy.linalg import cho_factor, cho_solve
+    return float(math.sqrt(max(c @ cho_solve(cho_factor(ip.matrix), c), 0.0)))
 
 
 def norm_equivalence_constants(K: SimplicialComplex, geometry: ComplexGeometry,

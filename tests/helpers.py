@@ -12,6 +12,7 @@ from itertools import combinations
 
 import mpmath as mp
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from hodgecover import CoverError, PermutationCoverSpec, simplex_gram
 from hodgecover.complexes import SimplicialComplex
@@ -281,7 +282,7 @@ def down_pencil(K, q, ip_q, ip_down):
         return np.zeros((n, n)), ip_q.matrix
     d = K.coboundary_matrix(q - 1).to_float()  # (q-1)-cochains -> q-cochains
     S = ip_q.matrix @ d
-    B = S @ ip_down.solve(S.T)
+    B = S @ cho_solve(cho_factor(ip_down.matrix), S.T)
     return (B + B.T) / 2, ip_q.matrix
 
 
@@ -401,7 +402,7 @@ def reference_whitney_filling(f, ip, delta=1e-6,
     g0, kernel = _particular_and_kernel(A, b)
     M = ip.matrix
     Af = A.to_float()
-    MinvAt = ip.solve(Af.T)
+    MinvAt = cho_solve(cho_factor(M), Af.T)
     g_float = MinvAt @ np.linalg.lstsq(Af @ MinvAt, np.array(b, dtype=float),
                                        rcond=None)[0]
     norm_float = math.sqrt(max(g_float @ M @ g_float, 0.0))
@@ -418,3 +419,31 @@ def reference_whitney_filling(f, ip, delta=1e-6,
         if norm_g <= (1.0 + delta) * norm_float or norm_float == 0.0:
             return _certify(f, g, "whitney", delta, norm_g)
     raise FillingError("rounded filling exceeds the allowed norm slack")
+
+
+# ---------------------------------------------------------------------------
+# determinant oracle: fraction-free Bareiss elimination, independent of the
+# package's sparse elimination kernel
+
+
+def bareiss_det(A) -> int:
+    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    n = len(A)
+    if n == 0:
+        return 1
+    M = [[int(x) for x in row] for row in A]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]

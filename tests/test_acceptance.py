@@ -22,12 +22,12 @@ from hodgecover import (EdgeCycle, InnerProduct, PermutationCoverSpec,
                         torsion_invariants, up_pencil)
 from hodgecover.cli import main as cli_main
 from hodgecover.fillings import FillingError
-from hodgecover.ratlinalg import bareiss_det, rat_nullspace
+from hodgecover.ratlinalg import rat_nullspace
 from hodgecover.surfaces import FIXTURES, circle, tetrahedron_boundary, torus7, unit_geometry
 from hodgecover.whitney import whitney_mass_matrix
 
-from helpers import (brute_force_diameter, down_pencil, moser_oracle,
-                     random_cover_specs, random_cyclic_cover,
+from helpers import (bareiss_det, brute_force_diameter, down_pencil,
+                     moser_oracle, random_cover_specs, random_cyclic_cover,
                      right_triangle_area_oracle)
 
 

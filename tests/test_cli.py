@@ -226,6 +226,26 @@ class TestCoverCommands:
                            "--spec", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("points", [[[0], [1], [2]], [[0], [1]]],
+                             ids=["three_points", "two_points"])
+    def test_zero_dimensional_base(self, capsys, tmp_path, points):
+        # isolated points share no facet: the cover is disjoint copies
+        base = tmp_path / "points.json"
+        base.write_text(json.dumps(points))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"degree": 2, "perms": {}}))
+        code, out, _ = run(capsys, "cover", "build", "--base", str(base),
+                           "--spec", str(spec))
+        assert code == 0
+        data = json.loads(out)
+        assert data["cells"] == [2 * len(points)]
+        assert not data["connected"]
+        assert data["euler_characteristic"] == 2 * len(points)
+        code, _, err = run(capsys, "cover", "tree", "--base", str(base),
+                           "--spec", str(spec))
+        assert code == 2
+        assert "graph is disconnected" in err
+
 
 class TestNormsCommand:
     def test_constants(self, capsys):

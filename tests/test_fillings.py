@@ -18,10 +18,12 @@ from hodgecover import (CoverError, EdgeCycle, FillingError, InnerProduct,
                         free_part_coefficients, l1_filling, least_norm_filling,
                         lambda1_split, rationally_null, scl_report)
 from hodgecover.complexes import SparseIntMatrix
-from hodgecover.ratlinalg import bareiss_det, rat_nullspace
+from hodgecover.ratlinalg import rat_nullspace
 from hodgecover.surfaces import (circle, load_complex, tetrahedron_boundary,
                                  torus7, unit_geometry)
 from hodgecover.whitney import ComplexGeometry, whitney_mass_matrix
+
+from helpers import bareiss_det
 
 
 def cell_boundary(K, j):
@@ -198,6 +200,24 @@ class TestFreePartCoefficients:
             for i in range(n):
                 assert sum(A[i][j] * sol[j] for j in range(n)) == b[i]
             checked += 1
+        # random square matrices: rejected exactly when det != +-1
+        unimodular = 0
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            b = [rng.randint(-9, 9) for _ in range(n)]
+            d = bareiss_det(A)
+            if d not in (1, -1):
+                with pytest.raises(FillingError,
+                                   match=rf"\|determinant\| {abs(d)},"):
+                    free_part_coefficients(A, b)
+                continue
+            sol = free_part_coefficients(A, b)
+            assert all(type(x) is int for x in sol)
+            for i in range(n):
+                assert sum(A[i][j] * sol[j] for j in range(n)) == b[i]
+            unimodular += 1
+        assert unimodular >= 10
 
 
 class TestCombFilling:
@@ -332,12 +352,14 @@ def test_whitney_filling_matches_normal_equations(name, perturbed):
 
 
 def test_whitney_filling_needs_no_dense_solves(monkeypatch):
+    import scipy.linalg
+
     def refuse(*args, **kwargs):
         raise AssertionError("dense solve called")
 
     K = WHITNEY_FILLING_COMPLEXES["boundary_4_simplex"]
     ip = whitney_mass_matrix(K, unit_geometry(K), 2)
-    monkeypatch.setattr(InnerProduct, "solve", refuse)
+    monkeypatch.setattr(scipy.linalg, "cho_solve", refuse)
     monkeypatch.setattr(SparseIntMatrix, "to_float", refuse)
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     cert = least_norm_filling(cell_boundary(K, 0), "whitney", ip)

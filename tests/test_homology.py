@@ -4,12 +4,18 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from hodgecover import (betti_numbers, build_cover, homology_table,
-                        smith_normal_form, torsion_invariants, torsion_order)
+from hodgecover import (InnerProduct, betti_numbers, build_cover,
+                        harmonic_projection, homology_table, lambda1_split,
+                        smith_normal_form, torsion_invariants, torsion_order,
+                        whitney_mass_matrix)
+from hodgecover import homology, ratlinalg, spectra
+from hodgecover.cli import main
 from hodgecover.homology import invariant_factors
+from hodgecover.ratlinalg import echelon, sparse_rows
 from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
                                  klein_bottle, projective_plane,
-                                 tetrahedron_boundary, torus7, torus_grid)
+                                 tetrahedron_boundary, torus7, torus_grid,
+                                 unit_geometry)
 
 from helpers import random_cyclic_cover
 
@@ -147,3 +153,47 @@ def test_degree23_cyclic_cover_homology():
     assert [row["betti"] for row in table] == [b0, 2 * b0 - chi, b0]
     assert [row["torsion"] for row in table] == [[], [], []]
     assert betti_numbers(K) == [b0, 2 * b0 - chi, b0]
+
+
+@pytest.fixture
+def echelon_calls(monkeypatch):
+    """Every call of the elimination kernel, as a copy of its input rows;
+    `echelon` is patched in each module that imports it."""
+    calls = []
+
+    def spy(rows, *args, **kwargs):
+        calls.append([dict(row) for row in rows])
+        return echelon(rows, *args, **kwargs)
+
+    for module in (ratlinalg, homology, spectra):
+        monkeypatch.setattr(module, "echelon", spy)
+    return calls
+
+
+def test_each_boundary_map_is_eliminated_once(echelon_calls):
+    for fn in FIXTURES.values():
+        K = fn()
+        geo = unit_geometry(K)
+        products = [{q: InnerProduct.identity(q, K.n_cells(q))
+                     for q in range(K.dim + 1)},
+                    {q: whitney_mass_matrix(K, geo, q)
+                     for q in range(K.dim + 1)}]
+        echelon_calls.clear()
+        homology_table(K)
+        betti_numbers(K)
+        for q in range(K.dim):
+            torsion_invariants(K, q)
+        for q in range(K.dim + 1):
+            for ips in products:
+                lambda1_split(K, q, ips)
+            harmonic_projection(K, q, products[1])
+        boundaries = [sparse_rows(K.boundary_matrix(q))[0]
+                      for q in range(1, K.dim + 1)]
+        assert len(echelon_calls) == K.dim
+        assert all(rows in echelon_calls for rows in boundaries)
+
+
+def test_bounds_all_eliminates_each_boundary_once(echelon_calls, capsys):
+    assert main(["bounds", "all", "--attach", "genus2"]) == 0
+    capsys.readouterr()
+    assert len(echelon_calls) == 2

@@ -193,8 +193,10 @@ class TestInnerProduct:
             InnerProduct(0, np.array([[1.0, bad], [bad, 1.0]]))
 
     def test_solve(self):
+        # the Whitney-2 dual norm is sqrt(c^T M^-1 c) = sqrt(2 + 4)
         ip = InnerProduct(0, np.array([[2.0, 0.0], [0.0, 4.0]]))
-        assert np.allclose(ip.solve(np.array([2.0, 4.0])), [1.0, 1.0])
+        assert math.isclose(chain_dual_norm([2.0, 4.0], NormSpec("whitney", 2),
+                                            ip), math.sqrt(6))
 
 
 class TestGeometry:
