@@ -35,6 +35,14 @@ class SparseIntMatrix:
                 raise ComplexError(f"stored zero at ({r},{c})")
             seen.add((r, c))
 
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple):
+        """Wrap entries already known to hold no repeated position and no
+        zero, without the check above."""
+        m = object.__new__(cls)
+        vars(m).update(rows=rows, cols=cols, entries=entries)
+        return m
+
     def to_float(self) -> np.ndarray:
         a = np.zeros((self.rows, self.cols), dtype=float)
         for r, c, v in self.entries:
@@ -60,7 +68,7 @@ class SparseIntMatrix:
         return SparseIntMatrix(rows, cols, entries)
 
     def transpose(self) -> "SparseIntMatrix":
-        return SparseIntMatrix(self.cols, self.rows, tuple(
+        return SparseIntMatrix._trusted(self.cols, self.rows, tuple(
             sorted((c, r, v) for r, c, v in self.entries)))
 
     def apply(self, x) -> list:
@@ -205,7 +213,7 @@ class SimplicialComplex:
             cols = np.broadcast_to(np.arange(len(faces))[:, None], faces.shape)
             signs = np.broadcast_to((-1) ** np.arange(q, -1, -1), faces.shape)
             order = np.lexsort((cols.ravel(), faces.ravel()))
-            self._boundary_cache[q] = SparseIntMatrix(
+            self._boundary_cache[q] = SparseIntMatrix._trusted(
                 self.n_cells(q - 1), self.n_cells(q), tuple(zip(*(
                     a.ravel()[order].tolist() for a in (faces, cols, signs)))))
         return self._boundary_cache[q]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -26,7 +26,7 @@ class CoverError(ValueError):
     """Raised for invalid permutation data or inconsistent identifications."""
 
 
-_BITSET_WORDS = 1 << 22    # 32 MB per bitset of the all-sources BFS
+_BITSET_WORDS = 1 << 22    # 32 MB per bitset of the many-sources BFS
 
 
 # ---------------------------------------------------------------------------
@@ -42,11 +42,17 @@ class Graph:
 
     def __init__(self, n: int, edges=()):
         self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.edges: set[tuple[int, int]] = set()
+        self.edges = {(u, v) if u < v else (v, u) for u, v in edges}
         self.labels: dict[tuple[int, int], tuple] = {}
-        for u, v in edges:
-            self.add_edge(u, v)
+        if any(u == v for u, v in self.edges):
+            raise CoverError("loops not supported")
+        # append every edge, then sort each adjacency list once
+        self.adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in self.edges:
+            self.adj[u].append(v)
+            self.adj[v].append(u)
+        for nbrs in self.adj:
+            nbrs.sort()
 
     def add_edge(self, u: int, v: int, label: tuple | None = None):
         if u == v:
@@ -125,40 +131,45 @@ def shortest_path_tree(G: Graph, v0: int) -> SpanningTree:
 
 
 def graph_diameter(G: Graph) -> int:
-    """Maximum eccentricity, exact: BFS from every source at once.
+    """Maximum eccentricity, exact: BFS from many sources at once.
 
-    Row v of a bitset holds one bit per source that has reached v; a level
-    ORs each row with its neighbours' rows, and the diameter is the number
-    of levels that change anything (Then et al., "The More the Merrier",
-    PVLDB 8(4), 2014).  Vertices are relabelled by falling degree, so the
-    vertices with a k-th neighbour are a prefix and a level is one gather
-    per neighbour slot.  Sources go in batches of whole 64-bit words that
-    keep a bitset within _BITSET_WORDS words."""
+    Eccentricity is constant on the orbits of G's label-preserving
+    automorphisms (on a Schreier graph, the deck group), so one source per
+    orbit is enough (_orbit_sources).  Row v of a bitset holds one bit per
+    source that has reached v; a level ORs each row with its neighbours'
+    rows, and the diameter is the number of levels that change anything
+    (Then et al., "The More the Merrier", PVLDB 8(4), 2014).  Vertices are
+    relabelled by falling degree, so the vertices with a k-th neighbour are
+    a prefix and a level is one gather per neighbour slot.  Sources go in
+    batches of whole 64-bit words that keep a bitset within _BITSET_WORDS
+    words."""
     n = G.n
     if n == 0:
         return 0
-    order = sorted(range(n), key=lambda v: -len(G.adj[v]))
-    label = [0] * n
-    for i, v in enumerate(order):
-        label[v] = i
-    slots: list[list[int]] = [[] for _ in G.adj[order[0]]]
-    for v in order:
-        for k, w in enumerate(G.adj[v]):
-            slots[k].append(label[w])
-    neighbours = [np.array(s, dtype=np.intp) for s in slots]
-    words = (n + 63) // 64
+    deg = np.fromiter(map(len, G.adj), np.intp, n)
+    adj = np.fromiter(chain.from_iterable(G.adj), np.intp, deg.sum())
+    order = np.argsort(-deg, kind="stable")
+    label = np.empty(n, dtype=np.intp)
+    label[order] = np.arange(n)
+    first, fall = (np.cumsum(deg) - deg)[order], -deg[order]
+    neighbours = [label[adj[first[:fall.searchsorted(-k)] + k]]
+                  for k in range(-fall[0])]
+    # one word holds up to 64 sources, so fewer cannot save a BFS
+    sources = np.sort(label[_orbit_sources(G)]) if n > 64 else np.arange(n)
+    words = (len(sources) + 63) // 64
     batch = max(1, min(words, _BITSET_WORDS // n))
     diam = 0
     for w0 in range(0, words, batch):
-        src = np.arange(64 * w0, min(n, 64 * (w0 + batch)))
-        reach = np.zeros((n, min(batch, words - w0)), dtype=np.uint64)
-        reach[src, src // 64 - w0] = np.uint64(1) << (src % 64).astype(np.uint64)
+        src = sources[64 * w0:64 * (w0 + batch)]
+        bit = np.arange(len(src))
+        reach = np.zeros((n, (len(src) + 63) // 64), dtype=np.uint64)
+        reach[src, bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
         full = np.bitwise_or.reduce(reach, axis=0)
         level = 0
         while True:
             grown = reach.copy()
             for nbr in neighbours:
-                grown[:len(nbr)] |= reach[nbr]
+                grown[:len(nbr)] |= reach.take(nbr, axis=0)
             if np.array_equal(grown, reach):
                 break
             reach = grown
@@ -167,6 +178,89 @@ def graph_diameter(G: Graph) -> int:
             raise CoverError("graph is disconnected")
         diam = max(diam, level)
     return diam
+
+
+def _orbit_sources(G: Graph) -> np.ndarray:
+    """The smallest vertex of each orbit of G's label-preserving
+    automorphisms; every vertex when that group is taken as trivial.
+
+    With every edge labelled and no directed label twice at a vertex, an
+    automorphism is fixed by the image of vertex 0.  Each candidate image,
+    a vertex with vertex 0's label set, is propagated along a BFS tree of
+    vertex 0, a layer at a time, and the map is kept only if it sends every
+    labelled edge onto an edge of the same label and is a bijection.  The
+    kept maps generate a group; candidates already in vertex 0's orbit
+    under it are dropped whenever a batch keeps a map, and batches double
+    in size, so on a prime-degree cyclic cover the first candidate settles
+    the search.  The orbits are the classes of the pairs (v, phi(v))."""
+    n = G.n
+    every = np.arange(n)
+    if n < 2 or len(G.labels) != 2 * len(G.edges) or not G.adj[0]:
+        return every
+    ids: dict = {}             # label -> its number in first-seen order
+    lab = np.fromiter([ids.setdefault(x, len(ids)) for x in G.labels.values()],
+                      np.intp, len(G.labels))
+    tail, head = np.fromiter(chain.from_iterable(G.labels), np.intp,
+                             2 * len(lab)).reshape(-1, 2).T
+    o = np.lexsort((lab, tail))
+    tail, head, lab = tail[o], head[o], lab[o]
+    if ((tail[1:] == tail[:-1]) & (lab[1:] == lab[:-1])).any():
+        return every
+    # the j-th label of vertex x, in label order, is edge start[x] + j; the
+    # sentinel vertex n has no edges
+    deg = np.bincount(tail, minlength=n + 1)
+    start = np.concatenate(([0], np.cumsum(deg)))
+    slot = np.arange(len(tail)) - start[tail]
+    cand = np.flatnonzero(deg == deg[0])[1:]
+    for j in range(deg[0]):
+        cand = cand[lab[start[cand] + j] == lab[j]]
+    if not len(cand):
+        return every
+    # BFS tree of vertex 0: the edge into each vertex, layer by layer
+    into, order, depth = [-1] * n, [0], [0] * n
+    into[0] = len(tail)
+    ends, heads = start.tolist(), head.tolist()
+    for u in order:
+        for e in range(ends[u], ends[u + 1]):
+            if into[w := heads[e]] < 0:
+                into[w], depth[w] = e, depth[u] + 1
+                order.append(w)
+    if len(order) < n:
+        return every
+    tree, depth = np.array(into)[order[1:]], np.array(depth)[order[1:]]
+    u, w, k = tail[tree], head[tree], slot[tree]   # w is u's k-th neighbour
+    cuts = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), len(tree)]
+    layers = [(u[a:b], w[a:b], k[a:b]) for a, b in zip(cuts, cuts[1:])]
+    # across[start[x] + j] is x's j-th neighbour on an automorphism; else it
+    # may be a wrong vertex, or the sentinel, and the check below rejects it
+    across = np.concatenate((head, np.full(deg.max() + 1, n)))
+
+    maps: list[np.ndarray] = []
+    orbit, size, cap = every, 1, max(1, _BITSET_WORDS // n)
+    while len(cand):
+        batch, cand = cand[:size], cand[size:]
+        size = min(2 * size, cap)
+        phi = np.empty((len(batch), n), dtype=np.intp)
+        phi[:, 0] = batch
+        for u, w, k in layers:
+            phi[:, w] = across[start[phi[:, u]] + k]
+        b = len(batch)
+        hits = np.bincount((phi + (n + 1) * np.arange(b)[:, None]).ravel(),
+                           minlength=b * (n + 1)).reshape(b, n + 1)
+        good = (hits[:, :n] == 1).all(axis=1)
+        for e0 in range(0, len(tail), n):
+            e = slice(e0, e0 + n)
+            x = phi[:, tail[e]]
+            ok = slot[e] < deg[x]
+            at = np.where(ok, start[x] + slot[e], 0)
+            good &= (ok & (lab[at] == lab[e]) &
+                     (head[at] == phi[:, head[e]])).all(axis=1)
+        if good.any():
+            maps += list(phi[good])
+            orbit = _classes(n, np.tile(every, len(maps)),
+                             np.concatenate(maps))
+            cand = cand[orbit[cand] != 0]
+    return np.flatnonzero(orbit == every)
 
 
 def dual_graph(K: SimplicialComplex) -> Graph:
@@ -217,7 +311,7 @@ class PermutationCoverSpec:
             if (i, j) not in self.adjacencies:
                 raise CoverError(f"({i},{j}) is not a dual-graph adjacency")
             p = tuple(p)
-            if sorted(p) != list(range(self.degree)):
+            if len(p) != self.degree or sorted(p) != list(range(len(p))):
                 raise CoverError(f"invalid permutation {p} on ({i},{j})")
             norm[(i, j)] = p
         for (i, j), p in list(norm.items()):

@@ -14,9 +14,10 @@ import mpmath as mp
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+import hodgecover.covers
 from hodgecover import CoverError, PermutationCoverSpec, simplex_gram
 from hodgecover.complexes import SimplicialComplex
-from hodgecover.covers import Cover
+from hodgecover.covers import Cover, Graph
 from hodgecover.surfaces import FIXTURES
 
 
@@ -330,6 +331,91 @@ def brute_force_diameter(adjacency):
     best = max(max(row) for row in dist)
     assert best < INF, "disconnected"
     return best
+
+
+# ---------------------------------------------------------------------------
+# reference graph diameter: the all-sources bitset BFS
+
+
+def reference_graph_diameter(G):
+    """Maximum eccentricity, exact: BFS from every source at once.
+
+    Row v of a bitset holds one bit per source that has reached v; a level
+    ORs each row with its neighbours' rows, and the diameter is the number
+    of levels that change anything (Then et al., "The More the Merrier",
+    PVLDB 8(4), 2014).  Vertices are relabelled by falling degree, so the
+    vertices with a k-th neighbour are a prefix and a level is one gather
+    per neighbour slot.  Sources go in batches of whole 64-bit words that
+    keep a bitset within _BITSET_WORDS words."""
+    n = G.n
+    if n == 0:
+        return 0
+    order = sorted(range(n), key=lambda v: -len(G.adj[v]))
+    label = [0] * n
+    for i, v in enumerate(order):
+        label[v] = i
+    slots: list[list[int]] = [[] for _ in G.adj[order[0]]]
+    for v in order:
+        for k, w in enumerate(G.adj[v]):
+            slots[k].append(label[w])
+    neighbours = [np.array(s, dtype=np.intp) for s in slots]
+    words = (n + 63) // 64
+    batch = max(1, min(words, hodgecover.covers._BITSET_WORDS // n))
+    diam = 0
+    for w0 in range(0, words, batch):
+        src = np.arange(64 * w0, min(n, 64 * (w0 + batch)))
+        reach = np.zeros((n, min(batch, words - w0)), dtype=np.uint64)
+        reach[src, src // 64 - w0] = np.uint64(1) << (src % 64).astype(np.uint64)
+        full = np.bitwise_or.reduce(reach, axis=0)
+        level = 0
+        while True:
+            grown = reach.copy()
+            for nbr in neighbours:
+                grown[:len(nbr)] |= reach[nbr]
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+            level += 1
+        if not (reach == full).all():
+            raise CoverError("graph is disconnected")
+        diam = max(diam, level)
+    return diam
+
+
+def permutation_schreier_graph(base_edges, perms, degree):
+    """The Schreier graph of a permutation action over a base graph: vertex
+    b * degree + x is point x over base vertex b, and base edge (a, b)
+    carrying permutation p joins (a, x) to (b, p[x]) under label (a, b).
+    Base edges without a permutation carry the identity."""
+    n = 1 + max(max(e) for e in base_edges)
+    g = Graph(n * degree)
+    for a, b in base_edges:
+        p = perms.get((a, b), range(degree))
+        for x in range(degree):
+            g.add_edge(a * degree + x, b * degree + p[x], label=(a, b))
+    return g
+
+
+def figure_eight(length):
+    """Edges of two cycles of the given length through vertex 0."""
+    ring = [0, *range(1, length)], [0, *range(length, 2 * length - 1)]
+    return [(r[i], r[(i + 1) % length]) for r in ring for i in range(length)]
+
+
+def composite_cover(K, rng) -> PermutationCoverSpec:
+    """A degree-6 cover of K: a Z/3 cyclic cover of a Z/2 cyclic cover of
+    K, written as one spec over K with sheet (s2, s3) numbered 3 s2 + s3."""
+    inner = random_cyclic_cover(K, 2, rng)
+    middle = hodgecover.build_cover(inner)
+    outer = random_cyclic_cover(middle.complex, 3, rng)
+    perms = {}
+    for (a, b), p2 in inner.perms.items():
+        if a < b:
+            perms[(a, b)] = tuple(
+                3 * p2[s2] + outer.perms[(middle.top_index[(a, s2)],
+                                          middle.top_index[(b, p2[s2])])][s3]
+                for s2 in range(2) for s3 in range(3))
+    return PermutationCoverSpec(K, 6, perms)
 
 
 # ---------------------------------------------------------------------------

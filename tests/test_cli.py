@@ -1,14 +1,22 @@
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hodgecover
 from hodgecover.cli import main
-from hodgecover.surfaces import circle, genus2_surface, torus7
+from hodgecover.surfaces import FIXTURES, circle, genus2_surface, torus7
+
+from helpers import random_cyclic_cover
 
 
 def run(capsys, *argv):
@@ -226,6 +234,19 @@ class TestCoverCommands:
                            "--spec", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("degree", [10 ** 10, 2 ** 70])
+    def test_degree_beyond_the_permutations_exit_2(self, capsys, spec_file,
+                                                   tmp_path, degree):
+        # the length check comes first: no list of `degree` sheets is built
+        base, good = spec_file
+        spec = json.loads(Path(good).read_text()) | {"degree": degree}
+        bad = tmp_path / "badspec.json"
+        bad.write_text(json.dumps(spec))
+        code, _, err = run(capsys, "cover", "build", "--base", base,
+                           "--spec", str(bad))
+        assert code == 2
+        assert err.startswith("validation error: invalid permutation")
+
     @pytest.mark.parametrize("points", [[[0], [1], [2]], [[0], [1]]],
                              ids=["three_points", "two_points"])
     def test_zero_dimensional_base(self, capsys, tmp_path, points):
@@ -245,6 +266,70 @@ class TestCoverCommands:
                            "--spec", str(spec))
         assert code == 2
         assert "graph is disconnected" in err
+
+
+BAD_KEYS = ["1", "1,2,3", "a,b", "", "0,0", "99,100", "-1,2", "0;1"]
+ODD_VALUES = [1.5, "1", None, True, [0], {}, 2 ** 70, -1]
+
+
+@st.composite
+def cover_specs(draw):
+    """A base fixture and a cover-spec object over it: consistent (a cyclic
+    cover with random sheet labels over each tile), arbitrary permutations
+    (consistent only over the circle), or a consistent one spoiled in one
+    place."""
+    name = draw(st.sampled_from(["circle", "sphere", "torus"]))
+    d = draw(st.integers(1, 6))
+    K = FIXTURES[name]()
+    rng = random.Random(draw(st.integers(0, 9)))
+    edges = sorted(e for e in K.facet_adjacencies() if e[0] < e[1])
+    shift = random_cyclic_cover(K, d, rng).perms if K.dim == 2 else \
+        {e: [(s + rng.randrange(d)) % d for s in range(d)] for e in edges}
+    h = [draw(st.permutations(range(d))) for _ in K.cells[K.dim]]
+    kind = draw(st.sampled_from(["valid", "valid", "arbitrary",
+                                 "non_permutation", "missing", "bad_key",
+                                 "non_integer"]))
+    perms = {}
+    for a, b in edges:
+        perm = draw(st.permutations(range(d))) if kind == "arbitrary" else \
+            [h[b][shift[a, b][h[a].index(s)]] for s in range(d)]
+        perms[f"{a},{b}"] = list(perm)
+    spec = {"degree": d, "perms": perms}
+    key = draw(st.sampled_from(sorted(perms)))
+    if kind == "non_permutation":
+        perms[key] = draw(st.lists(st.integers(-1, d), max_size=d + 1))
+    elif kind == "missing":
+        del perms[key]
+    elif kind == "bad_key":
+        perms[draw(st.sampled_from(BAD_KEYS))] = perms.pop(key)
+    elif kind == "non_integer":
+        odd = draw(st.sampled_from(ODD_VALUES))
+        if draw(st.booleans()):
+            spec["degree"] = odd
+        else:
+            perms[key][draw(st.integers(0, d - 1))] = odd
+    return name, spec
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cover_specs(), st.sampled_from(["build", "tree", "pairings"]))
+def test_cover_commands_fuzz(case, action):
+    """Every cover spec, valid or not, ends in exit 0, 2 or 3 with a
+    message, never in a traceback."""
+    name, spec = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["cover", action, "--base", name, "--spec", path])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert err.getvalue().count("\n") == 1
 
 
 class TestNormsCommand:

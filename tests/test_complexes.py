@@ -18,6 +18,16 @@ def test_boundary_squares_to_zero_on_fixtures():
             assert K.boundary_matrix(q - 1).matmul(K.boundary_matrix(q)).is_zero()
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_trusted_matrices_pass_the_public_check(name):
+    # boundary matrices and transposes skip the constructor's check; their
+    # entries must pass it
+    K = FIXTURES[name]()
+    for q in range(1, K.dim + 1):
+        for B in (K.boundary_matrix(q), K.coboundary_matrix(q - 1)):
+            assert SparseIntMatrix(B.rows, B.cols, B.entries) == B
+
+
 def test_boundary_matrix_triangle():
     K = load_complex([(0, 1, 2)])
     # edges sorted: (0,1), (0,2), (1,2); boundary of (0,1,2) = (1,2)-(0,2)+(0,1)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -10,10 +11,14 @@ from hodgecover import (CoverError, Graph, PermutationCoverSpec, betti_numbers,
                         build_cover, dual_graph, graph_diameter,
                         shortest_path_tree, tree_fundamental_domain,
                         word_sheet_action, word_tile_action)
-from hodgecover.surfaces import FIXTURES, circle, tetrahedron_boundary, torus7
+from hodgecover.covers import _orbit_sources
+from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
+                                 tetrahedron_boundary, torus7)
 
-from helpers import (brute_force_diameter, random_cover_specs,
-                     random_cyclic_cover, reference_build_cover)
+from helpers import (brute_force_diameter, composite_cover, figure_eight,
+                     permutation_schreier_graph, random_cover_specs,
+                     random_cyclic_cover, reference_build_cover,
+                     reference_graph_diameter)
 
 
 def cyclic_circle_spec(n=3, d=3):
@@ -261,6 +266,191 @@ class TestBitsetDiameter:
 
     def test_empty_graph(self):
         assert graph_diameter(Graph(0)) == 0
+
+
+LETTERS = [("a", "b"), ("b", "a"), ("c", "c")]
+
+
+def diameter_or_error(diameter, g):
+    try:
+        return diameter(g)
+    except CoverError as exc:
+        return str(exc)
+
+
+def labelled_cycle(n):
+    """The n-cycle with every edge i -> i + 1 labelled ("s", "t"): its
+    rotations preserve the labels and act transitively."""
+    g = Graph(n)
+    for i in range(n):
+        g.add_edge(i, (i + 1) % n, label=("s", "t"))
+    return g
+
+
+def subsets_action(pi):
+    """A permutation of 0..3 acting on the six 2-subsets, in sorted order."""
+    pairs = list(combinations(range(4), 2))
+    return tuple(pairs.index(tuple(sorted((pi[a], pi[b])))) for a, b in pairs)
+
+
+class TestOrbitDiameter:
+    """graph_diameter runs one BFS per orbit of the label-preserving
+    automorphisms; the all-sources BFS it replaced is the reference."""
+
+    @pytest.mark.parametrize("name", ["genus2", "torus"])
+    @pytest.mark.parametrize("d", range(2, 54))
+    def test_cyclic_covers_match_reference(self, name, d):
+        cov = build_cover(random_cyclic_cover(FIXTURES[name](), d,
+                                              random.Random(d)))
+        g = cov.schreier_graph()
+        assert diameter_or_error(graph_diameter, g) == \
+            diameter_or_error(reference_graph_diameter, g)
+
+    def test_degree_101_cover_matches_reference(self):
+        cov = build_cover(random_cyclic_cover(genus2_surface(), 101,
+                                              random.Random(1)))
+        g = cov.schreier_graph()
+        assert len(_orbit_sources(g)) == 26
+        assert graph_diameter(g) == reference_graph_diameter(g)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_dual_graphs_match_reference(self, name):
+        g = dual_graph(FIXTURES[name]())
+        assert graph_diameter(g) == reference_graph_diameter(g)
+        assert list(_orbit_sources(g)) == list(range(g.n))
+
+    @pytest.mark.parametrize("m", [6, 12])
+    def test_large_dual_graph_takes_every_vertex(self, m):
+        g = dual_graph(FIXTURES["torus_grid"](m, m))
+        assert list(_orbit_sources(g)) == list(range(g.n))
+        assert graph_diameter(g) == reference_graph_diameter(g)
+
+    @pytest.mark.parametrize("degree, perms, orbits", [
+        (3, {(5, 6): (1, 0, 2), (25, 26): (1, 2, 0)}, 117),
+        (6, {(5, 6): subsets_action((1, 0, 2, 3)),
+             (25, 26): subsets_action((1, 2, 3, 0))}, 117)],
+        ids=["S3_on_points", "S4_on_2_subsets"])
+    def test_non_regular_schreier_graphs(self, degree, perms, orbits):
+        # S3 on 3 points has no deck transformation; S4 on 2-subsets has
+        # one, of order 2, against a fibre of 6 points
+        g = permutation_schreier_graph(figure_eight(20), perms, degree)
+        assert len(_orbit_sources(g)) == orbits
+        assert graph_diameter(g) == reference_graph_diameter(g)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_composite_cover_matches_reference(self, seed):
+        cov = build_cover(composite_cover(genus2_surface(),
+                                          random.Random(seed)))
+        g = cov.schreier_graph()
+        assert len(_orbit_sources(g)) in (26, 52, 78, 156)
+        assert diameter_or_error(graph_diameter, g) == \
+            diameter_or_error(reference_graph_diameter, g)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 23, 53])
+    def test_prime_cyclic_covers_have_one_orbit_per_tile(self, d):
+        for seed in range(3):
+            cov = build_cover(random_cyclic_cover(genus2_surface(), d,
+                                                  random.Random(seed)))
+            if cov.connected:
+                g = cov.schreier_graph()
+                orbits = _orbit_sources(g)
+                assert len(orbits) == 26
+                assert sorted({cov.top_of[v][0] for v in orbits}) == \
+                    list(range(26))
+
+    def test_labelled_cycle_is_one_orbit(self):
+        assert list(_orbit_sources(labelled_cycle(80))) == [0]
+        assert graph_diameter(labelled_cycle(80)) == 40
+
+    @pytest.mark.parametrize("n, edges", [
+        # 0 -> 3 would send the edge 2 -> 4 ("g", "h") to 5, which has none
+        (6, [(0, 1, "ab"), (0, 2, "cd"), (3, 4, "ab"), (3, 5, "cd"),
+             (2, 4, "gh")]),
+        # the reflection 0 -> 3 is a bijection onto edges, but it turns the
+        # middle edge's label ("c", "d") into ("d", "c")
+        (4, [(0, 1, "ab"), (1, 2, "cd"), (2, 3, "ba")]),
+        # 0 -> 2 is a bijection, but it would send the edge 2 -> 3
+        # ("c", "d") to 4 -> 1, and 4 and 1 are not joined
+        (5, [(0, 1, "ab"), (0, 2, "ba"), (0, 4, "cd"), (1, 3, "ab"),
+             (2, 3, "cd"), (2, 4, "ba")])],
+        ids=["leaves_the_graph", "flips_a_label", "breaks_an_edge"])
+    def test_failed_candidate_falls_back(self, n, edges):
+        g = Graph(n)
+        for u, v, label in edges:
+            g.add_edge(u, v, label=tuple(label))
+        assert list(_orbit_sources(g)) == list(range(n))
+        assert graph_diameter(g) == reference_graph_diameter(g)
+
+    def test_unlabelled_edge_falls_back(self):
+        g = labelled_cycle(80)
+        g.add_edge(0, 40)
+        assert list(_orbit_sources(g)) == list(range(80))
+        assert graph_diameter(g) == reference_graph_diameter(g) == 40
+
+    def test_repeated_label_falls_back(self):
+        g = labelled_cycle(80)
+        g.add_edge(0, 40, label=("s", "t"))
+        assert list(_orbit_sources(g)) == list(range(80))
+        assert graph_diameter(g) == reference_graph_diameter(g) == 40
+        # the path 3 - 0 - 1 - 2 has a label-preserving reflection, but no
+        # single image of 0 fixes it once ("a", "a") repeats at 0
+        g = Graph(4)
+        for u, v in [(0, 1), (0, 3), (1, 2)]:
+            g.add_edge(u, v, label=("a", "a"))
+        assert list(_orbit_sources(g)) == list(range(4))
+
+    def test_bijection_that_moves_an_edge_falls_back(self):
+        # S3 on 3 points over two 5-cycles: one candidate image keeps every
+        # label and is a bijection, but sends an edge off the graph's edges
+        g = permutation_schreier_graph(
+            figure_eight(5), {(3, 4): (2, 0, 1), (5, 6): (0, 2, 1)}, 3)
+        assert list(_orbit_sources(g)) == list(range(g.n))
+        assert graph_diameter(g) == reference_graph_diameter(g)
+
+    def test_disconnected_labelled_graph_rejected(self):
+        g = labelled_cycle(80)
+        h = Graph(160)
+        for (u, v), label in g.labels.items():
+            if u < v or (u, v) == (79, 0):
+                h.add_edge(u, v, label=label)
+                h.add_edge(u + 80, v + 80, label=label)
+        assert list(_orbit_sources(h)) == list(range(160))
+        with pytest.raises(CoverError, match="disconnected"):
+            graph_diameter(h)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(65, 200), st.data())
+    def test_random_labelled_graphs_match_reference(self, n, data):
+        # labels drawn from a small alphabet make candidates common, and
+        # most of them fail somewhere along the BFS
+        g = Graph(n)
+        for v in range(1, n):
+            g.add_edge(data.draw(st.integers(0, v - 1)), v,
+                       label=data.draw(st.sampled_from(LETTERS)))
+        assert graph_diameter(g) == reference_graph_diameter(g)
+
+    @pytest.mark.parametrize("d", [4, 9, 101])
+    def test_one_candidate_batches(self, d, monkeypatch):
+        monkeypatch.setattr(hodgecover.covers, "_BITSET_WORDS", 1)
+        g = build_cover(random_cyclic_cover(genus2_surface(), d,
+                                            random.Random(d))).schreier_graph()
+        assert graph_diameter(g) == reference_graph_diameter(g)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 60), st.lists(st.tuples(st.integers(0, 59),
+                                                  st.integers(0, 59))))
+    def test_graph_from_edge_list_matches_add_edge(self, n, pairs):
+        # the constructor sorts its edge list once; adding the same edges
+        # one at a time keeps each adjacency list sorted by insertion
+        pairs = [(u % n, v % n) for u, v in pairs]
+        if any(u == v for u, v in pairs):
+            with pytest.raises(CoverError, match="loops"):
+                Graph(n, pairs)
+            return
+        g, h = Graph(n, pairs), Graph(n)
+        for u, v in pairs:
+            h.add_edge(u, v)
+        assert (g.adj, g.edges, g.labels) == (h.adj, h.edges, h.labels)
 
 
 def random_connected_graph(rng, max_n=40):
