@@ -22,8 +22,9 @@ from .hypgeom import (GeometryError, HypPoint, MoserConstant, SimplexMetric,
                       ball_volume, hyp_distance, kappa, minkowski_inner,
                       moser_constant, right_triangle_area, simplex_gram,
                       simplex_volume, sphere_volume)
-from .spectra import (SpectralError, SpectralSplit, charpoly_gap_bound,
-                      harmonic_projection, lambda1_split, up_pencil)
+from .spectra import (CoexactGap, SpectralError, SpectralSplit,
+                      charpoly_gap_bound, coexact_gap, harmonic_projection,
+                      lambda1_split, up_pencil)
 from .whitney import (ComplexGeometry, InnerProduct, NormSpec, chain_dual_norm,
                       cochain_norm, norm_equivalence_constants,
                       whitney_mass_matrix, whitney_pointwise_norm)

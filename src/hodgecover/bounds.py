@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .fillings import FillingCertificate
 from .hypgeom import GeometryError, ball_volume, moser_constant
-from .spectra import SpectralSplit, lambda1_split
+from .spectra import SpectralSplit, coexact_gap
 from .whitney import InnerProduct, whitney_mass_matrix
 
 
@@ -378,13 +378,13 @@ def check_dichotomy(K, geometry, constants: dict) -> BoundReport:
     n_by_deg = {q: K.n_cells(q) for q in range(K.dim + 1)}
     comb = {q: InnerProduct.identity(q, n_by_deg[q]) for q in n_by_deg}
     whit = {q: whitney_mass_matrix(K, geometry, q) for q in n_by_deg}
-    split_c = lambda1_split(K, 1, comb)
-    split_w = lambda1_split(K, 1, whit)
-    if split_w.lambda1_dstar is None or split_c.lambda1_dstar is None:
+    lam_c = coexact_gap(K, 1, comb).lambda1
+    lam_w = coexact_gap(K, 1, whit).lambda1
+    if lam_w is None or lam_c is None:
         raise BoundError("no positive coexact eigenvalue in degree 1")
     params = {
-        "lambda1_whitney": split_w.lambda1_dstar,
-        "lambda1_comb": split_c.lambda1_dstar,
+        "lambda1_whitney": lam_w,
+        "lambda1_comb": lam_c,
         "G": float(constants["G"]),
         "C": float(constants["C"]),
         "vol": geometry.total_volume(),

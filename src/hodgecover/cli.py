@@ -18,7 +18,8 @@ from .fillings import (EdgeCycle, FillingError, l1_filling, least_norm_filling,
                        rationally_null, scl_report)
 from .homology import homology_table
 from .hypgeom import GeometryError, ball_volume, kappa, moser_constant
-from .spectra import SpectralError, charpoly_gap_bound, lambda1_split
+from .spectra import (SpectralError, charpoly_gap_bound, coexact_gap,
+                      lambda1_split)
 from .surfaces import FIXTURES
 from .whitney import (ComplexGeometry, InnerProduct, norm_equivalence_constants,
                       whitney_mass_matrix)
@@ -300,11 +301,11 @@ def cmd_scl(args):
         _emit(payload, args.out)
         return
     ips = _inner_products(K, geometry, "whitney")
-    split = lambda1_split(K, 1, ips)
-    if split.lambda1_dstar is None:
+    gap = coexact_gap(K, 1, ips).lambda1
+    if gap is None:
         raise CliError("no positive coexact eigenvalue in degree 1",
                        EXIT_NUMERICAL)
-    report = scl_report(cert, geometry, split.lambda1_dstar)
+    report = scl_report(cert, geometry, gap)
     payload["report"] = {k: _round(v) for k, v in report.items()}
     _emit(payload, args.out)
 
@@ -368,8 +369,8 @@ def _computed_params(K, geometry):
     from .homology import betti_numbers
     ips = _inner_products(K, geometry, "whitney")
     comb = _inner_products(K, geometry, "comb")
-    split_w = lambda1_split(K, 1, ips) if K.dim >= 1 else None
-    split_c = lambda1_split(K, 1, comb) if K.dim >= 1 else None
+    gap_w = coexact_gap(K, 1, ips).lambda1 if K.dim >= 1 else None
+    gap_c = coexact_gap(K, 1, comb).lambda1 if K.dim >= 1 else None
     g = dual_graph(K)
     betti = betti_numbers(K)
     out = {
@@ -378,12 +379,10 @@ def _computed_params(K, geometry):
         "diam": float(graph_diameter(g)) if g.n else 0.0,
         "inj": 1.0,
     }
-    if split_w is not None and split_w.lambda1_dstar is not None:
-        out["lambda1_whitney"] = split_w.lambda1_dstar
-        out["lam"] = split_w.lambda1_dstar
-        out["lambda1"] = split_w.lambda1_dstar
-    if split_c is not None and split_c.lambda1_dstar is not None:
-        out["lambda1_comb"] = split_c.lambda1_dstar
+    if gap_w is not None:
+        out["lambda1_whitney"] = out["lam"] = out["lambda1"] = gap_w
+    if gap_c is not None:
+        out["lambda1_comb"] = gap_c
     return out
 
 

@@ -27,41 +27,62 @@ from .hypgeom import GeometryError, SimplexMetric
 _DENSE_MAX = 400     # norm_equivalence_constants goes dense up to this size
 
 
-@dataclass
 class InnerProduct:
-    """SPD Gram matrix on the q-cochain group."""
+    """SPD Gram matrix on the q-cochain group, kept in the form it was made
+    in: the certified blocks (glob, B) of `_mass_blocks`, the unit matrix
+    (nothing but its size), or a checked dense matrix.  `matrix` is the dense
+    view, built on its first read and cached; `_csr` is the sparse one."""
 
-    degree: int
-    matrix: np.ndarray
-    _blocks = None      # (glob, B) of _mass_blocks when assembled from them
-
-    def __post_init__(self):
-        M = self.matrix
+    def __init__(self, degree: int, matrix: np.ndarray):
+        M = np.asarray(matrix)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise GeometryError("Gram matrix not square")
         if not np.isfinite(M).all():
             raise GeometryError("Gram matrix not finite")
         if M.size and np.max(np.abs(M - M.T)) > 1e-12 * max(1.0, np.max(np.abs(M))):
             raise GeometryError("Gram matrix not symmetric")
-        self.matrix = (M + M.T) / 2
+        self.degree, self.size, self._blocks = degree, len(M), None
+        self._dense = (M + M.T) / 2
         if M.size:
-            np.linalg.cholesky(self.matrix)  # raises if not positive definite
+            np.linalg.cholesky(self._dense)  # raises if not positive definite
 
     @classmethod
-    def _certified(cls, degree: int, matrix: np.ndarray, blocks=None):
-        """Wrap a matrix already known to be symmetric positive definite,
-        without the checks above."""
+    def _certified(cls, degree: int, size: int, blocks=None):
+        """The unit matrix, or the sum of blocks already known to be
+        positive definite and to cover every cell, without the checks above."""
         ip = object.__new__(cls)
-        ip.degree, ip.matrix, ip._blocks = degree, matrix, blocks
+        ip.degree, ip.size, ip._blocks, ip._dense = degree, size, blocks, None
         return ip
 
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._dense is None:
+            self._dense = np.eye(self.size) if self._blocks is None else \
+                _assemble(*self._blocks, self.size)
+        return self._dense
+
     def _csr(self):
-        """The matrix as a scipy CSR array, from its blocks if it has them."""
-        from scipy.sparse import csr_array
-        return csr_array(self.matrix) if self._blocks is None else \
-            _block_csr(*self._blocks, len(self.matrix))
+        """The matrix as a scipy CSR array, from its blocks or its size
+        without the dense view, else from the dense matrix it was given."""
+        from scipy.sparse import csr_array, eye_array
+        if self._blocks is not None:
+            return _block_csr(*self._blocks, self.size)
+        if self._dense is None:
+            return eye_array(self.size, format="csr")
+        return csr_array(self._dense)
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of the matrix, without the dense view."""
+        if self._blocks is not None:
+            glob, B = self._blocks
+            return np.bincount(glob.ravel(), np.diagonal(B, 0, 1, 2).ravel(),
+                               self.size)
+        return np.ones(self.size) if self._dense is None else \
+            np.diag(self._dense).copy()
 
     @staticmethod
     def identity(degree: int, n: int) -> "InnerProduct":
-        return InnerProduct._certified(degree, np.eye(n))
+        return InnerProduct._certified(degree, n)
 
 
 @dataclass(frozen=True)
@@ -243,10 +264,11 @@ def _block_csr(glob: np.ndarray, B: np.ndarray, size: int):
 
 def whitney_mass_matrix(K: SimplicialComplex, geometry: ComplexGeometry,
                         q: int) -> InnerProduct:
-    """Assemble the global Whitney q-form Gram matrix over all top simplices:
-    each top adds X (C kron E) X^T, E[v, w] the integral of l_v l_w."""
+    """The global Whitney q-form Gram matrix over all top simplices, kept as
+    its blocks: each top adds X (C kron E) X^T, E[v, w] the integral of
+    l_v l_w.  The dense matrix is assembled only when `.matrix` is read."""
     blocks = _mass_blocks(K, geometry, q)
-    return InnerProduct._certified(q, _assemble(*blocks, K.n_cells(q)), blocks)
+    return InnerProduct._certified(q, K.n_cells(q), blocks)
 
 
 def whitney_pointwise_norm(K: SimplicialComplex, geometry: ComplexGeometry,

@@ -658,17 +658,27 @@ print("scipy" in sys.modules)
 """
 
 
+def _fresh_stdout(code):
+    """The stdout lines of `code` run in a fresh interpreter on this src."""
+    src = Path(hodgecover.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
 def _scipy_packages(setup):
     """The public scipy subpackages loaded by `setup` in a fresh interpreter,
     and whether scipy is loaded at all."""
-    src = Path(hodgecover.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PACKAGES.format(setup=setup)], env=env,
-        capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    packages, loaded = out.stdout.splitlines()
+    packages, loaded = _fresh_stdout(_SCIPY_PACKAGES.format(setup=setup))
     return set(json.loads(packages)), loaded == "True"
+
+
+def _loads(setup, module):
+    """Whether `setup` in a fresh interpreter loads `module`."""
+    code = f"{setup}\nimport sys\nprint({module!r} in sys.modules)"
+    return _fresh_stdout(code)[-1] == "True"
 
 
 def test_commands_load_only_the_scipy_they_need(tmp_path):
@@ -704,13 +714,14 @@ def test_commands_load_only_the_scipy_they_need(tmp_path):
                  ["norms", "mass", "genus2", "--degree", "1"]):
         packages, _ = _scipy_packages(run_main.format(argv))
         assert packages <= linalg | {"sparse"}, argv
+    # coexact_gap stays on its dense path below the cutoff, so the commands
+    # that read lambda_1^* on fixtures never import ARPACK or SuperLU
+    for argv in (["scl", "report", "--base", "genus2", "--cycle", str(cycle),
+                  "--inner", "whitney"],
+                 ["bounds", "all", "--attach", "genus2"]):
+        assert not _loads(run_main.format(argv), "scipy.sparse.linalg"), argv
+    assert _loads("import scipy.sparse.linalg", "scipy.sparse.linalg")
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
-    src = Path(hodgecover.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, hodgecover.cli; print('scipy.linalg' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert not _loads("import hodgecover.cli", "scipy.linalg")

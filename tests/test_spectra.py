@@ -9,8 +9,8 @@ import sympy
 from scipy.linalg import eigh
 
 from hodgecover import (SpectralError, betti_numbers, build_cover,
-                        charpoly_gap_bound, harmonic_projection, lambda1_split,
-                        load_complex, up_pencil)
+                        charpoly_gap_bound, coexact_gap, harmonic_projection,
+                        lambda1_split, load_complex, spectra, up_pencil)
 from hodgecover.cli import main
 from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
                                  tetrahedron_boundary, torus7, torus_grid,
@@ -115,10 +115,13 @@ class TestUpPencil:
 
     def test_no_dense_temporaries(self):
         # the traced peak is the dense output A and sparse work beside it;
-        # a dense gather of d^T M or a dense (A + A^T) / 2 would exceed it
+        # a dense gather of d^T M or a dense (A + A^T) / 2 would exceed it.
+        # M_1 is read first: its dense view is up_pencil's output, built on
+        # first read, not one of its temporaries
         K = genus2_cover(23)
         ips = perturbed_whitney_products(K, 23)
         n = K.n_cells(1)
+        ips[1].matrix
         tracemalloc.start()
         try:
             up_pencil(K, 1, ips[1], ips[2])
@@ -303,8 +306,39 @@ class TestCharpolyGapBound:
 class TestValidation:
     def test_degree_out_of_range(self):
         K = circle(3)
-        with pytest.raises(SpectralError):
-            lambda1_split(K, 5, comb_products(K))
+        for f in (lambda1_split, harmonic_projection, coexact_gap):
+            for q in (-1, 5):
+                with pytest.raises(SpectralError):
+                    f(K, q, comb_products(K))
+
+    @pytest.mark.parametrize("degree, size", [(0, 3), (1, 5), (2, 5), (2, 3)])
+    def test_every_read_degree_is_checked(self, degree, size):
+        # q = 1 on genus2 reads degrees 0, 1 and 2
+        K = genus2_surface()
+        for products in (comb_products(K), whitney_products(K)):
+            products[degree] = InnerProduct.identity(degree, size)
+            for f in (lambda1_split, harmonic_projection) + \
+                    ((coexact_gap,) if degree else ()):
+                with pytest.raises(SpectralError, match="mismatch"):
+                    f(K, 1, products)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_missing_degree_raises(self, degree):
+        K = genus2_surface()
+        products = comb_products(K)
+        del products[degree]
+        for f in (lambda1_split, harmonic_projection) + \
+                ((coexact_gap,) if degree else ()):
+            with pytest.raises(SpectralError, match="no inner product"):
+                f(K, 1, products)
+
+    def test_unread_degrees_are_not_needed(self):
+        # d_0 = 0 on three isolated points: q = 0 reads only degree 0
+        K = load_complex([(0,), (1,), (2,)])
+        products = {0: InnerProduct.identity(0, 3)}
+        assert lambda1_split(K, 0, products).lambda1 is None
+        assert coexact_gap(K, 0, products) == (None, None)
+        assert np.array_equal(harmonic_projection(K, 0, products), np.eye(3))
 
     def test_dimension_mismatch(self):
         K = circle(3)
@@ -312,3 +346,119 @@ class TestValidation:
                1: InnerProduct.identity(1, 3)}
         with pytest.raises(SpectralError):
             lambda1_split(K, 0, bad)
+
+
+@pytest.fixture
+def sparse_gap(monkeypatch):
+    """coexact_gap forced past its dense cutoff; records each eigsh call."""
+    import scipy.sparse.linalg
+    calls = []
+    real = scipy.sparse.linalg.eigsh
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
+    monkeypatch.setattr(spectra, "_DENSE_MAX", 0)
+    return calls
+
+
+def dense_dual_gap(K, q, products):
+    """lambda_1^* in degree q = dim - 1 from the dense down-pencil on
+    (q+1)-cochains (helpers.down_pencil), whose positive spectrum is the
+    degree-q up-spectrum: its eigenvalue number b_{q+1} from the bottom."""
+    B, M = down_pencil(K, q + 1, products[q + 1], products[q])
+    b = betti_numbers(K)[q + 1]
+    return eigh(B, M, eigvals_only=True, subset_by_index=[b, b])[0]
+
+
+class TestCoexactGap:
+    def test_dense_path_is_lambda1_split(self):
+        # below the cutoff the value is lambda1_split's, bit for bit
+        for K, q, products in spectral_cases():
+            assert K.n_cells(q) <= spectra._DENSE_MAX
+            gap = coexact_gap(K, q, products)
+            assert gap.lambda1 == lambda1_split(K, q, products).lambda1_dstar
+            assert (gap.margin is None) == (gap.lambda1 is None)
+
+    def test_sparse_path_on_fixtures(self, sparse_gap):
+        for fn in FIXTURES.values():
+            K = fn()
+            for products in (comb_products(K), whitney_products(K)):
+                for q in range(K.dim + 1):
+                    sparse_gap.clear()
+                    gap = coexact_gap(K, q, products)
+                    expect = lambda1_split(K, q, products).lambda1_dstar
+                    if expect is None:
+                        assert gap == (None, None)
+                        continue
+                    assert gap.lambda1 == pytest.approx(expect, rel=1e-10)
+                    assert 0 < gap.margin < 1e-9 * gap.lambda1
+                    sparse = q in (0, K.dim - 1)
+                    assert len(sparse_gap) == sparse
+                    if sparse:
+                        assert sparse_gap[0]["sigma"] == \
+                            pytest.approx(-1e3 * gap.margin, rel=1e-15)
+
+    @pytest.mark.parametrize("d", [5, 23, 53, 101])
+    def test_sparse_path_on_covers(self, d, sparse_gap):
+        K = genus2_cover(d)
+        for products in (comb_products(K), whitney_products(K),
+                         perturbed_whitney_products(K, d)):
+            for q in (0, 1):
+                gap = coexact_gap(K, q, products)
+                if q == 1 and d == 101:       # a dense eigh of 3,939 rows
+                    expect = dense_dual_gap(K, q, products)
+                else:
+                    expect = lambda1_split(K, q, products).lambda1_dstar
+                assert gap.lambda1 == pytest.approx(expect, rel=1e-10)
+        assert len(sparse_gap) == 6
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_zero_count_must_match_homology(self, change, monkeypatch):
+        # eigsh returning b - 1 or b + 1 values at or below the margin
+        import scipy.sparse.linalg
+        real = scipy.sparse.linalg.eigsh
+
+        def miscounted(*args, **kwargs):
+            vals = np.sort(real(*args, **kwargs))
+            b = kwargs["k"] - 1
+            if change > 0:
+                vals[b] = 0.0
+            else:
+                vals[b - 1] = vals[b]
+            return vals
+
+        monkeypatch.setattr(spectra, "_DENSE_MAX", 0)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", miscounted)
+        for K, q in ((genus2_surface(), 1), (genus2_surface(), 0),
+                     (torus7(), 1), (circle(5), 0)):
+            for products in (comb_products(K), whitney_products(K)):
+                with pytest.raises(SpectralError, match="margin"):
+                    coexact_gap(K, q, products)
+
+    def test_lanczos_failure_is_a_spectral_error(self, monkeypatch):
+        import scipy.sparse.linalg
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        def stuck(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(spectra, "_DENSE_MAX", 0)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stuck)
+        K = genus2_surface()
+        with pytest.raises(SpectralError, match="Lanczos"):
+            coexact_gap(K, 1, whitney_products(K))
+
+    def test_never_reads_a_dense_matrix(self, sparse_gap):
+        K = genus2_cover(23)
+        for products in (comb_products(K), perturbed_whitney_products(K, 23)):
+            for q in (0, 1):
+                coexact_gap(K, q, products)
+            assert all(ip._dense is None for ip in products.values())
+
+    def test_seeded_and_repeatable(self):
+        K = genus2_cover(53)
+        products = perturbed_whitney_products(K, 53)
+        assert coexact_gap(K, 1, products) == coexact_gap(K, 1, products)

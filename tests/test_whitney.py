@@ -595,3 +595,71 @@ def test_overflowing_lengths_name_the_top_without_warnings(length, where):
         for f in (whitney_mass_matrix, norm_equivalence_constants):
             with pytest.raises(GeometryError, match=match):
                 f(K, geo, q)
+
+
+# ---------------------------------------------------------------------------
+# the dense view: built on first read, from the blocks or as the unit matrix
+
+
+def traced_peak(fn):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_dense_matrix_until_read():
+    # beyond the local blocks, whose O(tops) work is the same either way,
+    # the mass matrix allocates next to nothing until .matrix is read
+    K = build_cover(random_cyclic_cover(genus2_surface(), 23,
+                                        random.Random(23))).complex
+    geo = perturbed_geometry(K, 23)
+    whitney_mass_matrix(K, geo, 1)      # warm the complex's index tables
+    for q in range(3):
+        n = K.n_cells(q)
+        _, blocks = traced_peak(lambda: whitney._mass_blocks(K, geo, q))
+        ip, peak = traced_peak(lambda: whitney_mass_matrix(K, geo, q))
+        assert peak - blocks < 0.1 * n * n * 8, q
+        assert ip._dense is None
+        M, peak = traced_peak(lambda: ip.matrix)
+        assert peak >= n * n * 8 and ip._dense is M
+    ip, peak = traced_peak(lambda: InnerProduct.identity(1, 897))
+    assert peak < 0.1 * 897 * 897 * 8
+    assert ip.size == 897 and ip._dense is None
+    assert ip._csr().nnz == 897 and ip._dense is None
+    assert np.array_equal(ip.diagonal(), np.ones(897)) and ip._dense is None
+    assert np.array_equal(ip.matrix, np.eye(897))
+
+
+@pytest.mark.parametrize("name, K, geo", GEOMETRY_CASES,
+                         ids=[c[0] for c in GEOMETRY_CASES])
+def test_dense_view_is_the_assembly_read_once(name, K, geo):
+    for q in range(K.dim + 1):
+        n = K.n_cells(q)
+        ip = whitney_mass_matrix(K, geo, q)
+        assert ip.size == n and ip._dense is None
+        M = ip.matrix
+        assert np.array_equal(M, whitney._assemble(
+            *whitney._mass_blocks(K, geo, q), n))
+        assert ip.matrix is M
+        assert np.allclose(ip._csr().toarray(), M, rtol=1e-15, atol=1e-16)
+        assert np.allclose(ip.diagonal(), np.diag(M), rtol=1e-15, atol=0)
+    top = whitney_mass_matrix(K, geo, K.dim)._csr()
+    n = K.n_cells(K.dim)
+    assert top.nnz == n
+    assert np.array_equal(top.tocoo().row, top.tocoo().col)
+
+
+def test_checked_matrix_keeps_its_symmetrized_copy():
+    A = np.array([[2.0, 1.0], [1.0, 3.0]])
+    ip = InnerProduct(1, A)
+    assert ip.size == 2 and ip.matrix is ip.matrix
+    assert np.array_equal(ip.matrix, A) and ip.matrix is not A
+    assert np.array_equal(ip._csr().toarray(), A)
+    assert np.array_equal(ip.diagonal(), [2.0, 3.0])
+    for bad in (np.ones(3), np.ones((2, 3))):
+        with pytest.raises(GeometryError, match="square"):
+            InnerProduct(0, bad)
