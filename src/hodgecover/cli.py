@@ -266,8 +266,11 @@ def _load_cycle(K, path):
     if len(coeffs) != K.n_cells(1):
         raise CliError(f"cycle has {len(coeffs)} coefficients, "
                        f"complex has {K.n_cells(1)} edges")
-    return EdgeCycle(K, tuple(_integer("cycle coefficient", c)
-                              for c in coeffs))
+    try:
+        return EdgeCycle(K, tuple(_integer("cycle coefficient", c)
+                                  for c in coeffs))
+    except FillingError as exc:     # nonzero boundary: not a cycle
+        raise CliError(str(exc))
 
 
 def cmd_scl(args):
@@ -280,6 +283,14 @@ def cmd_scl(args):
     if K.dim < 2:
         raise CliError("a filling needs 2-cells; the base has dimension "
                        f"{K.dim}")
+    try:
+        _scl(args, K, geometry, f)
+    except OverflowError as exc:    # an exact chain too large for a float
+        raise CliError(f"filling too large for a float: {exc}",
+                       EXIT_NUMERICAL)
+
+
+def _scl(args, K, geometry, f):
     if args.l1:
         cert = l1_filling(f)
     elif args.inner == "whitney":

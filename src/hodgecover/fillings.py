@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .complexes import SimplicialComplex
 from .covers import Cover, CoverError
 from .homology import invariant_factors
-from .ratlinalg import rat_nullspace, rat_solve, rat_solve_and_kernel
+from .ratlinalg import first_kernel_vector, rat_solve, rat_solve_and_kernel
 from .whitney import ComplexGeometry, InnerProduct
 
 
@@ -46,6 +47,16 @@ class EdgeCycle:
             return float(sum(abs(c) for c in self.coefficients))
         return sum(abs(c) * geometry.edge_lengths[e]
                    for c, e in zip(self.coefficients, self.complex.cells[1]))
+
+    @cached_property
+    def solution_space(self) -> tuple[list[Fraction] | None,
+                                      list[list[Fraction]]]:
+        """(g0, N): an exact solution g0 of d2 g = f (None when f does not
+        bound over the rationals) and a basis N of ker d2, from one
+        elimination of [d2 | f] kept on this cycle; the complex needs 2-cells.
+        """
+        return rat_solve_and_kernel(self.complex.boundary_matrix(2),
+                                    list(self.coefficients))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)
@@ -116,16 +127,14 @@ def rationally_null(f: EdgeCycle):
         i = next(i for i, c in enumerate(b) if c != 0)
         y = [Fraction(int(i == j)) for j in range(len(b))]
         return False, y
-    A = K.boundary_matrix(2)
-    x = rat_solve(A, b)
-    if x is not None:
-        return True, x
+    g0, _ = f.solution_space
+    if g0 is not None:
+        return True, list(g0)
     # certificate: functional vanishing on the image of the 2-boundary
-    for y in rat_nullspace(A.transpose()):
-        pairing = sum(yi * bi for yi, bi in zip(y, b))
-        if pairing != 0:
-            return False, y
-    raise FillingError("no certificate found for a non-null cycle")
+    y = first_kernel_vector(K.boundary_matrix(2).transpose(), b)
+    if y is None:
+        raise FillingError("no certificate found for a non-null cycle")
+    return False, y
 
 
 def free_part_coefficients(A, b) -> list[int]:
@@ -163,22 +172,31 @@ class FillingCertificate:
 
 def _certify(f: EdgeCycle, g: list[Fraction], inner: str, delta: float,
              norm_g: float) -> FillingCertificate:
-    if f.complex.boundary_matrix(2).apply(g) != list(f.coefficients):
+    m = math.lcm(*(c.denominator for c in g))
+    mg = [c.numerator * (m // c.denominator) for c in g]
+    # d2 g = f exactly, checked in integers on the chain m g
+    if f.complex.boundary_matrix(2).apply(mg) != \
+            [m * c for c in f.coefficients]:
         raise FillingError("chain does not bound the cycle exactly")
-    m = 1
-    for c in g:
-        m = m * c.denominator // math.gcd(m, c.denominator)
-    one_norm = sum(abs(c) * m for c in g)
+    one_norm = Fraction(sum(abs(c) for c in mg))
     return FillingCertificate(f, tuple(g), m, one_norm, 4 * one_norm,
                               inner, delta, norm_g)
 
 
-def _particular_and_kernel(A, b) -> tuple[list[Fraction], list]:
-    """An exact solution g0 of A g = b and a basis of the kernel of A."""
-    g0, kernel = rat_solve_and_kernel(A, b)
+def _particular_and_kernel(f: EdgeCycle) -> tuple[list[Fraction], list]:
+    """f's memoised solution space (g0, N); g0 must exist."""
+    g0, kernel = f.solution_space
     if g0 is None:
         raise FillingError("cycle is not rationally null")
     return g0, kernel
+
+
+def _dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
+
+
+def _mass_norm(ip: InnerProduct, x: np.ndarray) -> float:
+    return math.sqrt(max(x @ ip.apply(x), 0.0))
 
 
 def _rounded_chain(g0, kernel, coeffs, denom: int) -> list[Fraction]:
@@ -194,48 +212,42 @@ def least_norm_filling(f: EdgeCycle, inner: str = "comb",
                        denominators=(10 ** 6, 10 ** 9)) -> FillingCertificate:
     """Small-norm rational 2-chain g with boundary g = f, certified exactly.
 
-    Combinatorial inner product: the Euclidean minimizer is g = d2^T y with
-    (d2 d2^T) y = f; it is rational because the boundary map is integral, so
-    no slack is needed.  Whitney inner product: the solutions are g0 + N c, g0
-    exact and N an exact kernel basis; the minimizing c is rounded to rationals
-    and the norm increase is verified against delta.
+    Both read f's solution space: the solutions are g0 + N c, g0 exact and N
+    an exact basis of ker d2.  Combinatorial inner product: the Euclidean
+    minimizer, c from the exact k x k system (N^T N) c = -N^T g0 (k = dim ker
+    d2), so no slack is needed.  Whitney inner product: c minimizes the mass
+    norm in floats, (N^T M N) c = -N^T M g0, and is rounded to rationals; the
+    norm increase is verified against delta.
     """
-    K = f.complex
-    if K.dim < 2:
+    if f.complex.dim < 2:
         raise FillingError("filling needs 2-cells")
-    A = K.boundary_matrix(2)  # n1 x n2
-    b = list(f.coefficients)
+    if inner not in ("comb", "whitney"):
+        raise FillingError(f"unknown inner product family {inner}")
+    if inner == "whitney" and ip is None:
+        raise FillingError("whitney filling needs the degree-2 InnerProduct")
+    g0, kernel = _particular_and_kernel(f)
 
     if inner == "comb":
-        At = A.transpose()
-        y = rat_solve(A.matmul(At), b)
-        if y is None:
-            raise FillingError("cycle is not rationally null")
-        g = At.apply(y)
+        g = g0
+        if kernel:
+            c = rat_solve([[_dot(u, v) for v in kernel] for u in kernel],
+                          [-_dot(u, g0) for u in kernel])
+            g = [g0[j] + sum(ck * v[j] for ck, v in zip(c, kernel) if v[j])
+                 for j in range(len(g0))]
         norm_g = math.sqrt(float(sum(c * c for c in g)))
         return _certify(f, g, "comb", 0.0, norm_g)
 
-    if inner != "whitney":
-        raise FillingError(f"unknown inner product family {inner}")
-    if ip is None:
-        raise FillingError("whitney filling needs the degree-2 InnerProduct")
-
-    g0, kernel = _particular_and_kernel(A, b)
-    M = ip.matrix
     g0f = np.array([float(c) for c in g0])
     if not kernel:
-        return _certify(f, g0, "whitney", 0.0,
-                        math.sqrt(max(g0f @ M @ g0f, 0.0)))
+        return _certify(f, g0, "whitney", 0.0, _mass_norm(ip, g0f))
     # the M-least-norm g0 + N c: (N^T M N) c = -N^T M g0, k x k and SPD
     N = np.array([[float(x) for x in v] for v in kernel], dtype=float).T
-    MN = M @ N
+    MN = ip.apply(N)
     c = np.linalg.solve(N.T @ MN, -(MN.T @ g0f))
-    g_float = g0f + N @ c
-    norm_float = math.sqrt(max(g_float @ M @ g_float, 0.0))
+    norm_float = _mass_norm(ip, g0f + N @ c)
     for denom in denominators:
         g = _rounded_chain(g0, kernel, c, denom)
-        gf = np.array([float(x) for x in g])
-        norm_g = math.sqrt(max(gf @ M @ gf, 0.0))
+        norm_g = _mass_norm(ip, np.array([float(x) for x in g]))
         if norm_g <= (1.0 + delta) * norm_float or norm_float == 0.0:
             return _certify(f, g, "whitney", delta, norm_g)
     raise FillingError(
@@ -247,25 +259,29 @@ def l1_filling(f: EdgeCycle, denominator: int = 10 ** 6) -> FillingCertificate:
 
     Often gives tighter chi bounds than the least-squares route; the LP
     solution is rounded to the given denominator and corrected back onto the
-    affine solution set with an exact particular solution.
+    affine solution set with an exact particular solution.  The constraint
+    matrix is sparse: 2 (nnz N + n2) entries.
     """
-    from scipy.optimize import linprog
-
-    K = f.complex
-    if K.dim < 2:
+    if f.complex.dim < 2:
         raise FillingError("filling needs 2-cells")
-    A = K.boundary_matrix(2)
-    n2 = K.n_cells(2)
-    b = list(f.coefficients)
-    g0, kernel = _particular_and_kernel(A, b)
+    g0, kernel = _particular_and_kernel(f)
     if not kernel:
         gf = np.array([float(c) for c in g0])
         return _certify(f, g0, "l1", 0.0, float(np.sum(np.abs(gf))))
-    # minimize |g0 + N c|_1 over c: variables (c, t), t >= +-(g0 + N c)
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_array
+    # minimize |g0 + N c|_1 over c: variables (c, t), t >= +-(g0 + N c),
+    # A_ub = [[N, -I], [-N, -I]]
+    n2, k = len(g0), len(kernel)
     N = np.array([[float(x) for x in v] for v in kernel], dtype=float).T
-    k = N.shape[1]
     g0f = np.array([float(x) for x in g0])
-    A_ub = np.block([[N, -np.eye(n2)], [-N, -np.eye(n2)]])
+    i, j = np.nonzero(N)
+    cells = np.arange(n2)
+    A_ub = csr_array((
+        np.concatenate([N[i, j], -N[i, j], -np.ones(2 * n2)]),
+        (np.concatenate([i, i + n2, cells, cells + n2]),
+         np.concatenate([j, j, cells + k, cells + k]))),
+        shape=(2 * n2, k + n2))
     b_ub = np.concatenate([-g0f, g0f])
     cost = np.concatenate([np.zeros(k), np.ones(n2)])
     res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * (k + n2),

@@ -146,21 +146,22 @@ def _solution(R: dict[int, dict[int, int]], ncols: int) -> list[Fraction] | None
     return x
 
 
+def _kernel_vector(R: dict[int, dict[int, int]], ncols: int,
+                   f: int) -> list[Fraction]:
+    """The kernel vector of free column f read from the RREF of A (or of
+    [A | rhs]): 1 at f, 0 at the other free columns, and minus the RREF's
+    column f at the pivots."""
+    v = [Fraction(0)] * ncols
+    v[f] = Fraction(1)
+    for c, row in R.items():
+        if f in row:
+            v[c] = Fraction(-row[f], row[c])
+    return v
+
+
 def _kernel(R: dict[int, dict[int, int]], ncols: int) -> list[list[Fraction]]:
-    """The kernel basis of A read from the RREF of A (or of [A | rhs]): one
-    vector per free column f below ncols, with 1 at f, 0 at the other free
-    columns, and minus the RREF's column f at the pivots."""
-    basis = []
-    for f in range(ncols):
-        if f in R:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for c, row in R.items():
-            if f in row:
-                v[c] = Fraction(-row[f], row[c])
-        basis.append(v)
-    return basis
+    """The kernel basis of A, one vector per free column below ncols."""
+    return [_kernel_vector(R, ncols, f) for f in range(ncols) if f not in R]
 
 
 def rat_solve(A, b) -> list[Fraction] | None:
@@ -180,3 +181,24 @@ def rat_solve_and_kernel(A, b) -> tuple[list[Fraction] | None,
     """(rat_solve(A, b), rat_nullspace(A)) from one elimination of [A | b]."""
     R, ncols = _rref(A, [b])
     return _solution(R, ncols), _kernel(R, ncols)
+
+
+def first_kernel_vector(A, b) -> list[Fraction] | None:
+    """The first vector of rat_nullspace(A), in free-column order, whose dot
+    product with b is nonzero; None if there is none.  Each pairing reads
+    the RREF entries on b's support only, and only the returned vector is
+    built."""
+    R, ncols = _rref(A)
+    support = [(j, x) for j, x in enumerate(b) if x]
+    for f in range(ncols):
+        if f in R:
+            continue
+        pairing = Fraction(0)
+        for j, x in support:
+            if j == f:
+                pairing += x
+            elif j in R and f in R[j]:
+                pairing -= Fraction(R[j][f] * x, R[j][j])
+        if pairing:
+            return _kernel_vector(R, ncols, f)
+    return None

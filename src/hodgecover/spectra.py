@@ -57,17 +57,19 @@ def _coboundary(K: SimplicialComplex, q: int):
 
 
 def up_pencil(K: SimplicialComplex, q: int, ip_q: InnerProduct,
-              ip_up: InnerProduct) -> tuple[np.ndarray, np.ndarray]:
-    """(A, M) with A = d^T M_{q+1} d the up-Laplacian stiffness on q-cochains.
+              ip_up: InnerProduct) -> tuple:
+    """(A, M) with A = d^T M_{q+1} d the up-Laplacian stiffness on q-cochains,
+    a dense ndarray, and M = M_q as a scipy CSR array.
 
     A is one sparse triple product, symmetrized while still sparse and made
-    dense only at the end: O(nnz) work, and no dense temporaries beyond A."""
+    dense only at the end: O(nnz) work, and no dense temporaries beyond A.
+    M comes from the product's blocks, so its dense view is never built."""
     n = K.n_cells(q)
     if q >= K.dim:
-        return np.zeros((n, n)), ip_q.matrix
+        return np.zeros((n, n)), ip_q._csr()
     d = _coboundary(K, q)
     A = d.T @ ip_up._csr() @ d
-    return ((A + A.T) / 2).toarray(), ip_q.matrix
+    return ((A + A.T) / 2).toarray(), ip_q._csr()
 
 
 @dataclass
@@ -89,8 +91,8 @@ def _positive_up(K: SimplicialComplex, q: int, ips: dict[int, InnerProduct],
     if rank == 0:
         return np.zeros(0)
     from scipy.linalg import eigh
-    A, M = up_pencil(K, q, ips[q], ips[q + 1])
-    return eigh(A, M, eigvals_only=True)[K.n_cells(q) - rank:]
+    A, _ = up_pencil(K, q, ips[q], ips[q + 1])
+    return eigh(A, ips[q].matrix, eigvals_only=True)[K.n_cells(q) - rank:]
 
 
 def lambda1_split(K: SimplicialComplex, q: int,
@@ -215,12 +217,13 @@ def harmonic_projection(K: SimplicialComplex, q: int,
         return np.zeros((n, n))
     P = np.eye(n)               # ker d_q is everything when r_up = 0
     if r_up:
-        _, V = eigh(*up_pencil(K, q, inner_products[q], inner_products[q + 1]))
+        A, _ = up_pencil(K, q, inner_products[q], inner_products[q + 1])
+        _, V = eigh(A, M)
         Z = V[:, :n - r_up]
         P = Z @ Z.T @ M
     if r_down:
-        mu, U = eigh(*up_pencil(K, q - 1, inner_products[q - 1],
-                                inner_products[q]))
+        A, _ = up_pencil(K, q - 1, inner_products[q - 1], inner_products[q])
+        mu, U = eigh(A, inner_products[q - 1].matrix)
         k = K.n_cells(q - 1) - r_down
         Y = K.coboundary_matrix(q - 1).to_float() @ U[:, k:] / np.sqrt(mu[k:])
         P = P - Y @ Y.T @ M

@@ -31,7 +31,8 @@ class InnerProduct:
     """SPD Gram matrix on the q-cochain group, kept in the form it was made
     in: the certified blocks (glob, B) of `_mass_blocks`, the unit matrix
     (nothing but its size), or a checked dense matrix.  `matrix` is the dense
-    view, built on its first read and cached; `_csr` is the sparse one."""
+    view, built on its first read and cached; `_csr` is the sparse one and
+    `apply` the product with it."""
 
     def __init__(self, degree: int, matrix: np.ndarray):
         M = np.asarray(matrix)
@@ -70,6 +71,16 @@ class InnerProduct:
         if self._dense is None:
             return eye_array(self.size, format="csr")
         return csr_array(self._dense)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The matrix times x (a vector, or a matrix of columns), from its
+        blocks or its size without the dense view; numpy only."""
+        if self._blocks is not None:
+            glob, B = self._blocks
+            y = np.zeros(x.shape)
+            np.add.at(y, glob, np.einsum("tij,tj...->ti...", B, x[glob]))
+            return y
+        return x if self._dense is None else self._dense @ x
 
     def diagonal(self) -> np.ndarray:
         """The diagonal of the matrix, without the dense view."""

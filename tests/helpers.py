@@ -274,6 +274,13 @@ def reference_build_cover(spec: PermutationCoverSpec) -> Cover:
 # spectral oracle
 
 
+def dense_pencil(K, q, ip_q, ip_up):
+    """The package's up-pencil (A, M) with M as the dense matrix that
+    scipy.linalg.eigh takes."""
+    from hodgecover import up_pencil
+    return up_pencil(K, q, ip_q, ip_up)[0], ip_q.matrix
+
+
 def down_pencil(K, q, ip_q, ip_down):
     """(B, M) whose eigenvalues are those of the down-Laplacian d d* on
     q-cochains; B = M d M_down^{-1} d^T M is symmetric.  The package solves
@@ -481,11 +488,13 @@ def reference_whitney_filling(f, ip, delta=1e-6,
     minimizer M^-1 A^T (A M^-1 A^T)^+ f from a Cholesky solve with n_1
     right-hand sides and two least-squares solves, mapped back onto the
     exact solution set g0 + span N and rounded as the package does."""
-    from hodgecover.fillings import (FillingError, _certify,
-                                     _particular_and_kernel, _rounded_chain)
+    from hodgecover.fillings import FillingError, _certify, _rounded_chain
+    from hodgecover.ratlinalg import rat_solve_and_kernel
     A = f.complex.boundary_matrix(2)
     b = list(f.coefficients)
-    g0, kernel = _particular_and_kernel(A, b)
+    g0, kernel = rat_solve_and_kernel(A, b)
+    if g0 is None:
+        raise FillingError("cycle is not rationally null")
     M = ip.matrix
     Af = A.to_float()
     MinvAt = cho_solve(cho_factor(M), Af.T)
@@ -505,6 +514,37 @@ def reference_whitney_filling(f, ip, delta=1e-6,
         if norm_g <= (1.0 + delta) * norm_float or norm_float == 0.0:
             return _certify(f, g, "whitney", delta, norm_g)
     raise FillingError("rounded filling exceeds the allowed norm slack")
+
+
+# ---------------------------------------------------------------------------
+# reference comb filling and non-null certificate: the normal equations and
+# the whole kernel basis of d2^T
+
+
+def reference_comb_filling(f):
+    """Comb least-norm filling through the exact normal equations: g = d2^T y
+    with (d2 d2^T) y = f.  The Euclidean minimizer is unique, so any exact
+    route must give this g."""
+    from hodgecover.fillings import FillingError, _certify
+    from hodgecover.ratlinalg import rat_solve
+    A = f.complex.boundary_matrix(2)
+    At = A.transpose()
+    y = rat_solve(A.matmul(At), list(f.coefficients))
+    if y is None:
+        raise FillingError("cycle is not rationally null")
+    g = At.apply(y)
+    return _certify(f, g, "comb", 0.0, math.sqrt(float(sum(c * c for c in g))))
+
+
+def reference_certificate(f):
+    """The first vector of the kernel basis of d2^T (in free-column order)
+    whose pairing with f is nonzero, from the whole basis; None if every
+    vector pairs to zero."""
+    from hodgecover.ratlinalg import rat_nullspace
+    for y in rat_nullspace(f.complex.boundary_matrix(2).transpose()):
+        if sum(yi * bi for yi, bi in zip(y, f.coefficients)) != 0:
+            return y
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,16 @@ from hodgecover import (EdgeCycle, InnerProduct, PermutationCoverSpec,
                         free_part_coefficients, graph_diameter, lambda1_split,
                         least_norm_filling, moser_constant,
                         right_triangle_area, shortest_path_tree, smith_normal_form,
-                        torsion_invariants, up_pencil)
+                        torsion_invariants)
 from hodgecover.cli import main as cli_main
 from hodgecover.fillings import FillingError
 from hodgecover.ratlinalg import rat_nullspace
 from hodgecover.surfaces import FIXTURES, circle, tetrahedron_boundary, torus7, unit_geometry
 from hodgecover.whitney import whitney_mass_matrix
 
-from helpers import (bareiss_det, brute_force_diameter, down_pencil,
-                     moser_oracle, random_cover_specs, random_cyclic_cover,
-                     right_triangle_area_oracle)
+from helpers import (bareiss_det, brute_force_diameter, dense_pencil,
+                     down_pencil, moser_oracle, random_cover_specs,
+                     random_cyclic_cover, right_triangle_area_oracle)
 
 
 CRITERIA = {
@@ -136,7 +136,7 @@ def test_criterion_4():
         K = fn()
         for products in (comb_products(K), whitney_products(K)):
             for q in range(K.dim):
-                eu = eigh(*up_pencil(K, q, products[q], products[q + 1]),
+                eu = eigh(*dense_pencil(K, q, products[q], products[q + 1]),
                           eigvals_only=True)
                 ed = eigh(*down_pencil(K, q + 1, products[q + 1],
                                        products[q]), eigvals_only=True)

@@ -1,6 +1,8 @@
 import contextlib
+import functools
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -332,6 +334,71 @@ def test_cover_commands_fuzz(case, action):
         assert err.getvalue().count("\n") == 1
 
 
+@functools.lru_cache
+def cycle_basis(name):
+    """An integer basis of the 1-cycles of a fixture."""
+    from hodgecover.ratlinalg import rat_nullspace
+    out = []
+    for v in rat_nullspace(FIXTURES[name]().boundary_matrix(1).to_pylists()):
+        den = math.lcm(*(x.denominator for x in v))
+        out.append([int(x * den) for x in v])
+    return out
+
+
+@st.composite
+def scl_cases(draw):
+    """A base fixture, a cycle-file object over it and scl arguments.  The
+    cycle is an integer combination of a cycle basis (null or not), valid or
+    spoiled: wrong length, a non-integer entry, a nonzero boundary, or every
+    entry scaled by a huge factor."""
+    name = draw(st.sampled_from(["circle", "sphere", "torus",
+                                 "projective_plane", "klein_bottle"]))
+    basis = cycle_basis(name)
+    x = draw(st.lists(st.integers(-2, 2), min_size=len(basis),
+                      max_size=len(basis)))
+    coeffs = [sum(a * z[e] for a, z in zip(x, basis))
+              for e in range(len(basis[0]))]
+    kind = draw(st.sampled_from(["valid", "valid", "wrong_length",
+                                 "non_integer", "nonzero_boundary", "huge"]))
+    e = draw(st.integers(0, len(coeffs) - 1))
+    if kind == "wrong_length":
+        coeffs = coeffs[1:] if draw(st.booleans()) else coeffs + [0]
+    elif kind == "non_integer":
+        coeffs[e] = draw(st.sampled_from([1.5, "1", None, True, [0], {}]))
+    elif kind == "nonzero_boundary":
+        coeffs[e] += 1
+    elif kind == "huge":
+        scale = draw(st.sampled_from([2 ** 70, 10 ** 200, 10 ** 400]))
+        coeffs = [scale * c for c in coeffs]
+    cycle = {"coefficients": coeffs} if draw(st.booleans()) else coeffs
+    flags = draw(st.sampled_from([[], ["--l1"], ["--inner", "whitney"]]))
+    action = draw(st.sampled_from(["fill", "report"]))
+    return kind, cycle, [action, "--base", name, *flags]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(scl_cases())
+def test_scl_commands_fuzz(case):
+    """Every cycle file, valid or not, ends in exit 0, 2 or 3 with a
+    message, never in a traceback; a malformed one is a validation error."""
+    kind, cycle, argv = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cycle.json")
+        with open(path, "w") as fh:
+            json.dump(cycle, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["scl", *argv, "--cycle", path])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if kind in ("wrong_length", "non_integer", "nonzero_boundary"):
+        assert code == 2
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert err.getvalue().count("\n") == 1
+
+
 class TestNormsCommand:
     def test_constants(self, capsys):
         code, out, _ = run(capsys, "norms", "constants", "torus",
@@ -435,7 +502,8 @@ class TestSclCommands:
         [1.5 * c for c in TORUS_COLUMN],
         [True if c == 1 else c for c in TORUS_COLUMN],
         5,
-    ], ids=["fraction", "bool", "not_a_list"])
+        [c + (i == 0) for i, c in enumerate(TORUS_COLUMN)],
+    ], ids=["fraction", "bool", "not_a_list", "nonzero_boundary"])
     def test_malformed_cycle_exit_2(self, capsys, tmp_path, coefficients):
         path = tmp_path / "cycle.json"
         path.write_text(json.dumps({"coefficients": coefficients}))
@@ -706,6 +774,7 @@ def test_commands_load_only_the_scipy_they_need(tmp_path):
                  ["complex", "homology", "projective_plane"],
                  ["constants", "--ball", "3", "1.0", "1.0"],
                  ["norms", "constants", "genus2", "--degree", "1"],
+                 ["scl", "fill", "--base", "genus2", "--cycle", str(cycle)],
                  ["scl", "fill", "--base", "genus2", "--cycle", str(cycle),
                   "--inner", "whitney"]):
         assert _scipy_packages(run_main.format(argv)) == (set(), False)

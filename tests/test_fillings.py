@@ -14,13 +14,14 @@ import pytest
 
 import hodgecover
 from hodgecover import (CoverError, EdgeCycle, FillingError, InnerProduct,
-                        PermutationCoverSpec, build_cover, cycle_from_word,
-                        free_part_coefficients, l1_filling, least_norm_filling,
-                        lambda1_split, rationally_null, scl_report)
+                        PermutationCoverSpec, betti_numbers, build_cover,
+                        cycle_from_word, free_part_coefficients, l1_filling,
+                        least_norm_filling, lambda1_split, rationally_null,
+                        scl_report)
 from hodgecover.complexes import SparseIntMatrix
 from hodgecover.ratlinalg import rat_nullspace
-from hodgecover.surfaces import (circle, load_complex, tetrahedron_boundary,
-                                 torus7, unit_geometry)
+from hodgecover.surfaces import (circle, genus2_surface, load_complex,
+                                 tetrahedron_boundary, torus7, unit_geometry)
 from hodgecover.whitney import ComplexGeometry, whitney_mass_matrix
 
 from helpers import bareiss_det
@@ -364,6 +365,150 @@ def test_whitney_filling_needs_no_dense_solves(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     cert = least_norm_filling(cell_boundary(K, 0), "whitney", ip)
     assert cert.m == 5 and cert.delta == 1e-6
+
+
+def dual_loop_words(K):
+    """One closed tile word per edge of the dual graph outside a BFS tree
+    from top cell 0: down the tree to one end, across, and back up."""
+    adj = K.facet_adjacencies()
+    parent, queue = {0: None}, [0]
+    for a in queue:
+        for b in sorted(b for (x, b) in adj if x == a):
+            if b not in parent:
+                parent[b] = a
+                queue.append(b)
+
+    def path(t):          # tile word from top cell 0 to t
+        word = []
+        while parent[t] is not None:
+            word.append((parent[t], t))
+            t = parent[t]
+        return word[::-1]
+
+    return [path(a) + [(a, b)] + [(y, x) for x, y in path(b)[::-1]]
+            for (a, b) in sorted(adj) if a < b
+            and parent[a] != b and parent[b] != a]
+
+
+def _integer_cycles(K):
+    """A basis of the rational 1-cycles, each scaled to integers."""
+    out = []
+    for v in rat_nullspace(K.boundary_matrix(1).to_pylists()):
+        den = math.lcm(*(x.denominator for x in v))
+        out.append(EdgeCycle(K, tuple(int(x * den) for x in v)))
+    return out
+
+
+def _oracle_cases():
+    """Null and non-null cycles on every 2-dimensional fixture, the kernel
+    dimension 2 and 4 complexes, and seeded genus2 covers of degree <= 7,
+    whose non-null cycles are lifts of dual loops."""
+    from helpers import random_cyclic_cover
+    cases = {}
+    for name, K in WHITNEY_FILLING_COMPLEXES.items():
+        if name.startswith("genus2_d"):
+            continue
+        rng = random.Random(name)
+        cases[name] = (K, [cell_boundary(K, 0), random_null_cycle(K, rng),
+                           *_integer_cycles(K)])
+    g2 = genus2_surface()
+    words = dual_loop_words(g2)[:6]
+    for d in (2, 3, 5, 7):
+        for seed in (1, 2):
+            cover = build_cover(random_cyclic_cover(g2, d, random.Random(seed)))
+            K = cover.complex
+            rng = random.Random(seed)
+            cases[f"genus2_d{d}_s{seed}"] = (K, [
+                random_null_cycle(K, rng),
+                *(cycle_from_word(cover, w * d) for w in words)])
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_comb_filling_and_certificate_match_the_oracles(name):
+    """The comb filling in kernel coordinates is the normal-equations chain,
+    and the certificate read from the RREF of d2^T is the first vector of the
+    whole kernel basis that pairs nonzero with the cycle."""
+    from helpers import reference_certificate, reference_comb_filling
+    K, cycles = ORACLE_CASES[name]
+    kinds = set()
+    for f in cycles:
+        null, x = rationally_null(f)
+        want_y = reference_certificate(f)
+        kinds.add(null)
+        if not null:
+            assert x == want_y and all(type(c) is Fraction for c in x)
+            continue
+        assert want_y is None
+        got, want = least_norm_filling(f, "comb"), reference_comb_filling(f)
+        assert (got.g, got.m, repr(got.norm_g), got.one_norm) == \
+            (want.g, want.m, repr(want.norm_g), want.one_norm)
+    assert True in kinds
+    assert (False in kinds) == (betti_numbers(K)[1] > 0)
+
+
+def test_one_elimination_per_cycle(monkeypatch):
+    """[d2 | f] is eliminated once for rationally_null and all three
+    fillings of one cycle, and the l1 constraint matrix is never dense."""
+    from hodgecover import ratlinalg
+    K = ORACLE_CASES["genus2_d3_s1"][0]
+    n1, n2 = K.n_cells(1), K.n_cells(2)
+    ip = whitney_mass_matrix(K, unit_geometry(K), 2)
+    f = random_null_cycle(K, random.Random(3))
+    rows = []
+    echelon = ratlinalg.echelon
+
+    def counting(r, *args, **kwargs):
+        rows.append(len(r))
+        return echelon(r, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense constraint matrix")
+
+    monkeypatch.setattr(ratlinalg, "echelon", counting)
+    assert rationally_null(f)[0]
+    least_norm_filling(f, "comb")
+    least_norm_filling(f, "whitney", ip)
+    with monkeypatch.context() as m:
+        m.setattr(np, "block", refuse)
+        m.setattr(np, "eye", refuse)
+        l1_filling(f)
+    assert rows == [n1, 1]      # [d2 | f], then the comb's 1 x 1 system
+    h = next(h for h in ORACLE_CASES["genus2_d3_s1"][1]
+             if not rationally_null(h)[0])
+    h = EdgeCycle(K, h.coefficients)      # a new cycle, with an empty cache
+    rows.clear()
+    assert not rationally_null(h)[0]
+    assert rows == [n1, n2]     # [d2 | h], then d2^T for the certificate
+
+
+def test_whitney_filling_builds_no_dense_mass():
+    # beyond the chains themselves the filling allocates O(n2 k) floats; the
+    # dense degree-2 mass matrix alone would be n2^2 doubles
+    import tracemalloc
+    from helpers import random_cyclic_cover
+    K = build_cover(random_cyclic_cover(genus2_surface(), 23,
+                                        random.Random(23))).complex
+    rng = random.Random(23)
+    geo = ComplexGeometry(K, {e: rng.uniform(0.9, 1.1) for e in K.cells[1]})
+    ip = whitney_mass_matrix(K, geo, 2)
+    f = random_null_cycle(K, rng)
+    f.solution_space                  # the exact elimination, traced apart
+    n = K.n_cells(2)
+    tracemalloc.start()
+    try:
+        cert = least_norm_filling(f, "whitney", ip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ip._dense is None
+    assert peak < 0.1 * n * n * 8
+    assert cert.norm_g == pytest.approx(
+        math.sqrt(sum(float(c) ** 2 * m for c, m in
+                      zip(cert.g, ip.diagonal()))), rel=1e-12)
 
 
 class TestL1Filling:

@@ -18,7 +18,7 @@ from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
 from hodgecover.whitney import (ComplexGeometry, InnerProduct,
                                 whitney_mass_matrix)
 
-from helpers import down_pencil, random_cyclic_cover
+from helpers import dense_pencil, down_pencil, random_cyclic_cover
 
 
 def comb_products(K):
@@ -45,8 +45,8 @@ def spectral_cases():
 
 def full_pencil(K, q, products):
     """(A_up + B_down, M): the whole Hodge Laplacian, down part included."""
-    A, M = up_pencil(K, q, products[q], products.get(q + 1))
-    B, _ = down_pencil(K, q, products[q], products.get(q - 1))
+    A, _ = up_pencil(K, q, products[q], products.get(q + 1))
+    B, M = down_pencil(K, q, products[q], products.get(q - 1))
     return A + B, M
 
 
@@ -94,8 +94,13 @@ class TestUpPencil:
 
     def test_matches_dense_product(self):
         for K, q, products in self.cases():
+            viewed = products[q]._dense is not None
             A, M = up_pencil(K, q, products[q], products.get(q + 1))
-            assert type(A) is np.ndarray and M is products[q].matrix
+            assert type(A) is np.ndarray and M.format == "csr"
+            # M comes from the blocks: up_pencil builds no dense view
+            assert (products[q]._dense is not None) == viewed
+            assert np.allclose(M.toarray(), products[q].matrix, rtol=1e-15,
+                               atol=1e-16)
             if q == K.dim:
                 assert np.array_equal(A, np.zeros((K.n_cells(q),) * 2))
                 continue
@@ -115,13 +120,11 @@ class TestUpPencil:
 
     def test_no_dense_temporaries(self):
         # the traced peak is the dense output A and sparse work beside it;
-        # a dense gather of d^T M or a dense (A + A^T) / 2 would exceed it.
-        # M_1 is read first: its dense view is up_pencil's output, built on
-        # first read, not one of its temporaries
+        # a dense gather of d^T M, a dense (A + A^T) / 2 or a dense M_1
+        # would exceed it
         K = genus2_cover(23)
         ips = perturbed_whitney_products(K, 23)
         n = K.n_cells(1)
-        ips[1].matrix
         tracemalloc.start()
         try:
             up_pencil(K, 1, ips[1], ips[2])
@@ -169,8 +172,8 @@ class TestHodgeTheorem:
                         assert s.lambda1 > 1e-10
                 # the float up-spectra really split at the exact ranks
                 for q in range(K.dim):
-                    eigs = eigh(*up_pencil(K, q, products[q],
-                                           products[q + 1]),
+                    eigs = eigh(*dense_pencil(K, q, products[q],
+                                              products[q + 1]),
                                 eigvals_only=True)
                     k = K.n_cells(q) - sympy.Matrix(
                         K.boundary_matrix(q + 1).to_pylists()).rank()
@@ -188,8 +191,8 @@ class TestUpPencilsOnly:
             assert np.allclose(s.spectrum, eigh(L, M, eigvals_only=True),
                                rtol=1e-9, atol=1e-9)
             for lam, pencil in (
-                    (s.lambda1_dstar, up_pencil(K, q, products[q],
-                                                products.get(q + 1))),
+                    (s.lambda1_dstar, dense_pencil(K, q, products[q],
+                                                   products.get(q + 1))),
                     (s.lambda1_d, down_pencil(K, q, products[q],
                                               products.get(q - 1)))):
                 positive = [x for x in eigh(*pencil, eigvals_only=True)
@@ -226,7 +229,8 @@ class TestSupersymmetry:
             K = fn()
             for products in (comb_products(K), whitney_products(K)):
                 for q in range(K.dim):
-                    eu = eigh(*up_pencil(K, q, products[q], products[q + 1]),
+                    eu = eigh(*dense_pencil(K, q, products[q],
+                                            products[q + 1]),
                               eigvals_only=True)
                     ed = eigh(*down_pencil(K, q + 1, products[q + 1],
                                            products[q]),
