@@ -15,9 +15,8 @@ from .covers import (Cover, CoverError, FacePairing, FacePairingSet, Graph,
 from .fillings import (EdgeCycle, FillingCertificate, FillingError,
                        cycle_from_word, free_part_coefficients, l1_filling,
                        least_norm_filling, rationally_null, scl_report)
-from .homology import (SmithDecomposition, betti_numbers, boundary_factors,
-                       homology_table, smith_normal_form, torsion_invariants,
-                       torsion_order)
+from .homology import (betti_numbers, boundary_factors, homology_table,
+                       invariant_factors, torsion_invariants, torsion_order)
 from .hypgeom import (GeometryError, HypPoint, MoserConstant, SimplexMetric,
                       ball_volume, hyp_distance, kappa, minkowski_inner,
                       moser_constant, right_triangle_area, simplex_gram,

@@ -126,13 +126,14 @@ def _load_geometry(K, path):
     if path is None:
         return ComplexGeometry.uniform(K, 1.0)
     data = _load_json(path)
+    known = K.cell_index[1] if K.dim else {}     # in the order of the edges
     edges = {}
     for key, val in _items("geometry", data, "edges"):
         edge = tuple(sorted(_key(key)))
-        if edge not in K.cell_index[1]:
+        if edge not in known:
             raise CliError(f"geometry key {key!r} names no edge of the complex")
         edges[edge] = _length(f"edge {key!r}", val)
-    missing = next((e for e in K.cells[1] if e not in edges), None)
+    missing = next((e for e in known if e not in edges), None)
     if missing is not None:
         raise CliError(f"geometry gives no length for edge {missing}")
     return ComplexGeometry(K, edges)
@@ -151,7 +152,10 @@ def _load_cover_spec(base, path):
 
 
 def _check_whitney(K, q):
-    """Reject a q-cell in no top cell: its Whitney mass matrix is singular."""
+    """Reject a 0-dimensional complex, which has no edge lengths, and a
+    q-cell in no top cell: its Whitney mass matrix is singular."""
+    if K.dim == 0:
+        raise CliError("Whitney forms need a complex of dimension >= 1")
     if (cell := K.uncovered_cell(q)) is not None:
         raise CliError(f"{q}-cell {cell} lies in no top cell")
 

@@ -7,19 +7,19 @@ cells of the cover are orbits of (cell, ambient top cell, sheet) triples
 under the gluing relation those permutations generate.  The triples are
 numbered so that the numbers sort as the triples do, and the orbits come from
 whole-array min-label propagation with pointer jumping (numpy only).  Each
-cover builds its Schreier graph once.
+cover builds its Schreier graph once, from arrays, as an immutable CSR
+`Graph` that one breadth-first search, the diameter and the orbit search
+all read.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
-from .complexes import ComplexError, SimplicialComplex
+from .complexes import SimplicialComplex
 
 
 class CoverError(ValueError):
@@ -34,100 +34,122 @@ _BITSET_WORDS = 1 << 22    # 32 MB per bitset of the many-sources BFS
 
 
 class Graph:
-    """Undirected graph on vertices 0..n-1 with optional edge labels.
+    """Immutable undirected graph on vertices 0..n-1 with optional edge
+    labels, kept as read-only integer arrays.
 
-    A label is an ordered pair (a, b) read in the direction u -> v of the
-    `add_edge(u, v, label)` call; the direction v -> u carries (b, a).
+    Both directions of every edge, sorted by (tail, head), form the CSR
+    arrays `start` and `head`: u's neighbours, in increasing order, are
+    head[start[u]:start[u + 1]], and `label` numbers each one's label in
+    `names` (-1 for none).  `labels`, if given, runs parallel to `edges`: a
+    pair (a, b) labels the direction u -> v of edge (u, v), and v -> u
+    carries (b, a); None leaves the edge unlabelled.  A repeated edge keeps
+    its first occurrence's label in both directions.
     """
 
-    def __init__(self, n: int, edges=()):
-        self.n = n
-        self.edges = {(u, v) if u < v else (v, u) for u, v in edges}
-        self.labels: dict[tuple[int, int], tuple] = {}
-        if any(u == v for u, v in self.edges):
+    def __init__(self, n: int, edges=(), labels=None):
+        edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        ids: dict = {}
+        label = [[-1, -1] if x is None else [ids.setdefault(tuple(y), len(ids))
+                                             for y in (x, x[::-1])]
+                 for x in labels or [None] * len(edges)]
+        self._store(n, edges, np.array(label, np.intp).reshape(-1, 2),
+                    list(ids))
+
+    @classmethod
+    def from_arrays(cls, n: int, edges: np.ndarray, label: np.ndarray,
+                    names: list) -> Graph:
+        """The graph of (m, 2) arrays of edges and of their label numbers."""
+        g = cls.__new__(cls)
+        g._store(n, edges, label, names)
+        return g
+
+    def _store(self, n, edges, label, names):
+        if (edges[:, 0] == edges[:, 1]).any():
             raise CoverError("loops not supported")
-        # append every edge, then sort each adjacency list once
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            self.adj[u].append(v)
-            self.adj[v].append(u)
-        for nbrs in self.adj:
-            nbrs.sort()
+        # edge i's two directions are keys 2i and 2i + 1, so the first
+        # occurrence of either direction of a repeated edge is its first edge
+        key, first = np.unique((edges * n + edges[:, ::-1]).ravel(),
+                               return_index=True)
+        self.n, self.names = n, names
+        self.start = np.searchsorted(key, np.arange(n + 1) * n)
+        if self.start[0] or self.start[-1] < len(key):   # keys outside [0, n²)
+            raise CoverError(f"a vertex lies outside 0..{n - 1}")
+        self.head = key % max(n, 1)
+        self.label = label.ravel()[first]
+        for a in (self.start, self.head, self.label):
+            a.flags.writeable = False
 
-    def add_edge(self, u: int, v: int, label: tuple | None = None):
-        if u == v:
-            raise CoverError("loops not supported")
-        key = (min(u, v), max(u, v))
-        if key in self.edges:
-            return
-        self.edges.add(key)
-        insort(self.adj[u], v)
-        insort(self.adj[v], u)
-        if label is not None:
-            a, b = label
-            self.labels[(u, v)] = label
-            self.labels[(v, u)] = (b, a)
+    def tails(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n), np.diff(self.start))
 
-    def edge_label(self, u: int, v: int):
-        return self.labels.get((u, v))
+    def _edges(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Positions of the directed edges u[i] -> w[i], which must exist."""
+        return np.searchsorted(self.tails() * self.n + self.head,
+                               u * self.n + w)
 
-    def bfs_distances(self, v0: int) -> list[int]:
-        dist = [-1] * self.n
-        dist[v0] = 0
-        dq = deque([v0])
-        while dq:
-            u = dq.popleft()
-            for w in self.adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    dq.append(w)
-        return dist
+    def bfs(self, v0: int) -> tuple[list[int], list[int], list[int]]:
+        """Breadth-first search from v0 over neighbours in increasing order:
+        the vertices in the order they leave the queue, and per vertex its
+        parent (the first of its neighbours to leave the queue; -1 at v0)
+        and depth, both -1 where v0's component does not reach."""
+        start, head = self.start.tolist(), self.head.tolist()
+        parent, depth = [-1] * self.n, [-1] * self.n
+        depth[v0] = 0
+        order = [v0]
+        for u in order:
+            du = depth[u] + 1
+            for w in head[start[u]:start[u + 1]]:
+                if depth[w] < 0:
+                    parent[w], depth[w] = u, du
+                    order.append(w)
+        return order, parent, depth
 
     def is_connected(self) -> bool:
-        return self.n == 0 or all(d >= 0 for d in self.bfs_distances(0))
+        return self.n == 0 or len(self.bfs(0)[0]) == self.n
 
 
 @dataclass
 class SpanningTree:
-    """Shortest-path spanning tree: parent map plus per-vertex access words."""
+    """Shortest-path spanning tree: parent and depth arrays (parent -1 at the
+    root) plus per-vertex access words."""
 
     root: int
-    parent: dict[int, int | None]
-    depth: dict[int, int]
+    parent: np.ndarray
+    depth: np.ndarray
     words: dict[int, tuple]  # edge labels along root -> v, in traversal order
-    tree_edges: set[tuple[int, int]]
+
+    @property
+    def tree_edges(self) -> set[tuple[int, int]]:
+        return {(min(v, p), max(v, p))
+                for v, p in enumerate(self.parent.tolist()) if p >= 0}
 
     def diameter(self) -> int:
         """Exact, by double sweep: on a tree, a vertex farthest from the root
         ends a longest path, so the largest distance from it is the diameter
         (Handler 1973).  The first sweep is the BFS that built the tree."""
-        far = max(self.depth, key=self.depth.get)
-        g = Graph(max(self.parent) + 1, self.tree_edges)
-        return max(g.bfs_distances(far))
+        v = np.flatnonzero(self.parent >= 0)
+        tree = Graph(len(self.parent), np.column_stack((v, self.parent[v])))
+        return max(tree.bfs(int(np.argmax(self.depth)))[2])
 
 
 def shortest_path_tree(G: Graph, v0: int) -> SpanningTree:
     """BFS tree rooted at v0; tree distance to the root equals graph distance.
 
-    Ties broken toward the lowest-index parent, so the result is
+    A vertex's parent is the first of its neighbours to leave the BFS queue,
+    which need not be its lowest-index neighbour one level up; the result is
     deterministic.  Consequently diam(T) <= 2*diam(G).
     """
-    parent: dict[int, int | None] = {v0: None}
-    depth = {v0: 0}
-    words: dict[int, tuple] = {v0: ()}
-    order = deque([v0])
-    while order:
-        u = order.popleft()
-        for w in G.adj[u]:  # adjacency sorted => lowest-index parent wins
-            if w not in parent:
-                parent[w] = u
-                depth[w] = depth[u] + 1
-                words[w] = words[u] + (G.edge_label(u, w),)
-                order.append(w)
-    if len(parent) != G.n:
+    order, parent, depth = G.bfs(v0)
+    if len(order) != G.n:
         raise CoverError("graph is disconnected")
-    edges = {(min(u, p), max(u, p)) for u, p in parent.items() if p is not None}
-    return SpanningTree(v0, parent, depth, words, edges)
+    parent, depth = np.array(parent), np.array(depth)
+    w = np.array(order[1:], dtype=np.intp)
+    names = G.names + [None]            # label -1 reads None
+    words: dict[int, tuple] = {v0: ()}
+    for v, u, x in zip(order[1:], parent[w].tolist(),
+                       G.label[G._edges(parent[w], w)].tolist()):
+        words[v] = words[u] + (names[x],)
+    return SpanningTree(v0, parent, depth, words)
 
 
 def graph_diameter(G: Graph) -> int:
@@ -146,13 +168,12 @@ def graph_diameter(G: Graph) -> int:
     n = G.n
     if n == 0:
         return 0
-    deg = np.fromiter(map(len, G.adj), np.intp, n)
-    adj = np.fromiter(chain.from_iterable(G.adj), np.intp, deg.sum())
+    deg = np.diff(G.start)
     order = np.argsort(-deg, kind="stable")
     label = np.empty(n, dtype=np.intp)
     label[order] = np.arange(n)
-    first, fall = (np.cumsum(deg) - deg)[order], -deg[order]
-    neighbours = [label[adj[first[:fall.searchsorted(-k)] + k]]
+    first, fall = G.start[order], -deg[order]
+    neighbours = [label[G.head[first[:fall.searchsorted(-k)] + k]]
                   for k in range(-fall[0])]
     # one word holds up to 64 sources, so fewer cannot save a BFS
     sources = np.sort(label[_orbit_sources(G)]) if n > 64 else np.arange(n)
@@ -186,7 +207,7 @@ def _orbit_sources(G: Graph) -> np.ndarray:
 
     With every edge labelled and no directed label twice at a vertex, an
     automorphism is fixed by the image of vertex 0.  Each candidate image,
-    a vertex with vertex 0's label set, is propagated along a BFS tree of
+    a vertex with vertex 0's label set, is propagated along G's BFS tree of
     vertex 0, a layer at a time, and the map is kept only if it sends every
     labelled edge onto an edge of the same label and is a bijection.  The
     kept maps generate a group; candidates already in vertex 0's orbit
@@ -195,41 +216,30 @@ def _orbit_sources(G: Graph) -> np.ndarray:
     the search.  The orbits are the classes of the pairs (v, phi(v))."""
     n = G.n
     every = np.arange(n)
-    if n < 2 or len(G.labels) != 2 * len(G.edges) or not G.adj[0]:
+    if n < 2 or (G.label < 0).any() or G.start[1] == 0:
         return every
-    ids: dict = {}             # label -> its number in first-seen order
-    lab = np.fromiter([ids.setdefault(x, len(ids)) for x in G.labels.values()],
-                      np.intp, len(G.labels))
-    tail, head = np.fromiter(chain.from_iterable(G.labels), np.intp,
-                             2 * len(lab)).reshape(-1, 2).T
-    o = np.lexsort((lab, tail))
-    tail, head, lab = tail[o], head[o], lab[o]
+    # each vertex's edges in label order: the j-th label of vertex x is edge
+    # start[x] + j; the sentinel vertex n has no edges
+    tail = G.tails()
+    o = np.lexsort((G.label, tail))
+    head, lab = G.head[o], G.label[o]
     if ((tail[1:] == tail[:-1]) & (lab[1:] == lab[:-1])).any():
         return every
-    # the j-th label of vertex x, in label order, is edge start[x] + j; the
-    # sentinel vertex n has no edges
-    deg = np.bincount(tail, minlength=n + 1)
-    start = np.concatenate(([0], np.cumsum(deg)))
+    start = np.append(G.start, len(tail))
+    deg = np.diff(start)
     slot = np.arange(len(tail)) - start[tail]
     cand = np.flatnonzero(deg == deg[0])[1:]
     for j in range(deg[0]):
         cand = cand[lab[start[cand] + j] == lab[j]]
     if not len(cand):
         return every
-    # BFS tree of vertex 0: the edge into each vertex, layer by layer
-    into, order, depth = [-1] * n, [0], [0] * n
-    into[0] = len(tail)
-    ends, heads = start.tolist(), head.tolist()
-    for u in order:
-        for e in range(ends[u], ends[u + 1]):
-            if into[w := heads[e]] < 0:
-                into[w], depth[w] = e, depth[u] + 1
-                order.append(w)
+    order, parent, depth = G.bfs(0)
     if len(order) < n:
         return every
-    tree, depth = np.array(into)[order[1:]], np.array(depth)[order[1:]]
-    u, w, k = tail[tree], head[tree], slot[tree]   # w is u's k-th neighbour
-    cuts = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), len(tree)]
+    w = np.array(order[1:], dtype=np.intp)
+    u, depth = np.array(parent)[w], np.array(depth)[w]
+    k = np.argsort(o)[G._edges(u, w)] - G.start[u]  # w is u's k-th neighbour
+    cuts = [0, *(np.flatnonzero(np.diff(depth)) + 1).tolist(), len(w)]
     layers = [(u[a:b], w[a:b], k[a:b]) for a, b in zip(cuts, cuts[1:])]
     # across[start[x] + j] is x's j-th neighbour on an automorphism; else it
     # may be a wrong vertex, or the sentinel, and the check below rejects it
@@ -266,11 +276,8 @@ def _orbit_sources(G: Graph) -> np.ndarray:
 def dual_graph(K: SimplicialComplex) -> Graph:
     """Top cells of K, adjacent when they share a facet; the direction
     i -> j is labelled (i, j)."""
-    g = Graph(K.n_cells(K.dim))
-    for (i, j) in K.facet_adjacencies():
-        if i < j:
-            g.add_edge(i, j, label=(i, j))
-    return g
+    pairs = [e for e in K.facet_adjacencies() if e[0] < e[1]]
+    return Graph(K.n_cells(K.dim), pairs, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +340,17 @@ class PermutationCoverSpec:
         loops generate every closed loop's sheet action.
         """
         g = dual_graph(self.base)
-        if not g.is_connected():
+        order, parent, _ = g.bfs(0)
+        if len(order) != g.n:
             raise CoverError("base dual graph is disconnected")
-        tree = shortest_path_tree(g, 0)
         ident = tuple(range(self.degree))
 
         def compose(p, q):  # s -> q[p[s]]
             return tuple(q[p[s]] for s in range(self.degree))
 
         path = {0: ident}
-        for v in sorted(tree.depth, key=tree.depth.get):
-            if tree.parent[v] is not None:
-                u = tree.parent[v]
-                path[v] = compose(path[u], self.perms[(u, v)])
+        for v in order[1:]:
+            path[v] = compose(path[parent[v]], self.perms[(parent[v], v)])
         gens = []
         for (u, v) in self.perms:
             h = compose(compose(path[u], self.perms[(u, v)]),
@@ -357,17 +362,9 @@ class PermutationCoverSpec:
     def is_transitive(self) -> bool:
         """True iff loops based at a tile reach every sheet (holonomy
         transitivity); equivalent to connectivity of the cover."""
-        seen = {0}
-        frontier = [0]
-        gens = self.holonomy_generators()
-        while frontier:
-            s = frontier.pop()
-            for p in gens:
-                for t in (p[s], _inverse_perm(p)[s]):
-                    if t not in seen:
-                        seen.add(t)
-                        frontier.append(t)
-        return len(seen) == self.degree
+        gens = np.array(self.holonomy_generators(), dtype=np.intp).ravel()
+        sheets = np.resize(np.arange(self.degree), len(gens))   # s ~ p[s]
+        return not _classes(self.degree, sheets, gens).any()
 
 
 @dataclass
@@ -385,24 +382,28 @@ class Cover:
     def __post_init__(self):
         """Build the Schreier graph once: dual graph of the cover's top-cell
         tiling, tiles numbered as the cover complex's top cells, edges
-        labelled by the base adjacency they project to."""
-        g = Graph(len(self.top_of))
+        labelled by the base adjacency they project to.  Tile (t, s) joins
+        tile (t', p[s]) across the adjacency (t, t') carrying p."""
         d = self.spec.degree
-        for (a, b), p in self.spec.perms.items():
-            if a < b:
-                for s in range(d):
-                    u = self.top_index[(a, s)]
-                    v = self.top_index[(b, p[s])]
-                    g.add_edge(u, v, label=(a, b))
-        self._schreier = g
-        self.connected = g.is_connected()
+        adj = [e for e in self.spec.perms if e[0] < e[1]]
+        t, s = np.array(self.top_of, dtype=np.intp).reshape(-1, 2).T
+        tile = np.argsort(t * d + s).reshape(-1, d)    # tile[t, s]
+        a, b = np.array(adj, dtype=np.intp).reshape(-1, 2).T
+        p = np.array([self.spec.perms[e] for e in adj],
+                     dtype=np.intp).reshape(-1, d)
+        edges = np.stack((tile[a], tile[b[:, None], p]), axis=2)
+        label = np.repeat(np.arange(len(adj))[:, None] + [0, len(adj)], d, 0)
+        self._schreier = Graph.from_arrays(
+            len(t), edges.reshape(-1, 2), label,
+            adj + [(j, i) for i, j in adj])
+        self.connected = self._schreier.is_connected()
 
     def lift_cell(self, q: int, base_cell: int, top: int, sheet: int) -> int:
         return self.lift[(q, base_cell, top, sheet)]
 
     def schreier_graph(self) -> Graph:
-        """The Schreier graph built with the cover: the same object on every
-        call, so callers must not modify it."""
+        """The Schreier graph built with the cover, the same immutable object
+        on every call."""
         return self._schreier
 
 
@@ -539,11 +540,7 @@ class FacePairingSet:
         return len(self.pairings)
 
     def boundary_faces(self) -> list[tuple[int, int]]:
-        out = []
-        for p in self.pairings:
-            out.append(p.face)
-            out.append(p.paired_face)
-        return out
+        return [f for p in self.pairings for f in (p.face, p.paired_face)]
 
 
 def _invert_word(word: tuple, rev: dict) -> tuple:
@@ -560,16 +557,18 @@ def tree_fundamental_domain(cover: Cover, tree: SpanningTree
     one pairing word: out along the tree, across the edge, back to the root.
     """
     g = cover.schreier_graph()
-    if set(tree.parent) != set(range(g.n)):
+    if len(tree.parent) != g.n:
         raise CoverError("tree does not span the cover's dual graph")
     words = dict(tree.words)
     n = cover.spec.base.dim
     rev = {(a, b): (b, a) for (a, b) in cover.spec.perms}
+    tail, head, parent = g.tails(), g.head, tree.parent
+    cross = np.flatnonzero((tail < head) & (parent[head] != tail)
+                           & (parent[tail] != head))
     pairings = []
-    for (u, w) in sorted(g.edges):
-        if (u, w) in tree.tree_edges:
-            continue
-        label = g.edge_label(u, w)
+    for u, w, x in zip(tail[cross].tolist(), head[cross].tolist(),
+                       g.label[cross].tolist()):
+        label = g.names[x]
         tu, su = cover.top_of[u]
         facet = cover.spec.adjacencies[label]
         fi = cover.spec.base.cell_index[n - 1][facet]

@@ -271,10 +271,13 @@ def l1_filling(f: EdgeCycle, denominator: int = 10 ** 6) -> FillingCertificate:
     from scipy.optimize import linprog
     from scipy.sparse import csr_array
     # minimize |g0 + N c|_1 over c: variables (c, t), t >= +-(g0 + N c),
-    # A_ub = [[N, -I], [-N, -I]]
+    # A_ub = [[N, -I], [-N, -I]].  The LP is homogeneous in (g0, c, t), so
+    # it is solved for g0 / 2^e with 2^e >= max |g0|, which keeps b_ub within
+    # the solver's range, and c is scaled back exactly.
     n2, k = len(g0), len(kernel)
     N = np.array([[float(x) for x in v] for v in kernel], dtype=float).T
-    g0f = np.array([float(x) for x in g0])
+    scale = 2 ** max(math.ceil(max(map(abs, g0))) - 1, 0).bit_length()
+    g0f = np.array([float(x / scale) for x in g0])
     i, j = np.nonzero(N)
     cells = np.arange(n2)
     A_ub = csr_array((
@@ -288,7 +291,7 @@ def l1_filling(f: EdgeCycle, denominator: int = 10 ** 6) -> FillingCertificate:
                   method="highs")
     if not res.success:
         raise FillingError(f"linear program failed: {res.message}")
-    g = _rounded_chain(g0, kernel, res.x[:k], denominator)
+    g = _rounded_chain(g0, kernel, res.x[:k] * scale, denominator)
     norm_g = float(sum(abs(float(x)) for x in g))
     return _certify(f, g, "l1", 0.0, norm_g)
 

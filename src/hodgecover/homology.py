@@ -13,81 +13,17 @@ elimination per boundary map.  All arithmetic uses Python big integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
-from .complexes import SimplicialComplex, SparseIntMatrix
+from .complexes import SimplicialComplex
 from .ratlinalg import echelon, sparse_rows
 
 
-@dataclass
-class SmithDecomposition:
-    """A = U @ D @ V with U, V unimodular and D diagonal, d1 | d2 | ..."""
-
-    U: list[list[int]]
-    D: list[list[int]]
-    V: list[list[int]]
-
-    @property
-    def diagonal(self) -> list[int]:
-        n = min(len(self.D), len(self.D[0]) if self.D else 0)
-        return [self.D[i][i] for i in range(n)]
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _smith(D: list[list[int]], U: list[list[int]] | None = None,
-           V: list[list[int]] | None = None) -> None:
+def _smith(D: list[list[int]]) -> None:
     """Bring the dense integer matrix D to Smith normal form in place, by
-    smallest-magnitude pivoting.
-
-    When U and V are given (identities of matching size), every row operation
-    applied to D is undone on U and every column operation on V, so that
-    U @ D @ V stays equal to the input throughout.
-    """
+    smallest-magnitude pivoting."""
     m = len(D)
     n = len(D[0]) if m else 0
-
-    def row_add(i, j, k):
-        # D[i] += k*D[j]; compensate on U with the inverse column op
-        for c in range(n):
-            D[i][c] += k * D[j][c]
-        if U is not None:
-            for r in range(m):
-                U[r][j] -= k * U[r][i]
-
-    def col_add(i, j, k):
-        # D[:,i] += k*D[:,j]
-        for r in range(m):
-            D[r][i] += k * D[r][j]
-        if V is not None:
-            for c in range(n):
-                V[j][c] -= k * V[i][c]
-
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        if U is not None:
-            for r in range(m):
-                U[r][i], U[r][j] = U[r][j], U[r][i]
-
-    def col_swap(i, j):
-        for r in range(m):
-            D[r][i], D[r][j] = D[r][j], D[r][i]
-        if V is not None:
-            V[i], V[j] = V[j], V[i]
-
-    def row_negate(i):
-        D[i] = [-x for x in D[i]]
-        if U is not None:
-            for r in range(m):
-                U[r][i] = -U[r][i]
-
     t = 0
     while True:
         # move the smallest-magnitude entry of the block to the pivot slot;
@@ -102,20 +38,24 @@ def _smith(D: list[list[int]], U: list[list[int]] | None = None,
         if pivot is None:
             break
         pi, pj = pivot
-        row_swap(t, pi)
-        col_swap(t, pj)
+        D[t], D[pi] = D[pi], D[t]
+        for row in D:
+            row[t], row[pj] = row[pj], row[t]
         if D[t][t] < 0:
-            row_negate(t)
+            D[t] = [-x for x in D[t]]
 
         # one reduction pass; any nonzero remainder triggers a re-search
         for i in range(t + 1, m):
             if D[i][t] != 0:
-                row_add(i, t, -(D[i][t] // D[t][t]))
+                k = D[i][t] // D[t][t]
+                D[i] = [x - k * y for x, y in zip(D[i], D[t])]
         if any(D[i][t] != 0 for i in range(t + 1, m)):
             continue
         for j in range(t + 1, n):
             if D[t][j] != 0:
-                col_add(j, t, -(D[t][j] // D[t][t]))
+                k = D[t][j] // D[t][t]
+                for row in D:
+                    row[j] -= k * row[t]
         if any(D[t][j] != 0 for j in range(t + 1, n)):
             continue
 
@@ -127,26 +67,9 @@ def _smith(D: list[list[int]], U: list[list[int]] | None = None,
                 offender = i
                 break
         if offender is not None:
-            row_add(t, offender, 1)
+            D[t] = [x + y for x, y in zip(D[t], D[offender])]
             continue
         t += 1
-
-
-def smith_normal_form(A) -> SmithDecomposition:
-    """Smith normal form with transforms, smallest-magnitude pivoting.
-
-    Accepts a SparseIntMatrix or a dense list-of-lists.  Maintains
-    A = U @ D @ V throughout: every row operation applied to D is undone on U,
-    every column operation undone on V.
-    """
-    if isinstance(A, SparseIntMatrix):
-        D = A.to_pylists()
-    else:
-        D = [[int(x) for x in row] for row in A]
-    U = _identity(len(D))
-    V = _identity(len(D[0]) if D else 0)
-    _smith(D, U, V)
-    return SmithDecomposition(U, D, V)
 
 
 def invariant_factors(A) -> list[int]:

@@ -111,6 +111,11 @@ class NormSpec:
             raise ValueError("side must be cochain or chain")
 
 
+def _edges(K: SimplicialComplex) -> list[tuple[int, int]]:
+    """The edges of K, none when K is 0-dimensional."""
+    return K.cells[1] if K.dim >= 1 else []
+
+
 class ComplexGeometry:
     """Edge-length table for every edge of a complex, one flat metric per
     top simplex.  Per-top tables must agree on shared edges to 1e-9."""
@@ -122,13 +127,13 @@ class ComplexGeometry:
             if u > v:
                 u, v = v, u
             self.edge_lengths[(u, v)] = float(l)
-        for e in K.cells[1]:
+        for e in _edges(K):
             if e not in self.edge_lengths:
                 raise GeometryError(f"no length for edge {e}")
 
     @staticmethod
     def uniform(K: SimplicialComplex, length: float = 1.0) -> "ComplexGeometry":
-        return ComplexGeometry(K, {e: length for e in K.cells[1]})
+        return ComplexGeometry(K, {e: length for e in _edges(K)})
 
     @staticmethod
     def from_per_top_tables(K: SimplicialComplex, tables: dict,
@@ -319,7 +324,7 @@ def cochain_norm(x, spec: NormSpec, ip: InnerProduct | None = None,
     if spec.p == 2:
         if ip is None:
             raise ValueError("whitney-2 norm needs an InnerProduct")
-        return float(math.sqrt(max(x @ ip.matrix @ x, 0.0)))
+        return float(math.sqrt(max(x @ ip.apply(x), 0.0)))
     if spec.p == math.inf:
         if sampler is None:
             raise ValueError("whitney-inf norm needs a (K, geometry, q) sampler")

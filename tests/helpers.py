@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from itertools import combinations
 
 import mpmath as mp
@@ -341,7 +342,43 @@ def brute_force_diameter(adjacency):
 
 
 # ---------------------------------------------------------------------------
-# reference graph diameter: the all-sources bitset BFS
+# graphs read back from the CSR arrays, and reference graph algorithms
+
+
+def adjacency(g):
+    """Sorted neighbour lists of a Graph."""
+    return [g.head[g.start[u]:g.start[u + 1]].tolist() for u in range(g.n)]
+
+
+def edge_set(g):
+    """The edges (u, v), u < v, of a Graph."""
+    return {(u, v) for u, nbrs in enumerate(adjacency(g)) for v in nbrs
+            if u < v}
+
+
+def edge_labels(g):
+    """{(u, v): label} over the labelled directed edges of a Graph."""
+    tails = [u for u, nbrs in enumerate(adjacency(g)) for _ in nbrs]
+    return {(u, v): g.names[x] for u, v, x in
+            zip(tails, g.head.tolist(), g.label.tolist()) if x >= 0}
+
+
+def reference_shortest_path_tree(g, v0):
+    """Parent, depth and label word of every vertex, as dicts, from a deque
+    BFS over sorted neighbour lists: a vertex's parent is the first of its
+    neighbours to leave the queue."""
+    adj, labels = adjacency(g), edge_labels(g)
+    parent, depth, words = {v0: None}, {v0: 0}, {v0: ()}
+    order = deque([v0])
+    while order:
+        u = order.popleft()
+        for w in adj[u]:
+            if w not in parent:
+                parent[w] = u
+                depth[w] = depth[u] + 1
+                words[w] = words[u] + (labels.get((u, w)),)
+                order.append(w)
+    return parent, depth, words
 
 
 def reference_graph_diameter(G):
@@ -357,13 +394,14 @@ def reference_graph_diameter(G):
     n = G.n
     if n == 0:
         return 0
-    order = sorted(range(n), key=lambda v: -len(G.adj[v]))
+    adj = adjacency(G)
+    order = sorted(range(n), key=lambda v: -len(adj[v]))
     label = [0] * n
     for i, v in enumerate(order):
         label[v] = i
-    slots: list[list[int]] = [[] for _ in G.adj[order[0]]]
+    slots: list[list[int]] = [[] for _ in adj[order[0]]]
     for v in order:
-        for k, w in enumerate(G.adj[v]):
+        for k, w in enumerate(adj[v]):
             slots[k].append(label[w])
     neighbours = [np.array(s, dtype=np.intp) for s in slots]
     words = (n + 63) // 64
@@ -395,12 +433,13 @@ def permutation_schreier_graph(base_edges, perms, degree):
     carrying permutation p joins (a, x) to (b, p[x]) under label (a, b).
     Base edges without a permutation carry the identity."""
     n = 1 + max(max(e) for e in base_edges)
-    g = Graph(n * degree)
+    edges, labels = [], []
     for a, b in base_edges:
         p = perms.get((a, b), range(degree))
         for x in range(degree):
-            g.add_edge(a * degree + x, b * degree + p[x], label=(a, b))
-    return g
+            edges.append((a * degree + x, b * degree + p[x]))
+            labels.append((a, b))
+    return Graph(n * degree, edges, labels)
 
 
 def figure_eight(length):

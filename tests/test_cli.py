@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,33 @@ class TestSpectrumCommand:
                              "--inner", "whitney", "--geometry", str(path))
         assert code == 2 and out == ""
         assert err == "error: geometry gives no length for edge (1, 2)\n"
+
+    @pytest.mark.parametrize("before, after, code", [
+        (["spectrum"], [], 0), (["spectrum"], ["--inner", "whitney"], 2),
+        (["norms", "mass"], [], 2), (["norms", "constants"], [], 2)])
+    def test_zero_dimensional_complex(self, capsys, tmp_path, before, after,
+                                      code):
+        # two points: comb products exist, Whitney forms need edge lengths
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps([[0], [1]]))
+        got, out, err = run(capsys, *before, str(path), *after,
+                            "--degree", "0")
+        assert got == code and "Traceback" not in err
+        if code == 0:
+            assert json.loads(out)["kernel_dim"] == 2
+        else:
+            assert err == "error: Whitney forms need a complex of " \
+                "dimension >= 1\n"
+
+    def test_geometry_of_a_zero_dimensional_complex(self, capsys, tmp_path):
+        path, geometry = tmp_path / "points.json", tmp_path / "geometry.json"
+        path.write_text(json.dumps([[0], [1]]))
+        geometry.write_text(json.dumps({"edges": {"0,1": 1.0}}))
+        code, out, err = run(capsys, "spectrum", str(path), "--geometry",
+                             str(geometry))
+        assert (code, out) == (2, "")
+        assert err == "error: geometry key '0,1' names no edge of the " \
+            "complex\n"
 
     def test_bad_degree_exit_2(self, capsys):
         for degree in ("7", "9", "-1"):
@@ -399,6 +427,60 @@ def test_scl_commands_fuzz(case):
         assert err.getvalue().count("\n") == 1
 
 
+@st.composite
+def complex_files(draw):
+    """A complex-file object of a few cells on at most 7 vertices, valid or
+    spoiled: a repeated vertex, a non-integer vertex, no cells, or cells
+    nested one level too shallow or too deep."""
+    cells = draw(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=4,
+                                   unique=True), min_size=1, max_size=6,
+                          unique_by=frozenset))
+    kind = draw(st.sampled_from(["valid", "valid", "repeated_vertex",
+                                 "non_integer", "empty", "wrongly_nested"]))
+    i = draw(st.integers(0, len(cells) - 1))
+    if kind == "repeated_vertex":
+        cells[i].append(cells[i][0])
+    elif kind == "non_integer":
+        cells[i][0] = draw(st.sampled_from([1.5, "1", None, True, [0], {}]))
+    elif kind == "empty":
+        cells = draw(st.sampled_from([[], [[]], {"cells": []},
+                                      {"cells": [[]]}, {}]))
+    elif kind == "wrongly_nested":
+        cells = draw(st.sampled_from([cells[i], [cells], {"cells": cells},
+                                      {"cells": [[cells]]}]))
+    return kind, cells
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(complex_files(), st.sampled_from([
+    (["complex", "validate"], []), (["complex", "homology"], []),
+    (["spectrum"], ["--degree"]),
+    (["spectrum"], ["--inner", "whitney", "--degree"]),
+    (["norms", "constants"], ["--degree"]), (["norms", "mass"], ["--degree"])
+]), st.integers(-1, 3))
+def test_complex_commands_fuzz(case, command, degree):
+    """Every complex file, valid or not, ends in exit 0, 2 or 3 with a
+    message, never in a traceback; a malformed one is a validation error."""
+    kind, cells = case
+    before, after = command
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "complex.json")
+        with open(path, "w") as fh:
+            json.dump(cells, fh)
+        argv = [*before, path, *after] + ([str(degree)] if after else [])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if kind in ("repeated_vertex", "non_integer"):
+        assert code == 2
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert err.getvalue().count("\n") == 1
+
+
 class TestNormsCommand:
     def test_constants(self, capsys):
         code, out, _ = run(capsys, "norms", "constants", "torus",
@@ -487,6 +569,21 @@ class TestSclCommands:
                            "--cycle", cycle_file, "--l1")
         assert code == 0
         assert json.loads(out)["inner"] == "l1"
+
+    def test_l1_fill_of_a_huge_cycle(self, capsys, tmp_path):
+        # the LP is solved for the cycle's particular solution over 2^70,
+        # whose raw entries are out of the solver's range
+        cycle = [c * 2 ** 70 for c in TORUS_COLUMN]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"coefficients": cycle}))
+        code, out, err = run(capsys, "scl", "fill", "--base", "torus",
+                             "--cycle", str(path), "--l1")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        g = [Fraction(c) for c in data["g"]]
+        B = torus7().boundary_matrix(2).to_pylists()
+        assert [sum(b * x for b, x in zip(row, g)) for row in B] == cycle
+        assert all((x * data["m"]).denominator == 1 for x in g)
 
     def test_non_null_cycle_exit_2(self, capsys, tmp_path):
         K = circle(3)

@@ -15,10 +15,11 @@ from hodgecover.covers import _orbit_sources
 from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
                                  tetrahedron_boundary, torus7)
 
-from helpers import (brute_force_diameter, composite_cover, figure_eight,
+from helpers import (adjacency, brute_force_diameter, composite_cover,
+                     edge_labels, edge_set, figure_eight,
                      permutation_schreier_graph, random_cover_specs,
                      random_cyclic_cover, reference_build_cover,
-                     reference_graph_diameter)
+                     reference_graph_diameter, reference_shortest_path_tree)
 
 
 def cyclic_circle_spec(n=3, d=3):
@@ -122,11 +123,11 @@ class TestSchreierGraph:
         adj = K.facet_adjacencies()
         spec = PermutationCoverSpec(K, 1, {e: (0,) for e in adj if e[0] < e[1]})
         g = build_cover(spec).schreier_graph()
-        assert g.n == 4 and len(g.edges) == 6
+        assert g.n == 4 and len(edge_set(g)) == 6
 
     def test_cyclic_circle_cover_graph(self):
         g = build_cover(cyclic_circle_spec(3, 3)).schreier_graph()
-        assert g.n == 9 and len(g.edges) == 9
+        assert g.n == 9 and len(edge_set(g)) == 9
         assert graph_diameter(g) == 4
 
     def test_degree_one_tiles_are_dual_graph(self):
@@ -141,11 +142,12 @@ class TestSchreierGraph:
             base = [t for t, _s in cov.top_of]
             d = dual_graph(K)
             assert g.n == d.n
-            assert {tuple(sorted((base[u], base[v]))) for u, v in g.edges} \
-                == d.edges
-            assert d.labels == {e: e for e in K.facet_adjacencies()}
+            assert {tuple(sorted((base[u], base[v])))
+                    for u, v in edge_set(g)} == edge_set(d)
+            assert edge_labels(d) == {e: e for e in K.facet_adjacencies()}
             assert {(base[u], base[v]): label
-                    for (u, v), label in g.labels.items()} == d.labels
+                    for (u, v), label in edge_labels(g).items()} \
+                == edge_labels(d)
 
     def test_tetrahedron_transposition_cover_connected(self):
         rng = random.Random(2)
@@ -156,6 +158,27 @@ class TestSchreierGraph:
             assert g.n == 8
             found = found or not g.is_connected()
         assert found  # sphere has no connected double cover
+
+
+@st.composite
+def connected_graphs(draw, sizes=st.integers(1, 140)):
+    """A random spanning tree (each vertex joined to an earlier one) plus
+    random extra edges, on randomly permuted vertices."""
+    n = draw(sizes)
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 1:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges |= {(min(a, b), max(a, b))
+                  for a, b in draw(st.lists(pair, max_size=2 * n)) if a != b}
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+def as_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(edge_set(g))
+    return h
 
 
 class TestTrees:
@@ -176,7 +199,7 @@ class TestTrees:
             g = random_connected_graph(rng)
             root = rng.randrange(g.n)
             t = shortest_path_tree(g, root)
-            dist = g.bfs_distances(root)
+            dist = nx.single_source_shortest_path_length(as_networkx(g), root)
             for v in range(g.n):
                 assert t.depth[v] == dist[v]
 
@@ -184,7 +207,7 @@ class TestTrees:
         rng = random.Random(4)
         for _ in range(100):
             g = random_connected_graph(rng)
-            diam = brute_force_diameter(g.adj)
+            diam = brute_force_diameter(adjacency(g))
             assert graph_diameter(g) == diam
             t = shortest_path_tree(g, rng.randrange(g.n))
             assert t.diameter() <= 2 * diam
@@ -205,26 +228,34 @@ class TestTrees:
         g = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
         assert graph_diameter(g) == 1
 
+    def test_parent_is_the_first_dequeued_neighbour(self):
+        # 5 is first reached from 4, which leaves the queue before 3
+        g = Graph(6, [(0, 1), (0, 2), (1, 4), (2, 3), (3, 5), (4, 5)])
+        t = shortest_path_tree(g, 0)
+        assert t.parent[5] == 4 and t.depth[5] == 3
+        assert t.parent[0] == -1
 
-@st.composite
-def connected_graphs(draw, sizes=st.integers(1, 140)):
-    """A random spanning tree (each vertex joined to an earlier one) plus
-    random extra edges, on randomly permuted vertices."""
-    n = draw(sizes)
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    if n > 1:
-        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-        edges |= {(min(a, b), max(a, b))
-                  for a, b in draw(st.lists(pair, max_size=2 * n)) if a != b}
-    perm = draw(st.permutations(range(n)))
-    return Graph(n, [(perm[a], perm[b]) for a, b in edges])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(connected_graphs(), st.data())
+    def test_matches_reference_tree(self, g, data):
+        assert_tree_matches_reference(g, data.draw(st.integers(0, g.n - 1)))
+
+    @pytest.mark.parametrize("name", ["genus2", "torus"])
+    @pytest.mark.parametrize("d", [1, 2, 5, 12, 23])
+    def test_cyclic_covers_match_reference_tree(self, name, d):
+        cov = build_cover(random_cyclic_cover(FIXTURES[name](), d,
+                                              random.Random(d)))
+        if cov.connected:
+            assert_tree_matches_reference(cov.schreier_graph(), 0)
 
 
-def as_networkx(g):
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges)
-    return h
+def assert_tree_matches_reference(g, root):
+    t = shortest_path_tree(g, root)
+    parent, depth, words = reference_shortest_path_tree(g, root)
+    assert {v: (None if p < 0 else p) for v, p in
+            enumerate(t.parent.tolist())} == parent
+    assert dict(enumerate(t.depth.tolist())) == depth
+    assert list(t.words.items()) == list(words.items())
 
 
 class TestBitsetDiameter:
@@ -278,13 +309,17 @@ def diameter_or_error(diameter, g):
         return str(exc)
 
 
-def labelled_cycle(n):
+def labelled_cycle(n, *extra):
     """The n-cycle with every edge i -> i + 1 labelled ("s", "t"): its
-    rotations preserve the labels and act transitively."""
-    g = Graph(n)
-    for i in range(n):
-        g.add_edge(i, (i + 1) % n, label=("s", "t"))
-    return g
+    rotations preserve the labels and act transitively.  Extra edges
+    (u, v, label) follow the cycle's."""
+    edges = [(i, (i + 1) % n, ("s", "t")) for i in range(n)] + list(extra)
+    return labelled_graph(n, edges)
+
+
+def labelled_graph(n, edges):
+    """The graph of the edges (u, v, label)."""
+    return Graph(n, [e[:2] for e in edges], [e[2] for e in edges])
 
 
 def subsets_action(pi):
@@ -375,28 +410,22 @@ class TestOrbitDiameter:
              (2, 3, "cd"), (2, 4, "ba")])],
         ids=["leaves_the_graph", "flips_a_label", "breaks_an_edge"])
     def test_failed_candidate_falls_back(self, n, edges):
-        g = Graph(n)
-        for u, v, label in edges:
-            g.add_edge(u, v, label=tuple(label))
+        g = labelled_graph(n, [(u, v, tuple(x)) for u, v, x in edges])
         assert list(_orbit_sources(g)) == list(range(n))
         assert graph_diameter(g) == reference_graph_diameter(g)
 
     def test_unlabelled_edge_falls_back(self):
-        g = labelled_cycle(80)
-        g.add_edge(0, 40)
+        g = labelled_cycle(80, (0, 40, None))
         assert list(_orbit_sources(g)) == list(range(80))
         assert graph_diameter(g) == reference_graph_diameter(g) == 40
 
     def test_repeated_label_falls_back(self):
-        g = labelled_cycle(80)
-        g.add_edge(0, 40, label=("s", "t"))
+        g = labelled_cycle(80, (0, 40, ("s", "t")))
         assert list(_orbit_sources(g)) == list(range(80))
         assert graph_diameter(g) == reference_graph_diameter(g) == 40
         # the path 3 - 0 - 1 - 2 has a label-preserving reflection, but no
         # single image of 0 fixes it once ("a", "a") repeats at 0
-        g = Graph(4)
-        for u, v in [(0, 1), (0, 3), (1, 2)]:
-            g.add_edge(u, v, label=("a", "a"))
+        g = Graph(4, [(0, 1), (0, 3), (1, 2)], [("a", "a")] * 3)
         assert list(_orbit_sources(g)) == list(range(4))
 
     def test_bijection_that_moves_an_edge_falls_back(self):
@@ -408,12 +437,9 @@ class TestOrbitDiameter:
         assert graph_diameter(g) == reference_graph_diameter(g)
 
     def test_disconnected_labelled_graph_rejected(self):
-        g = labelled_cycle(80)
-        h = Graph(160)
-        for (u, v), label in g.labels.items():
-            if u < v or (u, v) == (79, 0):
-                h.add_edge(u, v, label=label)
-                h.add_edge(u + 80, v + 80, label=label)
+        # two disjoint copies of the labelled 80-cycle
+        h = labelled_graph(160, [(u + c, (u + 1) % 80 + c, ("s", "t"))
+                                 for c in (0, 80) for u in range(80)])
         assert list(_orbit_sources(h)) == list(range(160))
         with pytest.raises(CoverError, match="disconnected"):
             graph_diameter(h)
@@ -423,10 +449,9 @@ class TestOrbitDiameter:
     def test_random_labelled_graphs_match_reference(self, n, data):
         # labels drawn from a small alphabet make candidates common, and
         # most of them fail somewhere along the BFS
-        g = Graph(n)
-        for v in range(1, n):
-            g.add_edge(data.draw(st.integers(0, v - 1)), v,
-                       label=data.draw(st.sampled_from(LETTERS)))
+        g = labelled_graph(n, [(data.draw(st.integers(0, v - 1)), v,
+                                data.draw(st.sampled_from(LETTERS)))
+                               for v in range(1, n)])
         assert graph_diameter(g) == reference_graph_diameter(g)
 
     @pytest.mark.parametrize("d", [4, 9, 101])
@@ -437,20 +462,38 @@ class TestOrbitDiameter:
         assert graph_diameter(g) == reference_graph_diameter(g)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(st.integers(1, 60), st.lists(st.tuples(st.integers(0, 59),
-                                                  st.integers(0, 59))))
-    def test_graph_from_edge_list_matches_add_edge(self, n, pairs):
-        # the constructor sorts its edge list once; adding the same edges
-        # one at a time keeps each adjacency list sorted by insertion
-        pairs = [(u % n, v % n) for u, v in pairs]
-        if any(u == v for u, v in pairs):
+    @given(st.integers(1, 60), st.lists(st.tuples(
+        st.integers(0, 59), st.integers(0, 59),
+        st.none() | st.sampled_from(LETTERS))))
+    def test_graph_arrays_match_edge_list(self, n, edges):
+        # neighbours in increasing order; a repeated edge, in either
+        # direction, keeps its first occurrence's label both ways
+        edges = [(u % n, v % n, x) for u, v, x in edges]
+        if any(u == v for u, v, _ in edges):
             with pytest.raises(CoverError, match="loops"):
-                Graph(n, pairs)
+                labelled_graph(n, edges)
             return
-        g, h = Graph(n, pairs), Graph(n)
-        for u, v in pairs:
-            h.add_edge(u, v)
-        assert (g.adj, g.edges, g.labels) == (h.adj, h.edges, h.labels)
+        g = labelled_graph(n, edges)
+        nbrs, labels = [set() for _ in range(n)], {}
+        for u, v, x in edges:
+            if v not in nbrs[u] and x is not None:
+                labels[(u, v)], labels[(v, u)] = x, x[::-1]
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        assert adjacency(g) == [sorted(s) for s in nbrs]
+        assert edge_labels(g) == labels
+
+    @pytest.mark.parametrize("edges", [[(0, 3)], [(-1, 2)], [(1, 2), (4, 0)]])
+    def test_vertex_out_of_range_rejected(self, edges):
+        with pytest.raises(CoverError, match=r"outside 0\.\.2"):
+            Graph(3, edges)
+
+    def test_graph_is_read_only(self):
+        g = labelled_cycle(5)
+        for name in ("start", "head", "label"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(g, name)[0] = 1
+        assert not hasattr(g, "add_edge")
 
 
 def random_connected_graph(rng, max_n=40):
@@ -472,7 +515,7 @@ class TestFundamentalDomain:
         g = cov.schreier_graph()
         tree = shortest_path_tree(g, 0)
         words, pairings = tree_fundamental_domain(cov, tree)
-        assert len(pairings) == len(g.edges) - (g.n - 1) == 1
+        assert len(pairings) == len(edge_set(g)) - (g.n - 1) == 1
         assert len(pairings.boundary_faces()) == 2 * len(pairings)
 
     def test_pairing_words_close_up(self):
@@ -485,7 +528,7 @@ class TestFundamentalDomain:
             g = cov.schreier_graph()
             tree = shortest_path_tree(g, 0)
             words, pairings = tree_fundamental_domain(cov, tree)
-            assert len(pairings) == len(g.edges) - (g.n - 1)
+            assert len(pairings) == len(edge_set(g)) - (g.n - 1)
             for p in pairings.pairings:
                 # loop at the root tile: out along the tree, across, back
                 assert word_tile_action(cov, p.word, tree.root) == tree.root
@@ -615,7 +658,7 @@ class TestArrayGluing:
     def test_schreier_graph_built_once(self, monkeypatch):
         cov = build_cover(random_cyclic_cover(torus7(), 3, random.Random(0)))
         built = []
-        monkeypatch.setattr(hodgecover.covers.Graph, "add_edge",
+        monkeypatch.setattr(hodgecover.covers.Graph, "_store",
                             lambda *args, **kw: built.append(args))
         g = cov.schreier_graph()
         assert g is cov.schreier_graph()

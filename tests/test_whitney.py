@@ -275,6 +275,17 @@ class TestNorms:
             e = cochain_norm(x, NormSpec("comb", 2))
             assert lo * e - 1e-9 <= w <= hi * e + 1e-9
 
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_whitney_norm_reads_no_dense_matrix(self, q):
+        K = genus2_surface()
+        geo = perturbed_geometry(K, 7)
+        ip = whitney_mass_matrix(K, geo, q)
+        M = whitney_mass_matrix(K, geo, q).matrix
+        x = np.random.default_rng(q).standard_normal(K.n_cells(q))
+        w = cochain_norm(x, NormSpec("whitney", 2), ip)
+        assert w ** 2 == pytest.approx(x @ M @ x, rel=1e-12)
+        assert ip._dense is None
+
 
 class TestPointwiseNorm:
     def test_vertex_indicator_sup_is_one(self):
