@@ -14,10 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-from .fillings import FillingCertificate
 from .hypgeom import GeometryError, ball_volume, moser_constant
-from .spectra import SpectralSplit, coexact_gap
-from .whitney import InnerProduct, whitney_mass_matrix
 
 
 class BoundError(ValueError):
@@ -42,7 +39,7 @@ class BoundReport:
     id: str
     values: dict
     lhs: float | None
-    rhs: float
+    rhs: float | None                    # None only when not applicable
     direction: str
     verdict: str                         # holds | fails | marginal | not-applicable
     notes: list[str] = field(default_factory=list)
@@ -370,67 +367,3 @@ def _dichotomy_report(params: dict, values: dict) -> BoundReport:
         verdict = "fails"
     return BoundReport("dichotomy", values, lam_w, alt1_rhs, "ge",
                        verdict, notes)
-
-
-def check_dichotomy(K, geometry, constants: dict) -> BoundReport:
-    """Run the degree-1 spectra in both inner products and test whether
-    either alternative of the gap dichotomy holds with the given constants."""
-    n_by_deg = {q: K.n_cells(q) for q in range(K.dim + 1)}
-    comb = {q: InnerProduct.identity(q, n_by_deg[q]) for q in n_by_deg}
-    whit = {q: whitney_mass_matrix(K, geometry, q) for q in n_by_deg}
-    lam_c = coexact_gap(K, 1, comb).lambda1
-    lam_w = coexact_gap(K, 1, whit).lambda1
-    if lam_w is None or lam_c is None:
-        raise BoundError("no positive coexact eigenvalue in degree 1")
-    params = {
-        "lambda1_whitney": lam_w,
-        "lambda1_comb": lam_c,
-        "G": float(constants["G"]),
-        "C": float(constants["C"]),
-        "vol": geometry.total_volume(),
-    }
-    values = {k: {"value": v,
-                  "source": "user" if k in ("G", "C") else "computed"}
-              for k, v in params.items()}
-    return _dichotomy_report(params, values)
-
-
-def verify_filling_chain(cert: FillingCertificate,
-                         split: SpectralSplit) -> BoundReport:
-    """Check a filling certificate against the variational gap inequality:
-    |g|^2 <= (1+delta)/lambda1_dstar * |f|^2_dual, and the consistency of the
-    Euler characteristic bound with the cleared-denominator 1-norm."""
-    if split.degree != 1:
-        raise BoundError("filling verification needs the degree-1 split")
-    f = cert.f
-    if f.is_zero():
-        return BoundReport("filling_chain", {}, None, 0.0, "le",
-                           "not-applicable", ["zero cycle"])
-    if split.lambda1_dstar is None:
-        raise BoundError("no positive coexact eigenvalue")
-    if cert.inner == "comb":
-        norm_f_dual = math.sqrt(sum(c * c for c in f.coefficients))
-        norm_g = math.sqrt(float(sum(c * c for c in cert.g)))
-    else:
-        norm_f_dual = None
-        norm_g = cert.norm_g
-    if norm_f_dual is None:
-        raise BoundError("whitney-side verification needs the dual norm; "
-                         "supply a comb certificate or extend the report")
-    lhs = norm_g ** 2
-    rhs = (1.0 + cert.delta) / split.lambda1_dstar * norm_f_dual ** 2
-    notes = []
-    one_norm = sum(abs(c) * cert.m for c in cert.g)
-    if 4 * one_norm != cert.chi_bound:
-        return BoundReport("filling_chain", {}, lhs, rhs, "le", "fails",
-                           ["chi bound inconsistent with the 1-norm"])
-    verdict = _verdict(lhs, rhs, "le")
-    if verdict == "marginal":
-        verdict = "holds"
-        notes.append("equality within tolerance (extremal cycle)")
-    values = {"norm_g": {"value": norm_g, "source": "computed"},
-              "norm_f_dual": {"value": norm_f_dual, "source": "computed"},
-              "lambda1_dstar": {"value": split.lambda1_dstar,
-                                "source": "computed"},
-              "delta": {"value": cert.delta, "source": "computed"}}
-    return BoundReport("filling_chain", values, lhs, rhs, "le", verdict, notes)

@@ -9,7 +9,8 @@ import sys
 
 import numpy as np
 
-from .bounds import BoundError, catalogue_ids, evaluate_bound, get_entry
+from .bounds import (BoundError, BoundReport, catalogue_ids, evaluate_bound,
+                     get_entry)
 from .complexes import ComplexError, LoadReport, load_complex_report
 from .covers import (CoverError, PermutationCoverSpec, build_cover, dual_graph,
                      graph_diameter, shortest_path_tree,
@@ -328,8 +329,9 @@ def _scl(args, K, geometry, f):
 def _bounds_csv(reports):
     lines = ["id,lhs,rhs,verdict"]
     for r in reports:
-        lhs = "" if r.lhs is None else repr(_round(r.lhs))
-        lines.append(f"{r.id},{lhs},{repr(_round(r.rhs))},{r.verdict}")
+        lhs, rhs = ("" if x is None else repr(_round(x))
+                    for x in (r.lhs, r.rhs))
+        lines.append(f"{r.id},{lhs},{rhs},{r.verdict}")
     return "\n".join(lines) + "\n"
 
 
@@ -359,15 +361,25 @@ def cmd_bounds(args):
         raise CliError("bounds all --params must map bound ids to objects")
     reports = []
     for bid in catalogue_ids():
-        entry = get_entry(bid)
+        entry, given = get_entry(bid), overrides.get(bid, {})
         params = {}
         for name, _src in entry.params:
-            if name in overrides.get(bid, {}):
-                params[name] = overrides[bid][name]
+            if name in given:
+                params[name] = given[name]
             elif name in computed:
                 params[name] = computed[name]
             else:
                 params[name] = _DEFAULT_USER_PARAMS.get(name, 1.0)
+        if bid == "lambda0_lower" and "diam" not in given \
+                and computed["diam"] == 0:
+            # one top cell: the right side divides by diam^2 vol
+            sources = dict(entry.params)
+            reports.append(BoundReport(
+                bid, {k: {"value": v, "source": sources[k]}
+                      for k, v in params.items()}, None, None,
+                entry.direction, "not-applicable",
+                ["the dual graph has one top cell, so diam = 0"]))
+            continue
         reports.append(evaluate_bound(bid, params))
     payload = {"reports": [_report_dict(r) for r in reports],
                "csv": _bounds_csv(reports)}

@@ -7,7 +7,6 @@ makes the boundary-of-boundary identity hold in exact integer arithmetic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import chain, combinations, count, repeat
 
@@ -312,14 +311,3 @@ def load_complex_report(description) -> LoadReport:
     for cell in closure:
         cells_by_dim[len(cell) - 1].append(cell)
     return LoadReport(SimplicialComplex(cells_by_dim, labels), added)
-
-
-def dump_complex(K: SimplicialComplex, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(K.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def read_complex(path) -> SimplicialComplex:
-    with open(path) as fh:
-        return load_complex(json.load(fh))

@@ -578,23 +578,3 @@ def tree_fundamental_domain(cover: Cover, tree: SpanningTree
         word = words[u] + (label,) + _invert_word(words[w], rev)
         pairings.append(FacePairing(face, paired, word))
     return words, FacePairingSet(pairings)
-
-
-def word_sheet_action(spec: PermutationCoverSpec, word: tuple,
-                      sheet: int) -> int:
-    """Apply a label word's permutations left to right to a sheet index."""
-    s = sheet
-    for label in word:
-        s = spec.perms[tuple(label)][s]
-    return s
-
-
-def word_tile_action(cover: Cover, word: tuple, tile: int) -> int:
-    """Follow a label word through the cover's dual graph from a tile."""
-    t, s = cover.top_of[tile]
-    for (a, b) in word:
-        if a != t:
-            raise CoverError(f"word step ({a},{b}) does not start at tile over {t}")
-        s = cover.spec.perms[(a, b)][s]
-        t = b
-    return cover.top_index[(t, s)]

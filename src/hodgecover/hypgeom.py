@@ -1,9 +1,8 @@
 """Hyperbolic-space numerics and the explicit analytic constants.
 
-Hyperboloid model only: points are (n+1)-vectors with Minkowski square -1
-and positive time coordinate.  Ball volumes come from a recurrence; the
-Sobolev and sup-norm iteration constants are evaluated from their closed
-forms with a rigorous truncation tail.
+The area of a hyperbolic right triangle is its angle defect; ball volumes
+come from a recurrence; the Sobolev and sup-norm iteration constants are
+evaluated from their closed forms with a rigorous truncation tail.
 """
 
 from __future__ import annotations
@@ -16,53 +15,6 @@ import numpy as np
 
 class GeometryError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# hyperboloid model
-
-
-def minkowski_inner(x, y) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(-x[0] * y[0] + np.dot(x[1:], y[1:]))
-
-
-class HypPoint:
-    """Point on the upper hyperboloid sheet; normalized on construction."""
-
-    def __init__(self, coordinates):
-        x = np.asarray(coordinates, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise GeometryError("coordinates must be finite")
-        if x[0] <= 0:
-            raise GeometryError("time coordinate must be positive")
-        q = minkowski_inner(x, x)
-        if q >= 0:
-            raise GeometryError("coordinates are not timelike")
-        self.x = x / math.sqrt(-q)
-        if abs(minkowski_inner(self.x, self.x) + 1.0) >= 1e-12:
-            raise GeometryError("coordinates are too close to the light cone "
-                                "to normalize")
-
-    @staticmethod
-    def basepoint(n: int) -> "HypPoint":
-        x = np.zeros(n + 1)
-        x[0] = 1.0
-        return HypPoint(x)
-
-    def exp(self, v, t: float) -> "HypPoint":
-        """Geodesic from self with unit tangent v (Minkowski-orthogonal to x)."""
-        v = np.asarray(v, dtype=float)
-        nv = math.sqrt(minkowski_inner(v, v))
-        v = v / nv
-        return HypPoint(math.cosh(t) * self.x + math.sinh(t) * v)
-
-
-def hyp_distance(x: HypPoint, y: HypPoint) -> float:
-    # clamp against rounding: the inner product is <= -1 for points on the sheet
-    ip = min(minkowski_inner(x.x, y.x), -1.0)
-    return math.acosh(-ip)
 
 
 def right_triangle_area(a: float, b: float) -> float:
@@ -179,58 +131,3 @@ def moser_constant(n: int, q: int, L: float, lam: float,
         if k > 100000:
             raise GeometryError("product truncation did not converge")
     return MoserConstant(math.exp(log_c), k, tail(k))
-
-
-# ---------------------------------------------------------------------------
-# flat simplices from edge lengths
-
-
-@dataclass(frozen=True)
-class SimplexMetric:
-    """Edge lengths of a simplex, keyed by local vertex index pairs."""
-
-    n_vertices: int
-    lengths: tuple  # ((i, j), l) pairs with i < j
-
-    @staticmethod
-    def from_dict(n_vertices: int, table: dict) -> "SimplexMetric":
-        items = []
-        for (i, j), l in sorted(table.items()):
-            if i > j:
-                i, j = j, i
-            if l <= 0:
-                raise GeometryError(f"edge length l[{i},{j}] must be positive")
-            items.append(((i, j), float(l)))
-        need = n_vertices * (n_vertices - 1) // 2
-        if len(items) != need:
-            raise GeometryError(f"expected {need} edge lengths, got {len(items)}")
-        return SimplexMetric(n_vertices, tuple(items))
-
-    def length(self, i: int, j: int) -> float:
-        if i > j:
-            i, j = j, i
-        return dict(self.lengths)[(i, j)]
-
-
-def simplex_gram(metric: SimplexMetric) -> np.ndarray:
-    """Gram matrix of the edge vectors out of vertex 0, from the law of cosines."""
-    m = metric.n_vertices - 1
-    G = np.empty((m, m))
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i == j:
-                G[i - 1][j - 1] = metric.length(0, i) ** 2
-            else:
-                G[i - 1][j - 1] = (metric.length(0, i) ** 2
-                                   + metric.length(0, j) ** 2
-                                   - metric.length(i, j) ** 2) / 2
-    eigs = np.linalg.eigvalsh(G)
-    if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
-        raise GeometryError("edge lengths do not embed as a nondegenerate simplex")
-    return G
-
-
-def simplex_volume(metric: SimplexMetric) -> float:
-    m = metric.n_vertices - 1
-    G = simplex_gram(metric)
-    return math.sqrt(np.linalg.det(G)) / math.factorial(m)

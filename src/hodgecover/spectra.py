@@ -198,38 +198,6 @@ def coexact_gap(K: SimplicialComplex, q: int,
     return CoexactGap(float(vals[b]), margin)
 
 
-def harmonic_projection(K: SimplicialComplex, q: int,
-                        inner_products: dict[int, InnerProduct]) -> np.ndarray:
-    """Orthogonal projector (w.r.t. the degree-q inner product) onto the
-    harmonic subspace, as a matrix acting on cochain coordinates.
-
-    It is (Z Z^T - Y Y^T) M_q, with M-orthonormal bases Z of ker d_q (zero
-    block of the degree-q up-pencil) and Y = d U mu^{-1/2} of im d_{q-1}
-    (positive part mu, U of the degree-(q-1) up-pencil)."""
-    if not 0 <= q <= K.dim:
-        raise SpectralError(f"degree {q} out of range")
-    n = K.n_cells(q)
-    r_down, r_up = (len(boundary_factors(K, k)) for k in (q, q + 1))
-    _check_products(K, inner_products, q, r_down, r_up)
-    from scipy.linalg import eigh
-    M = inner_products[q].matrix
-    if n - r_down - r_up == 0:
-        return np.zeros((n, n))
-    P = np.eye(n)               # ker d_q is everything when r_up = 0
-    if r_up:
-        A, _ = up_pencil(K, q, inner_products[q], inner_products[q + 1])
-        _, V = eigh(A, M)
-        Z = V[:, :n - r_up]
-        P = Z @ Z.T @ M
-    if r_down:
-        A, _ = up_pencil(K, q - 1, inner_products[q - 1], inner_products[q])
-        mu, U = eigh(A, inner_products[q - 1].matrix)
-        k = K.n_cells(q - 1) - r_down
-        Y = K.coboundary_matrix(q - 1).to_float() @ U[:, k:] / np.sqrt(mu[k:])
-        P = P - Y @ Y.T @ M
-    return P
-
-
 def charpoly_gap_bound(K: SimplicialComplex, q: int) -> Fraction:
     """Exact upper bound on 1/lambda_1 of the integer up-Laplacian in degree q.
 

@@ -1,4 +1,5 @@
-"""Whitney-form mass matrices and the combinatorial / Whitney norm families.
+"""Whitney-form mass matrices, the norm-equivalence constants they give, and
+the flat geometry of top simplices from edge lengths.
 
 On a flat n-simplex with barycentric coordinates l_0..l_n, the Whitney form
 of a q-face sigma is W_sigma = q! sum_k (-1)^k l_{sigma_k} dl_{sigma - sigma_k}
@@ -8,21 +9,21 @@ of a q-face sigma is W_sigma = q! sum_k (-1)^k l_{sigma_k} dl_{sigma - sigma_k}
 product <l_v dl_I, l_w dl_J> is l_v l_w C[I, J], C[I, J] = det H[I, J] the
 q-th compound of H, and the integral of l_v l_w is
 E[v, w] = vol (1 + [v = w]) / ((n+1)(n+2)).  Hence the local mass matrix is
-the one expression X (C kron E) X^T, and the pointwise norm of a cochain's
-form at l is w^T C w with w = (x^T X reshaped to rows I) l.
+the one expression X (C kron E) X^T.  The Grams and volumes of all top
+simplices come from one checked law-of-cosines step (_top_grams), which the
+mass matrices and ComplexGeometry.total_volume share.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .complexes import SimplicialComplex
-from .hypgeom import GeometryError, SimplexMetric
+from .hypgeom import GeometryError
 
 _DENSE_MAX = 400     # norm_equivalence_constants goes dense up to this size
 
@@ -96,21 +97,6 @@ class InnerProduct:
         return InnerProduct._certified(degree, n)
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    family: str        # "comb" | "whitney"
-    p: float           # 1, 2, or inf
-    side: str = "cochain"  # "cochain" | "chain"
-
-    def __post_init__(self):
-        if self.family not in ("comb", "whitney"):
-            raise ValueError(f"unknown norm family {self.family}")
-        if self.p not in (1, 2, math.inf):
-            raise ValueError("p must be 1, 2, or inf")
-        if self.side not in ("cochain", "chain"):
-            raise ValueError("side must be cochain or chain")
-
-
 def _edges(K: SimplicialComplex) -> list[tuple[int, int]]:
     """The edges of K, none when K is 0-dimensional."""
     return K.cells[1] if K.dim >= 1 else []
@@ -118,7 +104,7 @@ def _edges(K: SimplicialComplex) -> list[tuple[int, int]]:
 
 class ComplexGeometry:
     """Edge-length table for every edge of a complex, one flat metric per
-    top simplex.  Per-top tables must agree on shared edges to 1e-9."""
+    top simplex."""
 
     def __init__(self, K: SimplicialComplex, edge_lengths: dict):
         self.K = K
@@ -135,29 +121,9 @@ class ComplexGeometry:
     def uniform(K: SimplicialComplex, length: float = 1.0) -> "ComplexGeometry":
         return ComplexGeometry(K, {e: length for e in _edges(K)})
 
-    @staticmethod
-    def from_per_top_tables(K: SimplicialComplex, tables: dict,
-                            tol: float = 1e-9) -> "ComplexGeometry":
-        merged: dict[tuple[int, int], float] = {}
-        for top, table in tables.items():
-            for (u, v), l in table.items():
-                key = (min(u, v), max(u, v))
-                if key in merged and abs(merged[key] - float(l)) > tol:
-                    raise GeometryError(
-                        f"edge {key} has inconsistent lengths across shared faces")
-                merged[key] = float(l)
-        return ComplexGeometry(K, merged)
-
-    def top_metric(self, top_cell: tuple[int, ...]) -> SimplexMetric:
-        table = {}
-        for a, b in combinations(range(len(top_cell)), 2):
-            table[(a, b)] = self.edge_lengths[(top_cell[a], top_cell[b])]
-        return SimplexMetric.from_dict(len(top_cell), table)
-
     def total_volume(self) -> float:
-        from .hypgeom import simplex_volume
-        return sum(simplex_volume(self.top_metric(t))
-                   for t in self.K.cells[self.K.dim])
+        """The sum of the volumes of the top simplices, in their order."""
+        return sum(_top_grams(self.K, self)[1].tolist())
 
 
 class _Tops(NamedTuple):
@@ -182,19 +148,17 @@ def _gradient_grams(G: np.ndarray) -> np.ndarray:
     return H
 
 
-def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry,
-                  q: int) -> _Tops:
-    """Stacked Whitney data of every top simplex of K in degree q.
-
-    Row sigma of X holds W_sigma in the products l_v dl_I (columns (I, v), I a
-    q-subset of the local vertices), C[t, I, J] = det H_t[I, J] with H_t the
-    barycentric-gradient Gram of top t, built from the edge-vector Gram G_t
-    of the law of cosines.  Raises GeometryError unless every edge length is
-    positive and every G_t is finite, of finite determinant and nondegenerate
-    by simplex_gram's test."""
-    if not 0 <= q <= K.dim:
-        raise GeometryError(f"degree {q} out of range")
+def _top_grams(K: SimplicialComplex,
+               geometry: ComplexGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """(G, vol): the (T, n, n) edge-vector Grams G_t of every top simplex t
+    of K, by the law of cosines on its edges out of its first vertex, and the
+    (T,) volumes sqrt(det G_t) / n!.  Raises GeometryError unless K has edges,
+    every edge length is positive and every G_t is finite, of finite
+    determinant and nondegenerate: its least eigenvalue exceeds 1e-12 times
+    max(1, its largest)."""
     n = K.dim
+    if n == 0:
+        raise GeometryError("a 0-dimensional complex has no edge lengths")
     tops = K._rows(n)
     pairs = np.array(list(combinations(range(n + 1), 2)))
     lengths = np.array([geometry.edge_lengths[e] for e in K.cells[1]])
@@ -207,8 +171,10 @@ def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry,
                             f"length {L[t, p]}; lengths must be positive")
     L2 = np.zeros((len(tops), n + 1, n + 1))
     with np.errstate(over="ignore", invalid="ignore"):    # tested below
+        # libm pow rounds like Python's float ** 2, which x * x does not
+        # always: volumes equal a top-by-top sum in Python floats
         L2[:, pairs[:, 0], pairs[:, 1]] = L2[:, pairs[:, 1], pairs[:, 0]] = \
-            L ** 2
+            np.float_power(L, 2)
         a = L2[:, 0, 1:]
         G = (a[:, :, None] + a[:, None, :] - L2[:, 1:, 1:]) / 2
         det = np.linalg.det(G)
@@ -223,6 +189,21 @@ def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry,
         raise GeometryError(
             f"edge lengths of top cell {K.cells[n][np.argmax(flat)]} do not "
             "embed as a nondegenerate simplex")
+    return G, np.sqrt(det) / math.factorial(n)
+
+
+def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry,
+                  q: int) -> _Tops:
+    """Stacked Whitney data of every top simplex of K in degree q.
+
+    Row sigma of X holds W_sigma in the products l_v dl_I (columns (I, v), I a
+    q-subset of the local vertices), C[t, I, J] = det H_t[I, J] with H_t the
+    barycentric-gradient Gram of top t, built from the checked edge-vector
+    Gram G_t of _top_grams, which raises GeometryError on bad lengths."""
+    if not 0 <= q <= K.dim:
+        raise GeometryError(f"degree {q} out of range")
+    G, vol = _top_grams(K, geometry)
+    n = K.dim
     H = _gradient_grams(G)
     faces = list(combinations(range(n + 1), q + 1))
     subsets = list(combinations(range(n + 1), q))
@@ -233,8 +214,7 @@ def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry,
                 (-1) ** k * math.factorial(q)
     S = np.array(subsets, dtype=int).reshape(len(subsets), q)
     C = np.linalg.det(H[:, S[:, None, :, None], S[None, :, None, :]])
-    vol = np.sqrt(det) / math.factorial(n)
-    glob = K._index(q, tops[:, faces])
+    glob = K._index(q, K._rows(n)[:, faces])
     return _Tops(glob, X.reshape(len(faces), -1), C, vol)
 
 
@@ -285,70 +265,6 @@ def whitney_mass_matrix(K: SimplicialComplex, geometry: ComplexGeometry,
     l_v l_w.  The dense matrix is assembled only when `.matrix` is read."""
     blocks = _mass_blocks(K, geometry, q)
     return InnerProduct._certified(q, K.n_cells(q), blocks)
-
-
-def whitney_pointwise_norm(K: SimplicialComplex, geometry: ComplexGeometry,
-                           q: int, x: np.ndarray,
-                           grid_denominator: int = 4) -> float:
-    """Lower estimate of the sup-norm of the Whitney form of cochain x,
-    sampling barycentric points with the given denominator on each top cell:
-    at l the form is sum_I w_I dl_I with w = Y l, Y the (I, v) matrix of
-    x^T X, and its squared norm is w^T C w."""
-    x = np.asarray(x, dtype=float)
-    grid = np.array(list(_barycentric_grid(K.dim + 1, grid_denominator)))
-    tops = _whitney_tops(K, geometry, q)
-    T, s, _ = tops.C.shape
-    Y = (x[tops.glob] @ tops.X).reshape(T, s, -1)
-    W = grid @ Y.transpose(0, 2, 1)
-    sq = np.einsum("tpi,tij,tpj->tp", W, tops.C, W)
-    return math.sqrt(max(sq.max(), 0.0))
-
-
-def _barycentric_grid(n_coords: int, denom: int):
-    for c in product(range(denom + 1), repeat=n_coords - 1):
-        if sum(c) <= denom:
-            rest = denom - sum(c)
-            yield tuple(v / denom for v in c) + (rest / denom,)
-
-
-def cochain_norm(x, spec: NormSpec, ip: InnerProduct | None = None,
-                 sampler=None) -> float:
-    """Norm of a cochain vector under the requested norm family."""
-    x = np.asarray(x, dtype=float)
-    if spec.side != "cochain":
-        raise ValueError("use chain_dual_norm for chain-side norms")
-    if spec.family == "comb":
-        if spec.p == math.inf:
-            return float(np.max(np.abs(x))) if x.size else 0.0
-        return float(np.sum(np.abs(x) ** spec.p) ** (1 / spec.p))
-    if spec.p == 2:
-        if ip is None:
-            raise ValueError("whitney-2 norm needs an InnerProduct")
-        return float(math.sqrt(max(x @ ip.apply(x), 0.0)))
-    if spec.p == math.inf:
-        if sampler is None:
-            raise ValueError("whitney-inf norm needs a (K, geometry, q) sampler")
-        K, geometry, q = sampler
-        return whitney_pointwise_norm(K, geometry, q, x)
-    raise ValueError("whitney-1 cochain norm not provided")
-
-
-def chain_dual_norm(c, spec: NormSpec, ip: InnerProduct | None = None) -> float:
-    """Dual norm on chains induced by the evaluation pairing."""
-    c = np.asarray(c, dtype=float)
-    if spec.family == "comb":
-        # dual of the comb-p cochain norm is the entrywise p' norm
-        if spec.p == math.inf:
-            return float(np.sum(np.abs(c)))
-        if spec.p == 1:
-            return float(np.max(np.abs(c))) if c.size else 0.0
-        return float(np.linalg.norm(c))
-    if spec.p != 2:
-        raise ValueError("whitney chain norms provided for p = 2 only")
-    if ip is None:
-        raise ValueError("whitney-2 dual norm needs an InnerProduct")
-    from scipy.linalg import cho_factor, cho_solve
-    return float(math.sqrt(max(c @ cho_solve(cho_factor(ip.matrix), c), 0.0)))
 
 
 def norm_equivalence_constants(K: SimplicialComplex, geometry: ComplexGeometry,

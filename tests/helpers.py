@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 import hodgecover.covers
-from hodgecover import CoverError, PermutationCoverSpec, simplex_gram
+from hodgecover import CoverError, PermutationCoverSpec
 from hodgecover.complexes import SimplicialComplex
 from hodgecover.covers import Cover, Graph
 from hodgecover.surfaces import FIXTURES
@@ -442,6 +442,25 @@ def permutation_schreier_graph(base_edges, perms, degree):
     return Graph(n * degree, edges, labels)
 
 
+def word_sheet_action(spec, word, sheet):
+    """Apply a label word's permutations left to right to a sheet index."""
+    for label in word:
+        sheet = spec.perms[tuple(label)][sheet]
+    return sheet
+
+
+def word_tile_action(cover, word, tile):
+    """Follow a label word through the cover's dual graph from a tile."""
+    t, s = cover.top_of[tile]
+    for (a, b) in word:
+        if a != t:
+            raise CoverError(f"word step ({a},{b}) does not start at tile "
+                             f"over {t}")
+        s = cover.spec.perms[(a, b)][s]
+        t = b
+    return cover.top_index[(t, s)]
+
+
 def figure_eight(length):
     """Edges of two cycles of the given length through vertex 0."""
     ring = [0, *range(1, length)], [0, *range(length, 2 * length - 1)]
@@ -485,9 +504,26 @@ def reference_boundary_matrix(K, q):
 # reference Whitney assembly: one top simplex at a time
 
 
+def reference_gram(geometry, top):
+    """Edge-vector Gram of the simplex `top` (a sorted vertex tuple) from the
+    law of cosines, one entry at a time: the edges run from top[0], so
+    G[i-1, j-1] = (l_0i^2 + l_0j^2 - l_ij^2) / 2 and G[i-1, i-1] = l_0i^2.
+    No checks: the package's own test of the lengths is what is under test."""
+    def sq(i, j):
+        return geometry.edge_lengths[(top[i], top[j])] ** 2
+
+    m = len(top) - 1
+    G = np.empty((m, m))
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            G[i - 1, j - 1] = sq(0, i) if i == j else \
+                (sq(0, i) + sq(0, j) - sq(min(i, j), max(i, j))) / 2
+    return G
+
+
 def reference_mass_matrix(K, geometry, q):
     """Whitney q-form mass matrix built top by top: the edge-vector Gram of
-    each top from `simplex_gram`, its barycentric-gradient Gram H, the
+    each top from `reference_gram`, its barycentric-gradient Gram H, the
     compound C[I, J] = det H[I, J], and X (C kron E) X^T added in place,
     then symmetrized."""
     n = K.dim
@@ -502,7 +538,7 @@ def reference_mass_matrix(K, geometry, q):
     S = np.array(subsets, dtype=int).reshape(len(subsets), q)
     M = np.zeros((K.n_cells(q), K.n_cells(q)))
     for top in K.cells[n]:
-        G = simplex_gram(geometry.top_metric(top))
+        G = reference_gram(geometry, top)
         Ginv = np.linalg.inv(G)
         H = np.zeros((n + 1, n + 1))
         H[1:, 1:] = Ginv

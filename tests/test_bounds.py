@@ -1,11 +1,12 @@
+import json
 import math
 
 import pytest
 
-from hodgecover import (BoundError, InnerProduct, catalogue_ids,
-                        check_dichotomy, evaluate_bound, get_entry,
-                        lambda1_split, least_norm_filling,
-                        verify_filling_chain)
+from hodgecover import (BoundError, InnerProduct, catalogue_ids, coexact_gap,
+                        evaluate_bound, get_entry, lambda1_split,
+                        least_norm_filling)
+from hodgecover.cli import main
 from hodgecover.fillings import EdgeCycle
 from hodgecover.hypgeom import GeometryError, ball_volume
 from hodgecover.surfaces import torus7, unit_geometry
@@ -173,66 +174,56 @@ class TestErrors:
 
 
 class TestDichotomy:
-    def test_generous_constants_hold(self):
+    """The dichotomy entry on the degree-1 gaps of torus7 in both inner
+    products and its volume, computed here from the library."""
+
+    def setup_method(self):
         K = torus7()
         geo = unit_geometry(K)
-        rep = check_dichotomy(K, geo, {"G": 1.0, "C": 1.0})
+        comb = {q: InnerProduct.identity(q, K.n_cells(q)) for q in range(3)}
+        whit = {q: whitney_mass_matrix(K, geo, q) for q in range(3)}
+        self.params = {"lambda1_whitney": coexact_gap(K, 1, whit).lambda1,
+                       "lambda1_comb": coexact_gap(K, 1, comb).lambda1,
+                       "vol": geo.total_volume()}
+
+    def test_generous_constants_hold(self):
+        rep = evaluate_bound("dichotomy", dict(self.params, G=1.0, C=1.0))
         assert rep.verdict == "holds"
         assert any("alternative" in n for n in rep.notes)
 
     def test_adversarial_constants_fail(self):
-        K = torus7()
-        geo = unit_geometry(K)
-        rep = check_dichotomy(K, geo, {"G": 1e-9, "C": 1.0})
+        rep = evaluate_bound("dichotomy", dict(self.params, G=1e-9, C=1.0))
         assert rep.verdict == "fails"
 
-    def test_direct_entry_matches_check(self):
-        K = torus7()
-        geo = unit_geometry(K)
-        rep1 = check_dichotomy(K, geo, {"G": 1.0, "C": 1.0})
-        params = {k: v["value"] for k, v in rep1.values.items()}
-        rep2 = evaluate_bound("dichotomy", params)
-        assert rep1.verdict == rep2.verdict
-        assert rep1.lhs == rep2.lhs and rep1.rhs == rep2.rhs
+    def test_direct_entry_matches_check(self, tmp_path, capsys):
+        # `bounds all --attach` computes the same parameters
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"dichotomy": {"G": 1e-9, "C": 1.0}}))
+        assert main(["bounds", "all", "--attach", "torus",
+                     "--params", str(path)]) == 0
+        (got,) = [r for r in json.loads(capsys.readouterr().out)["reports"]
+                  if r["id"] == "dichotomy"]
+        rep = evaluate_bound("dichotomy", dict(self.params, G=1e-9, C=1.0))
+        assert got["verdict"] == rep.verdict == "fails"
+        assert got["lhs"] == round(rep.lhs, 12)
+        assert got["rhs"] == round(rep.rhs, 12)
+        assert {k: v["value"] for k, v in got["values"].items()} == \
+            {k: round(v, 12) for k, v in dict(self.params, G=1e-9,
+                                              C=1.0).items()}
 
 
 class TestFillingChain:
-    def setup_method(self):
-        self.K = torus7()
-        self.products = {q: InnerProduct.identity(q, self.K.n_cells(q))
-                         for q in range(3)}
-        self.split = lambda1_split(self.K, 1, self.products)
-        bd = self.K.boundary_matrix(2).to_pylists()
-        self.f = EdgeCycle(self.K, tuple(row[0] for row in bd))
-
     def test_comb_certificate_holds(self):
-        cert = least_norm_filling(self.f, "comb")
-        rep = verify_filling_chain(cert, self.split)
-        assert rep.verdict == "holds"
-        assert rep.lhs <= rep.rhs * (1 + 1e-9)
-
-    def test_perturbed_certificate_fails(self):
-        cert = least_norm_filling(self.f, "comb")
-        cert.chi_bound = cert.chi_bound + 4
-        rep = verify_filling_chain(cert, self.split)
-        assert rep.verdict == "fails"
-        assert any("1-norm" in n for n in rep.notes)
-
-    def test_zero_cycle_not_applicable(self):
-        zero = EdgeCycle(self.K, (0,) * self.K.n_cells(1))
-        cert = least_norm_filling(zero, "comb")
-        rep = verify_filling_chain(cert, self.split)
-        assert rep.verdict == "not-applicable"
-
-    def test_wrong_degree_rejected(self):
-        cert = least_norm_filling(self.f, "comb")
-        split0 = lambda1_split(self.K, 0, self.products)
-        with pytest.raises(BoundError):
-            verify_filling_chain(cert, split0)
-
-    def test_whitney_certificate_needs_dual_norm(self):
-        geo = unit_geometry(self.K)
-        ip = whitney_mass_matrix(self.K, geo, 2)
-        cert = least_norm_filling(self.f, "whitney", ip)
-        with pytest.raises(BoundError):
-            verify_filling_chain(cert, self.split)
+        # the variational gap inequality |g|^2 <= (1 + delta) |f|^2 / lambda1*
+        # for the comb least-norm filling, and its Euler characteristic bound
+        K = torus7()
+        products = {q: InnerProduct.identity(q, K.n_cells(q))
+                    for q in range(3)}
+        lam = lambda1_split(K, 1, products).lambda1_dstar
+        f = EdgeCycle(K, tuple(row[0]
+                               for row in K.boundary_matrix(2).to_pylists()))
+        cert = least_norm_filling(f, "comb")
+        lhs = float(sum(c * c for c in cert.g))
+        rhs = (1.0 + cert.delta) / lam * sum(c * c for c in f.coefficients)
+        assert 0 < lhs <= rhs * (1 + 1e-9)
+        assert cert.chi_bound == 4 * sum(abs(c) * cert.m for c in cert.g)

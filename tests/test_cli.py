@@ -699,6 +699,37 @@ class TestBoundsCommands:
         assert len(data["reports"]) == 22
         assert data["csv"].startswith("id,lhs,rhs,verdict")
 
+    def test_all_on_one_top_cell(self, tmp_path):
+        # one edge: the dual graph is one vertex, so diam = 0, and
+        # lambda0_lower, whose right side divides by diam^2 vol, is not
+        # applicable; the same values given to `bounds eval` still exit 2
+        src = Path(hodgecover.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+
+        def cli(*argv):
+            return subprocess.run([sys.executable, "-m", "hodgecover.cli",
+                                   *argv], env=env, capture_output=True,
+                                  text=True, timeout=120)
+
+        path = tmp_path / "edge.json"
+        path.write_text("[[0],[0,1]]")
+        out = cli("bounds", "all", "--attach", str(path))
+        assert out.returncode == 0, out.stderr
+        data = json.loads(out.stdout)
+        (rep,) = [r for r in data["reports"] if r["id"] == "lambda0_lower"]
+        assert rep["verdict"] == "not-applicable"
+        assert rep["lhs"] is None and rep["rhs"] is None
+        assert rep["notes"] == ["the dual graph has one top cell, so diam = 0"]
+        assert rep["values"]["diam"] == {"value": 0.0, "source": "computed"}
+        assert "\nlambda0_lower,,,not-applicable\n" in data["csv"]
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({k: v["value"]
+                                      for k, v in rep["values"].items()}))
+        out = cli("bounds", "eval", "--id", "lambda0_lower",
+                  "--params", str(params))
+        assert out.returncode == 2 and out.stdout == ""
+        assert "float division by zero" in out.stderr
+
     def test_all_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "bounds.json"
         code, out, _ = run(capsys, "bounds", "all", "--attach", "sphere",

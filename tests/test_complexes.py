@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,8 +5,7 @@ import numpy as np
 import pytest
 
 from hodgecover import (ComplexError, SimplicialComplex, SparseIntMatrix,
-                        dump_complex, load_complex, load_complex_report,
-                        read_complex)
+                        load_complex, load_complex_report)
 from hodgecover.surfaces import FIXTURES, tetrahedron_boundary, torus7
 
 
@@ -83,15 +81,10 @@ def test_facet_shared_three_times_rejected():
         load_complex([(0, 1, 2), (0, 1, 3), (0, 1, 4)]).facet_adjacencies()
 
 
-def test_serialization_roundtrip(tmp_path):
-    K = torus7()
-    path = tmp_path / "t.json"
-    dump_complex(K, path)
-    assert read_complex(path) == K
-    # byte-identical on rewrite
-    text = path.read_text()
-    dump_complex(K, path)
-    assert path.read_text() == text
+def test_serialization_roundtrip():
+    for fn in FIXTURES.values():
+        K = fn()
+        assert load_complex(K.to_dict()) == K
 
 
 def test_sparse_matrix_validation_and_matmul():

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 import hodgecover.covers
 from hodgecover import (CoverError, Graph, PermutationCoverSpec, betti_numbers,
                         build_cover, dual_graph, graph_diameter,
-                        shortest_path_tree, tree_fundamental_domain,
-                        word_sheet_action, word_tile_action)
+                        shortest_path_tree, tree_fundamental_domain)
 from hodgecover.covers import _orbit_sources
 from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
                                  tetrahedron_boundary, torus7)
@@ -19,7 +18,8 @@ from helpers import (adjacency, brute_force_diameter, composite_cover,
                      edge_labels, edge_set, figure_eight,
                      permutation_schreier_graph, random_cover_specs,
                      random_cyclic_cover, reference_build_cover,
-                     reference_graph_diameter, reference_shortest_path_tree)
+                     reference_graph_diameter, reference_shortest_path_tree,
+                     word_sheet_action, word_tile_action)
 
 
 def cyclic_circle_spec(n=3, d=3):

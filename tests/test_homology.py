@@ -5,8 +5,8 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from hodgecover import (InnerProduct, betti_numbers, build_cover,
-                        harmonic_projection, homology_table, lambda1_split,
-                        torsion_invariants, torsion_order, whitney_mass_matrix)
+                        homology_table, lambda1_split, torsion_invariants,
+                        torsion_order, whitney_mass_matrix)
 from hodgecover import homology, ratlinalg, spectra
 from hodgecover.cli import main
 from hodgecover.homology import invariant_factors
@@ -162,7 +162,6 @@ def test_each_boundary_map_is_eliminated_once(echelon_calls):
         for q in range(K.dim + 1):
             for ips in products:
                 lambda1_split(K, q, ips)
-            harmonic_projection(K, q, products[1])
         boundaries = [sparse_rows(K.boundary_matrix(q))[0]
                       for q in range(1, K.dim + 1)]
         assert len(echelon_calls) == K.dim

@@ -1,71 +1,17 @@
 import math
-import os
 import random
-import subprocess
 import sys
-import textwrap
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-import hodgecover
-from hodgecover import (GeometryError, HypPoint, SimplexMetric, ball_volume,
-                        hyp_distance, kappa, minkowski_inner, moser_constant,
-                        right_triangle_area, simplex_gram, simplex_volume,
-                        sphere_volume)
+from hodgecover import (ComplexGeometry, GeometryError, ball_volume, kappa,
+                        load_complex, moser_constant, right_triangle_area,
+                        sphere_volume, whitney_mass_matrix)
+from hodgecover.whitney import _top_grams
 
-from helpers import moser_oracle, right_triangle_area_oracle
-
-
-class TestHyperboloid:
-    def test_basepoint_and_normalization(self):
-        p = HypPoint.basepoint(3)
-        assert abs(minkowski_inner(p.x, p.x) + 1) < 1e-14
-        q = HypPoint([2.0, 0.5, 0.5, 0.5])
-        assert abs(minkowski_inner(q.x, q.x) + 1) < 1e-12
-
-    def test_spacelike_rejected(self):
-        with pytest.raises(GeometryError):
-            HypPoint([1.0, 2.0, 0.0])
-        with pytest.raises(GeometryError):
-            HypPoint([-1.0, 0.0, 0.0])
-
-    def test_non_finite_rejected_under_python_O(self):
-        code = textwrap.dedent("""
-            from hodgecover import GeometryError, HypPoint
-            print(__debug__)
-            for x in ([float("nan"), 0.0, 0.0], [float("inf"), 1.0, 0.0]):
-                try:
-                    HypPoint(x)
-                except GeometryError:
-                    print("rejected")
-            """)
-        src = Path(hodgecover.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src))
-        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == ["False", "rejected", "rejected"]
-
-    def test_exp_realizes_distance(self):
-        rng = random.Random(0)
-        p = HypPoint.basepoint(2)
-        for _ in range(20):
-            v = np.array([0.0, rng.uniform(-1, 1), rng.uniform(-1, 1)])
-            t = rng.uniform(0, 3)
-            q = p.exp(v, t)
-            assert abs(hyp_distance(p, q) - t) < 1e-10
-
-    def test_triangle_inequality(self):
-        rng = random.Random(1)
-        p = HypPoint.basepoint(2)
-        for _ in range(20):
-            a = p.exp([0.0, 1.0, 0.0], rng.uniform(0, 2))
-            b = p.exp([0.0, 0.0, 1.0], rng.uniform(0, 2))
-            assert hyp_distance(a, b) <= \
-                hyp_distance(a, p) + hyp_distance(p, b) + 1e-12
+from helpers import moser_oracle, reference_gram, right_triangle_area_oracle
 
 
 class TestTriangleArea:
@@ -214,31 +160,46 @@ class TestMoserConstant:
             moser_constant(3, 5, 1.0, 0.0)
 
 
+def one_simplex(lengths):
+    """The complex of one simplex and its geometry from {(i, j): length}."""
+    n = max(j for _, j in lengths)
+    K = load_complex([tuple(range(n + 1))])
+    return K, ComplexGeometry(K, lengths)
+
+
 class TestSimplexMetric:
+    """The flat metric of one simplex from its edge lengths, read through
+    ComplexGeometry.total_volume and the Whitney mass matrices."""
+
     def test_equilateral_triangle(self):
-        m = SimplexMetric.from_dict(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1})
-        assert abs(simplex_volume(m) - math.sqrt(3) / 4) < 1e-14
+        _, geo = one_simplex({(0, 1): 1, (0, 2): 1, (1, 2): 1})
+        assert abs(geo.total_volume() - math.sqrt(3) / 4) < 1e-14
 
     def test_right_triangle_345(self):
-        m = SimplexMetric.from_dict(3, {(0, 1): 3, (0, 2): 4, (1, 2): 5})
-        assert abs(simplex_volume(m) - 6.0) < 1e-12
+        _, geo = one_simplex({(0, 1): 3, (0, 2): 4, (1, 2): 5})
+        assert abs(geo.total_volume() - 6.0) < 1e-12
 
     def test_regular_tetrahedron(self):
-        m = SimplexMetric.from_dict(4, {(i, j): 1.0
-                                        for i in range(4)
-                                        for j in range(i + 1, 4)})
-        assert abs(simplex_volume(m) - 1 / (6 * math.sqrt(2))) < 1e-14
+        _, geo = one_simplex({(i, j): 1.0 for i in range(4)
+                              for j in range(i + 1, 4)})
+        assert abs(geo.total_volume() - 1 / (6 * math.sqrt(2))) < 1e-14
 
     def test_gram_positive_definite(self):
-        m = SimplexMetric.from_dict(3, {(0, 1): 2, (0, 2): 3, (1, 2): 2.5})
-        G = simplex_gram(m)
+        K, geo = one_simplex({(0, 1): 2, (0, 2): 3, (1, 2): 2.5})
+        (G,), vol = _top_grams(K, geo)
+        assert np.array_equal(G, reference_gram(geo, (0, 1, 2)))
         assert np.all(np.linalg.eigvalsh(G) > 0)
+        assert vol[0] == math.sqrt(np.linalg.det(G)) / 2
 
     def test_degenerate_rejected(self):
-        with pytest.raises(GeometryError):
-            simplex_gram(SimplexMetric.from_dict(
-                3, {(0, 1): 1, (0, 2): 2, (1, 2): 3}))
-        with pytest.raises(GeometryError):
-            SimplexMetric.from_dict(3, {(0, 1): 1, (0, 2): 1})
-        with pytest.raises(GeometryError):
-            SimplexMetric.from_dict(3, {(0, 1): -1, (0, 2): 1, (1, 2): 1})
+        for lengths, match in (((1, 2, 3), "nondegenerate"),
+                               ((-1, 1, 1), "positive")):
+            K, geo = one_simplex(dict(zip([(0, 1), (0, 2), (1, 2)],
+                                          lengths)))
+            with pytest.raises(GeometryError, match=match):
+                geo.total_volume()
+            for q in range(3):
+                with pytest.raises(GeometryError, match=match):
+                    whitney_mass_matrix(K, geo, q)
+        with pytest.raises(GeometryError, match="no length for edge"):
+            one_simplex({(0, 1): 1, (0, 2): 1})

@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
-from itertools import combinations, product
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -13,18 +13,16 @@ import pytest
 from scipy.linalg import eigh
 
 import hodgecover
-from hodgecover import (GeometryError, SimplexMetric, build_cover,
-                        load_complex, simplex_gram, simplex_volume)
+from hodgecover import GeometryError, build_cover, load_complex
 from hodgecover import whitney
 from hodgecover.surfaces import (FIXTURES, genus2_surface,
                                  tetrahedron_boundary, torus7, torus_grid,
                                  unit_geometry)
-from hodgecover.whitney import (ComplexGeometry, InnerProduct, NormSpec,
-                                chain_dual_norm, cochain_norm,
+from hodgecover.whitney import (ComplexGeometry, InnerProduct,
                                 norm_equivalence_constants,
-                                whitney_mass_matrix, whitney_pointwise_norm)
+                                whitney_mass_matrix)
 
-from helpers import random_cyclic_cover, reference_mass_matrix
+from helpers import random_cyclic_cover, reference_gram, reference_mass_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -32,8 +30,8 @@ from helpers import random_cyclic_cover, reference_mass_matrix
 # wedge components, integrate with a rule exact for quadratics
 
 
-def embed(metric):
-    G = simplex_gram(metric)
+def embed(geometry, top):
+    G = reference_gram(geometry, top)
     return np.linalg.cholesky(G)  # rows: edge vectors from vertex 0
 
 
@@ -54,9 +52,9 @@ def degree2_rule(n):
     raise NotImplementedError
 
 
-def local_mass_oracle(metric, q):
-    n = metric.n_vertices - 1
-    E = embed(metric)  # n x n, row i-1 = vertex i - vertex 0
+def local_mass_oracle(geometry, top, q):
+    n = len(top) - 1
+    E = embed(geometry, top)  # n x n, row i-1 = vertex i - vertex 0
     grads = np.zeros((n + 1, n))
     inv = np.linalg.inv(E.T)  # P^{-1} with P columns the edge vectors
     for i in range(1, n + 1):
@@ -92,9 +90,8 @@ def assemble_oracle(K, geometry, q):
     nq = K.n_cells(q)
     M = np.zeros((nq, nq))
     for top in K.cells[K.dim]:
-        metric = geometry.top_metric(top)
         faces = list(combinations(range(len(top)), q + 1))
-        Mloc = local_mass_oracle(metric, q)
+        Mloc = local_mass_oracle(geometry, top, q)
         idx = [K.cell_index[q][tuple(top[i] for i in f)] for f in faces]
         for a, ga in enumerate(idx):
             for b, gb in enumerate(idx):
@@ -102,16 +99,11 @@ def assemble_oracle(K, geometry, q):
     return M
 
 
-def random_triangle_metric(rng):
-    while True:
-        a, b = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
-        c = rng.uniform(abs(a - b) + 0.1, a + b - 0.1)
-        try:
-            m = SimplexMetric.from_dict(3, {(0, 1): a, (0, 2): b, (1, 2): c})
-            simplex_gram(m)
-            return m
-        except GeometryError:
-            continue
+def random_triangle_geometry(K, rng):
+    """Lengths a, b, c of a triangle: c lies 0.1 inside |a - b| < c < a + b."""
+    a, b = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+    c = rng.uniform(abs(a - b) + 0.1, a + b - 0.1)
+    return ComplexGeometry(K, {(0, 1): a, (0, 2): b, (1, 2): c})
 
 
 class TestMassMatrices:
@@ -132,15 +124,12 @@ class TestMassMatrices:
 
     def test_against_quadrature_oracle_triangles(self):
         rng = random.Random(0)
+        K = load_complex([(0, 1, 2)])
         for _ in range(10):
-            m = random_triangle_metric(rng)
-            K = load_complex([(0, 1, 2)])
-            geo = ComplexGeometry(K, {(0, 1): m.length(0, 1),
-                                      (0, 2): m.length(0, 2),
-                                      (1, 2): m.length(1, 2)})
+            geo = random_triangle_geometry(K, rng)
             for q in range(3):
                 got = whitney_mass_matrix(K, geo, q).matrix
-                expect = local_mass_oracle(m, q)
+                expect = local_mass_oracle(geo, (0, 1, 2), q)
                 assert np.allclose(got, expect, rtol=1e-10, atol=1e-12)
 
     def test_against_quadrature_oracle_tetrahedron(self):
@@ -153,10 +142,9 @@ class TestMassMatrices:
                 K, {(i, j): float(np.linalg.norm(P[i] - P[j]))
                     for i, j in combinations(range(4), 2)}))
         for geo in geos:
-            m = geo.top_metric((0, 1, 2, 3))
             for q in range(4):
                 got = whitney_mass_matrix(K, geo, q).matrix
-                expect = local_mass_oracle(m, q)
+                expect = local_mass_oracle(geo, (0, 1, 2, 3), q)
                 assert np.allclose(got, expect, rtol=1e-10, atol=1e-12)
 
     def test_assembled_surface_against_oracle(self):
@@ -192,12 +180,6 @@ class TestInnerProduct:
         with pytest.raises(GeometryError, match="not finite"):
             InnerProduct(0, np.array([[1.0, bad], [bad, 1.0]]))
 
-    def test_solve(self):
-        # the Whitney-2 dual norm is sqrt(c^T M^-1 c) = sqrt(2 + 4)
-        ip = InnerProduct(0, np.array([[2.0, 0.0], [0.0, 4.0]]))
-        assert math.isclose(chain_dual_norm([2.0, 4.0], NormSpec("whitney", 2),
-                                            ip), math.sqrt(6))
-
 
 class TestGeometry:
     def test_missing_edge_rejected(self):
@@ -205,63 +187,27 @@ class TestGeometry:
         with pytest.raises(GeometryError):
             ComplexGeometry(K, {(1, 2): 1.0})
 
-    def test_per_top_consistency(self):
-        K = load_complex([(0, 1, 2), (0, 1, 3)])
-        tables = {(0, 1, 2): {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0},
-                  (0, 1, 3): {(0, 1): 1.0, (0, 3): 1.0, (1, 3): 1.0}}
-        geo = ComplexGeometry.from_per_top_tables(K, tables)
-        assert geo.edge_lengths[(0, 1)] == 1.0
-        tables[(0, 1, 3)][(0, 1)] = 2.0
-        with pytest.raises(GeometryError):
-            ComplexGeometry.from_per_top_tables(K, tables)
-
     def test_total_volume(self):
         K = torus7()
         geo = unit_geometry(K)
         assert abs(geo.total_volume() - 14 * math.sqrt(3) / 4) < 1e-12
 
+    def test_zero_dimensional_complex(self):
+        # no edges, so no simplex geometry: one GeometryError for both
+        K = load_complex([(0,), (1,)])
+        geo = ComplexGeometry.uniform(K)
+        with pytest.raises(GeometryError, match="0-dimensional"):
+            geo.total_volume()
+        with pytest.raises(GeometryError, match="0-dimensional"):
+            whitney_mass_matrix(K, geo, 0)
+
+
+def whitney_norm(x, ip):
+    """sqrt(x^T M x) through the blocks, without the dense matrix."""
+    return math.sqrt(x @ ip.apply(x))
+
 
 class TestNorms:
-    def test_comb_norms(self):
-        x = [3.0, -4.0, 0.0]
-        assert cochain_norm(x, NormSpec("comb", 2)) == 5.0
-        assert cochain_norm(x, NormSpec("comb", 1)) == 7.0
-        assert cochain_norm(x, NormSpec("comb", math.inf)) == 4.0
-
-    def test_comb_dual_norms(self):
-        c = [3.0, -4.0, 0.0]
-        assert chain_dual_norm(c, NormSpec("comb", math.inf, "chain")) == 7.0
-        assert chain_dual_norm(c, NormSpec("comb", 1, "chain")) == 4.0
-        assert chain_dual_norm(c, NormSpec("comb", 2, "chain")) == 5.0
-
-    def test_whitney_norm_and_dual_pairing_bound(self):
-        K = torus7()
-        geo = unit_geometry(K)
-        ip = whitney_mass_matrix(K, geo, 1)
-        rng = np.random.default_rng(0)
-        spec = NormSpec("whitney", 2)
-        dspec = NormSpec("whitney", 2, "chain")
-        for _ in range(10):
-            x = rng.standard_normal(K.n_cells(1))
-            c = rng.standard_normal(K.n_cells(1))
-            nx = cochain_norm(x, spec, ip)
-            nc = chain_dual_norm(c, dspec, ip)
-            assert abs(c @ x) <= nx * nc + 1e-9
-        # dual norm attains the pairing bound at c = M x
-        x = rng.standard_normal(K.n_cells(1))
-        c = ip.matrix @ x
-        assert abs(abs(c @ x)
-                   - cochain_norm(x, spec, ip) * chain_dual_norm(c, dspec, ip)
-                   ) < 1e-9
-
-    def test_norm_spec_validation(self):
-        with pytest.raises(ValueError):
-            NormSpec("fancy", 2)
-        with pytest.raises(ValueError):
-            NormSpec("comb", 3)
-        with pytest.raises(ValueError):
-            cochain_norm([1.0], NormSpec("whitney", 2))
-
     def test_equivalence_constants_sandwich(self):
         K = torus7()
         geo = unit_geometry(K)
@@ -271,8 +217,7 @@ class TestNorms:
         rng = np.random.default_rng(1)
         for _ in range(20):
             x = rng.standard_normal(K.n_cells(1))
-            w = cochain_norm(x, NormSpec("whitney", 2), ip)
-            e = cochain_norm(x, NormSpec("comb", 2))
+            w, e = whitney_norm(x, ip), np.linalg.norm(x)
             assert lo * e - 1e-9 <= w <= hi * e + 1e-9
 
     @pytest.mark.parametrize("q", [0, 1, 2])
@@ -282,63 +227,9 @@ class TestNorms:
         ip = whitney_mass_matrix(K, geo, q)
         M = whitney_mass_matrix(K, geo, q).matrix
         x = np.random.default_rng(q).standard_normal(K.n_cells(q))
-        w = cochain_norm(x, NormSpec("whitney", 2), ip)
+        w = whitney_norm(x, ip)
         assert w ** 2 == pytest.approx(x @ M @ x, rel=1e-12)
         assert ip._dense is None
-
-
-class TestPointwiseNorm:
-    def test_vertex_indicator_sup_is_one(self):
-        K = load_complex([(0, 1, 2)])
-        geo = ComplexGeometry.uniform(K, 1.0)
-        x = np.array([1.0, 0.0, 0.0])
-        # lambda_0 attains 1 at the corner, which is a grid point
-        assert abs(whitney_pointwise_norm(K, geo, 0, x) - 1.0) < 1e-12
-
-    def test_sup_dominates_mean(self):
-        K = torus7()
-        geo = unit_geometry(K)
-        ip = whitney_mass_matrix(K, geo, 1)
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(K.n_cells(1))
-        sup = whitney_pointwise_norm(K, geo, 1, x)
-        l2 = cochain_norm(x, NormSpec("whitney", 2), ip)
-        assert sup > 0
-        assert sup ** 2 * geo.total_volume() >= l2 ** 2 - 1e-9
-
-    def test_against_direct_evaluation(self):
-        # embed random triangles and tetrahedra, evaluate
-        # W_s = q! sum_k (-1)^k l_{s_k} dl_{s - s_k} with dl_i = grad l_i and
-        # dl_i ^ dl_j = grad l_i x grad l_j at every barycentric point with
-        # denominator 4, and compare the largest |sum_s x_s W_s|
-        rng = np.random.default_rng(4)
-        wedge = {0: lambda g: np.ones(1), 1: lambda g: g[0],
-                 2: lambda g: np.cross(g[0], g[1])}
-        for n, qs in ((2, (0, 1)), (3, (0, 1, 2))):
-            K = load_complex([tuple(range(n + 1))])
-            grid = [np.array(c + (4 - sum(c),)) / 4
-                    for c in product(range(5), repeat=n) if sum(c) <= 4]
-            for _ in range(6):
-                P = rng.uniform(-1.0, 1.0, (n + 1, n))
-                geo = ComplexGeometry(
-                    K, {e: float(np.linalg.norm(P[e[0]] - P[e[1]]))
-                        for e in K.cells[1]})
-                grads = np.vstack([np.zeros(n), np.linalg.inv(
-                    embed(geo.top_metric(K.cells[n][0])).T)])
-                grads[0] = -grads[1:].sum(axis=0)
-                for q in qs:
-                    x = rng.uniform(-1.0, 1.0, K.n_cells(q))
-
-                    def form(lam):
-                        return sum(c * math.factorial(q) * sum(
-                            (-1) ** k * lam[s[k]]
-                            * wedge[q](grads[list(s[:k] + s[k + 1:])])
-                            for k in range(q + 1))
-                            for c, s in zip(x, K.cells[q]))
-
-                    sup = max(np.linalg.norm(form(lam)) for lam in grid)
-                    assert whitney_pointwise_norm(K, geo, q, x) == \
-                        pytest.approx(sup, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +276,17 @@ def test_mass_matrix_matches_reference_assembly(name, K, geo):
         assert type(got) is np.ndarray and got.shape == expect.shape
         assert np.array_equal(got, got.T)
         assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("name, K, geo", GEOMETRY_CASES,
+                         ids=[c[0] for c in GEOMETRY_CASES])
+def test_total_volume_is_the_top_by_top_sum(name, K, geo):
+    # sqrt(det G) / n! of each top's law-of-cosines Gram, summed in top order
+    n, expect = K.dim, 0.0
+    for top in K.cells[n]:
+        expect += math.sqrt(np.linalg.det(reference_gram(geo, top))) \
+            / math.factorial(n)
+    assert geo.total_volume() == expect
 
 
 @pytest.mark.parametrize("name, K, geo", GEOMETRY_CASES,
@@ -528,8 +430,8 @@ def test_bad_lengths_raise_geometry_error(name):
         for f in (whitney_mass_matrix, norm_equivalence_constants):
             with pytest.raises(GeometryError, match=match):
                 f(K, geo, q)
-        with pytest.raises(GeometryError, match=match):
-            whitney_pointwise_norm(K, geo, q, np.ones(K.n_cells(q)))
+    with pytest.raises(GeometryError, match=match):
+        geo.total_volume()
 
 
 @pytest.mark.parametrize("shift", [2 ** 70, -2 ** 70], ids=["plus", "minus"])
