@@ -60,6 +60,12 @@ def _opt(p, name):
     return None if v is None else float(v)
 
 
+def _dimension(n) -> int:
+    if n != int(n) or n < 3:
+        raise ValueError(f"n must be an integer >= 3, not {n!r}")
+    return int(n)
+
+
 def _inv_sqrt_lambda(p):
     lam = _opt(p, "lam")
     return None if lam is None else 1.0 / math.sqrt(lam)
@@ -283,7 +289,7 @@ _entry(
      ("lam_probe", "user"), ("diam", "computed"), ("vol", "computed")],
     "ge",
     lambda p: _opt(p, "lhs"),
-    lambda p: moser_constant(int(p["n"]), 1, p["inj"] / 2,
+    lambda p: moser_constant(_dimension(p["n"]), 1, p["inj"] / 2,
                              p["lam_probe"]).value ** -2
     / (p["diam"] ** 2 * p["vol"]))
 
@@ -310,8 +316,9 @@ def _finite_real(value) -> bool:
 def evaluate_bound(id: str, params: dict) -> BoundReport:
     """Substitute params into the catalogue entry and compare both sides.
 
-    Parameter values are finite real numbers, or None for a side that is not
-    supplied; a None right-side parameter counts as missing."""
+    Parameter values are finite real numbers, or None for one that is not
+    supplied: a side that reads it is None, and the entry is not applicable.
+    A parameter absent from params that a side reads is an error."""
     entry = get_entry(id)
     if not isinstance(params, dict):
         raise BoundError(f"parameters of bound {id} must be a JSON object, "
@@ -325,13 +332,12 @@ def evaluate_bound(id: str, params: dict) -> BoundReport:
             raise BoundError(f"bound {id} parameter {name!r} must be a "
                              f"finite real number, not {value!r}")
         values[name] = {"value": value, "source": sources[name]}
+    null = [k for k, v in params.items() if v is None]
     given = {k: v for k, v in params.items() if v is not None}
     try:
-        if id == "dichotomy":
+        if id == "dichotomy" and not null:
             return _dichotomy_report(given, values)
-        rhs = float(entry.rhs(given))
-        lhs = entry.lhs(given)
-        lhs = None if lhs is None else float(lhs)
+        rhs, lhs = (_side(f, given, null) for f in (entry.rhs, entry.lhs))
     except KeyError as exc:
         raise BoundError(f"bound {id} missing parameter {exc.args[0]!r}")
     except GeometryError:
@@ -341,11 +347,23 @@ def evaluate_bound(id: str, params: dict) -> BoundReport:
     except (ArithmeticError, ValueError, TypeError) as exc:
         raise BoundError(f"bound {id} cannot be evaluated at these "
                          f"parameters: {exc}")
-    verdict = _verdict(lhs, rhs, entry.direction)
-    notes = []
-    if lhs is None:
+    verdict = "not-applicable" if null else _verdict(lhs, rhs, entry.direction)
+    notes = [f"parameter {k!r} not supplied" for k in null]
+    if lhs is None and rhs is not None:
         notes.append("left side not supplied; right side reported only")
     return BoundReport(id, values, lhs, rhs, entry.direction, verdict, notes)
+
+
+def _side(f, given: dict, null: list) -> float | None:
+    """f(given) as a float, None if f returns None or reads a parameter in
+    null; any other parameter f reads must be in given (KeyError)."""
+    try:
+        x = f(given)
+    except KeyError as exc:
+        if exc.args[0] in null:
+            return None
+        raise
+    return None if x is None else float(x)
 
 
 def _dichotomy_report(params: dict, values: dict) -> BoundReport:

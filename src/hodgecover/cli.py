@@ -9,8 +9,7 @@ import sys
 
 import numpy as np
 
-from .bounds import (BoundError, BoundReport, catalogue_ids, evaluate_bound,
-                     get_entry)
+from .bounds import BoundError, catalogue_ids, evaluate_bound, get_entry
 from .complexes import ComplexError, LoadReport, load_complex_report
 from .covers import (CoverError, PermutationCoverSpec, build_cover, dual_graph,
                      graph_diameter, shortest_path_tree,
@@ -351,7 +350,8 @@ def cmd_bounds(args):
         _emit(_report_dict(report), args.out)
         return
     # bounds all: evaluate every entry, pulling computed parameters from the
-    # attached complex/geometry and defaults for user parameters
+    # attached complex/geometry (None where nothing here computes them) and
+    # defaults for user parameters
     K = _load_complex(args.attach).complex
     geometry = _load_geometry(K, args.geometry)
     computed = _computed_params(K, geometry)
@@ -361,25 +361,11 @@ def cmd_bounds(args):
         raise CliError("bounds all --params must map bound ids to objects")
     reports = []
     for bid in catalogue_ids():
-        entry, given = get_entry(bid), overrides.get(bid, {})
-        params = {}
-        for name, _src in entry.params:
-            if name in given:
-                params[name] = given[name]
-            elif name in computed:
-                params[name] = computed[name]
-            else:
-                params[name] = _DEFAULT_USER_PARAMS.get(name, 1.0)
-        if bid == "lambda0_lower" and "diam" not in given \
-                and computed["diam"] == 0:
-            # one top cell: the right side divides by diam^2 vol
-            sources = dict(entry.params)
-            reports.append(BoundReport(
-                bid, {k: {"value": v, "source": sources[k]}
-                      for k, v in params.items()}, None, None,
-                entry.direction, "not-applicable",
-                ["the dual graph has one top cell, so diam = 0"]))
-            continue
+        given = overrides.get(bid, {})
+        params = {name: given[name] if name in given
+                  else computed.get(name) if source == "computed"
+                  else _DEFAULT_USER_PARAMS.get(name, 1.0)
+                  for name, source in get_entry(bid).params}
         reports.append(evaluate_bound(bid, params))
     payload = {"reports": [_report_dict(r) for r in reports],
                "csv": _bounds_csv(reports)}
@@ -404,7 +390,6 @@ def _computed_params(K, geometry):
         "vol": geometry.total_volume(),
         "b1": betti[1] if len(betti) > 1 else 0,
         "diam": float(graph_diameter(g)) if g.n else 0.0,
-        "inj": 1.0,
     }
     if gap_w is not None:
         out["lambda1_whitney"] = out["lam"] = out["lambda1"] = gap_w

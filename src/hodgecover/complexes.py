@@ -42,30 +42,6 @@ class SparseIntMatrix:
         vars(m).update(rows=rows, cols=cols, entries=entries)
         return m
 
-    def to_float(self) -> np.ndarray:
-        a = np.zeros((self.rows, self.cols), dtype=float)
-        for r, c, v in self.entries:
-            a[r, c] = float(v)
-        return a
-
-    def to_pylists(self) -> list[list[int]]:
-        a = [[0] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            a[r][c] = v
-        return a
-
-    @staticmethod
-    def from_dense(a) -> "SparseIntMatrix":
-        rows = len(a)
-        cols = len(a[0]) if rows else 0
-        entries = tuple(
-            (r, c, int(a[r][c]))
-            for r in range(rows)
-            for c in range(cols)
-            if a[r][c] != 0
-        )
-        return SparseIntMatrix(rows, cols, entries)
-
     def transpose(self) -> "SparseIntMatrix":
         return SparseIntMatrix._trusted(self.cols, self.rows, tuple(
             sorted((c, r, v) for r, c, v in self.entries)))
@@ -91,9 +67,6 @@ class SparseIntMatrix:
                 acc[(r, c)] = acc.get((r, c), 0) + v * w
         entries = tuple((r, c, v) for (r, c), v in sorted(acc.items()) if v != 0)
         return SparseIntMatrix(self.rows, other.cols, entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
 
 class SimplicialComplex:
@@ -216,10 +189,6 @@ class SimplicialComplex:
                 self.n_cells(q - 1), self.n_cells(q), tuple(zip(*(
                     a.ravel()[order].tolist() for a in (faces, cols, signs)))))
         return self._boundary_cache[q]
-
-    def coboundary_matrix(self, q: int) -> SparseIntMatrix:
-        """Coboundary from q-cochains to (q+1)-cochains: transpose of the boundary."""
-        return self.boundary_matrix(q + 1).transpose()
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** q * len(cs) for q, cs in enumerate(self.cells))

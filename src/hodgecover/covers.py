@@ -332,40 +332,6 @@ class PermutationCoverSpec:
                 raise CoverError(f"adjacency ({i},{j}) has no permutation")
         self.perms = norm
 
-    def holonomy_generators(self) -> list[tuple[int, ...]]:
-        """Sheet permutations of dual-graph loops based at top cell 0.
-
-        Each dual edge contributes the loop that runs from the base tile to
-        the edge along a fixed spanning tree, crosses it, and returns.  These
-        loops generate every closed loop's sheet action.
-        """
-        g = dual_graph(self.base)
-        order, parent, _ = g.bfs(0)
-        if len(order) != g.n:
-            raise CoverError("base dual graph is disconnected")
-        ident = tuple(range(self.degree))
-
-        def compose(p, q):  # s -> q[p[s]]
-            return tuple(q[p[s]] for s in range(self.degree))
-
-        path = {0: ident}
-        for v in order[1:]:
-            path[v] = compose(path[parent[v]], self.perms[(parent[v], v)])
-        gens = []
-        for (u, v) in self.perms:
-            h = compose(compose(path[u], self.perms[(u, v)]),
-                        _inverse_perm(path[v]))
-            if h != ident:
-                gens.append(h)
-        return gens
-
-    def is_transitive(self) -> bool:
-        """True iff loops based at a tile reach every sheet (holonomy
-        transitivity); equivalent to connectivity of the cover."""
-        gens = np.array(self.holonomy_generators(), dtype=np.intp).ravel()
-        sheets = np.resize(np.arange(self.degree), len(gens))   # s ~ p[s]
-        return not _classes(self.degree, sheets, gens).any()
-
 
 @dataclass
 class Cover:
@@ -539,12 +505,10 @@ class FacePairingSet:
     def __len__(self):
         return len(self.pairings)
 
-    def boundary_faces(self) -> list[tuple[int, int]]:
-        return [f for p in self.pairings for f in (p.face, p.paired_face)]
-
 
 def _invert_word(word: tuple, rev: dict) -> tuple:
-    """The word read backwards, each label (a, b) replaced by rev's (b, a)."""
+    """The word read backwards, each label (a, b) replaced by rev's (b, a):
+    one shared tuple per label, not a new one per letter."""
     return tuple(map(rev.__getitem__, reversed(word)))
 
 

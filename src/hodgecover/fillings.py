@@ -58,12 +58,6 @@ class EdgeCycle:
         return rat_solve_and_kernel(self.complex.boundary_matrix(2),
                                     list(self.coefficients))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
-
-    def scale(self, k: int) -> "EdgeCycle":
-        return EdgeCycle(self.complex, tuple(k * c for c in self.coefficients))
-
 
 def cycle_from_word(cover: Cover, word, base_vertex: int | None = None,
                     sheet: int = 0) -> EdgeCycle:
@@ -162,12 +156,6 @@ class FillingCertificate:
     inner: str                # "comb" | "whitney" | "l1"
     delta: float              # norm slack achieved vs the floating minimizer
     norm_g: float             # norm of g in the chosen inner product
-
-    def integral_chain(self) -> list[int]:
-        out = [c * self.m for c in self.g]
-        if any(c.denominator != 1 for c in out):
-            raise FillingError(f"m = {self.m} does not clear the denominators")
-        return [int(c) for c in out]
 
 
 def _certify(f: EdgeCycle, g: list[Fraction], inner: str, delta: float,

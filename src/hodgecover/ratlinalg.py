@@ -170,21 +170,16 @@ def rat_solve(A, b) -> list[Fraction] | None:
     return _solution(R, ncols)
 
 
-def rat_nullspace(A) -> list[list[Fraction]]:
-    """Basis of the rational kernel of A (list of column vectors)."""
-    R, ncols = _rref(A)
-    return _kernel(R, ncols)
-
-
 def rat_solve_and_kernel(A, b) -> tuple[list[Fraction] | None,
                                         list[list[Fraction]]]:
-    """(rat_solve(A, b), rat_nullspace(A)) from one elimination of [A | b]."""
+    """(rat_solve(A, b), a basis of the rational kernel of A, as column
+    vectors) from one elimination of [A | b]."""
     R, ncols = _rref(A, [b])
     return _solution(R, ncols), _kernel(R, ncols)
 
 
 def first_kernel_vector(A, b) -> list[Fraction] | None:
-    """The first vector of rat_nullspace(A), in free-column order, whose dot
+    """The first kernel basis vector of A, in free-column order, whose dot
     product with b is nonzero; None if there is none.  Each pairing reads
     the RREF entries on b's support only, and only the returned vector is
     built."""

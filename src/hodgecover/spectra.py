@@ -56,6 +56,12 @@ def _coboundary(K: SimplicialComplex, q: int):
                      shape=(K.n_cells(q + 1), K.n_cells(q)))
 
 
+def _stiffness(d, M_up):
+    """d^T M_up d as a scipy CSR array, symmetrized while still sparse."""
+    A = d.T @ M_up @ d
+    return (A + A.T) / 2
+
+
 def up_pencil(K: SimplicialComplex, q: int, ip_q: InnerProduct,
               ip_up: InnerProduct) -> tuple:
     """(A, M) with A = d^T M_{q+1} d the up-Laplacian stiffness on q-cochains,
@@ -67,9 +73,7 @@ def up_pencil(K: SimplicialComplex, q: int, ip_q: InnerProduct,
     n = K.n_cells(q)
     if q >= K.dim:
         return np.zeros((n, n)), ip_q._csr()
-    d = _coboundary(K, q)
-    A = d.T @ ip_up._csr() @ d
-    return ((A + A.T) / 2).toarray(), ip_q._csr()
+    return _stiffness(_coboundary(K, q), ip_up._csr()).toarray(), ip_q._csr()
 
 
 @dataclass
@@ -168,8 +172,7 @@ def coexact_gap(K: SimplicialComplex, q: int,
     sigma = -1e-9 * scale
     d, M, M_up = _coboundary(K, q), ip_q._csr(), ip_up._csr()
     if side == q:
-        A = d.T @ M_up @ d
-        A = (A + A.T) / 2
+        A = _stiffness(d, M_up)
         solve = splu((A - sigma * M).tocsc(), permc_spec="COLAMD").solve
         B = M
     else:

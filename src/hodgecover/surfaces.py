@@ -1,10 +1,9 @@
 """Built-in test complexes: spheres, surfaces of all small topologies, and
-graph cycles, with a helper attaching a unit equilateral metric."""
+graph cycles."""
 
 from __future__ import annotations
 
 from .complexes import SimplicialComplex, load_complex
-from .whitney import ComplexGeometry
 
 
 def tetrahedron_boundary() -> SimplicialComplex:
@@ -82,11 +81,6 @@ def circle(n: int = 3) -> SimplicialComplex:
     if n < 3:
         raise ValueError("need at least 3 vertices")
     return load_complex([(i, (i + 1) % n) for i in range(n)])
-
-
-def unit_geometry(K: SimplicialComplex) -> ComplexGeometry:
-    """All edges of length 1 (equilateral top cells)."""
-    return ComplexGeometry.uniform(K, 1.0)
 
 
 FIXTURES = {

@@ -29,11 +29,12 @@ _DENSE_MAX = 400     # norm_equivalence_constants goes dense up to this size
 
 
 class InnerProduct:
-    """SPD Gram matrix on the q-cochain group, kept in the form it was made
-    in: the certified blocks (glob, B) of `_mass_blocks`, the unit matrix
-    (nothing but its size), or a checked dense matrix.  `matrix` is the dense
-    view, built on its first read and cached; `_csr` is the sparse one and
-    `apply` the product with it."""
+    """SPD Gram matrix on the q-cochain group, kept as blocks (glob, B): the
+    sum of the B[t] placed at rows and columns glob[t].  A Whitney product
+    keeps the certified local mass matrices of `_mass_blocks`, `identity`
+    n unit 1x1 blocks, and a checked matrix one n x n block, which is also
+    its dense view.  `matrix` is the dense view, assembled on its first read
+    and cached; `_csr` is the sparse one and `apply` the product with it."""
 
     def __init__(self, degree: int, matrix: np.ndarray):
         M = np.asarray(matrix)
@@ -43,15 +44,16 @@ class InnerProduct:
             raise GeometryError("Gram matrix not finite")
         if M.size and np.max(np.abs(M - M.T)) > 1e-12 * max(1.0, np.max(np.abs(M))):
             raise GeometryError("Gram matrix not symmetric")
-        self.degree, self.size, self._blocks = degree, len(M), None
-        self._dense = (M + M.T) / 2
+        M = (M + M.T) / 2
         if M.size:
-            np.linalg.cholesky(self._dense)  # raises if not positive definite
+            np.linalg.cholesky(M)  # raises if not positive definite
+        self.degree, self.size, self._dense = degree, len(M), M
+        self._blocks = np.arange(len(M))[None], M[None]
 
     @classmethod
-    def _certified(cls, degree: int, size: int, blocks=None):
-        """The unit matrix, or the sum of blocks already known to be
-        positive definite and to cover every cell, without the checks above."""
+    def _certified(cls, degree: int, size: int, blocks):
+        """The sum of blocks already known to be positive definite and to
+        cover every cell, without the checks above."""
         ip = object.__new__(cls)
         ip.degree, ip.size, ip._blocks, ip._dense = degree, size, blocks, None
         return ip
@@ -59,42 +61,38 @@ class InnerProduct:
     @property
     def matrix(self) -> np.ndarray:
         if self._dense is None:
-            self._dense = np.eye(self.size) if self._blocks is None else \
-                _assemble(*self._blocks, self.size)
+            glob, B = self._blocks
+            self._dense = np.zeros((self.size, self.size))
+            np.add.at(self._dense, (glob[:, :, None], glob[:, None, :]), B)
         return self._dense
 
     def _csr(self):
-        """The matrix as a scipy CSR array, from its blocks or its size
-        without the dense view, else from the dense matrix it was given."""
-        from scipy.sparse import csr_array, eye_array
-        if self._blocks is not None:
-            return _block_csr(*self._blocks, self.size)
-        if self._dense is None:
-            return eye_array(self.size, format="csr")
-        return csr_array(self._dense)
+        """The matrix as a scipy CSR array without the dense view: COO
+        triplets of the blocks, duplicates summed."""
+        from scipy.sparse import csr_array
+        glob, B = self._blocks
+        ij = np.broadcast_arrays(glob[:, :, None], glob[:, None, :])
+        return csr_array((B.ravel(), [a.ravel() for a in ij]),
+                         shape=(self.size, self.size))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """The matrix times x (a vector, or a matrix of columns), from its
-        blocks or its size without the dense view; numpy only."""
-        if self._blocks is not None:
-            glob, B = self._blocks
-            y = np.zeros(x.shape)
-            np.add.at(y, glob, np.einsum("tij,tj...->ti...", B, x[glob]))
-            return y
-        return x if self._dense is None else self._dense @ x
+        """The matrix times x (a vector, or a matrix of columns), block by
+        block without the dense view; numpy only."""
+        glob, B = self._blocks
+        y = np.zeros(x.shape)
+        np.add.at(y, glob, np.einsum("tij,tj...->ti...", B, x[glob]))
+        return y
 
     def diagonal(self) -> np.ndarray:
         """The diagonal of the matrix, without the dense view."""
-        if self._blocks is not None:
-            glob, B = self._blocks
-            return np.bincount(glob.ravel(), np.diagonal(B, 0, 1, 2).ravel(),
-                               self.size)
-        return np.ones(self.size) if self._dense is None else \
-            np.diag(self._dense).copy()
+        glob, B = self._blocks
+        return np.bincount(glob.ravel(), np.diagonal(B, 0, 1, 2).ravel(),
+                           self.size)
 
     @staticmethod
     def identity(degree: int, n: int) -> "InnerProduct":
-        return InnerProduct._certified(degree, n)
+        return InnerProduct._certified(
+            degree, n, (np.arange(n)[:, None], np.ones((n, 1, 1))))
 
 
 def _edges(K: SimplicialComplex) -> list[tuple[int, int]]:
@@ -244,20 +242,6 @@ def _mass_blocks(K: SimplicialComplex, geometry: ComplexGeometry,
     return tops.glob, B
 
 
-def _assemble(glob: np.ndarray, B: np.ndarray, size: int) -> np.ndarray:
-    """The dense sum of the blocks B[t] placed at rows and columns glob[t]."""
-    M = np.zeros((size, size))
-    np.add.at(M, (glob[:, :, None], glob[:, None, :]), B)
-    return M
-
-
-def _block_csr(glob: np.ndarray, B: np.ndarray, size: int):
-    """The same sum as a scipy CSR array: COO triplets, duplicates summed."""
-    from scipy.sparse import csr_array
-    ij = np.broadcast_arrays(glob[:, :, None], glob[:, None, :])
-    return csr_array((B.ravel(), [a.ravel() for a in ij]), shape=(size, size))
-
-
 def whitney_mass_matrix(K: SimplicialComplex, geometry: ComplexGeometry,
                         q: int) -> InnerProduct:
     """The global Whitney q-form Gram matrix over all top simplices, kept as
@@ -277,14 +261,14 @@ def norm_equivalence_constants(K: SimplicialComplex, geometry: ComplexGeometry,
     sigma = (1 - 2^-8) min_e sum_{t ∋ e} lambda_min(B_t) < lambda_min, as M
     dominates that diagonal (Wathen 1987); its top, of multiplicity about n/3
     on unit lengths, is not.  Start and restart vectors are seeded."""
-    glob, B = _mass_blocks(K, geometry, q)
-    n = K.n_cells(q)
+    ip = whitney_mass_matrix(K, geometry, q)
+    n = ip.size
     if n <= _DENSE_MAX:
-        eigs = np.linalg.eigvalsh(_assemble(glob, B, n))
+        eigs = np.linalg.eigvalsh(ip.matrix)
         return math.sqrt(max(eigs[0], 0.0)), math.sqrt(eigs[-1])
     from scipy.sparse import eye_array
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
-    M = _block_csr(glob, B, n)
+    M, (glob, B) = ip._csr(), ip._blocks
     sigma = (1 - 2 ** -8) * np.bincount(glob.ravel(), np.repeat(
         np.linalg.eigvalsh(B)[:, 0], glob.shape[1]), n).min()
     lu = splu((M - sigma * eye_array(n)).tocsc(), permc_spec="MMD_AT_PLUS_A")

@@ -17,9 +17,41 @@ from scipy.linalg import cho_factor, cho_solve
 
 import hodgecover.covers
 from hodgecover import CoverError, PermutationCoverSpec
-from hodgecover.complexes import SimplicialComplex
-from hodgecover.covers import Cover, Graph
+from hodgecover.complexes import SimplicialComplex, SparseIntMatrix
+from hodgecover.covers import Cover, Graph, dual_graph
+from hodgecover.ratlinalg import rat_solve_and_kernel
 from hodgecover.surfaces import FIXTURES
+
+
+# ---------------------------------------------------------------------------
+# dense views of sparse integer matrices, and the rational kernel basis
+
+
+def to_pylists(A: SparseIntMatrix) -> list[list[int]]:
+    """A as a dense list of integer rows."""
+    a = [[0] * A.cols for _ in range(A.rows)]
+    for r, c, v in A.entries:
+        a[r][c] = v
+    return a
+
+
+def to_float(A: SparseIntMatrix) -> np.ndarray:
+    """A as a dense float array."""
+    return np.array(to_pylists(A), dtype=float).reshape(A.rows, A.cols)
+
+
+def from_dense(a) -> SparseIntMatrix:
+    """The SparseIntMatrix of a dense list of integer rows."""
+    return SparseIntMatrix(len(a), len(a[0]) if a else 0, tuple(
+        (r, c, int(x)) for r, row in enumerate(a) for c, x in enumerate(row)
+        if x))
+
+
+def rat_nullspace(A) -> list[list]:
+    """The rational kernel basis of A, one vector per free column, from the
+    package's elimination of [A | 0]."""
+    rows = A.rows if isinstance(A, SparseIntMatrix) else len(A)
+    return rat_solve_and_kernel(A, [0] * rows)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +321,7 @@ def down_pencil(K, q, ip_q, ip_down):
     n = K.n_cells(q)
     if q == 0:
         return np.zeros((n, n)), ip_q.matrix
-    d = K.coboundary_matrix(q - 1).to_float()  # (q-1)-cochains -> q-cochains
+    d = to_float(K.boundary_matrix(q)).T  # (q-1)-cochains -> q-cochains
     S = ip_q.matrix @ d
     B = S @ cho_solve(cho_factor(ip_down.matrix), S.T)
     return (B + B.T) / 2, ip_q.matrix
@@ -461,6 +493,40 @@ def word_tile_action(cover, word, tile):
     return cover.top_index[(t, s)]
 
 
+def holonomy_generators(spec):
+    """Sheet permutations of the dual-graph loops based at top cell 0: out
+    along a BFS tree of the base's dual graph, across one dual edge, and
+    back.  These loops generate every closed loop's sheet action."""
+    g = dual_graph(spec.base)
+    order, parent, _ = g.bfs(0)
+    if len(order) != g.n:
+        raise CoverError("base dual graph is disconnected")
+    path = {0: list(range(spec.degree))}      # sheet over 0 -> sheet over v
+    for v in order[1:]:
+        p = spec.perms[(parent[v], v)]
+        path[v] = [p[s] for s in path[parent[v]]]
+    gens = []
+    for (u, v), p in spec.perms.items():
+        back = {t: s for s, t in enumerate(path[v])}
+        h = tuple(back[p[t]] for t in path[u])
+        if h != tuple(range(spec.degree)):
+            gens.append(h)
+    return gens
+
+
+def is_transitive(spec):
+    """True iff the holonomy of loops at top cell 0 moves sheet 0 to every
+    sheet, which is the cover being connected."""
+    gens = holonomy_generators(spec)
+    seen, todo = {0}, [0]
+    for s in todo:
+        for t in (h[s] for h in gens):
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return len(seen) == spec.degree
+
+
 def figure_eight(length):
     """Edges of two cycles of the given length through vertex 0."""
     ring = [0, *range(1, length)], [0, *range(length, 2 * length - 1)]
@@ -571,7 +637,7 @@ def reference_whitney_filling(f, ip, delta=1e-6,
     if g0 is None:
         raise FillingError("cycle is not rationally null")
     M = ip.matrix
-    Af = A.to_float()
+    Af = to_float(A)
     MinvAt = cho_solve(cho_factor(M), Af.T)
     g_float = MinvAt @ np.linalg.lstsq(Af @ MinvAt, np.array(b, dtype=float),
                                        rcond=None)[0]
@@ -615,7 +681,6 @@ def reference_certificate(f):
     """The first vector of the kernel basis of d2^T (in free-column order)
     whose pairing with f is nonzero, from the whole basis; None if every
     vector pairs to zero."""
-    from hodgecover.ratlinalg import rat_nullspace
     for y in rat_nullspace(f.complex.boundary_matrix(2).transpose()):
         if sum(yi * bi for yi, bi in zip(y, f.coefficients)) != 0:
             return y

@@ -9,10 +9,10 @@ from hodgecover import (BoundError, InnerProduct, catalogue_ids, coexact_gap,
 from hodgecover.cli import main
 from hodgecover.fillings import EdgeCycle
 from hodgecover.hypgeom import GeometryError, ball_volume
-from hodgecover.surfaces import torus7, unit_geometry
-from hodgecover.whitney import whitney_mass_matrix
+from hodgecover.surfaces import torus7
+from hodgecover.whitney import ComplexGeometry, whitney_mass_matrix
 
-from helpers import moser_oracle
+from helpers import moser_oracle, to_pylists
 
 # one complete synthetic parameter set per catalogue entry
 SYNTHETIC = {
@@ -155,9 +155,29 @@ class TestErrors:
         with pytest.raises(BoundError, match="finite real number"):
             evaluate_bound("dirichlet_diam", dict(lhs=1.0, diam=value))
 
-    def test_none_right_side_parameter_is_missing(self):
-        with pytest.raises(BoundError, match="missing parameter 'diam'"):
-            evaluate_bound("dirichlet_diam", dict(lhs=1.0, diam=None))
+    def test_none_right_side_parameter_is_not_applicable(self):
+        rep = evaluate_bound("dirichlet_diam", dict(lhs=1.0, diam=None))
+        assert rep.verdict == "not-applicable"
+        assert rep.lhs == 1.0 and rep.rhs is None
+        assert rep.notes == ["parameter 'diam' not supplied"]
+        assert rep.values["diam"] == {"value": None, "source": "computed"}
+
+    def test_none_parameter_of_the_dichotomy_is_not_applicable(self):
+        params = dict(SYNTHETIC["dichotomy"], lambda1_comb=None)
+        rep = evaluate_bound("dichotomy", params)
+        assert rep.verdict == "not-applicable"
+        assert rep.lhs == 1.0 and rep.rhs == 0.25
+        assert rep.notes[0] == "parameter 'lambda1_comb' not supplied"
+
+    @pytest.mark.parametrize("n", [3.7, 2, -3])
+    def test_dimension_must_be_an_integer_from_3(self, n):
+        params = dict(SYNTHETIC["lambda0_lower"], n=n)
+        with pytest.raises(BoundError, match=f"n must be an integer >= 3, "
+                                             f"not {n!r}"):
+            evaluate_bound("lambda0_lower", params)
+        rep = evaluate_bound("lambda0_lower", dict(params, n=3.0))
+        assert rep.rhs == evaluate_bound("lambda0_lower",
+                                         SYNTHETIC["lambda0_lower"]).rhs
 
     @pytest.mark.parametrize("bid,change", [
         ("exp_gap", dict(H=1e6)),                    # exp overflows
@@ -179,7 +199,7 @@ class TestDichotomy:
 
     def setup_method(self):
         K = torus7()
-        geo = unit_geometry(K)
+        geo = ComplexGeometry.uniform(K)
         comb = {q: InnerProduct.identity(q, K.n_cells(q)) for q in range(3)}
         whit = {q: whitney_mass_matrix(K, geo, q) for q in range(3)}
         self.params = {"lambda1_whitney": coexact_gap(K, 1, whit).lambda1,
@@ -221,7 +241,7 @@ class TestFillingChain:
                     for q in range(3)}
         lam = lambda1_split(K, 1, products).lambda1_dstar
         f = EdgeCycle(K, tuple(row[0]
-                               for row in K.boundary_matrix(2).to_pylists()))
+                               for row in to_pylists(K.boundary_matrix(2))))
         cert = least_norm_filling(f, "comb")
         lhs = float(sum(c * c for c in cert.g))
         rhs = (1.0 + cert.delta) / lam * sum(c * c for c in f.coefficients)

@@ -19,7 +19,15 @@ import hodgecover
 from hodgecover.cli import main
 from hodgecover.surfaces import FIXTURES, circle, genus2_surface, torus7
 
-from helpers import random_cyclic_cover
+from helpers import random_cyclic_cover, rat_nullspace, to_pylists
+
+
+def cli(*argv):
+    """A cold `hodgecover` subprocess on this checkout's package."""
+    src = Path(hodgecover.__file__).resolve().parent.parent
+    return subprocess.run([sys.executable, "-m", "hodgecover.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
 
 
 def run(capsys, *argv):
@@ -365,9 +373,8 @@ def test_cover_commands_fuzz(case, action):
 @functools.lru_cache
 def cycle_basis(name):
     """An integer basis of the 1-cycles of a fixture."""
-    from hodgecover.ratlinalg import rat_nullspace
     out = []
-    for v in rat_nullspace(FIXTURES[name]().boundary_matrix(1).to_pylists()):
+    for v in rat_nullspace(to_pylists(FIXTURES[name]().boundary_matrix(1))):
         den = math.lcm(*(x.denominator for x in v))
         out.append([int(x * den) for x in v])
     return out
@@ -536,14 +543,14 @@ class TestCellInNoTop:
         assert code == 0 and json.loads(out)["degree"] >= 0
 
 
-TORUS_COLUMN = [row[0] for row in torus7().boundary_matrix(2).to_pylists()]
+TORUS_COLUMN = [row[0] for row in to_pylists(torus7().boundary_matrix(2))]
 
 
 class TestSclCommands:
     @pytest.fixture
     def cycle_file(self, tmp_path):
         K = torus7()
-        bd = K.boundary_matrix(2).to_pylists()
+        bd = to_pylists(K.boundary_matrix(2))
         path = tmp_path / "cycle.json"
         path.write_text(json.dumps(
             {"coefficients": [row[0] for row in bd]}))
@@ -581,7 +588,7 @@ class TestSclCommands:
         assert (code, err) == (0, "")
         data = json.loads(out)
         g = [Fraction(c) for c in data["g"]]
-        B = torus7().boundary_matrix(2).to_pylists()
+        B = to_pylists(torus7().boundary_matrix(2))
         assert [sum(b * x for b, x in zip(row, g)) for row in B] == cycle
         assert all((x * data["m"]).denominator == 1 for x in g)
 
@@ -700,17 +707,9 @@ class TestBoundsCommands:
         assert data["csv"].startswith("id,lhs,rhs,verdict")
 
     def test_all_on_one_top_cell(self, tmp_path):
-        # one edge: the dual graph is one vertex, so diam = 0, and
-        # lambda0_lower, whose right side divides by diam^2 vol, is not
-        # applicable; the same values given to `bounds eval` still exit 2
-        src = Path(hodgecover.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src))
-
-        def cli(*argv):
-            return subprocess.run([sys.executable, "-m", "hodgecover.cli",
-                                   *argv], env=env, capture_output=True,
-                                  text=True, timeout=120)
-
+        # one edge: the dual graph is one vertex, so diam = 0; lambda0_lower,
+        # whose right side divides by diam^2 vol, is not applicable because
+        # nothing computes inj, and with inj given `bounds eval` exits 2
         path = tmp_path / "edge.json"
         path.write_text("[[0],[0,1]]")
         out = cli("bounds", "all", "--attach", str(path))
@@ -719,16 +718,51 @@ class TestBoundsCommands:
         (rep,) = [r for r in data["reports"] if r["id"] == "lambda0_lower"]
         assert rep["verdict"] == "not-applicable"
         assert rep["lhs"] is None and rep["rhs"] is None
-        assert rep["notes"] == ["the dual graph has one top cell, so diam = 0"]
+        assert rep["notes"] == ["parameter 'lhs' not supplied",
+                                "parameter 'inj' not supplied"]
         assert rep["values"]["diam"] == {"value": 0.0, "source": "computed"}
+        assert rep["values"]["inj"] == {"value": None, "source": "computed"}
         assert "\nlambda0_lower,,,not-applicable\n" in data["csv"]
         params = tmp_path / "p.json"
-        params.write_text(json.dumps({k: v["value"]
-                                      for k, v in rep["values"].items()}))
+        params.write_text(json.dumps(dict(
+            {k: v["value"] for k, v in rep["values"].items()}, inj=1.0)))
         out = cli("bounds", "eval", "--id", "lambda0_lower",
                   "--params", str(params))
         assert out.returncode == 2 and out.stdout == ""
         assert "float division by zero" in out.stderr
+
+    def test_all_invents_no_computed_value(self):
+        # a computed parameter the CLI does not compute is null, and every
+        # entry that has one is not applicable and names it
+        out = cli("bounds", "all", "--attach", "genus2")
+        assert out.returncode == 0, out.stderr
+        computed = {"vol", "b1", "diam", "lam", "lambda1", "lambda1_whitney",
+                    "lambda1_comb"}
+        for rep in json.loads(out.stdout)["reports"]:
+            null = [k for k, v in rep["values"].items() if v["value"] is None]
+            assert all(rep["values"][k]["source"] == "computed" for k in null)
+            assert {k for k, v in rep["values"].items()
+                    if v["source"] == "computed"} - set(null) <= computed
+            assert rep["verdict"] == "not-applicable" or not null, rep["id"]
+            for k in null:
+                assert f"parameter {k!r} not supplied" in rep["notes"]
+        verdicts = {r["id"]: r["verdict"]
+                    for r in json.loads(out.stdout)["reports"]}
+        assert verdicts["upper_b0"] == verdicts["tree_diam"] == \
+            "not-applicable"
+        assert verdicts["exp_gap"] == "holds"
+
+    @pytest.mark.parametrize("n", [3.7, 2])
+    def test_eval_dimension_must_be_an_integer_from_3(self, tmp_path, n):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps(dict(lhs=1.0, n=n, inj=1.0, lam_probe=0.1,
+                                          diam=2.0, vol=10.0)))
+        out = cli("bounds", "eval", "--id", "lambda0_lower",
+                  "--params", str(params))
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == (
+            "validation error: bound lambda0_lower cannot be evaluated at "
+            f"these parameters: n must be an integer >= 3, not {n!r}\n")
 
     def test_all_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "bounds.json"
@@ -891,7 +925,7 @@ def test_commands_load_only_the_scipy_they_need(tmp_path):
         f"{a},{b}": [0, 1] for a, b in genus2_surface().facet_adjacencies()
         if a < b}}))
     cycle = tmp_path / "cycle.json"
-    bd = genus2_surface().boundary_matrix(2).to_pylists()
+    bd = to_pylists(genus2_surface().boundary_matrix(2))
     cycle.write_text(json.dumps({"coefficients": [row[0] for row in bd]}))
     run_main = ("import contextlib, io, hodgecover.cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -15,7 +15,7 @@ from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
                                  tetrahedron_boundary, torus7)
 
 from helpers import (adjacency, brute_force_diameter, composite_cover,
-                     edge_labels, edge_set, figure_eight,
+                     edge_labels, edge_set, figure_eight, is_transitive,
                      permutation_schreier_graph, random_cover_specs,
                      random_cyclic_cover, reference_build_cover,
                      reference_graph_diameter, reference_shortest_path_tree,
@@ -86,7 +86,7 @@ class TestBuildCover:
             cov = build_cover(spec)
             assert cov.complex.euler_characteristic() == \
                 spec.degree * spec.base.euler_characteristic()
-            assert cov.connected == spec.is_transitive()
+            assert cov.connected == is_transitive(spec)
             seen.add(cov.connected)
         assert seen == {True, False}  # both directions exercised
 
@@ -516,7 +516,8 @@ class TestFundamentalDomain:
         tree = shortest_path_tree(g, 0)
         words, pairings = tree_fundamental_domain(cov, tree)
         assert len(pairings) == len(edge_set(g)) - (g.n - 1) == 1
-        assert len(pairings.boundary_faces()) == 2 * len(pairings)
+        faces = [f for p in pairings.pairings for f in (p.face, p.paired_face)]
+        assert len(set(faces)) == 2 * len(pairings)
 
     def test_pairing_words_close_up(self):
         rng = random.Random(6)

@@ -13,10 +13,10 @@ from hodgecover.homology import invariant_factors
 from hodgecover.ratlinalg import echelon, sparse_rows
 from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
                                  klein_bottle, projective_plane,
-                                 tetrahedron_boundary, torus7, torus_grid,
-                                 unit_geometry)
+                                 tetrahedron_boundary, torus7, torus_grid)
+from hodgecover.whitney import ComplexGeometry
 
-from helpers import random_cyclic_cover
+from helpers import random_cyclic_cover, to_pylists
 
 
 def random_matrix(rng, rows, cols):
@@ -67,7 +67,7 @@ def test_invariant_factors_against_sympy():
         K = fn()
         for q in range(1, K.dim + 1):
             B = K.boundary_matrix(q)
-            assert invariant_factors(B) == sympy_factors(B.to_pylists())
+            assert invariant_factors(B) == sympy_factors(to_pylists(B))
 
 
 def test_betti_oracles():
@@ -149,7 +149,7 @@ def echelon_calls(monkeypatch):
 def test_each_boundary_map_is_eliminated_once(echelon_calls):
     for fn in FIXTURES.values():
         K = fn()
-        geo = unit_geometry(K)
+        geo = ComplexGeometry.uniform(K)
         products = [{q: InnerProduct.identity(q, K.n_cells(q))
                      for q in range(K.dim + 1)},
                     {q: whitney_mass_matrix(K, geo, q)

@@ -6,11 +6,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bareiss_det
+from helpers import bareiss_det, rat_nullspace, to_pylists
 from hodgecover.complexes import SparseIntMatrix
 from hodgecover.homology import invariant_factors
-from hodgecover.ratlinalg import (_rref, rat_nullspace, rat_solve,
-                                  rat_solve_and_kernel)
+from hodgecover.ratlinalg import _rref, rat_solve, rat_solve_and_kernel
 
 ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -95,8 +94,8 @@ def test_rref_and_nullspace_match_sympy(A):
     basis = rat_nullspace(A)
     assert basis == [[x[0] for x in as_fractions(v)] for v in M.nullspace()]
     if A.rows and A.cols:
-        assert _rref(A.to_pylists()) == (R, ncols)
-        assert rat_nullspace(A.to_pylists()) == basis
+        assert _rref(to_pylists(A)) == (R, ncols)
+        assert rat_nullspace(to_pylists(A)) == basis
 
 
 @ORACLE

@@ -16,8 +16,7 @@ import hodgecover
 from hodgecover import GeometryError, build_cover, load_complex
 from hodgecover import whitney
 from hodgecover.surfaces import (FIXTURES, genus2_surface,
-                                 tetrahedron_boundary, torus7, torus_grid,
-                                 unit_geometry)
+                                 tetrahedron_boundary, torus7, torus_grid)
 from hodgecover.whitney import (ComplexGeometry, InnerProduct,
                                 norm_equivalence_constants,
                                 whitney_mass_matrix)
@@ -149,7 +148,7 @@ class TestMassMatrices:
 
     def test_assembled_surface_against_oracle(self):
         K = torus7()
-        geo = unit_geometry(K)
+        geo = ComplexGeometry.uniform(K)
         for q in range(3):
             got = whitney_mass_matrix(K, geo, q).matrix
             expect = assemble_oracle(K, geo, q)
@@ -157,7 +156,7 @@ class TestMassMatrices:
 
     def test_spd_on_fixtures(self):
         for K in (tetrahedron_boundary(), torus7()):
-            geo = unit_geometry(K)
+            geo = ComplexGeometry.uniform(K)
             for q in range(K.dim + 1):
                 M = whitney_mass_matrix(K, geo, q).matrix
                 assert np.allclose(M, M.T)
@@ -189,7 +188,7 @@ class TestGeometry:
 
     def test_total_volume(self):
         K = torus7()
-        geo = unit_geometry(K)
+        geo = ComplexGeometry.uniform(K)
         assert abs(geo.total_volume() - 14 * math.sqrt(3) / 4) < 1e-12
 
     def test_zero_dimensional_complex(self):
@@ -210,7 +209,7 @@ def whitney_norm(x, ip):
 class TestNorms:
     def test_equivalence_constants_sandwich(self):
         K = torus7()
-        geo = unit_geometry(K)
+        geo = ComplexGeometry.uniform(K)
         lo, hi = norm_equivalence_constants(K, geo, 1)
         assert 0 < lo < hi
         ip = whitney_mass_matrix(K, geo, 1)
@@ -247,7 +246,7 @@ def geometry_cases():
     degree-2 and degree-3 covers of genus2."""
     for name, build in sorted(FIXTURES.items()):
         K = build()
-        yield name, K, unit_geometry(K)
+        yield name, K, ComplexGeometry.uniform(K)
         yield name + "/perturbed", K, perturbed_geometry(K, len(name))
     rng = np.random.default_rng(5)
     for cells in ([(0, 1, 2, 3)], [(0, 1, 2, 3), (1, 2, 3, 4)]):
@@ -260,7 +259,7 @@ def geometry_cases():
     base = genus2_surface()
     for d in (2, 3):
         K = build_cover(random_cyclic_cover(base, d, random.Random(d))).complex
-        yield f"genus2/{d}", K, unit_geometry(K)
+        yield f"genus2/{d}", K, ComplexGeometry.uniform(K)
         yield f"genus2/{d}/perturbed", K, perturbed_geometry(K, d)
 
 
@@ -321,7 +320,7 @@ def test_norm_constants_find_extremes_orthogonal_to_ones(name):
     # it would never see the smallest eigenvalue; the torus has more vertices
     # than whitney._DENSE_MAX, so it takes the Lanczos path
     K = tetrahedron_boundary() if name == "sphere" else BIG_TORUS
-    geo = unit_geometry(K)
+    geo = ComplexGeometry.uniform(K)
     eigs, V = eigh(reference_mass_matrix(K, geo, 0))
     assert (K.n_cells(0) > whitney._DENSE_MAX) == (name == "torus_grid")
     assert abs(np.ones(K.n_cells(0)) @ V[:, 0]) < 1e-12
@@ -333,7 +332,7 @@ def test_norm_constants_find_extremes_orthogonal_to_ones(name):
 def test_norm_constants_on_a_degenerate_top_cluster():
     # on unit lengths lambda_max has multiplicity about n/3 in degree 1
     K = BIG_TORUS
-    geo = unit_geometry(K)
+    geo = ComplexGeometry.uniform(K)
     for q in range(3):
         assert K.n_cells(q) > whitney._DENSE_MAX
         eigs = eigh(reference_mass_matrix(K, geo, q), eigvals_only=True)
@@ -401,7 +400,7 @@ def test_lanczos_path_shift_and_constants(name, K, geo, sparse_path):
 def test_certified_shift_on_large_covers(d, sparse_path):
     K = build_cover(random_cyclic_cover(genus2_surface(), d,
                                         random.Random(d))).complex
-    for geo in (unit_geometry(K), perturbed_geometry(K, d)):
+    for geo in (ComplexGeometry.uniform(K), perturbed_geometry(K, d)):
         for q in range(3):
             shift_and_constants(K, geo, q, sparse_path)
 
@@ -465,7 +464,7 @@ def test_mass_matrix_certificate_rejects_an_indefinite_block(monkeypatch):
     K = torus7()
     for q in range(3):
         with pytest.raises(np.linalg.LinAlgError):
-            whitney_mass_matrix(K, unit_geometry(K), q)
+            whitney_mass_matrix(K, ComplexGeometry.uniform(K), q)
 
 
 def test_bad_lengths_raise_under_python_O():
@@ -555,8 +554,10 @@ def test_dense_view_is_the_assembly_read_once(name, K, geo):
         ip = whitney_mass_matrix(K, geo, q)
         assert ip.size == n and ip._dense is None
         M = ip.matrix
-        assert np.array_equal(M, whitney._assemble(
-            *whitney._mass_blocks(K, geo, q), n))
+        glob, B = whitney._mass_blocks(K, geo, q)
+        expect = np.zeros((n, n))
+        np.add.at(expect, (glob[:, :, None], glob[:, None, :]), B)
+        assert np.array_equal(M, expect)
         assert ip.matrix is M
         assert np.allclose(ip._csr().toarray(), M, rtol=1e-15, atol=1e-16)
         assert np.allclose(ip.diagonal(), np.diag(M), rtol=1e-15, atol=0)
