@@ -300,7 +300,7 @@ def _scl(args, K, geometry, f):
     elif args.inner == "whitney":
         _check_whitney(K, 2)
         ip = whitney_mass_matrix(K, geometry, 2)
-        cert = least_norm_filling(f, "whitney", ip, delta=args.delta)
+        cert = least_norm_filling(f, "whitney", ip)
     else:
         cert = least_norm_filling(f, "comb")
     payload = {
@@ -457,7 +457,6 @@ def build_parser():
     pf.add_argument("--cycle", required=True)
     pf.add_argument("--inner", choices=["comb", "whitney"], default="comb")
     pf.add_argument("--geometry")
-    pf.add_argument("--delta", type=float, default=1e-6)
     pf.add_argument("--l1", action="store_true",
                     help="1-norm minimizing filling via linear programming")
     pf.add_argument("--out")

@@ -533,12 +533,8 @@ def tree_fundamental_domain(cover: Cover, tree: SpanningTree
     for u, w, x in zip(tail[cross].tolist(), head[cross].tolist(),
                        g.label[cross].tolist()):
         label = g.names[x]
-        tu, su = cover.top_of[u]
-        facet = cover.spec.adjacencies[label]
-        fi = cover.spec.base.cell_index[n - 1][facet]
-        face = (u, cover.lift_cell(n - 1, fi, tu, su))
-        tw, sw = cover.top_of[w]
-        paired = (w, cover.lift_cell(n - 1, fi, tw, sw))
+        fi = cover.spec.base.cell_index[n - 1][cover.spec.adjacencies[label]]
+        facet = cover.lift_cell(n - 1, fi, *cover.top_of[u])  # w's facet too
         word = words[u] + (label,) + _invert_word(words[w], rev)
-        pairings.append(FacePairing(face, paired, word))
+        pairings.append(FacePairing((u, facet), (w, facet), word))
     return words, FacePairingSet(pairings)

@@ -22,6 +22,9 @@ from .homology import invariant_factors
 from .ratlinalg import first_kernel_vector, rat_solve, rat_solve_and_kernel
 from .whitney import ComplexGeometry, InnerProduct
 
+_SLACK = 1e-6                         # Whitney rounding: allowed norm increase
+_DENOMINATORS = (10 ** 6, 10 ** 9)    # tried in turn to round the Whitney c
+
 
 class FillingError(ValueError):
     pass
@@ -59,15 +62,15 @@ class EdgeCycle:
                                     list(self.coefficients))
 
 
-def cycle_from_word(cover: Cover, word, base_vertex: int | None = None,
-                    sheet: int = 0) -> EdgeCycle:
-    """Closed edge path in a cover's 1-skeleton tracing a tile-adjacency word.
+def cycle_from_word(cover: Cover, word) -> EdgeCycle:
+    """Closed edge path in a cover's 1-skeleton tracing a tile-adjacency word
+    from sheet 0.
 
     Each letter crosses one facet of the tiling; the path visits one gate
-    vertex per crossing (the lift of `base_vertex` when it lies on the facet,
-    else the smallest lifted vertex) and joins consecutive gates by a single
-    edge of the tile they share.  The word must return to its starting tile
-    and sheet; otherwise the open endpoints are reported.
+    vertex per crossing, the lift of the facet's smallest vertex, and joins
+    consecutive gates by a single edge of the tile they share.  The word must
+    return to its starting tile and sheet; otherwise the open endpoints are
+    reported.
     """
     K = cover.complex
     word = [tuple(w) for w in word]
@@ -81,24 +84,13 @@ def cycle_from_word(cover: Cover, word, base_vertex: int | None = None,
         raise FillingError(
             f"open path: word starts at top cell {word[0][0]} "
             f"and ends at top cell {word[-1][1]}")
-    s = sheet
-    for lab in word:
-        s = cover.spec.perms[lab][s]
-    if s != sheet:
-        raise CoverError(
-            f"open path: sheet action sends sheet {sheet} to sheet {s}")
-
-    gates = []
-    s = sheet
+    gates, s = [], 0
     for (a, b) in word:
-        facet = cover.spec.adjacencies[(a, b)]
-        if base_vertex is not None and base_vertex in facet:
-            v = base_vertex
-        else:
-            v = min(facet)
-        vi = base.cell_index[0][(v,)]
+        vi = base.cell_index[0][(min(cover.spec.adjacencies[(a, b)]),)]
         gates.append(K.cells[0][cover.lift_cell(0, vi, a, s)][0])
         s = cover.spec.perms[(a, b)][s]
+    if s != 0:
+        raise CoverError(f"open path: sheet action sends sheet 0 to sheet {s}")
     coeffs = [0] * K.n_cells(1)
     for u, v in zip(gates, gates[1:] + gates[:1]):
         if u == v:
@@ -195,17 +187,15 @@ def _rounded_chain(g0, kernel, coeffs, denom: int) -> list[Fraction]:
 
 
 def least_norm_filling(f: EdgeCycle, inner: str = "comb",
-                       ip: InnerProduct | None = None,
-                       delta: float = 1e-6,
-                       denominators=(10 ** 6, 10 ** 9)) -> FillingCertificate:
+                       ip: InnerProduct | None = None) -> FillingCertificate:
     """Small-norm rational 2-chain g with boundary g = f, certified exactly.
 
     Both read f's solution space: the solutions are g0 + N c, g0 exact and N
     an exact basis of ker d2.  Combinatorial inner product: the Euclidean
     minimizer, c from the exact k x k system (N^T N) c = -N^T g0 (k = dim ker
     d2), so no slack is needed.  Whitney inner product: c minimizes the mass
-    norm in floats, (N^T M N) c = -N^T M g0, and is rounded to rationals; the
-    norm increase is verified against delta.
+    norm in floats, (N^T M N) c = -N^T M g0, and is rounded to rationals at
+    each of _DENOMINATORS in turn until the norm grows by at most _SLACK.
     """
     if f.complex.dim < 2:
         raise FillingError("filling needs 2-cells")
@@ -233,20 +223,20 @@ def least_norm_filling(f: EdgeCycle, inner: str = "comb",
     MN = ip.apply(N)
     c = np.linalg.solve(N.T @ MN, -(MN.T @ g0f))
     norm_float = _mass_norm(ip, g0f + N @ c)
-    for denom in denominators:
+    for denom in _DENOMINATORS:
         g = _rounded_chain(g0, kernel, c, denom)
         norm_g = _mass_norm(ip, np.array([float(x) for x in g]))
-        if norm_g <= (1.0 + delta) * norm_float or norm_float == 0.0:
-            return _certify(f, g, "whitney", delta, norm_g)
+        if norm_g <= (1.0 + _SLACK) * norm_float or norm_float == 0.0:
+            return _certify(f, g, "whitney", _SLACK, norm_g)
     raise FillingError(
         "rounded filling exceeds the allowed norm slack at every denominator")
 
 
-def l1_filling(f: EdgeCycle, denominator: int = 10 ** 6) -> FillingCertificate:
+def l1_filling(f: EdgeCycle) -> FillingCertificate:
     """1-norm minimizing rational filling via linear programming.
 
     Often gives tighter chi bounds than the least-squares route; the LP
-    solution is rounded to the given denominator and corrected back onto the
+    solution is rounded to multiples of 10^-6 and corrected back onto the
     affine solution set with an exact particular solution.  The constraint
     matrix is sparse: 2 (nnz N + n2) entries.
     """
@@ -279,7 +269,7 @@ def l1_filling(f: EdgeCycle, denominator: int = 10 ** 6) -> FillingCertificate:
                   method="highs")
     if not res.success:
         raise FillingError(f"linear program failed: {res.message}")
-    g = _rounded_chain(g0, kernel, res.x[:k] * scale, denominator)
+    g = _rounded_chain(g0, kernel, res.x[:k] * scale, 10 ** 6)
     norm_g = float(sum(abs(float(x)) for x in g))
     return _certify(f, g, "l1", 0.0, norm_g)
 

@@ -12,6 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_MAX_DIMENSION = 1000   # ball_volume's n: its work grows as n (recurrence)
+                        # or n^3 (Gauss-Legendre nodes)
+_TAIL_TOL = 1e-12       # moser_constant's bound on |log(true/value)|
+
 
 class GeometryError(ValueError):
     pass
@@ -39,11 +43,14 @@ def ball_volume(n: int, r: float, K: float = 1.0) -> float:
     For s r >= 1, J_k = (u^{k-1} cosh(s r) - (k-1) J_{k-2}) / (k K) with
     u = sinh(s r) / s, J_0 = r and J_1 = 2 sinh^2(s r / 2) / K, on R_k =
     J_k / u^{k-1}.  Below that the recurrence cancels, and Gauss-Legendre
-    nodes give J_{n-1} instead.  Logarithms keep a large n finite, or 0.0."""
+    nodes give J_{n-1} instead.  Logarithms keep a large n finite, or 0.0;
+    n is at most _MAX_DIMENSION."""
     if not (math.isfinite(r) and math.isfinite(K)):
         raise GeometryError("radius and curvature must be finite")
     if n < 2:
         raise GeometryError("dimension must be >= 2")
+    if n > _MAX_DIMENSION:
+        raise GeometryError(f"dimension must be <= {_MAX_DIMENSION}")
     if r < 0:
         raise GeometryError("radius must be >= 0")
     if K <= 0:
@@ -83,13 +90,14 @@ class MoserConstant:
     tail_bound: float  # rigorous bound on |log(true/value)|
 
 
-def moser_constant(n: int, q: int, L: float, lam: float,
-                   tail_tol: float = 1e-12) -> MoserConstant:
+def moser_constant(n: int, q: int, L: float, lam: float) -> MoserConstant:
     """Sup-norm iteration constant: infinite product of per-step gains.
 
     Factor k is kappa_n^(-1/g^k) * ((q(n-q)+lam) g^k + 4^(k+1)/L^2)^(1/g^k)
-    with g = n/(n-2).  The product is truncated once a rigorous bound on the
-    remaining multiplicative tail drops below tail_tol.
+    with g = n/(n-2).  The product is summed in logarithms, its bracket k as
+    k log 4 + log(4/L^2 + (q(n-q)+lam) (g/4)^k), and truncated once a
+    rigorous bound on the remaining multiplicative tail drops below
+    _TAIL_TOL.  A constant beyond a float's range raises GeometryError.
     """
     if not (math.isfinite(L) and math.isfinite(lam)):
         raise GeometryError("need finite L and lam")
@@ -99,35 +107,40 @@ def moser_constant(n: int, q: int, L: float, lam: float,
         raise GeometryError("need L > 0")
     if lam < 0:
         raise GeometryError("need lam >= 0")
-    g = n / (n - 2)
-    kap = kappa(n)
-    amp = q * (n - q) + lam
-    invl2 = 4.0 / (L * L)
-    # bracket k = amp g^k + invl2 4^k is then positive for every k: as
-    # g <= 3 < 4, it is at least min(amp, 0) 4^k + invl2 4^k
-    if amp + invl2 <= 0:
-        raise GeometryError("need q(n-q) + lam + 4/L^2 > 0")
+    try:
+        g = n / (n - 2)
+        log_kap = math.log(kappa(n))
+        amp = q * (n - q) + lam
+        invl2 = 4.0 / (L * L)
+        # bracket k = amp g^k + invl2 4^k is then positive for every k: as
+        # g <= 3 < 4, it is at least min(amp, 0) 4^k + invl2 4^k
+        if amp + invl2 <= 0:
+            raise GeometryError("need q(n-q) + lam + 4/L^2 > 0")
+        if not math.isfinite(amp + invl2):     # 4/L^2 overflowed
+            raise OverflowError
 
-    # |log B_k - log kappa| <= a + b*k:  B_k is squeezed between the constant
-    # max(amp, 4/L^2) and (amp + 4/L^2) * 4^k
-    lo = max(amp, invl2) if amp > 0 else invl2
-    a = max(abs(math.log(amp + invl2)), abs(math.log(lo))) + abs(math.log(kap))
-    b = math.log(4.0)
+        # |log B_k - log kappa| <= a + b*k:  B_k is squeezed between the
+        # constant max(amp, 4/L^2) and (amp + 4/L^2) * 4^k
+        lo = max(amp, invl2) if amp > 0 else invl2
+        a = max(abs(math.log(amp + invl2)), abs(math.log(lo))) + abs(log_kap)
+        b = math.log(4.0)
 
-    def tail(kstart: int) -> float:
-        x = 1.0 / g
-        geo = x ** kstart / (1 - x)
-        lin = x ** kstart * (kstart - (kstart - 1) * x) / (1 - x) ** 2
-        return a * geo + b * lin
+        def tail(kstart: int) -> float:
+            x = 1.0 / g
+            geo = x ** kstart / (1 - x)
+            lin = x ** kstart * (kstart - (kstart - 1) * x) / (1 - x) ** 2
+            return a * geo + b * lin
 
-    log_c = 0.0
-    k = 0
-    while True:
-        bracket = amp * g ** k + invl2 * 4.0 ** k
-        log_c += (math.log(bracket) - math.log(kap)) / g ** k
-        k += 1
-        if tail(k) < tail_tol:
-            break
-        if k > 100000:
-            raise GeometryError("product truncation did not converge")
-    return MoserConstant(math.exp(log_c), k, tail(k))
+        log_c = 0.0
+        k = 0
+        while True:
+            log_c += (k * b + math.log(invl2 + amp * (g / 4) ** k)
+                      - log_kap) / g ** k
+            k += 1
+            if tail(k) < _TAIL_TOL:
+                break
+            if k > 100000:
+                raise GeometryError("product truncation did not converge")
+        return MoserConstant(math.exp(log_c), k, tail(k))
+    except (OverflowError, ZeroDivisionError):
+        raise GeometryError("moser constant overflows a float") from None

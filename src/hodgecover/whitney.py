@@ -260,21 +260,30 @@ def norm_equivalence_constants(K: SimplicialComplex, geometry: ComplexGeometry,
     a tight cluster on covers, is shift-inverted (Ericsson and Ruhe 1980) at
     sigma = (1 - 2^-8) min_e sum_{t ∋ e} lambda_min(B_t) < lambda_min, as M
     dominates that diagonal (Wathen 1987); its top, of multiplicity about n/3
-    on unit lengths, is not.  Start and restart vectors are seeded."""
+    on unit lengths, is not.  Start and restart vectors are seeded; an ARPACK
+    failure raises LinAlgError naming the end that failed."""
     ip = whitney_mass_matrix(K, geometry, q)
     n = ip.size
     if n <= _DENSE_MAX:
         eigs = np.linalg.eigvalsh(ip.matrix)
         return math.sqrt(max(eigs[0], 0.0)), math.sqrt(eigs[-1])
     from scipy.sparse import eye_array
-    from scipy.sparse.linalg import LinearOperator, eigsh, splu
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
     M, (glob, B) = ip._csr(), ip._blocks
     sigma = (1 - 2 ** -8) * np.bincount(glob.ravel(), np.repeat(
         np.linalg.eigvalsh(B)[:, 0], glob.shape[1]), n).min()
     lu = splu((M - sigma * eye_array(n)).tocsc(), permc_spec="MMD_AT_PLUS_A")
     rng = np.random.default_rng(0)     # also any restart vectors
-    lo, hi = (eigsh(M, k=1, tol=0, v0=rng.standard_normal(n), rng=rng,
-                    return_eigenvectors=False, **how)[0] for how in (
-        dict(sigma=sigma, which="LM", OPinv=LinearOperator((n, n), lu.solve)),
-        dict(which="LA")))
-    return math.sqrt(lo), math.sqrt(hi)
+
+    def end(name, **how):
+        try:
+            return eigsh(M, k=1, tol=0, v0=rng.standard_normal(n), rng=rng,
+                         return_eigenvectors=False, **how)[0]
+        except ArpackError as exc:
+            raise np.linalg.LinAlgError(f"Lanczos for the {name} of the "
+                                        f"degree-{q} mass spectrum failed: "
+                                        f"{exc}") from None
+
+    lo = end("bottom", sigma=sigma, which="LM",
+             OPinv=LinearOperator((n, n), lu.solve))
+    return math.sqrt(lo), math.sqrt(end("top", which="LA"))

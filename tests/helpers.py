@@ -86,38 +86,13 @@ def star_loops(K):
     return loops
 
 
-def nullspace_mod_p(rows, ncols, p):
-    M = [r[:] for r in rows]
-    piv = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(M)) if M[i][c] % p), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = pow(M[r][c], -1, p)
-        M[r] = [(x * inv) % p for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c] % p:
-                f = M[i][c]
-                M[i] = [(a - f * b) % p for a, b in zip(M[i], M[r])]
-        piv.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in piv]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for i, pc in enumerate(piv):
-            v[pc] = (-M[i][fc]) % p
-        basis.append(v)
-    return basis
-
-
-def random_cyclic_cover(K, p, rng: random.Random) -> PermutationCoverSpec:
-    """Degree-p cyclic cover of a closed surface from random mod-p cocycle
-    data on the dual graph (vertex-star loop sums forced to zero, which is
-    exactly the consistency condition the builder validates)."""
+def random_cyclic_cover(K, d, rng: random.Random) -> PermutationCoverSpec:
+    """Degree-d cyclic cover of a closed surface from random mod-d cocycle
+    data on the dual graph: a random combination, reduced mod d, of an
+    integer basis of the solutions over Z of the vertex-star loop sums (their
+    vanishing is exactly the consistency condition the builder validates).
+    The basis is the package's rational kernel with denominators cleared, so
+    no pivot is inverted mod d and any d works."""
     adj = K.facet_adjacencies()
     edges = sorted({(i, j) for (i, j) in adj if i < j})
     eidx = {e: k for k, e in enumerate(edges)}
@@ -129,14 +104,14 @@ def random_cyclic_cover(K, p, rng: random.Random) -> PermutationCoverSpec:
                 row[eidx[(a, b)]] += 1
             else:
                 row[eidx[(b, a)]] -= 1
-        rows.append([x % p for x in row])
-    basis = nullspace_mod_p(rows, len(edges), p)
+        rows.append(row)
     x = [0] * len(edges)
-    for v in basis:
-        c = rng.randrange(p)
-        x = [(a + c * b) % p for a, b in zip(x, v)]
-    perms = {e: tuple((s + x[eidx[e]]) % p for s in range(p)) for e in edges}
-    return PermutationCoverSpec(K, p, perms)
+    for v in rat_nullspace(rows):
+        den = math.lcm(*(y.denominator for y in v))
+        c = rng.randrange(d)
+        x = [(a + c * int(y * den)) % d for a, y in zip(x, v)]
+    perms = {e: tuple((s + x[eidx[e]]) % d for s in range(d)) for e in edges}
+    return PermutationCoverSpec(K, d, perms)
 
 
 def random_circle_cover(n: int, d: int, rng: random.Random) -> PermutationCoverSpec:

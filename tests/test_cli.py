@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hodgecover
+from hodgecover.bounds import catalogue_ids, get_entry
 from hodgecover.cli import main
 from hodgecover.surfaces import FIXTURES, circle, genus2_surface, torus7
 
@@ -306,6 +307,33 @@ class TestCoverCommands:
         assert "graph is disconnected" in err
 
 
+def main_captured(argv, files=()):
+    """(exit code, stdout, stderr) of cli.main on argv, with each (name,
+    object) of files written as JSON to a temporary file whose path
+    replaces the name in argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, data in files:
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w") as fh:
+                json.dump(data, fh)
+        argv = [paths.get(a, a) for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, out, err):
+    """Exit 0 with JSON, or 2 or 3 with one message line; no traceback."""
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    else:
+        assert out == "" and err.count("\n") == 1
+
+
 BAD_KEYS = ["1", "1,2,3", "a,b", "", "0,0", "99,100", "-1,2", "0;1"]
 ODD_VALUES = [1.5, "1", None, True, [0], {}, 2 ** 70, -1]
 
@@ -355,19 +383,8 @@ def test_cover_commands_fuzz(case, action):
     """Every cover spec, valid or not, ends in exit 0, 2 or 3 with a
     message, never in a traceback."""
     name, spec = case
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "spec.json")
-        with open(path, "w") as fh:
-            json.dump(spec, fh)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["cover", action, "--base", name, "--spec", path])
-    assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
-    if code == 0:
-        json.loads(out.getvalue())
-    else:
-        assert err.getvalue().count("\n") == 1
+    assert_clean_exit(*main_captured(
+        ["cover", action, "--base", name, "--spec", "spec"], [("spec", spec)]))
 
 
 @functools.lru_cache
@@ -417,21 +434,11 @@ def test_scl_commands_fuzz(case):
     """Every cycle file, valid or not, ends in exit 0, 2 or 3 with a
     message, never in a traceback; a malformed one is a validation error."""
     kind, cycle, argv = case
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cycle.json")
-        with open(path, "w") as fh:
-            json.dump(cycle, fh)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["scl", *argv, "--cycle", path])
-    assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    code, out, err = main_captured(["scl", *argv, "--cycle", "cycle"],
+                                   [("cycle", cycle)])
+    assert_clean_exit(code, out, err)
     if kind in ("wrong_length", "non_integer", "nonzero_boundary"):
         assert code == 2
-    if code == 0:
-        json.loads(out.getvalue())
-    else:
-        assert err.getvalue().count("\n") == 1
 
 
 @st.composite
@@ -470,22 +477,11 @@ def test_complex_commands_fuzz(case, command, degree):
     message, never in a traceback; a malformed one is a validation error."""
     kind, cells = case
     before, after = command
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "complex.json")
-        with open(path, "w") as fh:
-            json.dump(cells, fh)
-        argv = [*before, path, *after] + ([str(degree)] if after else [])
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    argv = [*before, "cells", *after] + ([str(degree)] if after else [])
+    code, out, err = main_captured(argv, [("cells", cells)])
+    assert_clean_exit(code, out, err)
     if kind in ("repeated_vertex", "non_integer"):
         assert code == 2
-    if code == 0:
-        json.loads(out.getvalue())
-    else:
-        assert err.getvalue().count("\n") == 1
 
 
 class TestNormsCommand:
@@ -764,6 +760,16 @@ class TestBoundsCommands:
             "validation error: bound lambda0_lower cannot be evaluated at "
             f"these parameters: n must be an integer >= 3, not {n!r}\n")
 
+    def test_eval_lambda0_lower_in_dimension_30(self, capsys, tmp_path):
+        # the Moser product is summed in logs, so 4.0 ** k cannot overflow
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps(dict(lhs=1.0, n=30, inj=2.0,
+                                          lam_probe=1.0, diam=2.0, vol=10.0)))
+        code, out, _ = run(capsys, "bounds", "eval", "--id", "lambda0_lower",
+                           "--params", str(params))
+        assert code == 0
+        assert json.loads(out)["verdict"] == "holds"
+
     def test_all_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "bounds.json"
         code, out, _ = run(capsys, "bounds", "all", "--attach", "sphere",
@@ -805,11 +811,16 @@ class TestConstantsCommand:
         ("--ball", "3", "inf", "1"),
         ("--ball", "3", "1000", "1"),    # the volume overflows a float
         ("--moser", "3", "1", "1", "nan"),
+        ("--ball", "1e308", "1", "1"),   # n steps of the recurrence
+        ("--ball", "3000", "0.5", "1"),  # n^3 work for the nodes
+        ("--moser", "50", "1", "1", "1"),      # the constant overflows
+        ("--moser", "3", "1", "1e-300", "1"),  # and so does 4 / L^2
+        ("--moser", "3", "1e300", "1", "1"),   # and q(n - q) + lam
     ])
     def test_non_finite_constants_exit_3(self, capsys, argv):
         code, out, err = run(capsys, "constants", *argv)
         assert code == 3 and out == ""
-        assert err.startswith("numerical failure:")
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ("--ball", "nan", "1", "1"),
@@ -821,6 +832,72 @@ class TestConstantsCommand:
         code, out, err = run(capsys, "constants", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+
+# numbers that reach the edges of the analytic constants: dimensions past
+# the float range of 4^k, past the work bound and past a float; lengths
+# whose square under- or overflows; non-finite and negative values
+EXTREMES = ["0", "1", "2", "3", "4", "20", "30", "45", "1000", "1001", "-1",
+            "2.5", "0.5", "1e-160", "1e-300", "1e200", "1e300", "1e308",
+            "nan", "inf"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(["--ball", "--moser"]), max_size=2,
+                unique=True), st.data())
+def test_constants_fuzz(options, data):
+    """Every `constants` input ends in exit 0, 2 or 3, never in a traceback
+    or an endless loop."""
+    argv = ["constants"]
+    for option in options:
+        argv += [option] + data.draw(st.lists(
+            st.sampled_from(EXTREMES), min_size=3 + (option == "--moser"),
+            max_size=3 + (option == "--moser")))
+    assert_clean_exit(*main_captured(argv))
+
+
+ODD_PARAMS = [None, 0, 1, -1, 2.5, 30, 1001, 1e-300, 1e300, 1e308, True, "x",
+              [1], 10 ** 400]
+
+
+@st.composite
+def bound_params(draw, bid):
+    """A params object for entry bid: each parameter a finite, extreme or
+    malformed value, sometimes one left out or an unknown one added."""
+    params = {name: draw(st.sampled_from(ODD_PARAMS))
+              for name, _source in get_entry(bid).params}
+    kind = draw(st.sampled_from(["as drawn", "as drawn", "missing",
+                                 "unknown"]))
+    if kind == "missing":
+        params.pop(draw(st.sampled_from(sorted(params))))
+    elif kind == "unknown":
+        params["no_such_parameter"] = 1.0
+    return params
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_bounds_eval_fuzz(data):
+    """Every `bounds eval` params file ends in exit 0, 2 or 3, never in a
+    traceback."""
+    bid = data.draw(st.sampled_from(catalogue_ids()))
+    params = data.draw(bound_params(bid))
+    argv = ["bounds", "eval", "--id", bid, "--params", "params"]
+    assert_clean_exit(*main_captured(argv, [("params", params)]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(["circle", "sphere", "torus", "projective_plane"]),
+       st.data())
+def test_bounds_all_fuzz(name, data):
+    """Every `bounds all` overrides file ends in exit 0, 2 or 3, never in a
+    traceback."""
+    bid = data.draw(st.sampled_from(catalogue_ids()))
+    overrides = data.draw(st.sampled_from([
+        {bid: data.draw(bound_params(bid))}, {bid: 1.0}, [bid], {}]))
+    argv = ["bounds", "all", "--attach", name, "--params", "params"]
+    assert_clean_exit(*main_captured(argv, [("params", overrides)]))
 
 
 @pytest.mark.parametrize("field", ["degree", "coefficients"])

@@ -90,6 +90,19 @@ class TestBuildCover:
             seen.add(cov.connected)
         assert seen == {True, False}  # both directions exercised
 
+    @pytest.mark.parametrize("name", ["klein_bottle", "projective_plane"])
+    def test_random_cyclic_covers_of_every_degree(self, name):
+        # the cocycle is solved over Z and reduced mod d, so composite d
+        # works on non-orientable bases too
+        K = FIXTURES[name]()
+        for d in range(2, 13):
+            spec = random_cyclic_cover(K, d, random.Random(d))
+            assert all(sorted(p) == list(range(d))
+                       for p in spec.perms.values())
+            cov = build_cover(spec)
+            assert cov.complex.euler_characteristic() == \
+                d * K.euler_characteristic()
+
     def test_cell_counts_multiply(self):
         rng = random.Random(1)
         spec = random_cyclic_cover(tetrahedron_boundary(), 3, rng)
@@ -522,7 +535,8 @@ class TestFundamentalDomain:
     def test_pairing_words_close_up(self):
         rng = random.Random(6)
         for spec in [cyclic_circle_spec(4, 3),
-                     random_cyclic_cover(torus7(), 3, rng)]:
+                     random_cyclic_cover(torus7(), 3, rng),
+                     *random_cover_specs(40, seed=3)]:
             cov = build_cover(spec)
             if not cov.connected:
                 continue
@@ -530,7 +544,13 @@ class TestFundamentalDomain:
             tree = shortest_path_tree(g, 0)
             words, pairings = tree_fundamental_domain(cov, tree)
             assert len(pairings) == len(edge_set(g)) - (g.n - 1)
+            n, cells = cov.complex.dim, cov.complex.cells
             for p in pairings.pairings:
+                # both tiles hold the one facet their pairing crosses
+                (u, facet), (w, paired) = p.face, p.paired_face
+                assert facet == paired
+                assert set(cells[n - 1][facet]) <= \
+                    set(cells[n][u]) & set(cells[n][w])
                 # loop at the root tile: out along the tree, across, back
                 assert word_tile_action(cov, p.word, tree.root) == tree.root
                 _t, s0 = cov.top_of[tree.root]

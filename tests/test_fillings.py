@@ -115,8 +115,6 @@ class TestCycleFromWord:
         f = cycle_from_word(cov, word)
         null, _w = rationally_null(f)
         assert null  # bounds the star region
-        # choosing the common vertex as gate collapses the path entirely
-        assert not any(cycle_from_word(cov, word, base_vertex=1).coefficients)
 
 
 class TestRationallyNull:
@@ -288,21 +286,22 @@ class TestWhitneyFilling:
         geo = ComplexGeometry.uniform(K)
         ip = whitney_mass_matrix(K, geo, 2)
         f = cell_boundary(K, 0)
-        cert = least_norm_filling(f, "whitney", ip, delta=1e-6)
+        cert = least_norm_filling(f, "whitney", ip)
         bd = to_pylists(K.boundary_matrix(2))
         for row, target in zip(bd, f.coefficients):
             assert sum(Fraction(a) * x for a, x in zip(row, cert.g)) == target
         assert cert.m >= 1
         assert cert.chi_bound == 4 * sum(abs(c) * cert.m for c in cert.g)
 
-    def test_rounding_failure_raises(self):
+    def test_rounding_failure_raises(self, monkeypatch):
         K = torus7()
         geo = ComplexGeometry.uniform(K)
         ip = whitney_mass_matrix(K, geo, 2)
         f = cell_boundary(K, 0)
+        monkeypatch.setattr(hodgecover.fillings, "_SLACK", 1e-12)
+        monkeypatch.setattr(hodgecover.fillings, "_DENOMINATORS", (1,))
         with pytest.raises(FillingError):
-            least_norm_filling(f, "whitney", ip, delta=1e-12,
-                               denominators=(1,))
+            least_norm_filling(f, "whitney", ip)
 
     def test_missing_inner_product(self):
         K = torus7()

@@ -107,6 +107,12 @@ class TestBallVolume:
         with pytest.raises(GeometryError):
             ball_volume(3, 1.0, 0.0)
         assert ball_volume(3, 0.0, 1.0) == 0.0
+        # the recurrence loops n times and the nodes cost n^3: n is bounded,
+        # with n = 1000 (the mpmath ladder) inside the bound
+        for n in (1001, int(1e308)):
+            for r in (0.5, 1.0, 1e308):
+                with pytest.raises(GeometryError, match="dimension must be"):
+                    ball_volume(n, r, 1.0)
 
 
 class TestSphereVolumeKappa:
@@ -145,9 +151,25 @@ class TestMoserConstant:
             assert all(a <= b + 1e-12 for a, b in zip(col, col[1:]))
 
     def test_tail_bound_by_term_doubling(self):
-        mc = moser_constant(3, 1, 1.0, 1.0, tail_tol=1e-10)
+        mc = moser_constant(3, 1, 1.0, 1.0)
         doubled = moser_oracle(3, 1, 1.0, 1.0, terms=2 * mc.terms)
         assert abs(math.log(mc.value) - math.log(doubled)) <= mc.tail_bound
+
+    @pytest.mark.parametrize("n", [30, 45])
+    def test_high_dimension_sums_in_logs(self, n):
+        # 4.0 ** k overflows a float from k = 512 on, before these products
+        # reach their tail bound
+        mc = moser_constant(n, 1, 1.0, 1.0)
+        assert mc.terms > 512
+        assert mc.value == pytest.approx(
+            moser_oracle(n, 1, 1.0, 1.0, terms=2 * mc.terms), rel=1e-10)
+
+    @pytest.mark.parametrize("args", [
+        (50, 1, 1.0, 1.0), (400, 1, 1.0, 1.0), (int(1e308), 1, 1.0, 1.0),
+        (3, 1, 1e-300, 1.0), (3, 1, 1e-160, 1.0), (3, int(1e300), 1.0, 1.0)])
+    def test_overflow_is_a_geometry_error(self, args):
+        with pytest.raises(GeometryError, match="overflows a float"):
+            moser_constant(*args)
 
     def test_validation(self):
         with pytest.raises(GeometryError):

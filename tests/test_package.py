@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import inspect
@@ -53,10 +54,11 @@ def callers():
 
 
 def entry_points():
-    """README's "Library entry points": name -> the reason it stays."""
+    """README's "Library entry points": name, Class.name or name(param) ->
+    the reason it stays."""
     readme = (ROOT / "README.md").read_text()
     section = readme.partition("### Library entry points")[2].split("\n#")[0]
-    return dict(re.findall(r"^- `([\w.]+)`: (\S.*)", section, re.M))
+    return dict(re.findall(r"^- `([\w.()]+)`: (\S.*)", section, re.M))
 
 
 def test_every_exported_function_has_a_caller_or_a_reason():
@@ -66,7 +68,7 @@ def test_every_exported_function_has_a_caller_or_a_reason():
     reached = set().union(*map(references, callers()))
     functions = {name for name, obj in vars(hodgecover).items()
                  if inspect.isfunction(obj)}
-    listed = {k for k in entry_points() if "." not in k}
+    listed = {k for k in entry_points() if not set(".(") & set(k)}
     assert functions - reached - listed == set()
     assert listed <= functions - reached
 
@@ -100,6 +102,118 @@ def test_every_public_method_has_a_caller_or_a_reason():
                             for p in callers()))
     methods = public_methods()
     unreached = {k for k, name in methods.items() if name not in reached}
-    listed = {k for k in entry_points() if "." in k}
+    listed = {k for k in entry_points() if "." in k and "(" not in k}
     assert unreached - listed == set()
     assert listed <= unreached
+
+
+def calls():
+    """(name called, positional arguments, keyword names) of every call in
+    the package modules and the benchmark, by the bare name or the last
+    attribute called, leaving out a function's calls of itself.  Positional
+    arguments are counted up to the first starred one.  The benchmark's
+    rec.call("label", fn, *args) also counts as a call fn(*args)."""
+    found = []
+
+    def record(func, args, keywords):
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        starred = [isinstance(a, ast.Starred) for a in args] + [True]
+        found.append((name, starred.index(True), keywords))
+
+    def visit(node, own):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                args = child.args
+                keywords = {k.arg for k in child.keywords}
+                if not (isinstance(child.func, ast.Name)
+                        and child.func.id in own):
+                    record(child.func, args, keywords)
+                if len(args) >= 2 and isinstance(args[0], ast.Constant) \
+                        and isinstance(args[0].value, str):
+                    record(args[1], args[2:], keywords)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, own | {child.name})
+            else:
+                visit(child, own)
+
+    for path in callers():
+        visit(ast.parse(path.read_text(), str(path)), frozenset())
+    return found
+
+
+def settable_parameters():
+    """name(param) -> (name called, param, position) for every parameter
+    with a default of an exported function, of a public method
+    (Class.name(param)) or of an exported class's constructor
+    (Class(param)); position counts the parameters a caller can pass before
+    it, None for a keyword-only one."""
+    signatures = []
+    for cname, obj in vars(hodgecover).items():
+        if inspect.isfunction(obj):
+            signatures.append((cname, cname, obj, 0))
+        if not inspect.isclass(obj):
+            continue
+        if not issubclass(obj, Exception):  # those have no signature
+            signatures.append((cname, cname, obj, 0))
+        for name, member in vars(obj).items():
+            skip = 0 if isinstance(member, staticmethod) else 1  # self, cls
+            if isinstance(member, (classmethod, staticmethod)):
+                member = member.__func__
+            if not name.startswith("_") and inspect.isfunction(member):
+                signatures.append((f"{cname}.{name}", name, member, skip))
+    out = {}
+    for label, name, fn, skip in signatures:
+        params = list(inspect.signature(fn).parameters.values())[skip:]
+        for i, p in enumerate(params):
+            if p.default is not p.empty:
+                position = None if p.kind is p.KEYWORD_ONLY else i
+                out[f"{label}({p.name})"] = (name, p.name, position)
+    return out
+
+
+def test_every_keyword_default_has_a_caller_or_a_reason():
+    """Each parameter with a default is passed by some call in another
+    package module or the benchmark, by keyword or by position, or README
+    lists `name(param)` under "Library entry points" with the reason it
+    stays: a value no caller sets is a constant.  Calls are matched by the
+    name called, as the method guard matches attributes."""
+    passed = calls()
+    unset = {label for label, (name, param, position)
+             in settable_parameters().items()
+             if not any(called == name and (
+                 param in keywords
+                 or position is not None and count > position)
+                 for called, count, keywords in passed)}
+    listed = {k for k in entry_points() if "(" in k}
+    assert unset - listed == set()
+    assert listed <= unset
+
+
+def option_strings():
+    """The options of every CLI subcommand, each as "command --option",
+    but -h and --help."""
+    from hodgecover.cli import build_parser
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return {f"{command} {option}"
+            for command, sub in commands.choices.items()
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings}
+
+
+def test_every_cli_option_is_run_or_documented():
+    """Each CLI option is passed by the benchmark's command mix or shown in
+    README's CLI section: a flag nobody passes is a constant."""
+    workloads = ROOT / "bench" / "workloads.py"
+    strings = {node.value for node in ast.walk(ast.parse(
+        workloads.read_text(), str(workloads)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    readme = (ROOT / "README.md").read_text()
+    section = readme.partition("\n## CLI\n")[2].split("\n## ")[0]
+    shown = set(re.findall(r"(?<![\w-])(--?[\w-]+)", section))
+    missing = {label for label in option_strings()
+               if label.split()[1] not in strings | shown}
+    assert missing == set()

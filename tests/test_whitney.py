@@ -405,6 +405,37 @@ def test_certified_shift_on_large_covers(d, sparse_path):
             shift_and_constants(K, geo, q, sparse_path)
 
 
+@pytest.mark.parametrize("end", ["bottom", "top"])
+def test_lanczos_failure_is_a_numerical_failure(end, monkeypatch, tmp_path,
+                                                capsys):
+    """An ARPACK failure at either end of the mass spectrum of
+    torus_grid(16, 16) (768 edges, past _DENSE_MAX) names that end, and the
+    CLI reports it as a numerical failure (exit 3)."""
+    import scipy.sparse.linalg
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    from hodgecover.cli import main
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def stuck(*args, **kwargs):
+        if ("sigma" in kwargs) == (end == "bottom"):
+            raise ArpackNoConvergence("no convergence", [], [])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stuck)
+    K = torus_grid(16, 16)
+    assert K.n_cells(1) > whitney._DENSE_MAX
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=f"Lanczos for the {end} of the degree-1 mass"):
+        norm_equivalence_constants(K, ComplexGeometry.uniform(K), 1)
+    path = tmp_path / "grid.json"
+    path.write_text(str([list(c) for c in K.cells[2]]))
+    assert main(["norms", "constants", str(path), "--degree", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"numerical failure: Lanczos for the {end}")
+
+
 def test_mass_matrix_certificate_needs_every_cell_in_a_top():
     K = load_complex([(0, 1, 2), (3, 4)])
     geo = ComplexGeometry.uniform(K, 1.0)
