@@ -10,7 +10,8 @@ import sys
 import numpy as np
 
 from .bounds import BoundError, catalogue_ids, evaluate_bound, get_entry
-from .complexes import ComplexError, LoadReport, load_complex_report
+from .complexes import (ComplexError, LoadReport, _integer,
+                        load_complex_report)
 from .covers import (CoverError, PermutationCoverSpec, build_cover, dual_graph,
                      graph_diameter, shortest_path_tree,
                      tree_fundamental_domain)
@@ -65,44 +66,10 @@ def _load_json(path):
 
 
 def _load_complex(path):
-    """The LoadReport of a fixture, or of a complex file: a list of cells, or
-    an object whose "cells" is a list of cell groups of integer lists."""
+    """The LoadReport of a fixture, or of a complex file."""
     if path in FIXTURES:
         return LoadReport(FIXTURES[path]())
-    data = _load_json(path)
-    groups = data.get("cells", []) if isinstance(data, dict) else [data]
-    labels = data.get("labels") if isinstance(data, dict) else None
-    if not (isinstance(groups, list) and isinstance(labels, (dict, type(None)))
-            and all(isinstance(g, list) for g in groups)
-            and all(isinstance(c, list) for g in groups for c in g)):
-        raise CliError(f'{path} must hold a list of cells, or an object whose '
-                       '"cells" is a list of lists of cells and whose '
-                       '"labels" is an object')
-    cells = [[_integer("vertex", v) for v in c] for g in groups for c in g]
-    return load_complex_report({"cells": [cells], "labels": labels})
-
-
-def _check_degree(K, q):
-    if not 0 <= q <= K.dim:
-        raise CliError(f"degree {q} is out of range 0..{K.dim}")
-
-
-def _integer(name, x):
-    """x as an int: an int, or a finite integral float; never a bool."""
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    raise CliError(f"{name} must be an integer, not {x!r}")
-
-
-def _length(name, x):
-    """x as a finite positive float, from an int or float that is not a
-    bool."""
-    if isinstance(x, (int, float)) and not isinstance(x, bool) \
-            and 0 < x <= sys.float_info.max:
-        return float(x)
-    raise CliError(f"{name} must be a finite positive number, not {x!r}")
+    return load_complex_report(_load_json(path))
 
 
 def _key(key):
@@ -115,57 +82,30 @@ def _key(key):
 
 
 def _items(name, data, field):
-    """The (key, value) pairs of the object data[field] of a JSON object."""
+    """The (key, value) pairs of the object data[field] of a JSON object,
+    each key read as a pair of ints."""
     value = data.get(field, {}) if isinstance(data, dict) else None
     if not isinstance(value, dict):
         raise CliError(f"{name} must be an object with an object {field!r}")
-    return value.items()
+    return {_key(key): val for key, val in value.items()}
 
 
 def _load_geometry(K, path):
     if path is None:
         return ComplexGeometry.uniform(K, 1.0)
-    data = _load_json(path)
-    known = K.cell_index[1] if K.dim else {}     # in the order of the edges
-    edges = {}
-    for key, val in _items("geometry", data, "edges"):
-        edge = tuple(sorted(_key(key)))
-        if edge not in known:
-            raise CliError(f"geometry key {key!r} names no edge of the complex")
-        edges[edge] = _length(f"edge {key!r}", val)
-    missing = next((e for e in known if e not in edges), None)
-    if missing is not None:
-        raise CliError(f"geometry gives no length for edge {missing}")
-    return ComplexGeometry(K, edges)
+    return ComplexGeometry(K, _items("geometry", _load_json(path), "edges"))
 
 
 def _load_cover_spec(base, path):
     data = _load_json(path)
-    perms = {}
-    for key, val in _items("cover spec", data, "perms"):
-        if not isinstance(val, list):
-            raise CliError(f"permutation {key!r} must be a list")
-        perms[_key(key)] = tuple(_integer(f"permutation {key!r} entry", x)
-                                 for x in val)
-    return PermutationCoverSpec(base, _integer("degree", data.get("degree")),
-                                perms)
-
-
-def _check_whitney(K, q):
-    """Reject a 0-dimensional complex, which has no edge lengths, and a
-    q-cell in no top cell: its Whitney mass matrix is singular."""
-    if K.dim == 0:
-        raise CliError("Whitney forms need a complex of dimension >= 1")
-    if (cell := K.uncovered_cell(q)) is not None:
-        raise CliError(f"{q}-cell {cell} lies in no top cell")
+    perms = _items("cover spec", data, "perms")
+    return PermutationCoverSpec(base, data.get("degree"), perms)
 
 
 def _inner_products(K, geometry, inner):
     if inner == "comb":
         return {q: InnerProduct.identity(q, K.n_cells(q))
                 for q in range(K.dim + 1)}
-    for q in range(K.dim + 1):
-        _check_whitney(K, q)
     return {q: whitney_mass_matrix(K, geometry, q) for q in range(K.dim + 1)}
 
 
@@ -228,7 +168,6 @@ def cmd_cover(args):
 
 def cmd_spectrum(args):
     K = _load_complex(args.path).complex
-    _check_degree(K, args.degree)
     geometry = _load_geometry(K, args.geometry)
     ips = _inner_products(K, geometry, args.inner)
     split = lambda1_split(K, args.degree, ips)
@@ -248,8 +187,6 @@ def cmd_spectrum(args):
 
 def cmd_norms(args):
     K = _load_complex(args.path).complex
-    _check_degree(K, args.degree)
-    _check_whitney(K, args.degree)
     geometry = _load_geometry(K, args.geometry)
     if args.action == "constants":
         lo, hi = norm_equivalence_constants(K, geometry, args.degree)
@@ -265,15 +202,9 @@ def cmd_norms(args):
 def _load_cycle(K, path):
     data = _load_json(path)
     coeffs = data.get("coefficients") if isinstance(data, dict) else data
-    if not isinstance(coeffs, list):
-        raise CliError("cycle coefficients must be a list")
-    if len(coeffs) != K.n_cells(1):
-        raise CliError(f"cycle has {len(coeffs)} coefficients, "
-                       f"complex has {K.n_cells(1)} edges")
     try:
-        return EdgeCycle(K, tuple(_integer("cycle coefficient", c)
-                                  for c in coeffs))
-    except FillingError as exc:     # nonzero boundary: not a cycle
+        return EdgeCycle(K, coeffs)
+    except FillingError as exc:     # a malformed cycle is bad input
         raise CliError(str(exc))
 
 
@@ -298,7 +229,6 @@ def _scl(args, K, geometry, f):
     if args.l1:
         cert = l1_filling(f)
     elif args.inner == "whitney":
-        _check_whitney(K, 2)
         ip = whitney_mass_matrix(K, geometry, 2)
         cert = least_norm_filling(f, "whitney", ip)
     else:
@@ -402,10 +332,12 @@ def cmd_constants(args):
     out = {"kappa": {str(n): _round(kappa(n)) for n in range(3, 7)}}
     if args.ball is not None:
         n, r, k = args.ball
-        out["ball_volume"] = _round(ball_volume(_integer("N", n), r, k))
+        out["ball_volume"] = _round(ball_volume(_integer(n, "N", CliError),
+                                                r, k))
     if args.moser is not None:
         n, q, L, lam = args.moser
-        mc = moser_constant(_integer("N", n), _integer("Q", q), L, lam)
+        mc = moser_constant(_integer(n, "N", CliError),
+                            _integer(q, "Q", CliError), L, lam)
         out["moser_constant"] = {"value": _round(mc.value), "terms": mc.terms,
                                  "tail_bound": mc.tail_bound}
     _emit(out, args.out)

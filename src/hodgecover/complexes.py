@@ -9,12 +9,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations, count, repeat
+from numbers import Integral
 
 import numpy as np
 
 
 class ComplexError(ValueError):
-    """Raised for malformed cell data (repeated vertices, duplicates)."""
+    """Raised for malformed input on a complex: its cells and vertices, its
+    edge lengths, or a degree or cell that a computation cannot take."""
+
+
+def _integer(x, what: str, error: type) -> int:
+    """x as an int by the one integer rule of every input: an integer that
+    is not a bool, or a float of integral value; else raise error."""
+    if type(x) is int or isinstance(x, Integral) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise error(f"{what} must be an integer, not {x!r}")
 
 
 @dataclass(frozen=True)
@@ -78,8 +90,7 @@ class SimplicialComplex:
     array code finds cells with one searchsorted per degree (_index).
     """
 
-    def __init__(self, cells_by_dim: list[list[tuple[int, ...]]],
-                 labels: dict | None = None):
+    def __init__(self, cells_by_dim: list[list[tuple[int, ...]]]):
         self.cells: list[list[tuple[int, ...]]] = [
             sorted(set(cs)) for cs in cells_by_dim
         ]
@@ -88,7 +99,6 @@ class SimplicialComplex:
         if not self.cells:
             raise ComplexError("empty complex")
         self.dim = len(self.cells) - 1
-        self.labels = dict(labels) if labels else {}
         self.cell_index: list[dict[tuple[int, ...], int]] = [
             {c: i for i, c in enumerate(cs)} for cs in self.cells
         ]
@@ -220,11 +230,8 @@ class SimplicialComplex:
         return adj
 
     def to_dict(self) -> dict:
-        d = {"dim": self.dim,
-             "cells": [[list(c) for c in cs] for cs in self.cells]}
-        if self.labels:
-            d["labels"] = {str(k): v for k, v in self.labels.items()}
-        return d
+        return {"dim": self.dim,
+                "cells": [[list(c) for c in cs] for cs in self.cells]}
 
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self.cells == other.cells
@@ -245,26 +252,30 @@ def load_complex(description) -> SimplicialComplex:
 
 
 def load_complex_report(description) -> LoadReport:
-    """Build a validated complex from cell lists, completing downward closure.
+    """Build a validated complex from the complex format, completing
+    downward closure; added faces are reported rather than rejected.
 
-    `description` is either {"dim": d, "cells": [[...], ...]} or a bare list
-    of maximal cells (dimension inferred per cell).  Added faces are reported
-    rather than rejected.
+    `description` is a list of cells, or an object whose "cells" is a list of
+    groups of cells (its other keys are not read).  A cell is a list or
+    tuple of vertices, each an integer that is not a bool or a float of
+    integral value.  Any other shape or vertex raises ComplexError.
     """
-    if isinstance(description, dict):
-        raw = description.get("cells", [])
-        labels = description.get("labels")
-        listed = [tuple(c) for group in raw for c in group]
-    else:
-        listed = [tuple(c) for c in description]
-        labels = None
+    groups = description.get("cells", []) if isinstance(description, dict) \
+        else [description]
+    seq = (list, tuple)
+    if not (isinstance(groups, seq) and all(isinstance(g, seq) for g in groups)
+            and all(isinstance(c, seq) for g in groups for c in g)):
+        raise ComplexError('a complex must be a list of cells, or an object '
+                           'whose "cells" is a list of lists of cells')
+    listed = [tuple(_integer(v, "vertex", ComplexError) for v in c)
+              for g in groups for c in g]
 
     max_dim = 0
     canonical: set[tuple[int, ...]] = set()
     for c in listed:
         if len(set(c)) != len(c):
             raise ComplexError(f"repeated vertex in cell {c}")
-        cell = tuple(sorted(int(v) for v in c))
+        cell = tuple(sorted(c))
         if cell in canonical:
             raise ComplexError(f"duplicate cell {cell}")
         canonical.add(cell)
@@ -279,4 +290,4 @@ def load_complex_report(description) -> LoadReport:
     cells_by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(max_dim + 1)]
     for cell in closure:
         cells_by_dim[len(cell) - 1].append(cell)
-    return LoadReport(SimplicialComplex(cells_by_dim, labels), added)
+    return LoadReport(SimplicialComplex(cells_by_dim), added)

@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _integer
 
 
 class CoverError(ValueError):
@@ -297,7 +297,9 @@ class PermutationCoverSpec:
 
     `perms` maps ordered pairs (i, j) of top-cell indices sharing a facet to a
     permutation of range(degree); missing reverse directions are filled with
-    inverses, and every dual-graph edge must be covered.
+    inverses, and every dual-graph edge must be covered.  The degree and the
+    entries are integers that are not bools, or floats of integral value,
+    read as ints; anything else raises CoverError.
     """
 
     base: SimplicialComplex
@@ -305,6 +307,7 @@ class PermutationCoverSpec:
     perms: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
+        self.degree = _integer(self.degree, "degree", CoverError)
         if self.degree < 1:
             raise CoverError("degree must be >= 1")
         self.adjacencies = self.base.facet_adjacencies()
@@ -317,7 +320,10 @@ class PermutationCoverSpec:
         for (i, j), p in self.perms.items():
             if (i, j) not in self.adjacencies:
                 raise CoverError(f"({i},{j}) is not a dual-graph adjacency")
-            p = tuple(p)
+            if not isinstance(p, (list, tuple)):
+                raise CoverError(f"permutation on ({i},{j}) must be a list")
+            p = tuple(_integer(x, f"permutation ({i},{j}) entry", CoverError)
+                      for x in p)
             if len(p) != self.degree or sorted(p) != list(range(len(p))):
                 raise CoverError(f"invalid permutation {p} on ({i},{j})")
             norm[(i, j)] = p

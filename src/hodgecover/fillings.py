@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _integer
 from .covers import Cover, CoverError
 from .homology import invariant_factors
 from .ratlinalg import first_kernel_vector, rat_solve, rat_solve_and_kernel
@@ -32,16 +32,25 @@ class FillingError(ValueError):
 
 @dataclass(frozen=True)
 class EdgeCycle:
-    """Integer 1-chain with exactly zero boundary."""
+    """Integer 1-chain with exactly zero boundary.  The coefficients, a list
+    or tuple with one entry per edge, are integers that are not bools, or
+    floats of integral value, kept as a tuple of ints; anything else raises
+    FillingError."""
 
     complex: SimplicialComplex
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
         K = self.complex
-        if len(self.coefficients) != K.n_cells(1):
-            raise FillingError("coefficient vector has wrong length")
-        if any(K.boundary_matrix(1).apply(self.coefficients)):
+        if not isinstance(self.coefficients, (list, tuple)):
+            raise FillingError("cycle coefficients must be a list")
+        coefficients = tuple(_integer(c, "cycle coefficient", FillingError)
+                             for c in self.coefficients)
+        object.__setattr__(self, "coefficients", coefficients)
+        if len(coefficients) != K.n_cells(1):
+            raise FillingError(f"cycle has {len(coefficients)} coefficients, "
+                               f"complex has {K.n_cells(1)} edges")
+        if any(K.boundary_matrix(1).apply(coefficients)):
             raise FillingError("chain has nonzero boundary")
 
     def length(self, geometry: ComplexGeometry | None = None) -> float:

@@ -8,6 +8,7 @@ evaluated from their closed forms with a rigorous truncation tail.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,7 @@ def kappa(n: int) -> float:
 class MoserConstant:
     value: float
     terms: int
-    tail_bound: float  # rigorous bound on |log(true/value)|
+    tail_bound: float  # rigorous bound on |log(true/value)|: tail and rounding
 
 
 def moser_constant(n: int, q: int, L: float, lam: float) -> MoserConstant:
@@ -95,9 +96,12 @@ def moser_constant(n: int, q: int, L: float, lam: float) -> MoserConstant:
 
     Factor k is kappa_n^(-1/g^k) * ((q(n-q)+lam) g^k + 4^(k+1)/L^2)^(1/g^k)
     with g = n/(n-2).  The product is summed in logarithms, its bracket k as
-    k log 4 + log(4/L^2 + (q(n-q)+lam) (g/4)^k), and truncated once a
-    rigorous bound on the remaining multiplicative tail drops below
-    _TAIL_TOL.  A constant beyond a float's range raises GeometryError.
+    k log 4 + log(4/L^2 + (q(n-q)+lam) (g/4)^k), by math.fsum, and truncated
+    once a rigorous bound on the remaining multiplicative tail drops below
+    _TAIL_TOL.  tail_bound adds to that tail a first-order bound on the float
+    rounding, doubled: the rounded g puts k + 1 units of roundoff into g^k
+    and (g/4)^k, which dominates from n = 20 on.  A constant beyond a float's
+    range raises GeometryError.
     """
     if not (math.isfinite(L) and math.isfinite(lam)):
         raise GeometryError("need finite L and lam")
@@ -131,16 +135,27 @@ def moser_constant(n: int, q: int, L: float, lam: float) -> MoserConstant:
             lin = x ** kstart * (kstart - (kstart - 1) * x) / (1 - x) ** 2
             return a * geo + b * lin
 
-        log_c = 0.0
+        # the rounding of log_c in units u of roundoff, to first order: term
+        # k is off by at most (k + 14) u (k b + |log B_k| + |log kappa| +
+        # the condition (|amp| p + invl2) / B_k of its bracket) / g^k, fsum
+        # adds u |log_c| and exp u; epsilon = 2u covers the higher orders
+        terms, units = [], 1.0
         k = 0
         while True:
-            log_c += (k * b + math.log(invl2 + amp * (g / 4) ** k)
-                      - log_kap) / g ** k
+            p = (g / 4) ** k
+            br = invl2 + amp * p
+            log_br = math.log(br)
+            terms.append((k * b + log_br - log_kap) / g ** k)
+            units += (k + 14) * (k * b + abs(log_br) + abs(log_kap)
+                                 + (abs(amp) * p + invl2) / br) / g ** k
             k += 1
             if tail(k) < _TAIL_TOL:
                 break
             if k > 100000:
                 raise GeometryError("product truncation did not converge")
-        return MoserConstant(math.exp(log_c), k, tail(k))
+        log_c = math.fsum(terms)
+        units += abs(log_c)
+        return MoserConstant(math.exp(log_c), k, tail(k)
+                             + sys.float_info.epsilon * units)
     except (OverflowError, ZeroDivisionError):
         raise GeometryError("moser constant overflows a float") from None

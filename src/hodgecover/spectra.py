@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexes import SimplicialComplex, SparseIntMatrix
+from .complexes import ComplexError, SimplicialComplex, SparseIntMatrix
 from .homology import boundary_factors
 from .ratlinalg import _rref, echelon, sparse_rows
 from .whitney import InnerProduct
@@ -107,7 +107,7 @@ def lambda1_split(K: SimplicialComplex, q: int,
     spectrum is the exact kernel as zeros, the positive up-spectrum of degree
     q (coexact part) and that of degree q-1 (exact part)."""
     if not 0 <= q <= K.dim:
-        raise SpectralError(f"degree {q} out of range")
+        raise ComplexError(f"degree {q} is out of range 0..{K.dim}")
     n = K.n_cells(q)
     r_down = len(boundary_factors(K, q))      # rank of boundary leaving q
     r_up = len(boundary_factors(K, q + 1))    # rank of boundary entering q
@@ -152,7 +152,7 @@ def coexact_gap(K: SimplicialComplex, q: int,
     (3.7e-4 s at d = 101, 3.7e-6 s at d = 1009).  The dense path splits at
     the exact rank alone and reports the same margin."""
     if not 0 <= q <= K.dim:
-        raise SpectralError(f"degree {q} out of range")
+        raise ComplexError(f"degree {q} is out of range 0..{K.dim}")
     r_up = len(boundary_factors(K, q + 1))
     _check_products(K, inner_products, q, 0, r_up)
     if r_up == 0:
@@ -215,7 +215,8 @@ def charpoly_gap_bound(K: SimplicialComplex, q: int) -> Fraction:
     of rank |S|, so A = C A[S,S]^{-1} C^T with C of full column rank.
     """
     if not 0 <= q < K.dim:
-        raise SpectralError(f"degree {q} out of range for an up-Laplacian")
+        raise ComplexError(f"degree {q} is out of range 0..{K.dim - 1} for "
+                           "an up-Laplacian")
     n = K.n_cells(q)
     b = K.boundary_matrix(q + 1)
     A = b.matmul(b.transpose())

@@ -17,12 +17,15 @@ mass matrices and ComplexGeometry.total_volume share.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import combinations
+from numbers import Real
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .complexes import SimplicialComplex
+from .complexes import ComplexError, SimplicialComplex
 from .hypgeom import GeometryError
 
 _DENSE_MAX = 400     # norm_equivalence_constants goes dense up to this size
@@ -102,18 +105,33 @@ def _edges(K: SimplicialComplex) -> list[tuple[int, int]]:
 
 class ComplexGeometry:
     """Edge-length table for every edge of a complex, one flat metric per
-    top simplex."""
+    top simplex.  Keys are vertex pairs in either order; a key that names no
+    edge, an edge without a length, or a length that is a bool or not a
+    finite positive real raises ComplexError.  `edge_lengths` is the
+    read-only table of float lengths, in the order of the edges."""
 
     def __init__(self, K: SimplicialComplex, edge_lengths: dict):
         self.K = K
-        self.edge_lengths: dict[tuple[int, int], float] = {}
-        for (u, v), l in edge_lengths.items():
-            if u > v:
-                u, v = v, u
-            self.edge_lengths[(u, v)] = float(l)
-        for e in _edges(K):
-            if e not in self.edge_lengths:
-                raise GeometryError(f"no length for edge {e}")
+        edges = _edges(K)
+        index = K.cell_index[1] if edges else {}
+        lengths = [None] * len(edges)
+        for key, x in edge_lengths.items():
+            i = index.get(key)
+            if i is None and isinstance(key, tuple):
+                i = index.get(key[::-1])
+            if i is None:
+                raise ComplexError(f"geometry key {key!r} names no edge of "
+                                   "the complex")
+            if not ((type(x) is float or isinstance(x, Real)
+                     and not isinstance(x, bool))
+                    and 0 < x <= sys.float_info.max):
+                raise ComplexError(f"edge {edges[i]} has length {x!r}; "
+                                   "lengths must be finite and positive")
+            lengths[i] = float(x)
+        if None in lengths:
+            raise ComplexError("geometry gives no length for edge "
+                               f"{edges[lengths.index(None)]}")
+        self.edge_lengths = MappingProxyType(dict(zip(edges, lengths)))
 
     @staticmethod
     def uniform(K: SimplicialComplex, length: float = 1.0) -> "ComplexGeometry":
@@ -150,23 +168,18 @@ def _top_grams(K: SimplicialComplex,
                geometry: ComplexGeometry) -> tuple[np.ndarray, np.ndarray]:
     """(G, vol): the (T, n, n) edge-vector Grams G_t of every top simplex t
     of K, by the law of cosines on its edges out of its first vertex, and the
-    (T,) volumes sqrt(det G_t) / n!.  Raises GeometryError unless K has edges,
-    every edge length is positive and every G_t is finite, of finite
-    determinant and nondegenerate: its least eigenvalue exceeds 1e-12 times
-    max(1, its largest)."""
+    (T,) volumes sqrt(det G_t) / n!.  Raises ComplexError unless K has edges,
+    and GeometryError unless every G_t is finite, of finite determinant and
+    nondegenerate: its least eigenvalue exceeds 1e-12 times max(1, its
+    largest).  The lengths are positive, as ComplexGeometry checks them."""
     n = K.dim
     if n == 0:
-        raise GeometryError("a 0-dimensional complex has no edge lengths")
+        raise ComplexError("Whitney forms and volumes need a complex of "
+                           "dimension >= 1")
     tops = K._rows(n)
     pairs = np.array(list(combinations(range(n + 1), 2)))
     lengths = np.array([geometry.edge_lengths[e] for e in K.cells[1]])
-    edges = K._index(1, tops[:, pairs])
-    L = lengths[edges]
-    bad = ~(L > 0)
-    if bad.any():
-        t, p = np.argwhere(bad)[0]
-        raise GeometryError(f"edge {K.cells[1][edges[t, p]]} has "
-                            f"length {L[t, p]}; lengths must be positive")
+    L = lengths[K._index(1, tops[:, pairs])]
     L2 = np.zeros((len(tops), n + 1, n + 1))
     with np.errstate(over="ignore", invalid="ignore"):    # tested below
         # libm pow rounds like Python's float ** 2, which x * x does not
@@ -197,9 +210,14 @@ def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry,
     Row sigma of X holds W_sigma in the products l_v dl_I (columns (I, v), I a
     q-subset of the local vertices), C[t, I, J] = det H_t[I, J] with H_t the
     barycentric-gradient Gram of top t, built from the checked edge-vector
-    Gram G_t of _top_grams, which raises GeometryError on bad lengths."""
+    Gram G_t of _top_grams, which raises GeometryError on lengths that
+    overflow or give a degenerate simplex.  A degree out of range, or a
+    q-cell in no top (the assembled mass matrix would be singular), raises
+    ComplexError first."""
     if not 0 <= q <= K.dim:
-        raise GeometryError(f"degree {q} out of range")
+        raise ComplexError(f"degree {q} is out of range 0..{K.dim}")
+    if (cell := K.uncovered_cell(q)) is not None:
+        raise ComplexError(f"{q}-cell {cell} lies in no top cell")
     G, vol = _top_grams(K, geometry)
     n = K.dim
     H = _gradient_grams(G)
@@ -222,8 +240,9 @@ def _mass_blocks(K: SimplicialComplex, geometry: ComplexGeometry,
     top, symmetrized, E_t[v, w] the integral of l_v l_w over top t.
 
     They certify the assembled matrix: a sum of positive definite blocks is
-    positive definite once every q-cell lies in some block.  A block that is
-    not positive definite, or a q-cell in no top, raises LinAlgError."""
+    positive definite once every q-cell lies in some block, which
+    _whitney_tops checks.  A block that is not positive definite raises
+    LinAlgError."""
     tops = _whitney_tops(K, geometry, q)
     n = K.dim
     E = tops.vol[:, None, None] * (1 + np.eye(n + 1)) / ((n + 1) * (n + 2))
@@ -233,12 +252,6 @@ def _mass_blocks(K: SimplicialComplex, geometry: ComplexGeometry,
     B = tops.X @ CE @ tops.X.T
     B = (B + B.transpose(0, 2, 1)) / 2
     np.linalg.cholesky(B)
-    covered = np.zeros(K.n_cells(q), dtype=bool)
-    covered[tops.glob] = True
-    if not covered.all():
-        raise np.linalg.LinAlgError(
-            f"{q}-cell {K.cells[q][np.argmin(covered)]} lies in no top cell, "
-            "so the mass matrix is singular")
     return tops.glob, B
 
 

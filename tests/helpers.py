@@ -13,7 +13,8 @@ from itertools import combinations
 
 import mpmath as mp
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.sparse import csr_array
 
 import hodgecover.covers
 from hodgecover import CoverError, PermutationCoverSpec
@@ -37,7 +38,11 @@ def to_pylists(A: SparseIntMatrix) -> list[list[int]]:
 
 def to_float(A: SparseIntMatrix) -> np.ndarray:
     """A as a dense float array."""
-    return np.array(to_pylists(A), dtype=float).reshape(A.rows, A.cols)
+    out = np.zeros((A.rows, A.cols))
+    if A.entries:
+        r, c, v = np.array(A.entries).T
+        out[r, c] = v
+    return out
 
 
 def from_dense(a) -> SparseIntMatrix:
@@ -291,14 +296,18 @@ def dense_pencil(K, q, ip_q, ip_up):
 
 def down_pencil(K, q, ip_q, ip_down):
     """(B, M) whose eigenvalues are those of the down-Laplacian d d* on
-    q-cochains; B = M d M_down^{-1} d^T M is symmetric.  The package solves
-    only up-pencils, so this is the independent oracle for their spectra."""
+    q-cochains; B = M d M_down^{-1} d^T M = W^T W is symmetric, with
+    W = L^{-1} d^T M for the dense Cholesky factor M_down = L L^T: one
+    triangular solve, and d^T M a sparse-times-dense product.  The package
+    solves only up-pencils, so this is the independent oracle for their
+    spectra."""
     n = K.n_cells(q)
     if q == 0:
         return np.zeros((n, n)), ip_q.matrix
-    d = to_float(K.boundary_matrix(q)).T  # (q-1)-cochains -> q-cochains
-    S = ip_q.matrix @ d
-    B = S @ cho_solve(cho_factor(ip_down.matrix), S.T)
+    dT = csr_array(to_float(K.boundary_matrix(q)))  # d^T for d: C^(q-1) -> C^q
+    W = solve_triangular(cholesky(ip_down.matrix, lower=True),
+                         dT @ ip_q.matrix, lower=True)
+    B = W.T @ W
     return (B + B.T) / 2, ip_q.matrix
 
 

@@ -91,16 +91,21 @@ class TestComplexCommands:
     @pytest.mark.parametrize("action, data", [
         ("validate", [[0, "x", 2]]), ("homology", {"cells": 5}),
         ("validate", [[0, 1.5, 2]]), ("validate", [[0, True, 2]]),
-        ("validate", {"cells": [[0, 1, 2]]}), ("validate", 5),
-        ("validate", {"cells": [[[0, 1, 2]]], "labels": 5})],
+        ("validate", {"cells": [[0, 1, 2]]}), ("validate", 5)],
         ids=["string_vertex", "cells_not_a_list", "fractional_vertex",
-             "bool_vertex", "flat_cells", "not_a_list", "labels_not_object"])
+             "bool_vertex", "flat_cells", "not_a_list"])
     def test_malformed_complex_exit_2(self, capsys, tmp_path, action, data):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, "complex", action, str(path))
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+
+    def test_keys_besides_cells_are_not_read(self, capsys, tmp_path):
+        path = tmp_path / "labelled.json"
+        path.write_text(json.dumps({"cells": [[[0, 1, 2]]], "labels": 5}))
+        code, out, _ = run(capsys, "complex", "validate", str(path))
+        assert code == 0 and json.loads(out)["cells"] == [3, 3, 1]
 
     def test_invalid_complex_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -132,10 +137,14 @@ class TestSpectrumCommand:
         assert code == 0
         assert json.loads(out)["kernel_dim"] == 2
 
-    @pytest.mark.parametrize("key, length", [
-        ("{}-{}", 1.0), ("{},{}", float("nan")), ("{},{}", float("inf")),
-        ("{},{}", True)], ids=["dash_key", "nan", "inf", "bool"])
-    def test_malformed_geometry_exit_2(self, capsys, tmp_path, key, length):
+    @pytest.mark.parametrize("key, length, prefix", [
+        ("{}-{}", 1.0, "error: "),
+        ("{},{}", float("nan"), "validation error: "),
+        ("{},{}", float("inf"), "validation error: "),
+        ("{},{}", True, "validation error: ")],
+        ids=["dash_key", "nan", "inf", "bool"])
+    def test_malformed_geometry_exit_2(self, capsys, tmp_path, key, length,
+                                       prefix):
         (u, v), *rest = torus7().cells[1]
         edges = {f"{a},{b}": 1.0 for a, b in rest}
         edges[key.format(u, v)] = length
@@ -144,7 +153,7 @@ class TestSpectrumCommand:
         code, _, err = run(capsys, "spectrum", "torus", "--degree", "1",
                            "--inner", "whitney", "--geometry", str(path))
         assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(prefix) and err.count("\n") == 1
 
     @pytest.mark.parametrize("extra, length", [
         ({"1,99": 5.0}, None), ({"99,1": 5.0}, None), ({"1,1": 1.0}, None),
@@ -161,7 +170,7 @@ class TestSpectrumCommand:
         code, out, err = run(capsys, "spectrum", "torus", "--degree", "1",
                              "--inner", "whitney", "--geometry", str(path))
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("validation error: ") and err.count("\n") == 1
 
     def test_missing_edge_length_exit_2(self, capsys, tmp_path):
         _, *rest = torus7().cells[1]
@@ -171,7 +180,8 @@ class TestSpectrumCommand:
         code, out, err = run(capsys, "spectrum", "torus", "--degree", "1",
                              "--inner", "whitney", "--geometry", str(path))
         assert code == 2 and out == ""
-        assert err == "error: geometry gives no length for edge (1, 2)\n"
+        assert err == \
+            "validation error: geometry gives no length for edge (1, 2)\n"
 
     @pytest.mark.parametrize("before, after, code", [
         (["spectrum"], [], 0), (["spectrum"], ["--inner", "whitney"], 2),
@@ -187,8 +197,8 @@ class TestSpectrumCommand:
         if code == 0:
             assert json.loads(out)["kernel_dim"] == 2
         else:
-            assert err == "error: Whitney forms need a complex of " \
-                "dimension >= 1\n"
+            assert err == "validation error: Whitney forms and volumes " \
+                "need a complex of dimension >= 1\n"
 
     def test_geometry_of_a_zero_dimensional_complex(self, capsys, tmp_path):
         path, geometry = tmp_path / "points.json", tmp_path / "geometry.json"
@@ -197,15 +207,16 @@ class TestSpectrumCommand:
         code, out, err = run(capsys, "spectrum", str(path), "--geometry",
                              str(geometry))
         assert (code, out) == (2, "")
-        assert err == "error: geometry key '0,1' names no edge of the " \
-            "complex\n"
+        assert err == "validation error: geometry key (0, 1) names no edge " \
+            "of the complex\n"
 
     def test_bad_degree_exit_2(self, capsys):
         for degree in ("7", "9", "-1"):
             code, out, err = run(capsys, "spectrum", "torus", "--degree",
                                  degree)
             assert code == 2 and out == ""
-            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err == f"validation error: degree {degree} is out of " \
+                "range 0..2\n"
 
 
 class TestCoverCommands:
@@ -248,22 +259,23 @@ class TestCoverCommands:
         assert code == 0
         assert json.loads(out)["n_pairings"] == 1
 
-    @pytest.mark.parametrize("spec", [
-        {"degree": 3, "perms": {"0-1": [1, 2, 0]}},
-        {"degree": 3, "perms": {"0,1": [1, "a", 0]}},
-        {"degree": 3, "perms": {"0,1": 5}},
-        {"degree": 3, "perms": [[1, 2, 0]]},
-        {"degree": 1.5, "perms": {}},
+    @pytest.mark.parametrize("spec, prefix", [
+        ({"degree": 3, "perms": {"0-1": [1, 2, 0]}}, "error: "),
+        ({"degree": 3, "perms": {"0,1": [1, "a", 0]}}, "validation error: "),
+        ({"degree": 3, "perms": {"0,1": 5}}, "validation error: "),
+        ({"degree": 3, "perms": [[1, 2, 0]]}, "error: "),
+        ({"degree": 1.5, "perms": {}}, "validation error: "),
     ], ids=["dash_key", "string_entry", "perm_not_list", "perms_not_object",
             "fractional_degree"])
-    def test_malformed_spec_exit_2(self, capsys, spec_file, tmp_path, spec):
+    def test_malformed_spec_exit_2(self, capsys, spec_file, tmp_path, spec,
+                                   prefix):
         base, _ = spec_file
         bad = tmp_path / "badspec.json"
         bad.write_text(json.dumps(spec))
         code, _, err = run(capsys, "cover", "build", "--base", base,
                            "--spec", str(bad))
         assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(prefix) and err.count("\n") == 1
 
     def test_bad_spec_exit_2(self, capsys, spec_file, tmp_path):
         base, _ = spec_file
@@ -502,7 +514,7 @@ class TestNormsCommand:
     def test_bad_degree_exit_2(self, capsys, action):
         code, out, err = run(capsys, "norms", action, "torus", "--degree", "7")
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "validation error: degree 7 is out of range 0..2\n"
 
 
 class TestCellInNoTop:
@@ -525,7 +537,7 @@ class TestCellInNoTop:
     def test_whitney_products_exit_2(self, capsys, path, argv):
         code, out, err = run(capsys, *(a.format(path) for a in argv))
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("validation error: ") and err.count("\n") == 1
         assert "lies in no top cell" in err
 
     @pytest.mark.parametrize("argv", [
@@ -640,7 +652,8 @@ class TestSclCommands:
         code, out, err = run(capsys, "scl", "fill", "--base", str(base),
                              "--cycle", str(path), "--inner", "whitney")
         assert (code, out) == (2, "")
-        assert err == "error: 2-cell (3, 4, 5) lies in no top cell\n"
+        assert err == "validation error: 2-cell (3, 4, 5) lies in no top " \
+            "cell\n"
 
     def test_wrong_length_exit_2(self, capsys, tmp_path):
         path = tmp_path / "short.json"
@@ -900,8 +913,10 @@ def test_bounds_all_fuzz(name, data):
     assert_clean_exit(*main_captured(argv, [("params", overrides)]))
 
 
-@pytest.mark.parametrize("field", ["degree", "coefficients"])
-def test_missing_field_exit_2(capsys, tmp_path, field):
+@pytest.mark.parametrize("field, prefix", [
+    ("degree", "validation error: "), ("coefficients", "error: ")],
+    ids=["degree", "coefficients"])
+def test_missing_field_exit_2(capsys, tmp_path, field, prefix):
     path = tmp_path / "input.json"
     if field == "degree":
         path.write_text(json.dumps({"perms": {}}))
@@ -911,7 +926,7 @@ def test_missing_field_exit_2(capsys, tmp_path, field):
         argv = ("scl", "fill", "--base", "torus", "--cycle", str(path))
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(prefix) and err.count("\n") == 1
 
 
 def test_key_error_of_a_bug_is_not_a_validation_error(capsys, monkeypatch):

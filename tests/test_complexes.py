@@ -59,6 +59,39 @@ def test_invalid_cells_rejected():
         load_complex([(0, 1), (1, 0)])
 
 
+@pytest.mark.parametrize("cells", [
+    [(0, 1.5, 2)], [(True, 2, 3)], [("0", 1, 2)], [(0, 1, float("nan"))],
+    [(0, 1, float("inf"))], [(0, 1, None)], [(0, [1], 2)]],
+    ids=["fraction", "bool", "string", "nan", "inf", "none", "list"])
+def test_vertices_follow_the_integer_rule(cells):
+    with pytest.raises(ComplexError, match="vertex must be an integer"):
+        load_complex(cells)
+
+
+def test_integral_float_vertices_read_as_ints():
+    K = load_complex([(0.0, 1, 2.0)])
+    assert K == load_complex([(0, 1, 2)])
+    assert all(type(v) is int for c in K.cells[2] for v in c)
+    with pytest.raises(ComplexError, match="repeated vertex"):
+        load_complex([(0, 1.0, 1)])
+
+
+@pytest.mark.parametrize("description", [
+    5, None, "012", {"cells": 5}, {"cells": [(0, 1, 2)]}, [0, 1, 2]],
+    ids=["int", "none", "string", "cells_int", "flat_cells", "flat_list"])
+def test_malformed_shapes_rejected(description):
+    with pytest.raises(ComplexError, match="list of cells"):
+        load_complex_report(description)
+
+
+def test_keys_besides_cells_are_not_read():
+    K = load_complex({"cells": [[(0, 1, 2)]], "labels": 5, "dim": 7})
+    assert K == load_complex([(0, 1, 2)])
+    assert K.to_dict() == {"dim": 2, "cells": [[[0], [1], [2]],
+                                               [[0, 1], [0, 2], [1, 2]],
+                                               [[0, 1, 2]]]}
+
+
 def test_missing_face_rejected_in_direct_constructor():
     with pytest.raises(ComplexError):
         SimplicialComplex([[(0,), (1,)], [(0, 1), (1, 2)]])

@@ -58,6 +58,29 @@ class TestSpecValidation:
             q = spec.perms[(j, i)]
             assert all(q[p[s]] == s for s in range(3))
 
+    def test_integral_floats_read_as_ints(self):
+        K = circle(3)
+        for degree, swap in ((2, (1.0, 0.0)), (2.0, (1, 0))):
+            spec = PermutationCoverSpec(K, degree, {(0, 1): swap,
+                                                    (0, 2): (0, 1),
+                                                    (1, 2): (0, 1)})
+            assert type(spec.degree) is int and spec.perms[(0, 1)] == (1, 0)
+            assert all(type(x) is int for p in spec.perms.values() for x in p)
+            cover = build_cover(spec)
+            assert cover.connected and cover.complex.n_cells(1) == 6
+
+    @pytest.mark.parametrize("degree, swap", [
+        (2, (1.5, 0)), (2.5, (1, 0)), (True, (0,)), ("2", (1, 0)),
+        (None, (1, 0)), (2, (1, "0")), (2, (True, False)), (2, 10)],
+        ids=["fractional_entry", "fractional_degree", "bool_degree",
+             "string_degree", "no_degree", "string_entry", "bool_entries",
+             "not_a_list"])
+    def test_non_integers_rejected(self, degree, swap):
+        with pytest.raises(CoverError, match="must be"):
+            PermutationCoverSpec(circle(3), degree, {(0, 1): swap,
+                                                     (0, 2): (0, 1),
+                                                     (1, 2): (0, 1)})
+
     def test_nonadjacent_pair_rejected(self):
         K = circle(4)
         with pytest.raises(CoverError):

@@ -50,6 +50,24 @@ class TestEdgeCycle:
         with pytest.raises(FillingError):
             EdgeCycle(K, tuple(coeffs))
 
+    def test_coefficients_follow_the_integer_rule(self):
+        column = cell_boundary(torus7(), 0).coefficients
+        for bad in ([1.5 * c for c in column],
+                    [True if c == 1 else c for c in column],
+                    [str(c) for c in column], [None] * len(column)):
+            with pytest.raises(FillingError, match="must be an integer"):
+                EdgeCycle(torus7(), bad)
+        for bad in (None, 5, {"coefficients": column}):
+            with pytest.raises(FillingError, match="must be a list"):
+                EdgeCycle(torus7(), bad)
+        with pytest.raises(FillingError, match="has 20 coefficients"):
+            EdgeCycle(torus7(), column[1:])
+
+    def test_integral_float_coefficients_read_as_ints(self):
+        f = cell_boundary(torus7(), 0)
+        g = EdgeCycle(f.complex, [float(c) for c in f.coefficients])
+        assert g == f and all(type(c) is int for c in g.coefficients)
+
     def test_length_comb_and_riemannian(self):
         K = torus7()
         f = cell_boundary(K, 0)

@@ -6,9 +6,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hodgecover import (ComplexGeometry, GeometryError, ball_volume, kappa,
-                        load_complex, moser_constant, right_triangle_area,
-                        sphere_volume, whitney_mass_matrix)
+from hodgecover import (ComplexError, ComplexGeometry, GeometryError,
+                        ball_volume, kappa, load_complex, moser_constant,
+                        right_triangle_area, sphere_volume,
+                        whitney_mass_matrix)
+from hodgecover.hypgeom import _TAIL_TOL
 from hodgecover.whitney import _top_grams
 
 from helpers import moser_oracle, reference_gram, right_triangle_area_oracle
@@ -155,6 +157,17 @@ class TestMoserConstant:
         doubled = moser_oracle(3, 1, 1.0, 1.0, terms=2 * mc.terms)
         assert abs(math.log(mc.value) - math.log(doubled)) <= mc.tail_bound
 
+    @pytest.mark.parametrize("args", [
+        (20, 1, 1.0, 1.0), (30, 1, 1.0, 1.0), (45, 1, 1.0, 1.0),
+        (20, 5, 0.7, 0.1), (45, 3, 0.3, 2.0)])
+    def test_tail_bound_covers_rounding(self, args):
+        # from n = 20 on, the float rounding of the terms is as large as the
+        # truncated tail; the bound must hold against twice the terms
+        mc = moser_constant(*args)
+        doubled = moser_oracle(*args, terms=2 * mc.terms)
+        assert abs(math.log(mc.value) - math.log(doubled)) <= mc.tail_bound
+        assert mc.tail_bound < 20 * _TAIL_TOL
+
     @pytest.mark.parametrize("n", [30, 45])
     def test_high_dimension_sums_in_logs(self, n):
         # 4.0 ** k overflows a float from k = 512 on, before these products
@@ -214,14 +227,14 @@ class TestSimplexMetric:
         assert vol[0] == math.sqrt(np.linalg.det(G)) / 2
 
     def test_degenerate_rejected(self):
-        for lengths, match in (((1, 2, 3), "nondegenerate"),
-                               ((-1, 1, 1), "positive")):
-            K, geo = one_simplex(dict(zip([(0, 1), (0, 2), (1, 2)],
-                                          lengths)))
-            with pytest.raises(GeometryError, match=match):
-                geo.total_volume()
-            for q in range(3):
-                with pytest.raises(GeometryError, match=match):
-                    whitney_mass_matrix(K, geo, q)
-        with pytest.raises(GeometryError, match="no length for edge"):
+        K, geo = one_simplex({(0, 1): 1, (0, 2): 2, (1, 2): 3})
+        with pytest.raises(GeometryError, match="nondegenerate"):
+            geo.total_volume()
+        for q in range(3):
+            with pytest.raises(GeometryError, match="nondegenerate"):
+                whitney_mass_matrix(K, geo, q)
+        # a negative or missing length is bad input, rejected on its way in
+        with pytest.raises(ComplexError, match="finite and positive"):
+            one_simplex({(0, 1): -1, (0, 2): 1, (1, 2): 1})
+        with pytest.raises(ComplexError, match="no length for edge"):
             one_simplex({(0, 1): 1, (0, 2): 1})

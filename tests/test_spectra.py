@@ -8,7 +8,8 @@ import pytest
 import sympy
 from scipy.linalg import eigh
 
-from hodgecover import (SpectralError, betti_numbers, build_cover,
+from hodgecover import (ComplexError, SpectralError, betti_numbers,
+                        build_cover,
                         charpoly_gap_bound, coexact_gap, lambda1_split,
                         load_complex, spectra, up_pencil)
 from hodgecover.cli import main
@@ -281,7 +282,7 @@ class TestCharpolyGapBound:
 
     def test_size_limit_and_degree_checks(self):
         K = torus7()
-        with pytest.raises(SpectralError):
+        with pytest.raises(ComplexError, match="out of range"):
             charpoly_gap_bound(K, 2)
 
 
@@ -290,7 +291,7 @@ class TestValidation:
         K = circle(3)
         for f in (lambda1_split, coexact_gap):
             for q in (-1, 5):
-                with pytest.raises(SpectralError):
+                with pytest.raises(ComplexError, match="out of range"):
                     f(K, q, comb_products(K))
 
     @pytest.mark.parametrize("degree, size", [(0, 3), (1, 5), (2, 5), (2, 3)])

@@ -13,7 +13,7 @@ import pytest
 from scipy.linalg import eigh
 
 import hodgecover
-from hodgecover import GeometryError, build_cover, load_complex
+from hodgecover import ComplexError, GeometryError, build_cover, load_complex
 from hodgecover import whitney
 from hodgecover.surfaces import (FIXTURES, genus2_surface,
                                  tetrahedron_boundary, torus7, torus_grid)
@@ -183,8 +183,34 @@ class TestInnerProduct:
 class TestGeometry:
     def test_missing_edge_rejected(self):
         K = torus7()
-        with pytest.raises(GeometryError):
+        with pytest.raises(ComplexError, match="no length for edge"):
             ComplexGeometry(K, {(1, 2): 1.0})
+
+    @pytest.mark.parametrize("key", [(0, 99), (99, 0), (1, 1), (1, 2, 3),
+                                     "1,2"])
+    def test_key_naming_no_edge_rejected(self, key):
+        K = torus7()
+        table = {e: 1.0 for e in K.cells[1]} | {key: 5.0}
+        with pytest.raises(ComplexError, match="names no edge"):
+            ComplexGeometry(K, table)
+
+    @pytest.mark.parametrize("length", [
+        math.nan, math.inf, -math.inf, 0.0, -1.0, 0, True, "1.0", None,
+        10 ** 400], ids=["nan", "inf", "minus_inf", "zero", "negative",
+                         "zero_int", "bool", "string", "none", "huge_int"])
+    def test_length_not_finite_and_positive_rejected(self, length):
+        K = torus7()
+        table = {e: 1.0 for e in K.cells[1]} | {(2, 1): length}
+        with pytest.raises(ComplexError, match="edge \\(1, 2\\) has length"):
+            ComplexGeometry(K, table)
+
+    def test_table_in_edge_order_from_either_key_order(self):
+        K = torus7()
+        geo = ComplexGeometry(K, {(v, u): k + 1 for k, (u, v)
+                                  in enumerate(reversed(K.cells[1]))})
+        assert list(geo.edge_lengths) == K.cells[1]
+        assert list(geo.edge_lengths.values()) == \
+            [float(x) for x in range(len(K.cells[1]), 0, -1)]
 
     def test_total_volume(self):
         K = torus7()
@@ -192,12 +218,12 @@ class TestGeometry:
         assert abs(geo.total_volume() - 14 * math.sqrt(3) / 4) < 1e-12
 
     def test_zero_dimensional_complex(self):
-        # no edges, so no simplex geometry: one GeometryError for both
+        # no edges, so no simplex geometry: one ComplexError for both
         K = load_complex([(0,), (1,)])
         geo = ComplexGeometry.uniform(K)
-        with pytest.raises(GeometryError, match="0-dimensional"):
+        with pytest.raises(ComplexError, match="dimension >= 1"):
             geo.total_volume()
-        with pytest.raises(GeometryError, match="0-dimensional"):
+        with pytest.raises(ComplexError, match="dimension >= 1"):
             whitney_mass_matrix(K, geo, 0)
 
 
@@ -440,7 +466,7 @@ def test_mass_matrix_certificate_needs_every_cell_in_a_top():
     K = load_complex([(0, 1, 2), (3, 4)])
     geo = ComplexGeometry.uniform(K, 1.0)
     for q in (0, 1):
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(ComplexError, match="lies in no top cell"):
             whitney_mass_matrix(K, geo, q)
     assert whitney_mass_matrix(K, geo, 2).matrix.shape == (1, 1)
 
@@ -454,13 +480,16 @@ def test_bad_lengths_raise_geometry_error(name):
     K = load_complex([(0, 1, 2), (1, 2, 3)])
     table = {(0, 1): 1.0, (1, 3): 1.0, (2, 3): 1.0}
     table.update(zip([(0, 2), (1, 2), (0, 1)], BAD_TRIANGLES[name]))
+    if name != "degenerate":    # bad input: no geometry is made of it
+        with pytest.raises(ComplexError, match="finite and positive"):
+            ComplexGeometry(K, table)
+        return
     geo = ComplexGeometry(K, table)
-    match = "nondegenerate" if name == "degenerate" else "positive"
     for q in range(3):
         for f in (whitney_mass_matrix, norm_equivalence_constants):
-            with pytest.raises(GeometryError, match=match):
+            with pytest.raises(GeometryError, match="nondegenerate"):
                 f(K, geo, q)
-    with pytest.raises(GeometryError, match=match):
+    with pytest.raises(GeometryError, match="nondegenerate"):
         geo.total_volume()
 
 
@@ -476,11 +505,12 @@ def test_any_integer_labels(shift):
                               whitney_mass_matrix(K, perturbed_geometry(K, 3),
                                                   q).matrix)
     u, v = L.cells[1][0]
-    geo.edge_lengths[(u, v)] = 0.0
-    with pytest.raises(GeometryError) as exc:
-        whitney_mass_matrix(L, geo, 1)
+    with pytest.raises(TypeError):      # the checked table is read-only
+        geo.edge_lengths[(u, v)] = 0.0
+    with pytest.raises(ComplexError) as exc:
+        ComplexGeometry(L, dict(geo.edge_lengths) | {(v, u): 0.0})
     assert str(exc.value) == \
-        f"edge {(u, v)} has length 0.0; lengths must be positive"
+        f"edge {(u, v)} has length 0.0; lengths must be finite and positive"
 
 
 def test_mass_matrix_certificate_rejects_an_indefinite_block(monkeypatch):
@@ -500,16 +530,17 @@ def test_mass_matrix_certificate_rejects_an_indefinite_block(monkeypatch):
 
 def test_bad_lengths_raise_under_python_O():
     code = textwrap.dedent(f"""
-        from hodgecover import ComplexGeometry, GeometryError, load_complex
+        from hodgecover import (ComplexError, ComplexGeometry, GeometryError,
+                                load_complex)
         from hodgecover.whitney import whitney_mass_matrix
         print(__debug__)
         K = load_complex([(0, 1, 2)])
         for lengths in {list(BAD_TRIANGLES.values())!r}:
-            geo = ComplexGeometry(K, dict(zip([(0, 1), (0, 2), (1, 2)],
-                                              lengths)))
             try:
+                geo = ComplexGeometry(K, dict(zip([(0, 1), (0, 2), (1, 2)],
+                                                  lengths)))
                 whitney_mass_matrix(K, geo, 1)
-            except GeometryError:
+            except (ComplexError, GeometryError):
                 print("rejected")
         """)
     src = Path(hodgecover.__file__).resolve().parent.parent
@@ -524,12 +555,17 @@ def test_bad_lengths_raise_under_python_O():
     (math.inf, "one"), (1e200, "one"), (1e100, "all"), (1e160, "all")],
     ids=["inf", "square_overflows", "determinant_overflows", "all_huge"])
 def test_overflowing_lengths_name_the_top_without_warnings(length, where):
-    """An edge length whose square, or a Gram whose determinant, overflows
-    raises GeometryError naming the first such top, and numpy warns nothing
-    (the test run turns RuntimeWarning into an error)."""
+    """An infinite edge length is rejected as input.  A finite one whose
+    square, or a Gram whose determinant, overflows raises GeometryError
+    naming the first such top, and numpy warns nothing (the test run turns
+    RuntimeWarning into an error)."""
     K = torus7()
     table = {e: length if where == "all" or e == K.cells[1][0] else 1.0
              for e in K.cells[1]}
+    if length == math.inf:      # not finite: no geometry is made of it
+        with pytest.raises(ComplexError, match="finite and positive"):
+            ComplexGeometry(K, table)
+        return
     geo = ComplexGeometry(K, table)
     first = next(t for t in K.cells[2] if where == "all"
                  or set(K.cells[1][0]) <= set(t))
