@@ -14,8 +14,8 @@ from .fillings import (EdgeCycle, FillingCertificate, FillingError,
                        least_norm_filling, rationally_null, scl_report)
 from .homology import (betti_numbers, boundary_factors, homology_table,
                        invariant_factors, torsion_invariants, torsion_order)
-from .hypgeom import (GeometryError, MoserConstant, ball_volume, kappa,
-                      moser_constant, right_triangle_area, sphere_volume)
+from .hypgeom import (DomainError, GeometryError, MoserConstant, ball_volume,
+                      kappa, moser_constant, right_triangle_area, sphere_volume)
 from .spectra import (CoexactGap, SpectralError, SpectralSplit,
                       charpoly_gap_bound, coexact_gap, lambda1_split,
                       up_pencil)

@@ -18,7 +18,8 @@ from .covers import (CoverError, PermutationCoverSpec, build_cover, dual_graph,
 from .fillings import (EdgeCycle, FillingError, l1_filling, least_norm_filling,
                        rationally_null, scl_report)
 from .homology import homology_table
-from .hypgeom import GeometryError, ball_volume, kappa, moser_constant
+from .hypgeom import (DomainError, GeometryError, ball_volume, kappa,
+                      moser_constant)
 from .spectra import (SpectralError, charpoly_gap_bound, coexact_gap,
                       lambda1_split)
 from .surfaces import FIXTURES
@@ -425,7 +426,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ComplexError, CoverError, BoundError) as exc:
+    except (ComplexError, CoverError, BoundError, DomainError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (FillingError, SpectralError, GeometryError,

@@ -104,9 +104,6 @@ class Graph:
                     order.append(w)
         return order, parent, depth
 
-    def is_connected(self) -> bool:
-        return self.n == 0 or len(self.bfs(0)[0]) == self.n
-
 
 @dataclass
 class SpanningTree:
@@ -284,13 +281,6 @@ def dual_graph(K: SimplicialComplex) -> Graph:
 # permutation cover data
 
 
-def _inverse_perm(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
-
-
 @dataclass
 class PermutationCoverSpec:
     """Degree-d cover of a pure complex, one sheet permutation per adjacency.
@@ -328,10 +318,8 @@ class PermutationCoverSpec:
                 raise CoverError(f"invalid permutation {p} on ({i},{j})")
             norm[(i, j)] = p
         for (i, j), p in list(norm.items()):
-            rev = norm.get((j, i))
-            if rev is None:
-                norm[(j, i)] = _inverse_perm(p)
-            elif rev != _inverse_perm(p):
+            inverse = tuple(np.argsort(p).tolist())
+            if norm.setdefault((j, i), inverse) != inverse:
                 raise CoverError(f"perms on ({i},{j}) and ({j},{i}) not inverse")
         for (i, j) in self.adjacencies:
             if (i, j) not in norm:
@@ -339,16 +327,19 @@ class PermutationCoverSpec:
         self.perms = norm
 
 
-@dataclass
+@dataclass(eq=False)
 class Cover:
-    """A built cover: the pullback complex plus bookkeeping maps."""
+    """A built cover: the pullback complex, the base top and sheet of each
+    cover top cell, and the gluing as read-only arrays: incidences
+    start[q]..start[q + 1] - 1, base q-cell c in top t, keyed c T + t
+    increasingly, and cell[i, s] the cover cell on sheet s of incidence i."""
 
     spec: PermutationCoverSpec
     complex: SimplicialComplex
-    projection: list[list[int]]          # per dim: cover cell -> base cell
-    top_index: dict[tuple[int, int], int]  # (base top, sheet) -> cover top cell
     top_of: list[tuple[int, int]]        # cover top cell -> (base top, sheet)
-    lift: dict[tuple[int, int, int, int], int]  # (q, base cell, top, sheet) -> cover cell
+    start: np.ndarray
+    keys: np.ndarray
+    cell: np.ndarray
     connected: bool = field(init=False)
 
     def __post_init__(self):
@@ -356,22 +347,31 @@ class Cover:
         tiling, tiles numbered as the cover complex's top cells, edges
         labelled by the base adjacency they project to.  Tile (t, s) joins
         tile (t', p[s]) across the adjacency (t, t') carrying p."""
+        for a in (self.start, self.keys, self.cell):
+            a.flags.writeable = False
         d = self.spec.degree
         adj = [e for e in self.spec.perms if e[0] < e[1]]
-        t, s = np.array(self.top_of, dtype=np.intp).reshape(-1, 2).T
-        tile = np.argsort(t * d + s).reshape(-1, d)    # tile[t, s]
+        tile = self.cell[self.start[-2]:]              # tile[t, s]
         a, b = np.array(adj, dtype=np.intp).reshape(-1, 2).T
-        p = np.array([self.spec.perms[e] for e in adj],
-                     dtype=np.intp).reshape(-1, d)
-        edges = np.stack((tile[a], tile[b[:, None], p]), axis=2)
+        p = np.array([self.spec.perms[e] for e in adj], np.intp).reshape(-1, d)
+        edges = np.stack((tile[a], tile[b[:, None], p]), axis=2).reshape(-1, 2)
         label = np.repeat(np.arange(len(adj))[:, None] + [0, len(adj)], d, 0)
-        self._schreier = Graph.from_arrays(
-            len(t), edges.reshape(-1, 2), label,
-            adj + [(j, i) for i, j in adj])
-        self.connected = self._schreier.is_connected()
+        self._schreier = Graph.from_arrays(tile.size, edges, label,
+                                           adj + [(j, i) for i, j in adj])
+        self.connected = not _classes(tile.size, *edges.T).any()
 
-    def lift_cell(self, q: int, base_cell: int, top: int, sheet: int) -> int:
-        return self.lift[(q, base_cell, top, sheet)]
+    def lift_cell(self, q: int, base_cell, top, sheet):
+        """The cover q-cell on `sheet` over base q-cell `base_cell` in base
+        top `top`, elementwise; CoverError if one names no incidence."""
+        T = len(self.top_of) // self.spec.degree
+        c, t, s = np.broadcast_arrays(base_cell, top, sheet)
+        if 0 <= q < len(self.start) - 1 and \
+                ((0 <= t) & (t < T) & (0 <= s) & (s < self.spec.degree)).all():
+            a, b = self.start[q], self.start[q + 1]
+            i = a + self.keys[a:b].searchsorted(key := c * T + t)
+            if (self.keys[np.minimum(i, b - 1)] == key).all():
+                return self.cell[i, s].tolist()
+        raise CoverError(f"{(q, base_cell, top, sheet)} names no incidence")
 
     def schreier_graph(self) -> Graph:
         """The Schreier graph built with the cover, the same immutable object
@@ -455,7 +455,7 @@ def build_cover(spec: PermutationCoverSpec) -> Cover:
     cls = (np.cumsum(root) - 1)[lab]
     first = np.searchsorted(keys[0], tops * T + np.arange(T)[:, None])
     vertex = cls[first[..., None] * d + sheets]    # top, local vertex, sheet
-    cells_by_dim, projection, place = [], [], []
+    cells_by_dim, place = [], []
     for q in range(n + 1):
         e = np.flatnonzero(root[start[q] * d:start[q + 1] * d]) + start[q] * d
         i, s = e // d, e % d
@@ -466,31 +466,21 @@ def build_cover(spec: PermutationCoverSpec) -> Cover:
         again = np.zeros(len(o), dtype=bool)
         again[o[1:]] = (rows[o[1:]] == rows[o[:-1]]).all(axis=1)
         flat = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
-        base_cell = keys[q][i - start[q]] // T
         bad = np.flatnonzero(flat | again)
         if len(bad):
             j = bad[0]
             what = "top-cell lifts" if q == n else f"lifts of dimension {q}"
+            c = keys[q][i[j] - start[q]] // T
             raise CoverError(
-                f"cover cell over {base.cells[q][base_cell[j]]} degenerates "
+                f"cover cell over {base.cells[q][c]} degenerates "
                 "(repeated vertex)" if flat[j] else f"two distinct {what} "
                 f"share vertex set {tuple(rows[j].tolist())}")
         cells_by_dim.append(list(map(tuple, rows[o].tolist())))
-        projection.append(base_cell[o].tolist())
-        rank = np.empty_like(o)
-        rank[o] = np.arange(len(o))
-        place.append(rank)
+        place.append(np.argsort(o))     # each row's place in the order
 
-    K = SimplicialComplex(cells_by_dim)
-    every = np.arange(len(lab))
-    key = np.concatenate(keys)[every // d]
-    degree = np.searchsorted(start, every // d, side="right") - 1
-    lift = dict(zip(zip(degree.tolist(), (key // T).tolist(),
-                        (key % T).tolist(), (every % d).tolist()),
-                    np.concatenate(place)[cls].tolist()))
     top_of = [divmod(k, d) for k in o.tolist()]    # o orders the top rows
-    top_index = dict(zip(top_of, range(len(top_of))))
-    return Cover(spec, K, projection, top_index, top_of, lift)
+    return Cover(spec, SimplicialComplex(cells_by_dim), top_of, start,
+                 np.concatenate(keys), np.concatenate(place)[cls].reshape(-1, d))
 
 
 # ---------------------------------------------------------------------------
@@ -530,17 +520,19 @@ def tree_fundamental_domain(cover: Cover, tree: SpanningTree
     if len(tree.parent) != g.n:
         raise CoverError("tree does not span the cover's dual graph")
     words = dict(tree.words)
-    n = cover.spec.base.dim
-    rev = {(a, b): (b, a) for (a, b) in cover.spec.perms}
+    spec, n = cover.spec, cover.spec.base.dim
+    rev = {(a, b): (b, a) for (a, b) in spec.perms}
     tail, head, parent = g.tails(), g.head, tree.parent
     cross = np.flatnonzero((tail < head) & (parent[head] != tail)
                            & (parent[tail] != head))
+    lab = g.label[cross]
+    face = np.array([spec.base.cell_index[n - 1][spec.adjacencies[e]]
+                     for e in g.names], dtype=np.intp)    # each label's facet
+    t, s = np.array(cover.top_of, dtype=np.intp).reshape(-1, 2)[tail[cross]].T
     pairings = []
-    for u, w, x in zip(tail[cross].tolist(), head[cross].tolist(),
-                       g.label[cross].tolist()):
-        label = g.names[x]
-        fi = cover.spec.base.cell_index[n - 1][cover.spec.adjacencies[label]]
-        facet = cover.lift_cell(n - 1, fi, *cover.top_of[u])  # w's facet too
+    for u, w, x, facet in zip(tail[cross].tolist(), head[cross].tolist(),
+                              lab.tolist(), cover.lift_cell(n - 1, face[lab], t, s)):
+        label = g.names[x]     # u's facet across it is w's facet too
         word = words[u] + (label,) + _invert_word(words[w], rev)
         pairings.append(FacePairing((u, facet), (w, facet), word))
     return words, FacePairingSet(pairings)

@@ -19,7 +19,11 @@ _TAIL_TOL = 1e-12       # moser_constant's bound on |log(true/value)|
 
 
 class GeometryError(ValueError):
-    pass
+    """A non-finite argument, a result beyond a float or work beyond a bound."""
+
+
+class DomainError(ValueError):
+    """An argument outside the domain of the function it is passed to."""
 
 
 def right_triangle_area(a: float, b: float) -> float:
@@ -29,7 +33,7 @@ def right_triangle_area(a: float, b: float) -> float:
     tanh(a/2) tanh(b/2) avoids cancellation for small triangles.
     """
     if a < 0 or b < 0:
-        raise GeometryError("leg lengths must be nonnegative")
+        raise DomainError("leg lengths must be nonnegative")
     return 2 * math.atan(math.tanh(a / 2) * math.tanh(b / 2))
 
 
@@ -49,13 +53,13 @@ def ball_volume(n: int, r: float, K: float = 1.0) -> float:
     if not (math.isfinite(r) and math.isfinite(K)):
         raise GeometryError("radius and curvature must be finite")
     if n < 2:
-        raise GeometryError("dimension must be >= 2")
+        raise DomainError("dimension must be >= 2")
     if n > _MAX_DIMENSION:
         raise GeometryError(f"dimension must be <= {_MAX_DIMENSION}")
     if r < 0:
-        raise GeometryError("radius must be >= 0")
+        raise DomainError("radius must be >= 0")
     if K <= 0:
-        raise GeometryError("curvature magnitude must be > 0")
+        raise DomainError("curvature magnitude must be > 0")
     if r == 0:
         return 0.0
     m, x = n - 1, math.sqrt(K) * r
@@ -80,7 +84,7 @@ def ball_volume(n: int, r: float, K: float = 1.0) -> float:
 def kappa(n: int) -> float:
     """Sobolev constant n(n-2) vol(S^n)^(2/n) / 4."""
     if n < 3:
-        raise GeometryError("the Sobolev constant needs n >= 3")
+        raise DomainError("the Sobolev constant needs n >= 3")
     return n * (n - 2) * sphere_volume(n) ** (2 / n) / 4
 
 
@@ -106,11 +110,11 @@ def moser_constant(n: int, q: int, L: float, lam: float) -> MoserConstant:
     if not (math.isfinite(L) and math.isfinite(lam)):
         raise GeometryError("need finite L and lam")
     if n < 3:
-        raise GeometryError("need n >= 3")
+        raise DomainError("need n >= 3")
     if L <= 0:
-        raise GeometryError("need L > 0")
+        raise DomainError("need L > 0")
     if lam < 0:
-        raise GeometryError("need lam >= 0")
+        raise DomainError("need lam >= 0")
     try:
         g = n / (n - 2)
         log_kap = math.log(kappa(n))
@@ -119,7 +123,7 @@ def moser_constant(n: int, q: int, L: float, lam: float) -> MoserConstant:
         # bracket k = amp g^k + invl2 4^k is then positive for every k: as
         # g <= 3 < 4, it is at least min(amp, 0) 4^k + invl2 4^k
         if amp + invl2 <= 0:
-            raise GeometryError("need q(n-q) + lam + 4/L^2 > 0")
+            raise DomainError("need q(n-q) + lam + 4/L^2 > 0")
         if not math.isfinite(amp + invl2):     # 4/L^2 overflowed
             raise OverflowError
 

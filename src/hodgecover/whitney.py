@@ -168,14 +168,17 @@ def _top_grams(K: SimplicialComplex,
                geometry: ComplexGeometry) -> tuple[np.ndarray, np.ndarray]:
     """(G, vol): the (T, n, n) edge-vector Grams G_t of every top simplex t
     of K, by the law of cosines on its edges out of its first vertex, and the
-    (T,) volumes sqrt(det G_t) / n!.  Raises ComplexError unless K has edges,
-    and GeometryError unless every G_t is finite, of finite determinant and
-    nondegenerate: its least eigenvalue exceeds 1e-12 times max(1, its
-    largest).  The lengths are positive, as ComplexGeometry checks them."""
+    (T,) volumes sqrt(det G_t) / n!.  Raises ComplexError unless K has edges
+    and the cells of the geometry's complex, and GeometryError unless every
+    G_t is finite, of finite determinant and nondegenerate: its least
+    eigenvalue exceeds 1e-12 times max(1, its largest).  The lengths are
+    positive, as ComplexGeometry checks them."""
     n = K.dim
     if n == 0:
         raise ComplexError("Whitney forms and volumes need a complex of "
                            "dimension >= 1")
+    if geometry.K is not K and geometry.K.cells != K.cells:
+        raise ComplexError("the geometry was made for another complex")
     tops = K._rows(n)
     pairs = np.array(list(combinations(range(n + 1), 2)))
     lengths = np.array([geometry.edge_lengths[e] for e in K.cells[1]])

@@ -10,16 +10,19 @@ import math
 import random
 from collections import deque
 from itertools import combinations
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
-from scipy.sparse import csr_array
+from scipy.linalg import (cho_factor, cho_solve, cholesky_banded,
+                          solve_triangular)
+from scipy.sparse import csr_array, dia_array
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import hodgecover.covers
 from hodgecover import CoverError, PermutationCoverSpec
 from hodgecover.complexes import SimplicialComplex, SparseIntMatrix
-from hodgecover.covers import Cover, Graph, dual_graph
+from hodgecover.covers import Graph, dual_graph
 from hodgecover.ratlinalg import rat_solve_and_kernel
 from hodgecover.surfaces import FIXTURES
 
@@ -175,10 +178,26 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def reference_build_cover(spec: PermutationCoverSpec) -> Cover:
+class ReferenceCover(NamedTuple):
+    """The oracle's cover: its complex, the (base top, sheet) of each top
+    cell, the cover cell of each (q, base cell, top, sheet) and whether the
+    tiles are connected."""
+
+    complex: SimplicialComplex
+    top_of: list
+    lift: dict
+    connected: bool
+
+    def lift_cell(self, q, base_cells, tops, sheets):
+        return [self.lift[(q, c, t, s)]
+                for c, t, s in zip(base_cells, tops, sheets)]
+
+
+def reference_build_cover(spec: PermutationCoverSpec) -> ReferenceCover:
     """The cover glued one (q, base cell, top, sheet) tuple at a time with a
     union-find whose roots are the smallest keys; classes are checked in the
-    order of their roots."""
+    order of their roots.  Tiles (t, s) are joined across each adjacency by
+    a second union-find."""
     base = spec.base
     n = base.dim
     d = spec.degree
@@ -266,21 +285,18 @@ def reference_build_cover(spec: PermutationCoverSpec) -> Cover:
             top_tuple[(t, s)] = tup
 
     K = SimplicialComplex(cells_by_dim)
-    projection = [
-        [proj_by_cell[q][c] for c in K.cells[q]] for q in range(n + 1)
-    ]
-    top_index = {
-        (t, s): K.cell_index[n][tup] for (t, s), tup in top_tuple.items()
-    }
     top_of = [None] * K.n_cells(n)
-    for (t, s), i in top_index.items():
-        top_of[i] = (t, s)
     lift = {key: K.cell_index[key[0]][rep_of_class[rep]]
             for key, rep in class_of.items()}
-    for t in range(len(tops)):
+    for (t, s), tup in top_tuple.items():
+        top_of[K.cell_index[n][tup]] = (t, s)
+        lift[(n, t, t, s)] = K.cell_index[n][tup]
+    tiles = _UnionFind()
+    for (a, b), p in spec.perms.items():
         for s in range(d):
-            lift[(n, t, t, s)] = top_index[(t, s)]
-    return Cover(spec, K, projection, top_index, top_of, lift)
+            tiles.union((a, s), (b, p[s]))
+    roots = {tiles.find((t, s)) for t in range(len(tops)) for s in range(d)}
+    return ReferenceCover(K, top_of, lift, len(roots) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +310,39 @@ def dense_pencil(K, q, ip_q, ip_up):
     return up_pencil(K, q, ip_q, ip_up)[0], ip_q.matrix
 
 
+def down_gram(K, q, R, ip_down):
+    """The dense R^T d M_down^{-1} d^T R, for d: C^(q-1) -> C^q and a sparse
+    R, as W^T W with W = L^{-1} P d^T R: P puts M_down in reverse
+    Cuthill-McKee order, where P M_down P^T = L L^T has a banded Cholesky
+    factor, diagonal when M_down is, and dense triangular solves take
+    over from there."""
+    A = K.boundary_matrix(q)
+    r, c, v = np.array(A.entries, dtype=float).reshape(-1, 3).T
+    M = ip_down._csr()
+    p = reverse_cuthill_mckee(M, symmetric_mode=True)
+    Y = (csr_array((v, (r, c)), shape=(A.rows, A.cols)) @ R)[p]
+    M = M[p][:, p].tocoo()
+    off = M.row - M.col
+    band = np.zeros((1 + off.max(), M.shape[0]))
+    band[off[off >= 0], M.col[off >= 0]] = M.data[off >= 0]
+    L = cholesky_banded(band, lower=True)
+    if len(L) == 1:
+        W = Y.multiply(1 / L[0][:, None]).tocsr()
+        return (W.T @ W).toarray()
+    L = dia_array((L, -np.arange(len(L))), shape=M.shape).toarray()
+    W = solve_triangular(L, Y.toarray(), lower=True)
+    return W.T @ W
+
+
 def down_pencil(K, q, ip_q, ip_down):
     """(B, M) whose eigenvalues are those of the down-Laplacian d d* on
-    q-cochains; B = M d M_down^{-1} d^T M = W^T W is symmetric, with
-    W = L^{-1} d^T M for the dense Cholesky factor M_down = L L^T: one
-    triangular solve, and d^T M a sparse-times-dense product.  The package
-    solves only up-pencils, so this is the independent oracle for their
-    spectra."""
+    q-cochains; B = M d M_down^{-1} d^T M is symmetric (down_gram).  The
+    package solves only up-pencils, so this is the independent oracle for
+    their spectra."""
     n = K.n_cells(q)
     if q == 0:
         return np.zeros((n, n)), ip_q.matrix
-    dT = csr_array(to_float(K.boundary_matrix(q)))  # d^T for d: C^(q-1) -> C^q
-    W = solve_triangular(cholesky(ip_down.matrix, lower=True),
-                         dT @ ip_q.matrix, lower=True)
-    B = W.T @ W
+    B = down_gram(K, q, ip_q._csr(), ip_down)
     return (B + B.T) / 2, ip_q.matrix
 
 
@@ -474,7 +509,7 @@ def word_tile_action(cover, word, tile):
                              f"over {t}")
         s = cover.spec.perms[(a, b)][s]
         t = b
-    return cover.top_index[(t, s)]
+    return cover.lift_cell(cover.complex.dim, t, t, s)
 
 
 def holonomy_generators(spec):
@@ -523,12 +558,12 @@ def composite_cover(K, rng) -> PermutationCoverSpec:
     inner = random_cyclic_cover(K, 2, rng)
     middle = hodgecover.build_cover(inner)
     outer = random_cyclic_cover(middle.complex, 3, rng)
-    perms = {}
+    perms, n = {}, K.dim
     for (a, b), p2 in inner.perms.items():
         if a < b:
             perms[(a, b)] = tuple(
-                3 * p2[s2] + outer.perms[(middle.top_index[(a, s2)],
-                                          middle.top_index[(b, p2[s2])])][s3]
+                3 * p2[s2] + outer.perms[(middle.lift_cell(n, a, a, s2),
+                                          middle.lift_cell(n, b, b, p2[s2]))][s3]
                 for s2 in range(2) for s3 in range(3))
     return PermutationCoverSpec(K, 6, perms)
 

@@ -182,14 +182,19 @@ class TestErrors:
     @pytest.mark.parametrize("bid,change", [
         ("exp_gap", dict(H=1e6)),                    # exp overflows
         ("regulator_independent", dict(vol=-1.0)),   # complex power
+        ("lambda0_lower", dict(inj=-1.0)),           # L = inj / 2 < 0
+        ("lambda0_lower", dict(inj=0)),
+        ("surface_triangulation_count", dict(mu=-1.0)),   # a negative radius
+        ("surface_triangulation_count", dict(curvature=0.0)),
     ])
     def test_evaluation_failure_names_the_bound(self, bid, change):
         with pytest.raises(BoundError, match=f"bound {bid} cannot"):
             evaluate_bound(bid, dict(SYNTHETIC[bid], **change))
 
     def test_geometry_error_is_not_rewrapped(self):
-        params = dict(SYNTHETIC["lambda0_lower"], inj=-1.0)
-        with pytest.raises(GeometryError):
+        # a Moser constant beyond a float is a numerical failure
+        params = dict(SYNTHETIC["lambda0_lower"], n=50)
+        with pytest.raises(GeometryError, match="overflows"):
             evaluate_bound("lambda0_lower", params)
 
 

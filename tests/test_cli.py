@@ -686,6 +686,12 @@ class TestBoundsCommands:
                        "G": 0, "C": 1.0, "vol": 1.0}),   # division by zero
         ("upper_b0", {"lam": -1, "C": 1.0, "V": 1.0, "D": 1.0,
                       "sup_sarea_over_length": 1.0, "vol": 1.0}),  # sqrt(-1)
+        ("lambda0_lower", {"lhs": 1.0, "n": 3, "inj": 0, "lam_probe": 0.1,
+                           "diam": 2.0, "vol": 10.0}),    # L = inj / 2 = 0
+        ("surface_triangulation_count", {"lhs": 1.0, "vol_surface": 1.0,
+                                         "mu": -1.0, "curvature": 1.0}),
+        ("surface_triangulation_count", {"lhs": 1.0, "vol_surface": 1.0,
+                                         "mu": 1.0, "curvature": 0.0}),
     ])
     def test_eval_malformed_params_exit_2(self, capsys, tmp_path, bid,
                                           params):
@@ -815,9 +821,21 @@ class TestConstantsCommand:
         assert json.loads(out)["ball_volume"] == pytest.approx(volume,
                                                                rel=1e-12)
 
-    def test_bad_ball_exit_3(self, capsys):
-        code, _, err = run(capsys, "constants", "--ball", "1", "1.0", "1.0")
-        assert code == 3
+    @pytest.mark.parametrize("argv, message", [
+        (("--ball", "1", "1.0", "1.0"), "dimension must be >= 2"),
+        (("--ball", "3", "-1", "1"), "radius must be >= 0"),
+        (("--ball", "3", "1", "-2"), "curvature magnitude must be > 0"),
+        (("--moser", "2", "1", "1", "1"), "need n >= 3"),
+        (("--moser", "3", "1", "-1", "1"), "need L > 0"),
+        (("--moser", "3", "1", "1", "-1"), "need lam >= 0"),
+        (("--moser", "3", "5", "1", "0"), "need q(n-q) + lam + 4/L^2 > 0")],
+        ids=["ball_dimension", "ball_radius", "ball_curvature",
+             "moser_dimension", "moser_length", "moser_lambda",
+             "moser_bracket"])
+    def test_bad_arguments_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "constants", *argv)
+        assert code == 2 and out == ""
+        assert err == f"validation error: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         ("--ball", "3", "nan", "1"),

@@ -134,11 +134,44 @@ class TestBuildCover:
             assert cov.complex.n_cells(q) == 3 * spec.base.n_cells(q)
 
     def test_projection_well_defined(self):
+        # every cover cell is a lift, and of one base cell only
+        for spec in (cyclic_circle_spec(3, 3),
+                     random_cyclic_cover(torus7(), 3, random.Random(1))):
+            cov = build_cover(spec)
+            projection = {}
+            for q, c, t, s in incidences(spec):
+                i = cov.lift_cell(q, c, t, s)
+                assert projection.setdefault((q, i), c) == c
+            assert len(projection) == sum(
+                cov.complex.n_cells(q) for q in range(cov.complex.dim + 1))
+            # arrays of incidences lift elementwise
+            for q in range(cov.complex.dim + 1):
+                keys = [k[1:] for k in incidences(spec) if k[0] == q]
+                assert cov.lift_cell(q, *zip(*keys)) == \
+                    [cov.lift_cell(q, *k) for k in keys]
+
+    @pytest.mark.parametrize("key", [(1, 0, 2, 0), (0, 0, 3, 0),
+                                     (0, 1, -3, 0), (0, 0, 0, -1),
+                                     (0, 0, 0, 3), (2, 0, 0, 0),
+                                     (-1, 0, 0, 0)],
+                             ids=["not_a_face", "top_too_large",
+                                  "negative_top", "negative_sheet",
+                                  "sheet_too_large", "degree_too_large",
+                                  "negative_degree"])
+    def test_lift_of_no_incidence_rejected(self, key):
+        # on the 3-cycle, T = 3 and top 0 is the edge (0, 1): the keys
+        # c T + t of tops 3 and -3 alias vertex 1 and vertex 0 over top 0
         cov = build_cover(cyclic_circle_spec(3, 3))
-        for q in range(2):
-            for i, cell in enumerate(cov.complex.cells[q]):
-                base_cell = cov.spec.base.cells[q][cov.projection[q][i]]
-                assert len(base_cell) == len(cell)
+        with pytest.raises(CoverError, match="names no incidence"):
+            cov.lift_cell(*key)
+
+    def test_gluing_arrays_are_read_only(self):
+        cov = build_cover(cyclic_circle_spec(3, 3))
+        for name in ("start", "keys", "cell"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(cov, name)[0] = 1
+        for name in ("lift", "top_index", "projection"):
+            assert not hasattr(cov, name)
 
     def test_torus_double_cover_along_generator(self):
         # transpositions exactly on dual edges crossing a homology generator
@@ -192,7 +225,7 @@ class TestSchreierGraph:
             spec = random_cyclic_cover(tetrahedron_boundary(), 2, rng)
             g = build_cover(spec).schreier_graph()
             assert g.n == 8
-            found = found or not g.is_connected()
+            found = found or len(g.bfs(0)[0]) < g.n
         assert found  # sphere has no connected double cover
 
 
@@ -591,14 +624,27 @@ class TestFundamentalDomain:
 # array gluing against the tuple union-find oracle
 
 
+def incidences(spec):
+    """Every (q, base cell, top, sheet) with the cell a face of the top."""
+    K, n = spec.base, spec.base.dim
+    return [(q, K.cell_index[q][f], t, s)
+            for t, top in enumerate(K.cells[n]) for q in range(n + 1)
+            for f in combinations(top, q + 1) for s in range(spec.degree)]
+
+
 def outcome(build, spec):
-    """Every field of the built cover, or the CoverError message."""
+    """The cells, the tops and the connectivity of the built cover, and the
+    lift of every incidence, one lift_cell call per degree; or the
+    CoverError message."""
     try:
         cov = build(spec)
     except CoverError as exc:
         return str(exc)
-    return (cov.complex.cells, cov.projection, cov.top_index, cov.top_of,
-            cov.lift, cov.connected)
+    lift = {}
+    for q in range(spec.base.dim + 1):
+        keys = [k for k in incidences(spec) if k[0] == q]
+        lift.update(zip(keys, cov.lift_cell(q, *list(zip(*keys))[1:])))
+    return cov.complex.cells, cov.top_of, lift, cov.connected
 
 
 def assert_same_as_reference(spec):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import sympy
 from scipy.linalg import eigh
+from scipy.sparse import diags_array
 
 from hodgecover import (ComplexError, SpectralError, betti_numbers,
                         build_cover,
@@ -18,8 +19,8 @@ from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
 from hodgecover.whitney import (ComplexGeometry, InnerProduct,
                                 whitney_mass_matrix)
 
-from helpers import (dense_pencil, down_pencil, random_cyclic_cover, to_float,
-                     to_pylists)
+from helpers import (dense_pencil, down_gram, down_pencil, random_cyclic_cover,
+                     to_float, to_pylists)
 
 
 def comb_products(K):
@@ -345,12 +346,16 @@ def sparse_gap(monkeypatch):
 
 
 def dense_dual_gap(K, q, products):
-    """lambda_1^* in degree q = dim - 1 from the dense down-pencil on
+    """lambda_1^* in degree q = dim - 1 from the dense down-pencil (B, D) on
     (q+1)-cochains (helpers.down_pencil), whose positive spectrum is the
-    degree-q up-spectrum: its eigenvalue number b_{q+1} from the bottom."""
-    B, M = down_pencil(K, q + 1, products[q + 1], products[q])
+    degree-q up-spectrum: its eigenvalue number b_{q+1} from the bottom.
+    The top-degree mass D is diagonal, so the pencil is the standard
+    eigenproblem of D^{-1/2} B D^{-1/2}, helpers.down_gram with R = D^{1/2}."""
+    D = products[q + 1]._csr()
+    assert D.count_nonzero() == np.count_nonzero(D.diagonal())
+    S = down_gram(K, q + 1, diags_array(np.sqrt(D.diagonal())), products[q])
     b = betti_numbers(K)[q + 1]
-    return eigh(B, M, eigvals_only=True, subset_by_index=[b, b])[0]
+    return eigh(S, eigvals_only=True, subset_by_index=[b, b])[0]
 
 
 class TestCoexactGap:

@@ -204,6 +204,25 @@ class TestGeometry:
         with pytest.raises(ComplexError, match="edge \\(1, 2\\) has length"):
             ComplexGeometry(K, table)
 
+    @pytest.mark.parametrize("K", [torus7(), torus_grid(3, 3)],
+                             ids=["same_edge_labels", "other_edges"])
+    def test_geometry_of_another_complex_rejected(self, K):
+        # torus7's edges are labelled as some of genus2's, so a product
+        # would read genus2's lengths; torus_grid(3, 3) has edges it lacks
+        geo = ComplexGeometry.uniform(genus2_surface())
+        for q in range(3):
+            with pytest.raises(ComplexError, match="another complex"):
+                whitney_mass_matrix(K, geo, q)
+
+    def test_geometry_of_an_equal_complex_accepted(self):
+        # equal cells, not the same object: a geometry made on one build of
+        # a cover serves another build of the same spec
+        spec = random_cyclic_cover(genus2_surface(), 3, random.Random(3))
+        first, second = (build_cover(spec).complex for _ in range(2))
+        geo = ComplexGeometry.uniform(first)
+        assert np.array_equal(whitney_mass_matrix(second, geo, 1).matrix,
+                              whitney_mass_matrix(first, geo, 1).matrix)
+
     def test_table_in_edge_order_from_either_key_order(self):
         K = torus7()
         geo = ComplexGeometry(K, {(v, u): k + 1 for k, (u, v)
