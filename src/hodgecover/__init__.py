@@ -20,6 +20,7 @@ from .spectra import (CoexactGap, SpectralError, SpectralSplit,
                       charpoly_gap_bound, coexact_gap, lambda1_split,
                       up_pencil)
 from .whitney import (ComplexGeometry, InnerProduct,
-                      norm_equivalence_constants, whitney_mass_matrix)
+                      norm_equivalence_constants, whitney_mass_matrix,
+                      whitney_products)
 
 __version__ = "0.1.0"

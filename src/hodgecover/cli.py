@@ -24,7 +24,7 @@ from .spectra import (SpectralError, charpoly_gap_bound, coexact_gap,
                       lambda1_split)
 from .surfaces import FIXTURES
 from .whitney import (ComplexGeometry, InnerProduct, norm_equivalence_constants,
-                      whitney_mass_matrix)
+                      whitney_mass_matrix, whitney_products)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -107,7 +107,7 @@ def _inner_products(K, geometry, inner):
     if inner == "comb":
         return {q: InnerProduct.identity(q, K.n_cells(q))
                 for q in range(K.dim + 1)}
-    return {q: whitney_mass_matrix(K, geometry, q) for q in range(K.dim + 1)}
+    return whitney_products(K, geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +170,7 @@ def cmd_cover(args):
 def cmd_spectrum(args):
     K = _load_complex(args.path).complex
     geometry = _load_geometry(K, args.geometry)
+    K.check_degree(args.degree)      # before any product is built
     ips = _inner_products(K, geometry, args.inner)
     split = lambda1_split(K, args.degree, ips)
     out = {

@@ -179,6 +179,11 @@ class SimplicialComplex:
             return len(self.cells[q])
         return 0
 
+    def check_degree(self, q: int) -> None:
+        """Raise ComplexError unless 0 <= q <= dim."""
+        if not 0 <= q <= self.dim:
+            raise ComplexError(f"degree {q} is out of range 0..{self.dim}")
+
     def uncovered_cell(self, q: int) -> tuple[int, ...] | None:
         """The first q-cell that is a face of no top cell, or None."""
         local = list(combinations(range(self.dim + 1), q + 1))

@@ -79,7 +79,8 @@ def cycle_from_word(cover: Cover, word) -> EdgeCycle:
     vertex per crossing, the lift of the facet's smallest vertex, and joins
     consecutive gates by a single edge of the tile they share.  The word must
     return to its starting tile and sheet; otherwise the open endpoints are
-    reported.
+    reported.  A letter that is no adjacency of the dual graph raises
+    FillingError.
     """
     K = cover.complex
     word = [tuple(w) for w in word]
@@ -95,6 +96,9 @@ def cycle_from_word(cover: Cover, word) -> EdgeCycle:
             f"and ends at top cell {word[-1][1]}")
     gates, s = [], 0
     for (a, b) in word:
+        if (a, b) not in cover.spec.adjacencies:
+            raise FillingError(f"word letter ({a},{b}) is not a dual-graph "
+                               "adjacency")
         vi = base.cell_index[0][(min(cover.spec.adjacencies[(a, b)]),)]
         gates.append(K.cells[0][cover.lift_cell(0, vi, a, s)][0])
         s = cover.spec.perms[(a, b)][s]

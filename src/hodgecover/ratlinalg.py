@@ -11,10 +11,10 @@ of its nonzeros (`sparse_rows`).  `echelon` reduces each row against the pivot
 row keyed by its leading column, cross-multiplying so that no fraction ever
 appears, until the leading column is free; the row then becomes that column's
 pivot.  The pivot is always the leading column in natural order, so the pivot
-set is exactly the RREF's, and a back-substitution over the integers gives
-the RREF as primitive integer rows, from which solutions and kernel vectors
-are read with one division per entry.  Work and storage follow the nonzeros
-and fill-in, not the matrix shape.
+set is the matrix's whatever the order of its rows.  The echelon rows are the
+only factor: a solution or a kernel vector is one integer back-substitution
+through them, highest pivot first, over one common denominator.  Work and
+storage follow the nonzeros and fill-in, not the matrix shape.
 """
 
 from __future__ import annotations
@@ -78,9 +78,22 @@ def _eliminate(row: dict[int, int], p: dict[int, int], c: int,
     return _primitive(out) if primitive and out else out
 
 
+def _reduce(row: dict[int, int], pivots: dict[int, dict[int, int]],
+            primitive: bool) -> dict[int, int]:
+    """row cleared in every pivot column, lowest first."""
+    while (c := min((k for k in row if k in pivots), default=None)) \
+            is not None:
+        row = _eliminate(row, pivots[c], c, primitive)
+    return row
+
+
 def echelon(rows, unimodular: bool = False
             ) -> tuple[dict[int, dict[int, int]], list[dict[int, int]]]:
     """Row echelon form of sparse integer rows: (pivots, residual).
+
+    The rows are taken by descending (max column, min column), which keeps
+    the fill-in of a boundary map small; neither the pivot columns nor the
+    invariant factors below depend on the order.
 
     `pivots` maps each pivot column to the row whose leading entry sits there.
     Over the rationals (the default) every nonzero row ends up a pivot, with
@@ -95,7 +108,8 @@ def echelon(rows, unimodular: bool = False
     """
     pivots: dict[int, dict[int, int]] = {}
     residual = []
-    for row in rows:
+    for row in sorted(filter(None, rows), key=lambda r: (max(r), min(r)),
+                      reverse=True):
         while row:
             c = min(row)
             p = pivots.get(c)
@@ -110,90 +124,74 @@ def echelon(rows, unimodular: bool = False
             else:
                 residual.append(row)
                 break
-    for i, row in enumerate(residual):
-        while (c := min((k for k in row if k in pivots), default=None)) \
-                is not None:
-            row = _eliminate(row, pivots[c], c, False)
-        residual[i] = row
-    return pivots, residual
+    return pivots, [_reduce(row, pivots, False) for row in residual]
 
 
-def _rref(A, rhs=()) -> tuple[dict[int, dict[int, int]], int]:
-    """RREF of A (with rhs columns appended) as primitive integer rows keyed
-    by pivot column; each row's only pivot-column entry is its own.  Returns
-    (rows, number of columns of A)."""
-    rows, ncols = sparse_rows(A, rhs)
-    pivots, _ = echelon(rows)
-    done: dict[int, dict[int, int]] = {}
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        # the rows in `done` carry no other pivot column, so this list of
-        # columns to clear is complete before the first elimination
-        for k in [k for k in row if k != c and k in done]:
-            row = _eliminate(row, done[k], k)
-        done[c] = row
-    return done, ncols
+def _back_substitute(pivots: dict[int, dict[int, int]],
+                     free: dict[int, int]) -> tuple[dict[int, int], int]:
+    """(x, den): the vector x / den that the echelon rows `pivots` send to 0,
+    with the integer values `free` at the free columns it names, 0 at the
+    other free columns, and each pivot column solved from its row, the
+    highest first.  x holds only nonzero integers; den > 0 grows only when a
+    leading entry does not divide its row's sum."""
+    x, den = dict(free), 1
+    for c, row in sorted(pivots.items(), reverse=True):
+        s = sum(v * x[k] for k, v in row.items() if k in x)
+        if s:
+            g = gcd(s, row[c])
+            if (m := abs(row[c]) // g) != 1:
+                x = {k: m * v for k, v in x.items()}
+                den *= m
+            x[c] = -s // g if row[c] > 0 else s // g
+    return x, den
 
 
-def _solution(R: dict[int, dict[int, int]], ncols: int) -> list[Fraction] | None:
-    """The solution with free variables 0 read from the RREF of [A | b]
-    (rhs in column ncols); None if column ncols is a pivot."""
-    if ncols in R:
-        return None
-    x = [Fraction(0)] * ncols
-    for c, row in R.items():
-        x[c] = Fraction(row.get(ncols, 0), row[c])
-    return x
-
-
-def _kernel_vector(R: dict[int, dict[int, int]], ncols: int,
-                   f: int) -> list[Fraction]:
-    """The kernel vector of free column f read from the RREF of A (or of
-    [A | rhs]): 1 at f, 0 at the other free columns, and minus the RREF's
-    column f at the pivots."""
+def _kernel_vector(pivots: dict[int, dict[int, int]], ncols: int,
+                   free: dict[int, int]) -> list[Fraction]:
+    """The first ncols entries of _back_substitute(pivots, free)."""
+    x, den = _back_substitute(pivots, free)
     v = [Fraction(0)] * ncols
-    v[f] = Fraction(1)
-    for c, row in R.items():
-        if f in row:
-            v[c] = Fraction(-row[f], row[c])
+    for k, a in x.items():
+        if k < ncols:
+            v[k] = Fraction(a, den)
     return v
 
 
-def _kernel(R: dict[int, dict[int, int]], ncols: int) -> list[list[Fraction]]:
-    """The kernel basis of A, one vector per free column below ncols."""
-    return [_kernel_vector(R, ncols, f) for f in range(ncols) if f not in R]
+def _solution(pivots: dict[int, dict[int, int]],
+              ncols: int) -> list[Fraction] | None:
+    """The solution with free variables 0 from the echelon rows of [A | b]
+    (b in column ncols): the kernel vector of [A | b] that is -1 at b's
+    column; None if that column is a pivot."""
+    return None if ncols in pivots else _kernel_vector(pivots, ncols,
+                                                       {ncols: -1})
 
 
 def rat_solve(A, b) -> list[Fraction] | None:
     """One exact solution of A x = b, free variables 0; None if inconsistent."""
-    R, ncols = _rref(A, [b])
-    return _solution(R, ncols)
+    rows, ncols = sparse_rows(A, [b])
+    return _solution(echelon(rows)[0], ncols)
 
 
 def rat_solve_and_kernel(A, b) -> tuple[list[Fraction] | None,
                                         list[list[Fraction]]]:
     """(rat_solve(A, b), a basis of the rational kernel of A, as column
-    vectors) from one elimination of [A | b]."""
-    R, ncols = _rref(A, [b])
-    return _solution(R, ncols), _kernel(R, ncols)
+    vectors) from one elimination of [A | b]; kernel vector f is 1 at free
+    column f and 0 at the other free columns."""
+    rows, ncols = sparse_rows(A, [b])
+    pivots, _ = echelon(rows)
+    return _solution(pivots, ncols), [_kernel_vector(pivots, ncols, {f: 1})
+                                      for f in range(ncols)
+                                      if f not in pivots]
 
 
 def first_kernel_vector(A, b) -> list[Fraction] | None:
     """The first kernel basis vector of A, in free-column order, whose dot
-    product with b is nonzero; None if there is none.  Each pairing reads
-    the RREF entries on b's support only, and only the returned vector is
-    built."""
-    R, ncols = _rref(A)
-    support = [(j, x) for j, x in enumerate(b) if x]
-    for f in range(ncols):
-        if f in R:
-            continue
-        pairing = Fraction(0)
-        for j, x in support:
-            if j == f:
-                pairing += x
-            elif j in R and f in R[j]:
-                pairing -= Fraction(R[j][f] * x, R[j][j])
-        if pairing:
-            return _kernel_vector(R, ncols, f)
-    return None
+    product with b is nonzero; None if there is none.  Reduced against the
+    echelon rows of A, b keeps at each free column a nonzero multiple of
+    that column's pairing, since the row space is orthogonal to the kernel:
+    one reduction finds the column, and only its vector is built."""
+    rows, ncols = sparse_rows(A)
+    pivots, _ = echelon(rows)
+    (b,), _ = sparse_rows([b])     # b as one integer row
+    f = min((k for k in _reduce(b, pivots, True) if k < ncols), default=None)
+    return None if f is None else _kernel_vector(pivots, ncols, {f: 1})

@@ -23,7 +23,7 @@ import numpy as np
 
 from .complexes import ComplexError, SimplicialComplex, SparseIntMatrix
 from .homology import boundary_factors
-from .ratlinalg import _rref, echelon, sparse_rows
+from .ratlinalg import _back_substitute, echelon, sparse_rows
 from .whitney import InnerProduct
 
 
@@ -106,8 +106,7 @@ def lambda1_split(K: SimplicialComplex, q: int,
     `inner_products` must supply degrees q-1, q, q+1 as applicable.  The
     spectrum is the exact kernel as zeros, the positive up-spectrum of degree
     q (coexact part) and that of degree q-1 (exact part)."""
-    if not 0 <= q <= K.dim:
-        raise ComplexError(f"degree {q} is out of range 0..{K.dim}")
+    K.check_degree(q)
     n = K.n_cells(q)
     r_down = len(boundary_factors(K, q))      # rank of boundary leaving q
     r_up = len(boundary_factors(K, q + 1))    # rank of boundary entering q
@@ -151,8 +150,7 @@ def coexact_gap(K: SimplicialComplex, q: int,
     lambda_1^* of a degree-d cyclic cover of genus2 falls like 1/d^2
     (3.7e-4 s at d = 101, 3.7e-6 s at d = 1009).  The dense path splits at
     the exact rank alone and reports the same margin."""
-    if not 0 <= q <= K.dim:
-        raise ComplexError(f"degree {q} is out of range 0..{K.dim}")
+    K.check_degree(q)
     r_up = len(boundary_factors(K, q + 1))
     _check_products(K, inner_products, q, 0, r_up)
     if r_up == 0:
@@ -209,9 +207,9 @@ def charpoly_gap_bound(K: SimplicialComplex, q: int) -> Fraction:
     reciprocals of the nonzero eigenvalues.  It equals |a_{k+1}| / |a_k| for
     the characteristic polynomial sum_i a_i x^i, a_k its last nonzero one.
 
-    It is computed as tr((C^T C)^{-1} A[S,S]) by one exact solve with |S|
-    right-hand sides, where S is the set of pivot columns the elimination
-    kernel finds in A and C = A[:, S]: A is symmetric positive semidefinite
+    It is computed as tr((C^T C)^{-1} A[S,S]), one back-substitution per
+    column of S through the echelon rows of [C^T C | A[S,S]], with S the
+    pivot columns of A and C = A[:, S]: A is symmetric positive semidefinite
     of rank |S|, so A = C A[S,S]^{-1} C^T with C of full column rank.
     """
     if not 0 <= q < K.dim:
@@ -229,10 +227,13 @@ def charpoly_gap_bound(K: SimplicialComplex, q: int) -> Fraction:
     C = SparseIntMatrix(n, r, tuple((i, index[c], v) for i, c, v in A.entries
                                     if c in index))
     G = C.transpose().matmul(C)
-    # [C^T C | A[S,S]] reduces to [I | (C^T C)^{-1} A[S,S]]; row i of the
-    # integer RREF is d_i [e_i | ...], so diagonal entry i is R[i][r+i] / d_i
+    # the kernel vector of [C^T C | A[S,S]] that is 1 at column r + i is
+    # [-(C^T C)^{-1} A[S,S] e_i; e_i]: its entry i is minus trace term i
     aug = SparseIntMatrix(r, 2 * r, G.entries + tuple(
         (index[i], r + j, v) for i, j, v in C.entries if i in index))
-    R, _ = _rref(aug)
-    return sum((Fraction(R[i].get(r + i, 0), R[i][i]) for i in range(r)),
-               Fraction(0))
+    pivots, _ = echelon(sparse_rows(aug)[0])
+    trace = Fraction(0)
+    for i in range(r):
+        x, den = _back_substitute(pivots, {r + i: 1})
+        trace -= Fraction(x.get(i, 0), den)
+    return trace

@@ -206,6 +206,14 @@ def _top_grams(K: SimplicialComplex,
     return G, np.sqrt(det) / math.factorial(n)
 
 
+def _check_cells(K: SimplicialComplex, q: int) -> None:
+    """Raise ComplexError for a degree out of range, or for a q-cell in no
+    top: the assembled mass matrix would be singular."""
+    K.check_degree(q)
+    if (cell := K.uncovered_cell(q)) is not None:
+        raise ComplexError(f"{q}-cell {cell} lies in no top cell")
+
+
 def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry,
                   q: int) -> _Tops:
     """Stacked Whitney data of every top simplex of K in degree q.
@@ -214,13 +222,8 @@ def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry,
     q-subset of the local vertices), C[t, I, J] = det H_t[I, J] with H_t the
     barycentric-gradient Gram of top t, built from the checked edge-vector
     Gram G_t of _top_grams, which raises GeometryError on lengths that
-    overflow or give a degenerate simplex.  A degree out of range, or a
-    q-cell in no top (the assembled mass matrix would be singular), raises
-    ComplexError first."""
-    if not 0 <= q <= K.dim:
-        raise ComplexError(f"degree {q} is out of range 0..{K.dim}")
-    if (cell := K.uncovered_cell(q)) is not None:
-        raise ComplexError(f"{q}-cell {cell} lies in no top cell")
+    overflow or give a degenerate simplex.  _check_cells runs first."""
+    _check_cells(K, q)
     G, vol = _top_grams(K, geometry)
     n = K.dim
     H = _gradient_grams(G)
@@ -265,6 +268,16 @@ def whitney_mass_matrix(K: SimplicialComplex, geometry: ComplexGeometry,
     l_v l_w.  The dense matrix is assembled only when `.matrix` is read."""
     blocks = _mass_blocks(K, geometry, q)
     return InnerProduct._certified(q, K.n_cells(q), blocks)
+
+
+def whitney_products(K: SimplicialComplex,
+                     geometry: ComplexGeometry) -> dict[int, InnerProduct]:
+    """The Whitney mass matrix of every degree.  The cells of every degree
+    are checked before the first Gram is built, so a cell in no top is
+    reported ahead of a length that breaks a Gram."""
+    for q in range(K.dim + 1):
+        _check_cells(K, q)
+    return {q: whitney_mass_matrix(K, geometry, q) for q in range(K.dim + 1)}
 
 
 def norm_equivalence_constants(K: SimplicialComplex, geometry: ComplexGeometry,

@@ -218,6 +218,29 @@ class TestSpectrumCommand:
             assert err == f"validation error: degree {degree} is out of " \
                 "range 0..2\n"
 
+    @pytest.mark.parametrize("cells, degree, message", [
+        (None, "7", "degree 7 is out of range 0..2"),
+        ([[0, 1, 2], [2, 3, 4], [0, 3]], "1",
+         "1-cell (0, 3) lies in no top cell")], ids=["degree", "stray_edge"])
+    def test_input_fault_named_before_a_broken_gram(self, capsys, tmp_path,
+                                                    cells, degree, message):
+        """The edge (1, 2) of length 1e200 overflows a Whitney Gram, yet a
+        bad degree or a cell in no top cell is reported first, as bad
+        input."""
+        path = "torus"
+        if cells is not None:
+            path = str(tmp_path / "complex.json")
+            Path(path).write_text(json.dumps(cells))
+        K = hodgecover.load_complex(cells) if cells else torus7()
+        geometry = tmp_path / "huge.json"
+        geometry.write_text(json.dumps({"edges": {
+            f"{u},{v}": 1e200 if (u, v) == (1, 2) else 1.0
+            for u, v in K.cells[1]}}))
+        code, out, err = run(capsys, "spectrum", path, "--inner", "whitney",
+                             "--degree", degree, "--geometry", str(geometry))
+        assert (code, out) == (2, "")
+        assert err == f"validation error: {message}\n"
+
 
 class TestCoverCommands:
     @pytest.fixture

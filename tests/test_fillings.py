@@ -113,6 +113,16 @@ class TestCycleFromWord:
         with pytest.raises(FillingError, match="starts at top cell 0"):
             cycle_from_word(cov, [(0, 1), (1, 2)])
 
+    def test_letter_that_is_no_adjacency_rejected(self):
+        """A closed, composing word whose letters cross no shared facet of
+        a degree-3 genus2 cover."""
+        base = genus2_surface()
+        cov = build_cover(PermutationCoverSpec(base, 3, {
+            e: (0, 1, 2) for e in base.facet_adjacencies() if e[0] < e[1]}))
+        assert (0, 2) not in cov.spec.adjacencies
+        with pytest.raises(FillingError, match=r"\(0,2\) is not a dual-graph"):
+            cycle_from_word(cov, [(0, 2), (2, 0)])
+
     def test_contractible_tile_loop_on_torus_cover(self):
         K = torus7()
         edges = sorted(e for e in K.facet_adjacencies() if e[0] < e[1])

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from helpers import bareiss_det, rat_nullspace, to_pylists
 from hodgecover.complexes import SparseIntMatrix
 from hodgecover.homology import invariant_factors
-from hodgecover.ratlinalg import _rref, rat_solve, rat_solve_and_kernel
+from hodgecover.ratlinalg import (echelon, first_kernel_vector, rat_solve,
+                                  rat_solve_and_kernel, sparse_rows)
 
 ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -84,17 +85,13 @@ def as_fractions(M) -> list[list[Fraction]]:
 @given(sparse_matrices())
 def test_rref_and_nullspace_match_sympy(A):
     M = as_sympy(A)
-    R, ncols = _rref(A)
-    expect_R, expect_pivots = M.rref()
-    pivots = sorted(R)
-    assert pivots == list(expect_pivots)
-    assert [[Fraction(R[c].get(j, 0), R[c][c]) for j in range(ncols)]
-            for c in pivots] == as_fractions(expect_R)[:len(pivots)]
+    pivots = sorted(echelon(sparse_rows(A)[0])[0])
+    assert pivots == list(M.rref()[1])
     assert len(invariant_factors(A)) == M.rank()
     basis = rat_nullspace(A)
     assert basis == [[x[0] for x in as_fractions(v)] for v in M.nullspace()]
     if A.rows and A.cols:
-        assert _rref(to_pylists(A)) == (R, ncols)
+        assert sorted(echelon(sparse_rows(to_pylists(A))[0])[0]) == pivots
         assert rat_nullspace(to_pylists(A)) == basis
 
 
@@ -138,6 +135,45 @@ def test_solve_and_kernel_matches_solve_and_nullspace(A, data):
     assert kernel == [[c[0] for c in as_fractions(v)]
                       for v in as_sympy(A).nullspace()]
     assert all(type(c) is Fraction for v in [x or []] + kernel for c in v)
+
+
+@ORACLE
+@given(sparse_matrices(), st.data())
+def test_first_kernel_vector_matches_sympy(A, data):
+    """The first sympy nullspace vector, in free-column order, that pairs
+    nonzero with b, or None."""
+    b = data.draw(st.lists(st.sampled_from([0, 0, 1, -2, Fraction(1, 3)]),
+                           min_size=A.cols, max_size=A.cols))
+    expect = next((v for v in ([x[0] for x in as_fractions(u)]
+                               for u in as_sympy(A).nullspace())
+                   if sum(x * y for x, y in zip(v, b))), None)
+    y = first_kernel_vector(A, b)
+    assert y == expect
+    assert y is None or all(type(c) is Fraction for c in y)
+
+
+def shuffled(A: SparseIntMatrix, order: list[int]) -> SparseIntMatrix:
+    """A with row order[i] moved to row i."""
+    where = {r: i for i, r in enumerate(order)}
+    return SparseIntMatrix(A.rows, A.cols, tuple(sorted(
+        (where[r], c, v) for r, c, v in A.entries)))
+
+
+@ORACLE
+@given(sparse_matrices(), st.data())
+def test_results_do_not_depend_on_row_order(A, data):
+    """The elimination takes the rows in its own order; every exact result
+    must be the same for any order of the input rows."""
+    order = data.draw(st.permutations(range(A.rows)))
+    b = data.draw(st.lists(st.integers(-3, 3), min_size=A.rows,
+                           max_size=A.rows))
+    c = data.draw(st.lists(st.integers(-2, 2), min_size=A.cols,
+                           max_size=A.cols))
+    B, b_order = shuffled(A, order), [b[r] for r in order]
+    assert rat_solve(B, b_order) == rat_solve(A, b)
+    assert rat_solve_and_kernel(B, b_order) == rat_solve_and_kernel(A, b)
+    assert first_kernel_vector(B, c) == first_kernel_vector(A, c)
+    assert invariant_factors(B) == invariant_factors(A)
 
 
 def test_bareiss_det_against_sympy():
