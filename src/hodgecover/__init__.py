@@ -12,8 +12,8 @@ from .covers import (Cover, CoverError, FacePairing, FacePairingSet, Graph,
 from .fillings import (EdgeCycle, FillingCertificate, FillingError,
                        cycle_from_word, free_part_coefficients, l1_filling,
                        least_norm_filling, rationally_null, scl_report)
-from .homology import (betti_numbers, boundary_factors, homology_table,
-                       invariant_factors, torsion_invariants, torsion_order)
+from .homology import (boundary_factors, homology_table, invariant_factors,
+                       torsion_order)
 from .hypgeom import (DomainError, GeometryError, MoserConstant, ball_volume,
                       kappa, moser_constant, right_triangle_area, sphere_volume)
 from .spectra import (CoexactGap, SpectralError, SpectralSplit,

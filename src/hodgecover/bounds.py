@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .hypgeom import GeometryError, ball_volume, moser_constant
 
@@ -42,7 +42,7 @@ class BoundReport:
     rhs: float | None                    # None only when not applicable
     direction: str
     verdict: str                         # holds | fails | marginal | not-applicable
-    notes: list[str] = field(default_factory=list)
+    notes: list[str]
 
 
 def _verdict(lhs, rhs, direction):

@@ -93,7 +93,7 @@ def _items(name, data, field):
 
 def _load_geometry(K, path):
     if path is None:
-        return ComplexGeometry.uniform(K, 1.0)
+        return ComplexGeometry.uniform(K)
     return ComplexGeometry(K, _items("geometry", _load_json(path), "edges"))
 
 
@@ -228,10 +228,12 @@ def cmd_scl(args):
 
 
 def _scl(args, K, geometry, f):
+    # a report builds every product first: input faults precede the filling
+    ips = whitney_products(K, geometry) if args.action == "report" else None
     if args.l1:
         cert = l1_filling(f)
     elif args.inner == "whitney":
-        ip = whitney_mass_matrix(K, geometry, 2)
+        ip = ips[2] if ips else whitney_mass_matrix(K, geometry, 2)
         cert = least_norm_filling(f, "whitney", ip)
     else:
         cert = least_norm_filling(f, "comb")
@@ -247,7 +249,6 @@ def _scl(args, K, geometry, f):
     if args.action == "fill":
         _emit(payload, args.out)
         return
-    ips = _inner_products(K, geometry, "whitney")
     gap = coexact_gap(K, 1, ips).lambda1
     if gap is None:
         raise CliError("no positive coexact eigenvalue in degree 1",
@@ -311,16 +312,15 @@ _DEFAULT_USER_PARAMS = {
 
 
 def _computed_params(K, geometry):
-    from .homology import betti_numbers
     ips = _inner_products(K, geometry, "whitney")
     comb = _inner_products(K, geometry, "comb")
     gap_w = coexact_gap(K, 1, ips).lambda1 if K.dim >= 1 else None
     gap_c = coexact_gap(K, 1, comb).lambda1 if K.dim >= 1 else None
     g = dual_graph(K)
-    betti = betti_numbers(K)
+    table = homology_table(K)
     out = {
         "vol": geometry.total_volume(),
-        "b1": betti[1] if len(betti) > 1 else 0,
+        "b1": table[1]["betti"] if len(table) > 1 else 0,
         "diam": float(graph_diameter(g)) if g.n else 0.0,
     }
     if gap_w is not None:

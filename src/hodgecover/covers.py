@@ -46,7 +46,7 @@ class Graph:
     its first occurrence's label in both directions.
     """
 
-    def __init__(self, n: int, edges=(), labels=None):
+    def __init__(self, n: int, edges, labels=None):
         edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
         ids: dict = {}
         label = [[-1, -1] if x is None else [ids.setdefault(tuple(y), len(ids))
@@ -294,7 +294,7 @@ class PermutationCoverSpec:
 
     base: SimplicialComplex
     degree: int
-    perms: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
+    perms: dict[tuple[int, int], tuple[int, ...]]
 
     def __post_init__(self):
         self.degree = _integer(self.degree, "degree", CoverError)

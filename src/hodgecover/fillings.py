@@ -53,10 +53,8 @@ class EdgeCycle:
         if any(K.boundary_matrix(1).apply(coefficients)):
             raise FillingError("chain has nonzero boundary")
 
-    def length(self, geometry: ComplexGeometry | None = None) -> float:
-        """Riemannian length when edge lengths are present, else edge count."""
-        if geometry is None:
-            return float(sum(abs(c) for c in self.coefficients))
+    def length(self, geometry: ComplexGeometry) -> float:
+        """Riemannian length: each |coefficient| times its edge's length."""
         return sum(abs(c) * geometry.edge_lengths[e]
                    for c, e in zip(self.coefficients, self.complex.cells[1]))
 
@@ -199,7 +197,7 @@ def _rounded_chain(g0, kernel, coeffs, denom: int) -> list[Fraction]:
             for j in range(len(g0))]
 
 
-def least_norm_filling(f: EdgeCycle, inner: str = "comb",
+def least_norm_filling(f: EdgeCycle, inner: str,
                        ip: InnerProduct | None = None) -> FillingCertificate:
     """Small-norm rational 2-chain g with boundary g = f, certified exactly.
 

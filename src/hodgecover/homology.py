@@ -104,26 +104,13 @@ def boundary_factors(K: SimplicialComplex, q: int) -> tuple[int, ...]:
     return K._factor_cache[q]
 
 
-def betti_numbers(K: SimplicialComplex) -> list[int]:
-    """b_q for q = 0..dim: the betti column of `homology_table`."""
-    return [row["betti"] for row in homology_table(K)]
-
-
-def torsion_invariants(K: SimplicialComplex, q: int) -> list[int]:
-    """Invariant factors > 1 of the torsion subgroup of H_q(K; Z).
-
-    These are the Smith invariant factors of the boundary map entering
-    degree q.  ker(boundary_q) is a saturated sublattice of C_q (the quotient
-    embeds in C_{q-1}), so restricting to a kernel basis first would produce
-    the same factors.
-    """
-    if not 0 <= q < K.dim:
-        raise ValueError(f"degree {q} out of range [0, {K.dim})")
-    return [d for d in boundary_factors(K, q + 1) if d > 1]
-
-
 def torsion_order(K: SimplicialComplex, q: int) -> int:
-    return prod(torsion_invariants(K, q))
+    """|tors H_q(K; Z)|: the product of the invariant factors > 1 of the
+    boundary map entering degree q, 1 for q = dim (ker of the boundary
+    leaving q is saturated in C_q, so no kernel basis is needed).  Raises
+    ComplexError for a degree outside 0..dim."""
+    K.check_degree(q)
+    return prod(d for d in boundary_factors(K, q + 1) if d > 1)
 
 
 def homology_table(K: SimplicialComplex) -> list[dict]:

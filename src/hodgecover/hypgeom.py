@@ -42,7 +42,7 @@ def sphere_volume(n: int) -> float:
     return 2 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
 
 
-def ball_volume(n: int, r: float, K: float = 1.0) -> float:
+def ball_volume(n: int, r: float, K: float) -> float:
     """Volume of a geodesic r-ball in the hyperbolic n-space of curvature -K:
     vol(S^{n-1}) J_{n-1}, J_k = int_0^r (sinh(s t) / s)^k dt with s = sqrt(K).
     For s r >= 1, J_k = (u^{k-1} cosh(s r) - (k-1) J_{k-2}) / (k K) with

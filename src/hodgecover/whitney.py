@@ -9,9 +9,10 @@ of a q-face sigma is W_sigma = q! sum_k (-1)^k l_{sigma_k} dl_{sigma - sigma_k}
 product <l_v dl_I, l_w dl_J> is l_v l_w C[I, J], C[I, J] = det H[I, J] the
 q-th compound of H, and the integral of l_v l_w is
 E[v, w] = vol (1 + [v = w]) / ((n+1)(n+2)).  Hence the local mass matrix is
-the one expression X (C kron E) X^T.  The Grams and volumes of all top
-simplices come from one checked law-of-cosines step (_top_grams), which the
-mass matrices and ComplexGeometry.total_volume share.
+the one expression X (C kron E) X^T (_assemble), and the InnerProduct
+constructor certifies the sum of these blocks.  The Grams and volumes of all
+top simplices come from one checked law-of-cosines step (_top_grams), which
+the mass matrices and ComplexGeometry.total_volume share.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import sys
 from itertools import combinations
 from numbers import Real
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,34 +32,38 @@ _DENSE_MAX = 400     # norm_equivalence_constants goes dense up to this size
 
 
 class InnerProduct:
-    """SPD Gram matrix on the q-cochain group, kept as blocks (glob, B): the
-    sum of the B[t] placed at rows and columns glob[t].  A Whitney product
-    keeps the certified local mass matrices of `_mass_blocks`, `identity`
-    n unit 1x1 blocks, and a checked matrix one n x n block, which is also
-    its dense view.  `matrix` is the dense view, assembled on its first read
-    and cached; `_csr` is the sparse one and `apply` the product with it."""
+    """SPD Gram matrix on the `size` q-cochains, kept as blocks (glob, B): the
+    sum of the (T, m, m) blocks B[t] placed at rows and columns glob[t].  The
+    one constructor certifies it: GeometryError unless glob is a (T, m)
+    integer array that names each cell 0..size-1, and B is finite and
+    symmetric to 1e-12; B is then symmetrized, and a block that is not
+    positive definite raises LinAlgError.  A Whitney product keeps the local
+    mass matrices of its tops, `identity` n unit 1x1 blocks, any other Gram
+    one n x n block.  `matrix` is the dense view, assembled on its first
+    read and cached; `_csr` is the sparse one and `apply` the product."""
 
-    def __init__(self, degree: int, matrix: np.ndarray):
-        M = np.asarray(matrix)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise GeometryError("Gram matrix not square")
-        if not np.isfinite(M).all():
-            raise GeometryError("Gram matrix not finite")
-        if M.size and np.max(np.abs(M - M.T)) > 1e-12 * max(1.0, np.max(np.abs(M))):
-            raise GeometryError("Gram matrix not symmetric")
-        M = (M + M.T) / 2
-        if M.size:
-            np.linalg.cholesky(M)  # raises if not positive definite
-        self.degree, self.size, self._dense = degree, len(M), M
-        self._blocks = np.arange(len(M))[None], M[None]
-
-    @classmethod
-    def _certified(cls, degree: int, size: int, blocks):
-        """The sum of blocks already known to be positive definite and to
-        cover every cell, without the checks above."""
-        ip = object.__new__(cls)
-        ip.degree, ip.size, ip._blocks, ip._dense = degree, size, blocks, None
-        return ip
+    def __init__(self, degree: int, size: int, glob, B):
+        glob, B = np.asarray(glob), np.asarray(B)
+        if not (glob.ndim == 2 and glob.dtype.kind in "iu"
+                and B.shape == glob.shape + glob.shape[1:]):
+            raise GeometryError("Gram blocks must be (T, m, m), with their "
+                                "cells a (T, m) integer array")
+        if glob.size and not 0 <= glob.min() <= glob.max() < size:
+            raise GeometryError(f"Gram block cells must lie in 0..{size - 1}")
+        covered = np.zeros(size, dtype=bool)
+        covered[glob] = True
+        if not covered.all():
+            raise GeometryError(f"cell {np.argmin(covered)} lies in no block")
+        if not np.isfinite(B).all():
+            raise GeometryError("Gram blocks not finite")
+        Bt = B.transpose(0, 2, 1)
+        if B.size and np.abs(B - Bt).max() > 1e-12 * max(1.0, np.abs(B).max()):
+            raise GeometryError("Gram blocks not symmetric")
+        B = (B + Bt) / 2
+        if B.size:
+            np.linalg.cholesky(B)  # raises if a block is not positive definite
+        self.degree, self.size, self._blocks = degree, size, (glob, B)
+        self._dense = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -94,8 +98,8 @@ class InnerProduct:
 
     @staticmethod
     def identity(degree: int, n: int) -> "InnerProduct":
-        return InnerProduct._certified(
-            degree, n, (np.arange(n)[:, None], np.ones((n, 1, 1))))
+        return InnerProduct(degree, n, np.arange(n)[:, None],
+                            np.ones((n, 1, 1)))
 
 
 def _edges(K: SimplicialComplex) -> list[tuple[int, int]]:
@@ -140,28 +144,6 @@ class ComplexGeometry:
     def total_volume(self) -> float:
         """The sum of the volumes of the top simplices, in their order."""
         return sum(_top_grams(self.K, self)[1].tolist())
-
-
-class _Tops(NamedTuple):
-    """Every top simplex of a complex at once, for one form degree q."""
-
-    glob: np.ndarray    # (T, m) global indices of the local q-faces sigma
-    X: np.ndarray       # (m, s (n+1)) W_sigma in the products l_v dl_I
-    C: np.ndarray       # (T, s, s) q-th compounds of the gradient Grams
-    vol: np.ndarray     # (T,) volumes
-
-
-def _gradient_grams(G: np.ndarray) -> np.ndarray:
-    """(T, n+1, n+1) Grams of barycentric gradients from the (T, n, n)
-    edge-vector Grams."""
-    T, n, _ = G.shape
-    Ginv = np.linalg.inv(G)
-    H = np.empty((T, n + 1, n + 1))
-    H[:, 1:, 1:] = Ginv
-    H[:, 0, 1:] = -Ginv.sum(axis=1)
-    H[:, 1:, 0] = -Ginv.sum(axis=2)
-    H[:, 0, 0] = Ginv.sum(axis=(1, 2))
-    return H
 
 
 def _top_grams(K: SimplicialComplex,
@@ -214,19 +196,22 @@ def _check_cells(K: SimplicialComplex, q: int) -> None:
         raise ComplexError(f"{q}-cell {cell} lies in no top cell")
 
 
-def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry,
-                  q: int) -> _Tops:
-    """Stacked Whitney data of every top simplex of K in degree q.
-
-    Row sigma of X holds W_sigma in the products l_v dl_I (columns (I, v), I a
-    q-subset of the local vertices), C[t, I, J] = det H_t[I, J] with H_t the
-    barycentric-gradient Gram of top t, built from the checked edge-vector
-    Gram G_t of _top_grams, which raises GeometryError on lengths that
-    overflow or give a degenerate simplex.  _check_cells runs first."""
-    _check_cells(K, q)
-    G, vol = _top_grams(K, geometry)
+def _assemble(K: SimplicialComplex, q: int, G: np.ndarray,
+              vol: np.ndarray) -> InnerProduct:
+    """The Whitney q-form mass matrix from the edge-vector Grams G and the
+    volumes vol of the tops (_top_grams), as the blocks X (C_t kron E_t) X^T.
+    Row sigma of X holds W_sigma in the products l_v dl_I (columns (I, v), I
+    a q-subset of the local vertices), C_t[I, J] = det H_t[I, J] with H_t the
+    barycentric-gradient Gram of top t, and E_t[v, w] the integral of
+    l_v l_w over it.  The blocks go in symmetrized, so the constructor's
+    symmetry check passes every geometry that _top_grams accepts."""
     n = K.dim
-    H = _gradient_grams(G)
+    Ginv = np.linalg.inv(G)     # grad l_1..l_n; l_0 = 1 - their sum
+    H = np.empty((len(G), n + 1, n + 1))
+    H[:, 1:, 1:] = Ginv
+    H[:, 0, 1:] = -Ginv.sum(axis=1)
+    H[:, 1:, 0] = -Ginv.sum(axis=2)
+    H[:, 0, 0] = Ginv.sum(axis=(1, 2))
     faces = list(combinations(range(n + 1), q + 1))
     subsets = list(combinations(range(n + 1), q))
     X = np.zeros((len(faces), len(subsets), n + 1))
@@ -234,50 +219,37 @@ def _whitney_tops(K: SimplicialComplex, geometry: ComplexGeometry,
         for k, v in enumerate(f):
             X[a, subsets.index(f[:k] + f[k + 1:]), v] = \
                 (-1) ** k * math.factorial(q)
+    X = X.reshape(len(faces), -1)
     S = np.array(subsets, dtype=int).reshape(len(subsets), q)
     C = np.linalg.det(H[:, S[:, None, :, None], S[None, :, None, :]])
-    glob = K._index(q, K._rows(n)[:, faces])
-    return _Tops(glob, X.reshape(len(faces), -1), C, vol)
-
-
-def _mass_blocks(K: SimplicialComplex, geometry: ComplexGeometry,
-                 q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(glob, B): the local mass matrices B[t] = X (C_t kron E_t) X^T of every
-    top, symmetrized, E_t[v, w] the integral of l_v l_w over top t.
-
-    They certify the assembled matrix: a sum of positive definite blocks is
-    positive definite once every q-cell lies in some block, which
-    _whitney_tops checks.  A block that is not positive definite raises
-    LinAlgError."""
-    tops = _whitney_tops(K, geometry, q)
-    n = K.dim
-    E = tops.vol[:, None, None] * (1 + np.eye(n + 1)) / ((n + 1) * (n + 2))
-    T, s, _ = tops.C.shape
-    CE = np.einsum("tij,tvw->tivjw", tops.C, E).reshape(
+    E = vol[:, None, None] * (1 + np.eye(n + 1)) / ((n + 1) * (n + 2))
+    T, s, _ = C.shape
+    CE = np.einsum("tij,tvw->tivjw", C, E).reshape(
         T, s * (n + 1), s * (n + 1))
-    B = tops.X @ CE @ tops.X.T
-    B = (B + B.transpose(0, 2, 1)) / 2
-    np.linalg.cholesky(B)
-    return tops.glob, B
+    B = X @ CE @ X.T
+    return InnerProduct(q, K.n_cells(q), K._index(q, K._rows(n)[:, faces]),
+                        (B + B.transpose(0, 2, 1)) / 2)
 
 
 def whitney_mass_matrix(K: SimplicialComplex, geometry: ComplexGeometry,
                         q: int) -> InnerProduct:
     """The global Whitney q-form Gram matrix over all top simplices, kept as
     its blocks: each top adds X (C kron E) X^T, E[v, w] the integral of
-    l_v l_w.  The dense matrix is assembled only when `.matrix` is read."""
-    blocks = _mass_blocks(K, geometry, q)
-    return InnerProduct._certified(q, K.n_cells(q), blocks)
+    l_v l_w.  The cells are checked before the Grams (_check_cells), and the
+    dense matrix is assembled only when `.matrix` is read."""
+    _check_cells(K, q)
+    return _assemble(K, q, *_top_grams(K, geometry))
 
 
 def whitney_products(K: SimplicialComplex,
                      geometry: ComplexGeometry) -> dict[int, InnerProduct]:
-    """The Whitney mass matrix of every degree.  The cells of every degree
-    are checked before the first Gram is built, so a cell in no top is
-    reported ahead of a length that breaks a Gram."""
+    """The Whitney mass matrix of every degree, from one law-of-cosines step.
+    The cells of every degree are checked before the Grams are built, so a
+    cell in no top is reported ahead of a length that breaks a Gram."""
     for q in range(K.dim + 1):
         _check_cells(K, q)
-    return {q: whitney_mass_matrix(K, geometry, q) for q in range(K.dim + 1)}
+    G, vol = _top_grams(K, geometry)
+    return {q: _assemble(K, q, G, vol) for q in range(K.dim + 1)}
 
 
 def norm_equivalence_constants(K: SimplicialComplex, geometry: ComplexGeometry,

@@ -20,9 +20,10 @@ from scipy.sparse import csr_array, dia_array
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import hodgecover.covers
-from hodgecover import CoverError, PermutationCoverSpec
+from hodgecover import CoverError, InnerProduct, PermutationCoverSpec
 from hodgecover.complexes import SimplicialComplex, SparseIntMatrix
 from hodgecover.covers import Graph, dual_graph
+from hodgecover.homology import homology_table
 from hodgecover.ratlinalg import rat_solve_and_kernel
 from hodgecover.surfaces import FIXTURES
 
@@ -300,7 +301,28 @@ def reference_build_cover(spec: PermutationCoverSpec) -> ReferenceCover:
 
 
 # ---------------------------------------------------------------------------
+# homology columns: the package reports every degree in homology_table
+
+
+def betti_numbers(K) -> list[int]:
+    """b_q for q = 0..dim, the betti column of `homology_table`."""
+    return [row["betti"] for row in homology_table(K)]
+
+
+def torsion_invariants(K) -> list[list[int]]:
+    """The invariant factors of tors H_q for q = 0..dim, the torsion column
+    of `homology_table`."""
+    return [row["torsion"] for row in homology_table(K)]
+
+
+# ---------------------------------------------------------------------------
 # spectral oracle
+
+
+def one_block(degree, M):
+    """The InnerProduct of a Gram matrix M given as one n x n block."""
+    M = np.asarray(M)
+    return InnerProduct(degree, len(M), np.arange(len(M))[None], M[None])
 
 
 def dense_pencil(K, q, ip_q, ip_up):

@@ -678,6 +678,48 @@ class TestSclCommands:
         assert err == "validation error: 2-cell (3, 4, 5) lies in no top " \
             "cell\n"
 
+    @pytest.mark.parametrize("action", ["fill", "report"])
+    def test_whitney_products_are_built_once(self, capsys, cycle_file,
+                                             monkeypatch, action):
+        # a report's filling reads the degree-2 product its gap also reads
+        import hodgecover.whitney as whitney
+        assemble, degrees = whitney._assemble, []
+
+        def counting(K, q, *args):
+            degrees.append(q)
+            return assemble(K, q, *args)
+
+        monkeypatch.setattr(whitney, "_assemble", counting)
+        code, out, err = run(capsys, "scl", action, "--base", "torus",
+                             "--cycle", cycle_file, "--inner", "whitney")
+        assert (code, err) == (0, "") and json.loads(out)["inner"] == "whitney"
+        assert sorted(degrees) == ([2] if action == "fill" else [0, 1, 2])
+
+    @pytest.mark.parametrize("action, code, message", [
+        ("fill", 3, "numerical failure: edge-vector Gram of top cell "
+         "(0, 1, 2) is not finite: its entries or determinant overflow"),
+        ("report", 2, "validation error: 1-cell (0, 3) lies in no top cell")],
+        ids=["fill", "report"])
+    def test_report_names_a_cell_in_no_top_before_a_broken_gram(
+            self, capsys, tmp_path, action, code, message):
+        """The edge (1, 2) of length 1e200 overflows a Whitney Gram.  A fill
+        builds the degree-2 product alone, whose cells all lie in a top; a
+        report builds every degree first, as `spectrum` does, and so names
+        the stray edge (0, 3) as bad input."""
+        cells = [[0, 1, 2], [2, 3, 4], [0, 3]]
+        base, cycle = tmp_path / "complex.json", tmp_path / "zero.json"
+        base.write_text(json.dumps(cells))
+        K = hodgecover.load_complex(cells)
+        cycle.write_text(json.dumps([0] * K.n_cells(1)))
+        geometry = tmp_path / "huge.json"
+        geometry.write_text(json.dumps({"edges": {
+            f"{u},{v}": 1e200 if (u, v) == (1, 2) else 1.0
+            for u, v in K.cells[1]}}))
+        got = run(capsys, "scl", action, "--base", str(base), "--cycle",
+                  str(cycle), "--inner", "whitney", "--geometry",
+                  str(geometry))
+        assert got == (code, "", f"{message}\n")
+
     def test_wrong_length_exit_2(self, capsys, tmp_path):
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"coefficients": [0, 0]}))

@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hodgecover.covers
-from hodgecover import (CoverError, Graph, PermutationCoverSpec, betti_numbers,
-                        build_cover, dual_graph, graph_diameter,
+from hodgecover import (CoverError, Graph, PermutationCoverSpec, build_cover,
+                        dual_graph, graph_diameter,
                         shortest_path_tree, tree_fundamental_domain)
 from hodgecover.covers import _orbit_sources
 from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
                                  tetrahedron_boundary, torus7)
 
-from helpers import (adjacency, brute_force_diameter, composite_cover,
+from helpers import (adjacency, betti_numbers, brute_force_diameter,
+                     composite_cover,
                      edge_labels, edge_set, figure_eight, is_transitive,
                      permutation_schreier_graph, random_cover_specs,
                      random_cyclic_cover, reference_build_cover,
@@ -365,7 +366,7 @@ class TestBitsetDiameter:
             graph_diameter(Graph(n, edges))
 
     def test_empty_graph(self):
-        assert graph_diameter(Graph(0)) == 0
+        assert graph_diameter(Graph(0, [])) == 0
 
 
 LETTERS = [("a", "b"), ("b", "a"), ("c", "c")]

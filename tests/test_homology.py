@@ -4,9 +4,9 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from hodgecover import (InnerProduct, betti_numbers, build_cover,
-                        homology_table, lambda1_split, torsion_invariants,
-                        torsion_order, whitney_mass_matrix)
+from hodgecover import (ComplexError, InnerProduct, build_cover,
+                        homology_table, lambda1_split, torsion_order,
+                        whitney_mass_matrix)
 from hodgecover import homology, ratlinalg, spectra
 from hodgecover.cli import main
 from hodgecover.homology import invariant_factors
@@ -16,7 +16,8 @@ from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
                                  tetrahedron_boundary, torus7, torus_grid)
 from hodgecover.whitney import ComplexGeometry
 
-from helpers import random_cyclic_cover, to_pylists
+from helpers import (betti_numbers, random_cyclic_cover, to_pylists,
+                     torsion_invariants)
 
 
 def random_matrix(rng, rows, cols):
@@ -81,16 +82,20 @@ def test_betti_oracles():
 
 
 def test_torsion_oracles():
-    assert torsion_invariants(projective_plane(), 1) == [2]
-    assert torsion_invariants(klein_bottle(), 1) == [2]
-    assert torsion_invariants(torus7(), 1) == []
-    assert torsion_invariants(tetrahedron_boundary(), 0) == []
+    assert torsion_invariants(projective_plane()) == [[], [2], []]
+    assert torsion_invariants(klein_bottle()) == [[], [2], []]
+    assert torsion_invariants(torus7()) == [[], [], []]
+    assert torsion_invariants(tetrahedron_boundary()) == [[], [], []]
     assert torsion_order(projective_plane(), 1) == 2
 
 
 def test_torsion_degree_range():
-    with pytest.raises(ValueError):
-        torsion_invariants(torus7(), 2)
+    # H_dim is free, so its torsion order is 1; other degrees are rejected
+    # by the complex's one degree check
+    assert [torsion_order(klein_bottle(), q) for q in range(3)] == [1, 2, 1]
+    for q in (-1, 3):
+        with pytest.raises(ComplexError, match=f"degree {q} is out of range"):
+            torsion_order(torus7(), q)
 
 
 def test_homology_table_consistent():
@@ -156,9 +161,8 @@ def test_each_boundary_map_is_eliminated_once(echelon_calls):
                      for q in range(K.dim + 1)}]
         echelon_calls.clear()
         homology_table(K)
-        betti_numbers(K)
-        for q in range(K.dim):
-            torsion_invariants(K, q)
+        for q in range(K.dim + 1):
+            torsion_order(K, q)
         for q in range(K.dim + 1):
             for ips in products:
                 lambda1_split(K, q, ips)

@@ -174,20 +174,22 @@ def settable_parameters():
 
 def test_every_keyword_default_has_a_caller_or_a_reason():
     """Each parameter with a default is passed by some call in another
-    package module or the benchmark, by keyword or by position, or README
-    lists `name(param)` under "Library entry points" with the reason it
-    stays: a value no caller sets is a constant.  Calls are matched by the
-    name called, as the method guard matches attributes."""
+    package module or the benchmark, by keyword or by position, and left
+    unset by some other such call, or README lists `name(param)` under
+    "Library entry points" with the reason it stays: a value no caller sets
+    is a constant, and a default no caller leaves unset is never used.
+    Calls are matched by the name called, as the method guard matches
+    attributes."""
     passed = calls()
-    unset = {label for label, (name, param, position)
-             in settable_parameters().items()
-             if not any(called == name and (
-                 param in keywords
-                 or position is not None and count > position)
-                 for called, count, keywords in passed)}
+    one_value = set()
+    for label, (name, param, position) in settable_parameters().items():
+        sets = [param in keywords or position is not None and count > position
+                for called, count, keywords in passed if called == name]
+        if not any(sets) or all(sets):
+            one_value.add(label)
     listed = {k for k in entry_points() if "(" in k}
-    assert unset - listed == set()
-    assert listed <= unset
+    assert one_value - listed == set()
+    assert listed <= one_value
 
 
 def option_strings():

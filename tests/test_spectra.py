@@ -9,8 +9,7 @@ import sympy
 from scipy.linalg import eigh
 from scipy.sparse import diags_array
 
-from hodgecover import (ComplexError, SpectralError, betti_numbers,
-                        build_cover,
+from hodgecover import (ComplexError, SpectralError, build_cover,
                         charpoly_gap_bound, coexact_gap, lambda1_split,
                         load_complex, spectra, up_pencil)
 from hodgecover.cli import main
@@ -19,8 +18,8 @@ from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
 from hodgecover.whitney import (ComplexGeometry, InnerProduct,
                                 whitney_mass_matrix)
 
-from helpers import (dense_pencil, down_gram, down_pencil, random_cyclic_cover,
-                     to_float, to_pylists)
+from helpers import (betti_numbers, dense_pencil, down_gram, down_pencil,
+                     one_block, random_cyclic_cover, to_float, to_pylists)
 
 
 def comb_products(K):
@@ -63,7 +62,7 @@ def random_spd_products(K, seed):
     out = {}
     for q in range(K.dim + 1):
         R = rng.standard_normal((K.n_cells(q), K.n_cells(q)))
-        out[q] = InnerProduct(q, R @ R.T + np.eye(K.n_cells(q)))
+        out[q] = one_block(q, R @ R.T + np.eye(K.n_cells(q)))
     return out
 
 

@@ -21,7 +21,8 @@ from hodgecover.whitney import (ComplexGeometry, InnerProduct,
                                 norm_equivalence_constants,
                                 whitney_mass_matrix)
 
-from helpers import random_cyclic_cover, reference_gram, reference_mass_matrix
+from helpers import (one_block, random_cyclic_cover, reference_gram,
+                     reference_mass_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +166,50 @@ class TestMassMatrices:
 
 class TestInnerProduct:
     def test_rejects_asymmetric(self):
-        with pytest.raises(GeometryError):
-            InnerProduct(0, np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(GeometryError, match="not symmetric"):
+            one_block(0, [[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(GeometryError, match="not symmetric"):
+            InnerProduct(0, 2, [[0, 1], [1, 0]],
+                         [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]])
 
     def test_rejects_indefinite(self):
         with pytest.raises(np.linalg.LinAlgError):
-            InnerProduct(0, np.array([[1.0, 0.0], [0.0, -1.0]]))
+            one_block(0, [[1.0, 0.0], [0.0, -1.0]])
+        # each block is certified, not only their sum, which is 1 here
+        with pytest.raises(np.linalg.LinAlgError):
+            InnerProduct(0, 1, [[0], [0]], [[[2.0]], [[-1.0]]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(GeometryError, match="not finite"):
-            InnerProduct(0, np.array([[bad]]))
+            one_block(0, [[bad]])
         with pytest.raises(GeometryError, match="not finite"):
-            InnerProduct(0, np.array([[1.0, bad], [bad, 1.0]]))
+            one_block(0, [[1.0, bad], [bad, 1.0]])
+        with pytest.raises(GeometryError, match="not finite"):
+            InnerProduct(0, 2, [[0], [1]], [[[1.0]], [[bad]]])
+
+    @pytest.mark.parametrize("glob, B", [
+        (np.arange(2), np.ones((2, 1, 1))),
+        (np.zeros((1, 2), dtype=int), np.eye(2)),
+        (np.zeros((1, 2), dtype=int), np.ones((1, 2, 3))),
+        (np.zeros((2, 1), dtype=int), np.ones((1, 1, 1))),
+        (np.zeros((1, 1)), np.ones((1, 1, 1)))],
+        ids=["flat_cells", "flat_blocks", "oblong", "counts_differ",
+             "float_cells"])
+    def test_rejects_bad_shapes(self, glob, B):
+        with pytest.raises(GeometryError, match="must be \\(T, m, m\\)"):
+            InnerProduct(0, 1, glob, B)
+
+    @pytest.mark.parametrize("cell", [-1, 2, 2 ** 40])
+    def test_rejects_a_cell_out_of_range(self, cell):
+        with pytest.raises(GeometryError, match="must lie in 0..1"):
+            InnerProduct(0, 2, [[0], [1], [cell]], np.ones((3, 1, 1)))
+
+    def test_rejects_a_cell_in_no_block(self):
+        with pytest.raises(GeometryError, match="cell 1 lies in no block"):
+            InnerProduct(0, 3, [[0], [2]], np.ones((2, 1, 1)))
+        with pytest.raises(GeometryError, match="cell 0 lies in no block"):
+            InnerProduct(0, 1, np.zeros((0, 1), dtype=int), np.ones((0, 1, 1)))
 
 
 class TestGeometry:
@@ -533,18 +565,20 @@ def test_any_integer_labels(shift):
 
 
 def test_mass_matrix_certificate_rejects_an_indefinite_block(monkeypatch):
-    import hodgecover.whitney as whitney
-    tops = whitney._whitney_tops
+    grams = whitney._top_grams
 
     def flipped(*args):       # a negative volume makes one block negative
-        t = tops(*args)
-        return t._replace(vol=t.vol * np.where(np.arange(len(t.vol)), 1, -1))
+        G, vol = grams(*args)
+        return G, vol * np.where(np.arange(len(vol)), 1, -1)
 
-    monkeypatch.setattr(whitney, "_whitney_tops", flipped)
+    monkeypatch.setattr(whitney, "_top_grams", flipped)
     K = torus7()
+    geo = ComplexGeometry.uniform(K)
     for q in range(3):
         with pytest.raises(np.linalg.LinAlgError):
-            whitney_mass_matrix(K, ComplexGeometry.uniform(K), q)
+            whitney_mass_matrix(K, geo, q)
+    with pytest.raises(np.linalg.LinAlgError):
+        whitney.whitney_products(K, geo)
 
 
 def test_bad_lengths_raise_under_python_O():
@@ -618,7 +652,8 @@ def test_no_dense_matrix_until_read():
     whitney_mass_matrix(K, geo, 1)      # warm the complex's index tables
     for q in range(3):
         n = K.n_cells(q)
-        _, blocks = traced_peak(lambda: whitney._mass_blocks(K, geo, q))
+        _, blocks = traced_peak(
+            lambda: whitney._assemble(K, q, *whitney._top_grams(K, geo)))
         ip, peak = traced_peak(lambda: whitney_mass_matrix(K, geo, q))
         assert peak - blocks < 0.1 * n * n * 8, q
         assert ip._dense is None
@@ -640,7 +675,8 @@ def test_dense_view_is_the_assembly_read_once(name, K, geo):
         ip = whitney_mass_matrix(K, geo, q)
         assert ip.size == n and ip._dense is None
         M = ip.matrix
-        glob, B = whitney._mass_blocks(K, geo, q)
+        glob, B = ip._blocks
+        assert glob.shape == (K.n_cells(K.dim), math.comb(K.dim + 1, q + 1))
         expect = np.zeros((n, n))
         np.add.at(expect, (glob[:, :, None], glob[:, None, :]), B)
         assert np.array_equal(M, expect)
@@ -655,11 +691,28 @@ def test_dense_view_is_the_assembly_read_once(name, K, geo):
 
 def test_checked_matrix_keeps_its_symmetrized_copy():
     A = np.array([[2.0, 1.0], [1.0, 3.0]])
-    ip = InnerProduct(1, A)
-    assert ip.size == 2 and ip.matrix is ip.matrix
+    ip = one_block(1, A)
+    assert ip.size == 2 and ip._dense is None and ip.matrix is ip.matrix
     assert np.array_equal(ip.matrix, A) and ip.matrix is not A
     assert np.array_equal(ip._csr().toarray(), A)
     assert np.array_equal(ip.diagonal(), [2.0, 3.0])
+    near = one_block(0, [[1.0, 1e-13], [0.0, 1.0]])     # within 1e-12
+    assert np.array_equal(near.matrix, [[1.0, 5e-14], [5e-14, 1.0]])
+    assert one_block(0, np.zeros((0, 0))).matrix.shape == (0, 0)
     for bad in (np.ones(3), np.ones((2, 3))):
-        with pytest.raises(GeometryError, match="square"):
-            InnerProduct(0, bad)
+        with pytest.raises(GeometryError, match="must be"):
+            one_block(0, bad)
+
+
+@pytest.mark.parametrize("name, K, geo", GEOMETRY_CASES,
+                         ids=[c[0] for c in GEOMETRY_CASES])
+def test_products_are_the_mass_matrices_bit_for_bit(name, K, geo):
+    products = whitney.whitney_products(K, geo)
+    assert list(products) == list(range(K.dim + 1))
+    for q, ip in products.items():
+        one = whitney_mass_matrix(K, geo, q)
+        assert (ip.degree, ip.size) == (one.degree, one.size) == \
+            (q, K.n_cells(q))
+        for a, b in zip(ip._blocks, one._blocks):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
