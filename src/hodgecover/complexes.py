@@ -180,7 +180,10 @@ class SimplicialComplex:
         return 0
 
     def check_degree(self, q: int) -> None:
-        """Raise ComplexError unless 0 <= q <= dim."""
+        """Raise ComplexError unless q is an integer, not a bool, with
+        0 <= q <= dim."""
+        if not isinstance(q, Integral) or isinstance(q, bool):
+            raise ComplexError(f"degree must be an integer, not {q!r}")
         if not 0 <= q <= self.dim:
             raise ComplexError(f"degree {q} is out of range 0..{self.dim}")
 

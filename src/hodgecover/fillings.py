@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -243,13 +244,29 @@ def least_norm_filling(f: EdgeCycle, inner: str,
         "rounded filling exceeds the allowed norm slack at every denominator")
 
 
-def l1_filling(f: EdgeCycle) -> FillingCertificate:
-    """1-norm minimizing rational filling via linear programming.
+def _weighted_median(g0, n) -> Fraction:
+    """The least c minimizing |g0 + c n|_1 = sum_i |n_i| |c + g0_i / n_i| +
+    const, exactly: the lower median of the points -g0_i / n_i (n_i != 0)
+    with weights |n_i| (Bloomfield and Steiger, Least Absolute Deviations,
+    1983).  At exactly half the weight every c up to the next point is a
+    minimizer too."""
+    points, weights = zip(*sorted((Fraction(-a) / b, abs(b))
+                                  for a, b in zip(g0, n) if b))
+    total = sum(weights)
+    return next(c for c, seen in zip(points, accumulate(weights))
+                if 2 * seen >= total)
 
-    Often gives tighter chi bounds than the least-squares route; the LP
-    solution is rounded to multiples of 10^-6 and corrected back onto the
-    affine solution set with an exact particular solution.  The constraint
-    matrix is sparse: 2 (nnz N + n2) entries.
+
+def l1_filling(f: EdgeCycle) -> FillingCertificate:
+    """1-norm minimizing rational filling g0 + N c.
+
+    Often gives tighter chi bounds than the least-squares route.  With one
+    kernel vector (k = dim ker d2 = 1, as on every closed connected oriented
+    surface and its covers) the optimal c is the exact weighted median of
+    _weighted_median, no LP; for k >= 2 it comes from a linear program
+    (HiGHS), whose constraint matrix is sparse: 2 (nnz N + n2) entries.
+    Either c is rounded to multiples of 10^-6 and g rebuilt exactly from the
+    particular solution g0, so g bounds f exactly.
     """
     if f.complex.dim < 2:
         raise FillingError("filling needs 2-cells")
@@ -257,12 +274,22 @@ def l1_filling(f: EdgeCycle) -> FillingCertificate:
     if not kernel:
         gf = np.array([float(c) for c in g0])
         return _certify(f, g0, "l1", 0.0, float(np.sum(np.abs(gf))))
+    if len(kernel) == 1:
+        c = [_weighted_median(g0, kernel[0])]
+    else:
+        c = _l1_coefficients(g0, kernel)
+    g = _rounded_chain(g0, kernel, c, 10 ** 6)
+    norm_g = float(sum(abs(float(x)) for x in g))
+    return _certify(f, g, "l1", 0.0, norm_g)
+
+
+def _l1_coefficients(g0, kernel) -> np.ndarray:
+    """The float c minimizing |g0 + N c|_1, by HiGHS: variables (c, t),
+    t >= +-(g0 + N c), A_ub = [[N, -I], [-N, -I]].  The LP is homogeneous in
+    (g0, c, t), so it is solved for g0 / 2^e with 2^e >= max |g0|, which
+    keeps b_ub within the solver's range, and c is scaled back exactly."""
     from scipy.optimize import linprog
     from scipy.sparse import csr_array
-    # minimize |g0 + N c|_1 over c: variables (c, t), t >= +-(g0 + N c),
-    # A_ub = [[N, -I], [-N, -I]].  The LP is homogeneous in (g0, c, t), so
-    # it is solved for g0 / 2^e with 2^e >= max |g0|, which keeps b_ub within
-    # the solver's range, and c is scaled back exactly.
     n2, k = len(g0), len(kernel)
     N = np.array([[float(x) for x in v] for v in kernel], dtype=float).T
     scale = 2 ** max(math.ceil(max(map(abs, g0))) - 1, 0).bit_length()
@@ -280,9 +307,7 @@ def l1_filling(f: EdgeCycle) -> FillingCertificate:
                   method="highs")
     if not res.success:
         raise FillingError(f"linear program failed: {res.message}")
-    g = _rounded_chain(g0, kernel, res.x[:k] * scale, 10 ** 6)
-    norm_g = float(sum(abs(float(x)) for x in g))
-    return _certify(f, g, "l1", 0.0, norm_g)
+    return res.x[:k] * scale
 
 
 def scl_report(cert: FillingCertificate, geometry: ComplexGeometry,

@@ -6,11 +6,15 @@ q is the positive up-spectrum in degree q-1.  Kernel dimensions come from
 the exact ranks of the boundary maps, read from the invariant factors that
 `homology` memoises per complex, never from thresholding floats.
 
-`lambda1_split` is the dense full-spectrum oracle.  `coexact_gap` finds only
-lambda_1^* and, above _DENSE_MAX cells, never forms a dense matrix: in degree
-dim - 1 it solves the dual pencil on (q+1)-cochains through one factored
-saddle-point matrix (the mixed form of Arnold, Falk and Winther, Acta
-Numerica 2006), in degree 0 the shifted up-pencil itself.
+The stiffness d^T M_{q+1} d is assembled once, as COO triplets from the
+blocks of M_{q+1} (_stiffness), and summed by either of two sinks: a dense
+numpy array for the eigenvalues, a scipy CSR array for up_pencil and the
+sparse gap.  `lambda1_split` is the dense full-spectrum oracle, numpy only:
+M_q = L L^T by Cholesky and the eigenvalues of L^-1 A L^-T.  `coexact_gap`
+finds only lambda_1^* and, above _DENSE_MAX cells, never forms a dense
+matrix: in degree dim - 1 it solves the dual pencil on (q+1)-cochains
+through one factored saddle-point matrix (the mixed form of Arnold, Falk and
+Winther, Acta Numerica 2006), in degree 0 the shifted up-pencil itself.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .whitney import InnerProduct
 
 
 _DENSE_MAX = 400     # coexact_gap takes the dense path up to this many q-cells
+_BLOCK = 64          # rows per matrix product in the forward substitution
 
 
 class SpectralError(ValueError):
@@ -56,9 +61,29 @@ def _coboundary(K: SimplicialComplex, q: int):
                      shape=(K.n_cells(q + 1), K.n_cells(q)))
 
 
-def _stiffness(d, M_up):
-    """d^T M_up d as a scipy CSR array, symmetrized while still sparse."""
-    A = d.T @ M_up @ d
+def _stiffness(K: SimplicialComplex, q: int, ip_up: InnerProduct) -> tuple:
+    """COO triplets (rows, cols, vals) of A = d_q^T M_{q+1} d_q, straight from
+    the blocks of M_{q+1}, duplicates not yet summed: block B_t on the
+    (q+1)-cells glob[t] adds s_k B_t[a, b] s_l at (face k of cell a, face l
+    of cell b), where face k drops vertex q+1-k and s_k = (-1)^(q+1-k).
+    Every value is +-B_t[a, b], so the sum is symmetric up to its order."""
+    glob, B = ip_up._blocks
+    faces = K._tables[q + 1][2][glob]               # (T, m, q + 2)
+    s = (-1.0) ** np.arange(q + 1, -1, -1)
+    shape = faces.shape + faces.shape[1:]
+    rows = np.broadcast_to(faces[:, :, :, None, None], shape)
+    cols = np.broadcast_to(faces[:, None, None, :, :], shape)
+    vals = np.einsum("k,tab,l->takbl", s, B, s)
+    return rows.ravel(), cols.ravel(), vals.ravel()
+
+
+def _stiffness_csr(K: SimplicialComplex, q: int, ip_up: InnerProduct):
+    """A = d_q^T M_{q+1} d_q as a scipy CSR array: the triplets of _stiffness
+    summed, then symmetrized while still sparse."""
+    from scipy.sparse import csr_array
+    rows, cols, vals = _stiffness(K, q, ip_up)
+    n = K.n_cells(q)
+    A = csr_array((vals, (rows, cols)), shape=(n, n))
     return (A + A.T) / 2
 
 
@@ -67,13 +92,14 @@ def up_pencil(K: SimplicialComplex, q: int, ip_q: InnerProduct,
     """(A, M) with A = d^T M_{q+1} d the up-Laplacian stiffness on q-cochains,
     a dense ndarray, and M = M_q as a scipy CSR array.
 
-    A is one sparse triple product, symmetrized while still sparse and made
-    dense only at the end: O(nnz) work, and no dense temporaries beyond A.
-    M comes from the product's blocks, so its dense view is never built."""
+    A sums the triplets of _stiffness into CSR, symmetrized while still
+    sparse and made dense only at the end: O(nnz) work, and no dense
+    temporaries beyond A.  M comes from the product's blocks, so its dense
+    view is never built."""
     n = K.n_cells(q)
     if q >= K.dim:
         return np.zeros((n, n)), ip_q._csr()
-    return _stiffness(_coboundary(K, q), ip_up._csr()).toarray(), ip_q._csr()
+    return _stiffness_csr(K, q, ip_up).toarray(), ip_q._csr()
 
 
 @dataclass
@@ -89,14 +115,31 @@ class SpectralSplit:
     lambda1_dstar: float | None   # smallest positive up-Laplacian eigenvalue
 
 
+def _forward(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L^-1 B for a lower triangular L, by forward substitution: row by row
+    within each block of _BLOCK rows, after one matrix product with the rows
+    already solved."""
+    X = np.empty_like(B)
+    for s in range(0, len(L), _BLOCK):
+        R = B[s:s + _BLOCK] - L[s:s + _BLOCK, :s] @ X[:s]
+        for i in range(s, min(s + _BLOCK, len(L))):
+            X[i] = (R[i - s] - L[i, s:i] @ X[s:i]) / L[i, i]
+    return X
+
+
 def _positive_up(K: SimplicialComplex, q: int, ips: dict[int, InnerProduct],
                  rank: int) -> np.ndarray:
-    """The positive eigenvalues of the degree-q up-pencil of exact rank `rank`."""
+    """The positive eigenvalues of the degree-q up-pencil (A, M) of exact rank
+    `rank`, numpy only: the triplets of A summed densely, M = L L^T by
+    Cholesky, and the ascending eigenvalues of L^-1 A L^-T, the reduction of
+    LAPACK's sygv, from two forward substitutions."""
     if rank == 0:
         return np.zeros(0)
-    from scipy.linalg import eigh
-    A, _ = up_pencil(K, q, ips[q], ips[q + 1])
-    return eigh(A, ips[q].matrix, eigvals_only=True)[K.n_cells(q) - rank:]
+    n = K.n_cells(q)
+    rows, cols, vals = _stiffness(K, q, ips[q + 1])
+    A = np.bincount(rows * n + cols, vals, n * n).reshape(n, n)
+    L = np.linalg.cholesky(ips[q].matrix)
+    return np.linalg.eigvalsh(_forward(L, _forward(L, A).T))[n - rank:]
 
 
 def lambda1_split(K: SimplicialComplex, q: int,
@@ -135,8 +178,8 @@ def coexact_gap(K: SimplicialComplex, q: int,
     """lambda_1^* of the degree-q up-pencil (d^T M_{q+1} d, M_q).
 
     Up to _DENSE_MAX q-cells, and in degrees other than 0 and dim - 1, it is
-    lambda1_split's value, from the same dense eigh.  Otherwise it is the
-    (b+1)-th eigenvalue of a pencil whose zero block b is known exactly:
+    lambda1_split's value, from the same dense eigenvalues.  Otherwise it is
+    the (b+1)-th eigenvalue of a pencil whose zero block b is known exactly:
     - q = dim - 1: the dual pencil (M_{q+1} d M_q^{-1} d^T M_{q+1}, M_{q+1})
       on (q+1)-cochains, with the same positive spectrum and b = b_{q+1};
       (P - sigma M_{q+1})^{-1} is one solve with the saddle-point matrix
@@ -168,15 +211,16 @@ def coexact_gap(K: SimplicialComplex, q: int,
     from scipy.sparse.linalg import (ArpackError, LinearOperator, eigsh,
                                      splu)
     sigma = -1e-9 * scale
-    d, M, M_up = _coboundary(K, q), ip_q._csr(), ip_up._csr()
+    M = ip_q._csr()
     if side == q:
-        A = _stiffness(d, M_up)
+        A = _stiffness_csr(K, q, ip_up)
         solve = splu((A - sigma * M).tocsc(), permc_spec="COLAMD").solve
         B = M
     else:
         # K [x; y] = [0; r] gives (P - sigma M_up) y = -r; ARPACK's
         # shift-invert mode applies only this solve and M_up, never A
-        Md = M_up @ d
+        M_up = ip_up._csr()
+        Md = M_up @ _coboundary(K, q)
         lu = splu(bmat([[M, Md.T], [Md, sigma * M_up]], format="csc"),
                   permc_spec="COLAMD")
         pad = np.zeros(K.n_cells(q))

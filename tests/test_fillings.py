@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hodgecover
 from hodgecover import (CoverError, EdgeCycle, FillingError, InnerProduct,
@@ -18,6 +20,8 @@ from hodgecover import (CoverError, EdgeCycle, FillingError, InnerProduct,
                         cycle_from_word, free_part_coefficients, l1_filling,
                         least_norm_filling, lambda1_split, rationally_null,
                         scl_report)
+from hodgecover.fillings import (_l1_coefficients, _rounded_chain,
+                                 _weighted_median)
 from hodgecover.surfaces import (circle, genus2_surface, load_complex,
                                  tetrahedron_boundary, torus7)
 from hodgecover.whitney import ComplexGeometry, whitney_mass_matrix
@@ -555,6 +559,105 @@ class TestL1Filling:
         assert float(cert.chi_bound) / cert.m >= 1.0  # |chi(disc)| = 1
         ls = least_norm_filling(f, "comb")
         assert float(cert.one_norm) / cert.m <= float(ls.one_norm) / ls.m + 1e-9
+
+
+def one_norm(g0, n, c):
+    return sum(abs(a + c * b) for a, b in zip(g0, n))
+
+
+def lp_one_norm(g0, n):
+    """min over c of |g0 + c n|_1 by HiGHS: variables (c, t), t >= +-(g0 +
+    c n), the objective value."""
+    from scipy.optimize import linprog
+    m = len(g0)
+    col, eye = np.array(n, dtype=float)[:, None], np.eye(m)
+    res = linprog(np.r_[0.0, np.ones(m)],
+                  A_ub=np.vstack([np.hstack([col, -eye]),
+                                  np.hstack([-col, -eye])]),
+                  b_ub=np.r_[-np.array(g0, float), np.array(g0, float)],
+                  bounds=[(None, None)] * (m + 1), method="highs")
+    assert res.success
+    return res.fun
+
+
+@st.composite
+def tied_cases(draw):
+    """(g0, n) with integer points -g0_i / n_i at most 0 and at least 1 of
+    equal total weight |n_i|, plus cells with n_i = 0: every c in between
+    minimizes, and the lower median is the largest point at most 0."""
+    w = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    k = len(w)
+    points = draw(st.lists(st.integers(-10, 0), min_size=k, max_size=k)) + \
+        draw(st.lists(st.integers(1, 10), min_size=k, max_size=k))
+    n = [x * draw(st.sampled_from([-1, 1])) for x in w + w]
+    cells = [(-t * b, b) for t, b in zip(points, n)] + \
+        [(a, 0) for a in draw(st.lists(st.integers(-5, 5), max_size=3))]
+    g0, n = zip(*draw(st.permutations(cells)))
+    return g0, n, max(points[:k])
+
+
+@st.composite
+def drawn_cases(draw):
+    cells = draw(st.lists(st.tuples(st.integers(-20, 20), st.integers(-3, 3)),
+                          min_size=1, max_size=12).filter(
+                              lambda cs: any(b for _, b in cs)))
+    g0, n = zip(*cells)
+    return g0, n, None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(drawn_cases(), tied_cases()))
+def test_weighted_median_against_highs(case):
+    g0, n, lower = case
+    c = _weighted_median([Fraction(a) for a in g0], [Fraction(b) for b in n])
+    best = one_norm(g0, n, c)
+    # the 1-norm is convex and piecewise linear with breakpoints -g0_i / n_i
+    assert best == min(one_norm(g0, n, Fraction(-a, b))
+                       for a, b in zip(g0, n) if b)
+    assert best <= lp_one_norm(g0, n) + 1e-9
+    # the least minimizer: the norm grows just below it (points are at
+    # least 1/9 apart)
+    assert one_norm(g0, n, c - Fraction(1, 100)) > best
+    if lower is not None:
+        assert c == lower and one_norm(g0, n, c + 1) == best
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 11, 23])
+def test_median_certificate_is_the_linear_programs(d):
+    """On genus2 and its covers ker d2 is one vector, and the weighted
+    median rounds to the c of HiGHS: the same certificate."""
+    from helpers import random_cyclic_cover
+    K = genus2_surface() if d == 1 else build_cover(
+        random_cyclic_cover(genus2_surface(), d, random.Random(d))).complex
+    rng = random.Random(d)
+    for _ in range(3):
+        f = random_null_cycle(K, rng)
+        g0, kernel = f.solution_space
+        assert len(kernel) == 1
+        lp = _rounded_chain(g0, kernel, _l1_coefficients(g0, kernel), 10 ** 6)
+        assert l1_filling(f).g == tuple(lp)
+
+
+def test_l1_with_two_kernel_vectors_solves_a_sparse_lp(monkeypatch):
+    # two disjoint spheres: ker d2 has two vectors, so HiGHS finds c; the
+    # cycle is one triangle's boundary in each, times 2^70, out of the
+    # solver's range unless the LP is scaled
+    sphere = tetrahedron_boundary().cells[2]
+    K = load_complex([list(c) for c in sphere] +
+                     [[v + 4 for v in c] for c in sphere])
+    bd = to_pylists(K.boundary_matrix(2))
+    big = 2 ** 70
+    f = EdgeCycle(K, tuple(big * (row[0] + row[-1]) for row in bd))
+    assert len(f.solution_space[1]) == 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense constraint matrix")
+
+    monkeypatch.setattr(np, "block", refuse)
+    monkeypatch.setattr(np, "eye", refuse)
+    cert = l1_filling(f)
+    assert cert.one_norm / cert.m == 2 * big
+    assert cert.g[0] == cert.g[-1] == big and not any(cert.g[1:-1])
 
 
 class TestSclReport:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 import sympy
@@ -96,6 +97,21 @@ def test_torsion_degree_range():
     for q in (-1, 3):
         with pytest.raises(ComplexError, match=f"degree {q} is out of range"):
             torsion_order(torus7(), q)
+
+
+@pytest.mark.parametrize("degree", [True, False, 0.5, 1.0, "1", None])
+def test_degree_must_be_an_integer(degree):
+    # a bool used to pass as 0 or 1, and a float ended in a TypeError
+    K = klein_bottle()
+    geo = ComplexGeometry.uniform(K)
+    ips = {q: whitney_mass_matrix(K, geo, q) for q in range(K.dim + 1)}
+    for call in (lambda: torsion_order(K, degree),
+                 lambda: lambda1_split(K, degree, ips),
+                 lambda: spectra.coexact_gap(K, degree, ips),
+                 lambda: whitney_mass_matrix(K, geo, degree)):
+        message = f"degree must be an integer, not {degree!r}"
+        with pytest.raises(ComplexError, match=re.escape(message)):
+            call()
 
 
 def test_homology_table_consistent():

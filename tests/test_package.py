@@ -23,6 +23,25 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_no_module_imports_scipy_linalg():
+    """Dense eigenvalues and solves are numpy's, so no package module
+    imports scipy.linalg, at module level or inside a function."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}"
+                                         for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.linalg" or n.startswith("scipy.linalg.")
+                   for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def references(path, attributes=False):
     """The names a file reads, imports or looks up as attributes (only the
     attribute lookups, with `attributes`), leaving out a function's mentions

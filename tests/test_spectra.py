@@ -11,7 +11,7 @@ from scipy.sparse import diags_array
 
 from hodgecover import (ComplexError, SpectralError, build_cover,
                         charpoly_gap_bound, coexact_gap, lambda1_split,
-                        load_complex, spectra, up_pencil)
+                        homology, load_complex, spectra, up_pencil)
 from hodgecover.cli import main
 from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
                                  tetrahedron_boundary, torus7, torus_grid)
@@ -133,6 +133,38 @@ class TestUpPencil:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * n * n * 8
+
+
+class TestDensePencilEigenvalues:
+    """The numpy reduction L^-1 A L^-T of _positive_up against scipy's
+    generalized eigh(A, M), with A the dense product d^T M_{q+1} d."""
+
+    def cases(self):
+        fixtures = [fn() for fn in FIXTURES.values()]
+        for i, K in enumerate(fixtures + [genus2_cover(d)
+                                          for d in (2, 3, 5, 11, 23)]):
+            for products in (comb_products(K), whitney_products(K),
+                             perturbed_whitney_products(K, i)):
+                for q in range(K.dim + 1):
+                    yield K, q, products
+
+    def test_against_scipy_eigh(self):
+        seen = 0
+        for K, q, products in self.cases():
+            n = K.n_cells(q)
+            rank = len(homology.boundary_factors(K, q + 1))
+            got = spectra._positive_up(K, q, products, rank)
+            if rank == 0:
+                assert got.shape == (0,)
+                continue
+            want = eigh(dense_up(K, q, products[q + 1].matrix),
+                        products[q].matrix, eigvals_only=True)
+            tol = 1e-12 * want[-1]
+            assert got.shape == (rank,)
+            assert np.max(np.abs(got - want[n - rank:])) <= tol
+            assert np.max(np.abs(want[:n - rank])) <= tol  # the exact zeros
+            seen += 1
+        assert seen == 3 * (sum(fn().dim for fn in FIXTURES.values()) + 5 * 2)
 
 
 class TestGraphSpectra:
