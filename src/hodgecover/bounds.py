@@ -74,9 +74,11 @@ def _inv_sqrt_lambda(p):
 _CATALOGUE: dict[str, BoundEntry] = {}
 
 
-def _entry(id, description, params, direction, lhs, rhs):
+def _entry(id, description, params, direction, rhs, lhs=None):
+    """Catalogue an entry; its left side is its `lhs` parameter unless an
+    entry without one passes lhs."""
     _CATALOGUE[id] = BoundEntry(id, description, tuple(params), direction,
-                                lhs, rhs)
+                                lhs or (lambda p: _opt(p, "lhs")), rhs)
 
 
 _entry(
@@ -85,10 +87,10 @@ _entry(
     [("lam", "computed"), ("C", "user"), ("V", "computed"), ("D", "user"),
      ("sup_sarea_over_length", "user"), ("vol", "computed")],
     "le",
-    _inv_sqrt_lambda,
     lambda p: p["C"] ** 2 * (2 * math.pi * p["V"]
                              + p["D"] * p["sup_sarea_over_length"])
-    + p["C"] / 2 * math.sqrt(p["vol"]))
+    + p["C"] / 2 * math.sqrt(p["vol"]),
+    lhs=_inv_sqrt_lambda)
 
 _entry(
     "upper_b0_body",
@@ -96,9 +98,9 @@ _entry(
     [("lam", "computed"), ("C", "user"), ("vol_boundary", "computed"),
      ("sup_sarea", "user"), ("vol", "computed")],
     "le",
-    _inv_sqrt_lambda,
     lambda p: p["C"] ** 2 * (3 * math.pi * p["vol_boundary"] + p["sup_sarea"])
-    + p["C"] / 2 * math.sqrt(p["vol"]))
+    + p["C"] / 2 * math.sqrt(p["vol"]),
+    lhs=_inv_sqrt_lambda)
 
 _entry(
     "upper_b1",
@@ -107,13 +109,13 @@ _entry(
      ("D", "user"), ("vol", "computed"), ("delta", "user"),
      ("sup_sarea", "user")],
     "le",
-    lambda p: None if _opt(p, "lam") is None
-    else (1.0 - p["E"]) / math.sqrt(p["lam"]),
     lambda p: p["C"] ** 2 * (3 * math.pi * p["V"]
                              + 2 * math.sqrt(2) * p["D"] ** 2
                              * p["vol"] ** (p["delta"] + 0.5) * p["sup_sarea"]
                              + 5 * math.pi)
-    + p["C"] / 2 * math.sqrt(p["vol"]))
+    + p["C"] / 2 * math.sqrt(p["vol"]),
+    lhs=lambda p: None if _opt(p, "lam") is None
+        else (1.0 - p["E"]) / math.sqrt(p["lam"]))
 
 _entry(
     "upper_general",
@@ -122,12 +124,12 @@ _entry(
      ("f_norm", "computed"), ("h_norm", "computed"), ("sup_sarea", "user"),
      ("b1", "computed")],
     "le",
-    _inv_sqrt_lambda,
     lambda p: 3 * math.pi * p["C"] ** 2 * p["V"]
     + p["C"] / 2 * math.sqrt(p["vol"])
     + p["C"] ** 2
     * (p["f_norm"] / math.sqrt(p["f_norm"] ** 2 + p["h_norm"] ** 2))
-    * (p["sup_sarea"] + (5 * p["b1"] + 2) * math.pi))
+    * (p["sup_sarea"] + (5 * p["b1"] + 2) * math.pi),
+    lhs=_inv_sqrt_lambda)
 
 _entry(
     "harmonic_subtraction",
@@ -135,7 +137,6 @@ _entry(
     [("lhs", "user"), ("df_sup", "computed"), ("sarea", "user"),
      ("b1", "computed")],
     "le",
-    lambda p: _opt(p, "lhs"),
     lambda p: p["df_sup"] * (p["sarea"] + 5 * p["b1"] * math.pi))
 
 _entry(
@@ -144,7 +145,6 @@ _entry(
     [("lhs", "user"), ("W", "user"), ("vol", "computed"),
      ("diam", "computed"), ("lambda1_whitney", "computed")],
     "le",
-    lambda p: _opt(p, "lhs"),
     lambda p: p["W"] * p["vol"] * p["diam"] ** 2 / p["lambda1_whitney"])
 
 _entry(
@@ -153,8 +153,8 @@ _entry(
     [("lambda1_whitney", "computed"), ("lambda1_comb", "computed"),
      ("G", "user"), ("C", "user"), ("vol", "computed")],
     "ge",
-    lambda p: _opt(p, "lambda1_whitney"),
-    lambda p: 1.0 / (4 * p["G"] ** 2 * p["C"] ** 2 * p["vol"]))
+    lambda p: 1.0 / (4 * p["G"] ** 2 * p["C"] ** 2 * p["vol"]),
+    lhs=lambda p: _opt(p, "lambda1_whitney"))
 
 _entry(
     "tree_area",
@@ -162,7 +162,6 @@ _entry(
     [("lhs", "computed"), ("vol_boundary_base", "user"),
      ("vol", "computed"), ("vol_base", "user")],
     "le",
-    lambda p: _opt(p, "lhs"),
     lambda p: p["vol_boundary_base"] * p["vol"] / p["vol_base"])
 
 _entry(
@@ -171,7 +170,6 @@ _entry(
     [("lhs", "computed"), ("diam_base_domain", "user"),
      ("diam_tree", "computed")],
     "le",
-    lambda p: _opt(p, "lhs"),
     lambda p: p["diam_base_domain"] * (p["diam_tree"] + 1))
 
 _entry(
@@ -179,7 +177,6 @@ _entry(
     "dual-graph distance vs metric distance through ball covers",
     [("lhs", "computed"), ("dist", "user"), ("r0", "user"), ("k0", "user")],
     "le",
-    lambda p: _opt(p, "lhs"),
     lambda p: p["dist"] / p["r0"] * 2 * p["k0"] + 2 * p["k0"])
 
 _entry(
@@ -188,7 +185,6 @@ _entry(
     [("lhs", "computed"), ("diam_base_domain", "user"), ("k0", "user"),
      ("r0", "user"), ("diam", "computed")],
     "le",
-    lambda p: _opt(p, "lhs"),
     lambda p: p["diam_base_domain"]
     * (4 * p["k0"] / p["r0"] * p["diam"] + 4 * p["k0"] + 1))
 
@@ -197,7 +193,6 @@ _entry(
     "diameter of a distance fundamental domain",
     [("lhs", "computed"), ("diam", "computed")],
     "le",
-    lambda p: _opt(p, "lhs"),
     lambda p: 2 * p["diam"])
 
 _entry(
@@ -206,7 +201,6 @@ _entry(
     [("lhs", "computed"), ("E_n", "user"), ("n", "user"),
      ("diam", "computed")],
     "le",
-    lambda p: _opt(p, "lhs"),
     lambda p: p["E_n"] * math.exp((2 * p["n"] - 3) * 4 * p["diam"]))
 
 _entry(
@@ -214,7 +208,6 @@ _entry(
     "injectivity radius of an immersed bounding surface",
     [("lhs", "computed"), ("mu1", "user"), ("inj", "user")],
     "ge",
-    lambda p: _opt(p, "lhs"),
     lambda p: min(1.0 / (2 * p["mu1"]), p["inj"]))
 
 _entry(
@@ -223,7 +216,6 @@ _entry(
     [("lhs", "computed"), ("vol_surface", "user"), ("mu", "user"),
      ("curvature", "user")],
     "le",
-    lambda p: _opt(p, "lhs"),
     lambda p: p["vol_surface"] / ball_volume(2, p["mu"] / 5, 1.0)
     * ball_volume(2, p["mu"], p["curvature"]) / ball_volume(2, p["mu"] / 5, 1.0))
 
@@ -233,7 +225,6 @@ _entry(
     [("lhs", "computed"), ("triangle_count", "user"), ("length", "computed"),
      ("mu", "user")],
     "le",
-    lambda p: _opt(p, "lhs"),
     lambda p: p["triangle_count"] * p["length"] / (6 * p["mu"] / 5))
 
 _entry(
@@ -241,7 +232,6 @@ _entry(
     "length of a homologically adjusted loop via lattice reduction",
     [("lhs", "computed"), ("A", "user"), ("D", "user"), ("b1", "computed")],
     "le",
-    lambda p: _opt(p, "lhs"),
     lambda p: (p["A"] * p["D"] * math.sqrt(p["b1"])) ** p["b1"]
     * p["D"] * p["b1"])
 
@@ -251,7 +241,6 @@ _entry(
     [("lhs", "user"), ("D", "user"), ("vol", "computed"), ("delta", "user"),
      ("sup_sarea", "user")],
     "le",
-    lambda p: _opt(p, "lhs"),
     lambda p: 2 * math.sqrt(2) * p["D"] ** 2
     * p["vol"] ** (p["delta"] + 0.5) * p["sup_sarea"])
 
@@ -260,8 +249,8 @@ _entry(
     "at most exponentially small coexact gap in the covolume",
     [("lambda1", "computed"), ("H", "user"), ("vol", "computed")],
     "le",
-    lambda p: None if _opt(p, "lambda1") is None else 1.0 / p["lambda1"],
-    lambda p: math.exp(p["H"] * p["vol"]))
+    lambda p: math.exp(p["H"] * p["vol"]),
+    lhs=lambda p: None if _opt(p, "lambda1") is None else 1.0 / p["lambda1"])
 
 _entry(
     "high_dim_scl",
@@ -269,7 +258,6 @@ _entry(
     [("lhs", "computed"), ("K", "user"), ("vol", "computed"), ("C", "user"),
      ("diam", "computed")],
     "le",
-    lambda p: _opt(p, "lhs"),
     lambda p: p["K"] * p["vol"] ** (1 + p["C"] / 2) * p["diam"])
 
 _entry(
@@ -278,7 +266,6 @@ _entry(
     [("lhs", "computed"), ("K", "user"), ("d", "user"), ("vol_target", "user"),
      ("diam_target", "user"), ("lambda1_target", "user")],
     "le",
-    lambda p: _opt(p, "lhs"),
     lambda p: p["K"] * p["d"] ** 2 * p["vol_target"] * p["diam_target"]
     * math.sqrt(1.0 / p["lambda1_target"]))
 
@@ -288,7 +275,6 @@ _entry(
     [("lhs", "computed"), ("n", "user"), ("inj", "computed"),
      ("lam_probe", "user"), ("diam", "computed"), ("vol", "computed")],
     "ge",
-    lambda p: _opt(p, "lhs"),
     lambda p: moser_constant(_dimension(p["n"]), 1, p["inj"] / 2,
                              p["lam_probe"]).value ** -2
     / (p["diam"] ** 2 * p["vol"]))

@@ -105,7 +105,7 @@ def _load_cover_spec(base, path):
 
 def _inner_products(K, geometry, inner):
     if inner == "comb":
-        return {q: InnerProduct.identity(q, K.n_cells(q))
+        return {q: InnerProduct.identity(K.n_cells(q))
                 for q in range(K.dim + 1)}
     return whitney_products(K, geometry)
 

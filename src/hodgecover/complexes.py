@@ -29,6 +29,12 @@ def _integer(x, what: str, error: type) -> int:
     raise error(f"{what} must be an integer, not {x!r}")
 
 
+def _check_integer_degree(q) -> None:
+    """Raise ComplexError unless the degree q is an integer, not a bool."""
+    if not isinstance(q, Integral) or isinstance(q, bool):
+        raise ComplexError(f"degree must be an integer, not {q!r}")
+
+
 @dataclass(frozen=True)
 class SparseIntMatrix:
     """Integer matrix in coordinate form; no duplicate positions, no zeros."""
@@ -182,8 +188,7 @@ class SimplicialComplex:
     def check_degree(self, q: int) -> None:
         """Raise ComplexError unless q is an integer, not a bool, with
         0 <= q <= dim."""
-        if not isinstance(q, Integral) or isinstance(q, bool):
-            raise ComplexError(f"degree must be an integer, not {q!r}")
+        _check_integer_degree(q)
         if not 0 <= q <= self.dim:
             raise ComplexError(f"degree {q} is out of range 0..{self.dim}")
 
@@ -195,7 +200,9 @@ class SimplicialComplex:
         return None if covered.all() else self.cells[q][covered.argmin()]
 
     def boundary_matrix(self, q: int) -> SparseIntMatrix:
-        """Matrix of the boundary map from q-chains to (q-1)-chains."""
+        """Matrix of the boundary map from q-chains to (q-1)-chains;
+        ComplexError unless q is an integer, not a bool, in 1..dim."""
+        _check_integer_degree(q)
         if not 1 <= q <= self.dim:
             raise ComplexError(f"degree {q} out of range [1, {self.dim}]")
         if q not in self._boundary_cache:

@@ -40,37 +40,25 @@ class Graph:
     Both directions of every edge, sorted by (tail, head), form the CSR
     arrays `start` and `head`: u's neighbours, in increasing order, are
     head[start[u]:start[u + 1]], and `label` numbers each one's label in
-    `names` (-1 for none).  `labels`, if given, runs parallel to `edges`: a
-    pair (a, b) labels the direction u -> v of edge (u, v), and v -> u
-    carries (b, a); None leaves the edge unlabelled.  A repeated edge keeps
-    its first occurrence's label in both directions.
-    """
+    `names` (-1 for none).  The argument `label`, an (m, 2) integer array in
+    -1..len(names) - 1 (else CoverError), numbers in row i the labels of
+    edge i = (u, v) from u to v and from v to u; a repeated edge keeps its
+    first occurrence's labels."""
 
-    def __init__(self, n: int, edges, labels=None):
+    def __init__(self, n: int, edges, label=None, names=()):
         edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-        ids: dict = {}
-        label = [[-1, -1] if x is None else [ids.setdefault(tuple(y), len(ids))
-                                             for y in (x, x[::-1])]
-                 for x in labels or [None] * len(edges)]
-        self._store(n, edges, np.array(label, np.intp).reshape(-1, 2),
-                    list(ids))
-
-    @classmethod
-    def from_arrays(cls, n: int, edges: np.ndarray, label: np.ndarray,
-                    names: list) -> Graph:
-        """The graph of (m, 2) arrays of edges and of their label numbers."""
-        g = cls.__new__(cls)
-        g._store(n, edges, label, names)
-        return g
-
-    def _store(self, n, edges, label, names):
+        label = np.asarray(-np.ones_like(edges) if label is None else label)
+        if label.shape != edges.shape or label.dtype.kind not in "iu" or \
+                ((label < -1) | (label >= len(names))).any():
+            raise CoverError(f"edge labels must be ({len(edges)}, 2) integers "
+                             f"in -1..{len(names) - 1}")
         if (edges[:, 0] == edges[:, 1]).any():
             raise CoverError("loops not supported")
         # edge i's two directions are keys 2i and 2i + 1, so the first
         # occurrence of either direction of a repeated edge is its first edge
         key, first = np.unique((edges * n + edges[:, ::-1]).ravel(),
                                return_index=True)
-        self.n, self.names = n, names
+        self.n, self.names = n, list(names)
         self.start = np.searchsorted(key, np.arange(n + 1) * n)
         if self.start[0] or self.start[-1] < len(key):   # keys outside [0, n²)
             raise CoverError(f"a vertex lies outside 0..{n - 1}")
@@ -134,8 +122,11 @@ def shortest_path_tree(G: Graph, v0: int) -> SpanningTree:
 
     A vertex's parent is the first of its neighbours to leave the BFS queue,
     which need not be its lowest-index neighbour one level up; the result is
-    deterministic.  Consequently diam(T) <= 2*diam(G).
-    """
+    deterministic.  Consequently diam(T) <= 2*diam(G).  CoverError unless v0
+    is an integer, not a bool, in 0..n-1."""
+    if isinstance(v0, bool) or not isinstance(v0, (int, np.integer)) \
+            or not 0 <= v0 < G.n:
+        raise CoverError(f"root {v0!r} is not a vertex in 0..{G.n - 1}")
     order, parent, depth = G.bfs(v0)
     if len(order) != G.n:
         raise CoverError("graph is disconnected")
@@ -157,23 +148,19 @@ def graph_diameter(G: Graph) -> int:
     orbit is enough (_orbit_sources).  Row v of a bitset holds one bit per
     source that has reached v; a level ORs each row with its neighbours'
     rows, and the diameter is the number of levels that change anything
-    (Then et al., "The More the Merrier", PVLDB 8(4), 2014).  Vertices are
-    relabelled by falling degree, so the vertices with a k-th neighbour are
-    a prefix and a level is one gather per neighbour slot.  Sources go in
-    batches of whole 64-bit words that keep a bitset within _BITSET_WORDS
-    words."""
+    (Then et al., "The More the Merrier", PVLDB 8(4), 2014).  A level gathers
+    slot k, each vertex's k-th neighbour or itself if it has fewer, for every
+    k: O(n max degree) per 64 sources.  Sources go in batches of whole 64-bit
+    words that keep a bitset within _BITSET_WORDS words."""
     n = G.n
     if n == 0:
         return 0
     deg = np.diff(G.start)
-    order = np.argsort(-deg, kind="stable")
-    label = np.empty(n, dtype=np.intp)
-    label[order] = np.arange(n)
-    first, fall = G.start[order], -deg[order]
-    neighbours = [label[G.head[first[:fall.searchsorted(-k)] + k]]
-                  for k in range(-fall[0])]
+    slot = np.arange(deg.max())[:, None]
+    at = np.minimum(G.start[:-1] + slot, len(G.head) - 1)
+    neighbours = np.where(slot < deg, G.head[at], np.arange(n))
     # one word holds up to 64 sources, so fewer cannot save a BFS
-    sources = np.sort(label[_orbit_sources(G)]) if n > 64 else np.arange(n)
+    sources = _orbit_sources(G) if n > 64 else np.arange(n)
     words = (len(sources) + 63) // 64
     batch = max(1, min(words, _BITSET_WORDS // n))
     diam = 0
@@ -187,7 +174,7 @@ def graph_diameter(G: Graph) -> int:
         while True:
             grown = reach.copy()
             for nbr in neighbours:
-                grown[:len(nbr)] |= reach.take(nbr, axis=0)
+                grown |= reach.take(nbr, axis=0)
             if np.array_equal(grown, reach):
                 break
             reach = grown
@@ -272,9 +259,11 @@ def _orbit_sources(G: Graph) -> np.ndarray:
 
 def dual_graph(K: SimplicialComplex) -> Graph:
     """Top cells of K, adjacent when they share a facet; the direction
-    i -> j is labelled (i, j)."""
+    i -> j is labelled (i, j), numbered as on a Schreier graph."""
     pairs = [e for e in K.facet_adjacencies() if e[0] < e[1]]
-    return Graph(K.n_cells(K.dim), pairs, pairs)
+    m = len(pairs)
+    return Graph(K.n_cells(K.dim), pairs, np.arange(m)[:, None] + [0, m],
+                 pairs + [(j, i) for i, j in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +345,8 @@ class Cover:
         p = np.array([self.spec.perms[e] for e in adj], np.intp).reshape(-1, d)
         edges = np.stack((tile[a], tile[b[:, None], p]), axis=2).reshape(-1, 2)
         label = np.repeat(np.arange(len(adj))[:, None] + [0, len(adj)], d, 0)
-        self._schreier = Graph.from_arrays(tile.size, edges, label,
-                                           adj + [(j, i) for i, j in adj])
+        self._schreier = Graph(tile.size, edges, label,
+                               adj + [(j, i) for i, j in adj])
         self.connected = not _classes(tile.size, *edges.T).any()
 
     def lift_cell(self, q: int, base_cell, top, sheet):
@@ -513,9 +502,9 @@ def tree_fundamental_domain(cover: Cover, tree: SpanningTree
     """Tile access words and face pairings of the tree-type domain.
 
     Tiles are the vertices of the cover's dual graph; each carries the label
-    word of its tree path from the root.  Every non-tree dual edge produces
-    one pairing word: out along the tree, across the edge, back to the root.
-    """
+    word of its tree path from the root.  Every non-tree dual edge pairs the
+    facet it crosses, in both of its tiles, by one word: out along the tree,
+    across the edge, back to the root."""
     g = cover.schreier_graph()
     if len(tree.parent) != g.n:
         raise CoverError("tree does not span the cover's dual graph")
@@ -532,7 +521,6 @@ def tree_fundamental_domain(cover: Cover, tree: SpanningTree
     pairings = []
     for u, w, x, facet in zip(tail[cross].tolist(), head[cross].tolist(),
                               lab.tolist(), cover.lift_cell(n - 1, face[lab], t, s)):
-        label = g.names[x]     # u's facet across it is w's facet too
-        word = words[u] + (label,) + _invert_word(words[w], rev)
+        word = words[u] + (g.names[x],) + _invert_word(words[w], rev)
         pairings.append(FacePairing((u, facet), (w, facet), word))
     return words, FacePairingSet(pairings)

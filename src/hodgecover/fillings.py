@@ -78,14 +78,20 @@ def cycle_from_word(cover: Cover, word) -> EdgeCycle:
     vertex per crossing, the lift of the facet's smallest vertex, and joins
     consecutive gates by a single edge of the tile they share.  The word must
     return to its starting tile and sheet; otherwise the open endpoints are
-    reported.  A letter that is no adjacency of the dual graph raises
-    FillingError.
+    reported.  A letter that is not a pair of top cells of the base, or no
+    adjacency of the dual graph, raises FillingError.
     """
-    K = cover.complex
+    K, base = cover.complex, cover.spec.base
+    T = base.n_cells(base.dim)
+    for w in word:
+        if not (isinstance(w, (list, tuple)) and len(w) == 2 and all(
+                isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                and 0 <= x < T for x in w)):
+            raise FillingError(f"word letter {w!r} is not a pair of top cells "
+                               f"in 0..{T - 1}")
     word = [tuple(w) for w in word]
     if not word:
         return EdgeCycle(K, (0,) * K.n_cells(1))
-    base = cover.spec.base
     for (a, b), (c, _d) in zip(word, word[1:]):
         if b != c:
             raise FillingError(f"word letters ({a},{b}) and ({c},{_d}) do not compose")
@@ -207,14 +213,17 @@ def least_norm_filling(f: EdgeCycle, inner: str,
     minimizer, c from the exact k x k system (N^T N) c = -N^T g0 (k = dim ker
     d2), so no slack is needed.  Whitney inner product: c minimizes the mass
     norm in floats, (N^T M N) c = -N^T M g0, and is rounded to rationals at
-    each of _DENOMINATORS in turn until the norm grows by at most _SLACK.
+    each of _DENOMINATORS in turn until the norm grows by at most _SLACK; ip
+    must be a product on the 2-cells of f's complex, else FillingError.
     """
     if f.complex.dim < 2:
         raise FillingError("filling needs 2-cells")
     if inner not in ("comb", "whitney"):
         raise FillingError(f"unknown inner product family {inner}")
-    if inner == "whitney" and ip is None:
-        raise FillingError("whitney filling needs the degree-2 InnerProduct")
+    if inner == "whitney" and (ip is None
+                               or ip.size != f.complex.n_cells(2)):
+        raise FillingError("whitney filling needs the degree-2 InnerProduct, "
+                           f"of {f.complex.n_cells(2)} rows")
     g0, kernel = _particular_and_kernel(f)
 
     if inner == "comb":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _check_integer_degree
 from .ratlinalg import echelon, sparse_rows
 
 
@@ -95,8 +95,10 @@ def invariant_factors(A) -> list[int]:
 
 def boundary_factors(K: SimplicialComplex, q: int) -> tuple[int, ...]:
     """Nonzero invariant factors of the boundary map leaving degree q, () for
-    q outside 1..dim; their number is its rank.  Each map is eliminated once
-    per complex: the factors are memoised on K, which is immutable."""
+    q outside 1..dim; their number is its rank.  ComplexError unless q is an
+    integer, not a bool.  Each map is eliminated once per complex: the
+    factors are memoised on K, which is immutable."""
+    _check_integer_degree(q)
     if not 1 <= q <= K.dim:
         return ()
     if q not in K._factor_cache:

@@ -95,9 +95,12 @@ def up_pencil(K: SimplicialComplex, q: int, ip_q: InnerProduct,
     A sums the triplets of _stiffness into CSR, symmetrized while still
     sparse and made dense only at the end: O(nnz) work, and no dense
     temporaries beyond A.  M comes from the product's blocks, so its dense
-    view is never built."""
+    view is never built.  The degree follows check_degree, and SpectralError
+    unless ip_q and, below dim, ip_up have the sizes of degrees q and q + 1."""
+    K.check_degree(q)
+    _check_products(K, {q: ip_q, q + 1: ip_up}, q, 0, int(q < K.dim))
     n = K.n_cells(q)
-    if q >= K.dim:
+    if q == K.dim:
         return np.zeros((n, n)), ip_q._csr()
     return _stiffness_csr(K, q, ip_up).toarray(), ip_q._csr()
 
@@ -255,8 +258,10 @@ def charpoly_gap_bound(K: SimplicialComplex, q: int) -> Fraction:
     column of S through the echelon rows of [C^T C | A[S,S]], with S the
     pivot columns of A and C = A[:, S]: A is symmetric positive semidefinite
     of rank |S|, so A = C A[S,S]^{-1} C^T with C of full column rank.
+    ComplexError unless q is an integer, not a bool, in 0..dim - 1.
     """
-    if not 0 <= q < K.dim:
+    K.check_degree(q)
+    if q == K.dim:
         raise ComplexError(f"degree {q} is out of range 0..{K.dim - 1} for "
                            "an up-Laplacian")
     n = K.n_cells(q)

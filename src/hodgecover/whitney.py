@@ -42,7 +42,7 @@ class InnerProduct:
     one n x n block.  `matrix` is the dense view, assembled on its first
     read and cached; `_csr` is the sparse one and `apply` the product."""
 
-    def __init__(self, degree: int, size: int, glob, B):
+    def __init__(self, size: int, glob, B):
         glob, B = np.asarray(glob), np.asarray(B)
         if not (glob.ndim == 2 and glob.dtype.kind in "iu"
                 and B.shape == glob.shape + glob.shape[1:]):
@@ -62,7 +62,7 @@ class InnerProduct:
         B = (B + Bt) / 2
         if B.size:
             np.linalg.cholesky(B)  # raises if a block is not positive definite
-        self.degree, self.size, self._blocks = degree, size, (glob, B)
+        self.size, self._blocks = size, (glob, B)
         self._dense = None
 
     @property
@@ -97,9 +97,8 @@ class InnerProduct:
                            self.size)
 
     @staticmethod
-    def identity(degree: int, n: int) -> "InnerProduct":
-        return InnerProduct(degree, n, np.arange(n)[:, None],
-                            np.ones((n, 1, 1)))
+    def identity(n: int) -> "InnerProduct":
+        return InnerProduct(n, np.arange(n)[:, None], np.ones((n, 1, 1)))
 
 
 def _edges(K: SimplicialComplex) -> list[tuple[int, int]]:
@@ -227,7 +226,7 @@ def _assemble(K: SimplicialComplex, q: int, G: np.ndarray,
     CE = np.einsum("tij,tvw->tivjw", C, E).reshape(
         T, s * (n + 1), s * (n + 1))
     B = X @ CE @ X.T
-    return InnerProduct(q, K.n_cells(q), K._index(q, K._rows(n)[:, faces]),
+    return InnerProduct(K.n_cells(q), K._index(q, K._rows(n)[:, faces]),
                         (B + B.transpose(0, 2, 1)) / 2)
 
 

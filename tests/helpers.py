@@ -319,10 +319,10 @@ def torsion_invariants(K) -> list[list[int]]:
 # spectral oracle
 
 
-def one_block(degree, M):
+def one_block(M):
     """The InnerProduct of a Gram matrix M given as one n x n block."""
     M = np.asarray(M)
-    return InnerProduct(degree, len(M), np.arange(len(M))[None], M[None])
+    return InnerProduct(len(M), np.arange(len(M))[None], M[None])
 
 
 def dense_pencil(K, q, ip_q, ip_up):
@@ -500,6 +500,17 @@ def reference_graph_diameter(G):
     return diam
 
 
+def pair_labelled_graph(n, edges, labels):
+    """The Graph of `edges` with labels given as pairs: labels[i] = (a, b)
+    labels edge i = (u, v) from u to v and (b, a) from v to u, None leaves
+    it unlabelled; the pairs are named in order of first appearance."""
+    ids = {}
+    label = [[-1, -1] if x is None else
+             [ids.setdefault(tuple(y), len(ids)) for y in (x, x[::-1])]
+             for x in labels]
+    return Graph(n, edges, np.array(label, np.intp).reshape(-1, 2), list(ids))
+
+
 def permutation_schreier_graph(base_edges, perms, degree):
     """The Schreier graph of a permutation action over a base graph: vertex
     b * degree + x is point x over base vertex b, and base edge (a, b)
@@ -512,7 +523,7 @@ def permutation_schreier_graph(base_edges, perms, degree):
         for x in range(degree):
             edges.append((a * degree + x, b * degree + p[x]))
             labels.append((a, b))
-    return Graph(n * degree, edges, labels)
+    return pair_labelled_graph(n * degree, edges, labels)
 
 
 def word_sheet_action(spec, word, sheet):

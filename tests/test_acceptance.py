@@ -60,7 +60,7 @@ def criterion(number, description):
 
 
 def comb_products(K):
-    return {q: InnerProduct.identity(q, K.n_cells(q))
+    return {q: InnerProduct.identity(K.n_cells(q))
             for q in range(K.dim + 1)}
 
 

@@ -205,7 +205,7 @@ class TestDichotomy:
     def setup_method(self):
         K = torus7()
         geo = ComplexGeometry.uniform(K)
-        comb = {q: InnerProduct.identity(q, K.n_cells(q)) for q in range(3)}
+        comb = {q: InnerProduct.identity(K.n_cells(q)) for q in range(3)}
         whit = {q: whitney_mass_matrix(K, geo, q) for q in range(3)}
         self.params = {"lambda1_whitney": coexact_gap(K, 1, whit).lambda1,
                        "lambda1_comb": coexact_gap(K, 1, comb).lambda1,
@@ -242,7 +242,7 @@ class TestFillingChain:
         # the variational gap inequality |g|^2 <= (1 + delta) |f|^2 / lambda1*
         # for the comb least-norm filling, and its Euler characteristic bound
         K = torus7()
-        products = {q: InnerProduct.identity(q, K.n_cells(q))
+        products = {q: InnerProduct.identity(K.n_cells(q))
                     for q in range(3)}
         lam = lambda1_split(K, 1, products).lambda1_dstar
         f = EdgeCycle(K, tuple(row[0]

@@ -17,9 +17,10 @@ from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
 from helpers import (adjacency, betti_numbers, brute_force_diameter,
                      composite_cover,
                      edge_labels, edge_set, figure_eight, is_transitive,
-                     permutation_schreier_graph, random_cover_specs,
-                     random_cyclic_cover, reference_build_cover,
-                     reference_graph_diameter, reference_shortest_path_tree,
+                     pair_labelled_graph, permutation_schreier_graph,
+                     random_cover_specs, random_cyclic_cover,
+                     reference_build_cover, reference_graph_diameter,
+                     reference_shortest_path_tree,
                      word_sheet_action, word_tile_action)
 
 
@@ -219,6 +220,26 @@ class TestSchreierGraph:
                     for (u, v), label in edge_labels(g).items()} \
                 == edge_labels(d)
 
+    def test_dual_graph_numbers_labels_as_schreier_graphs_do(self):
+        # the i-th of the m pairs a < b is label i from a to b and i + m
+        # back, on the dual graph as on a degree-1 cover's Schreier graph
+        for K in (make() for make in FIXTURES.values()):
+            d = dual_graph(K)
+            m = len(d.names) // 2
+            assert d.names[m:] == [(b, a) for a, b in d.names[:m]]
+            numbers = dict(zip(zip(d.tails().tolist(), d.head.tolist()),
+                               d.label.tolist()))
+            assert numbers == {e: d.names.index(e) for e in d.names}
+            if K.dim < 1:
+                continue
+            cov = build_cover(PermutationCoverSpec(
+                K, 1, {e: (0,) for e in K.facet_adjacencies()}))
+            g, base = cov.schreier_graph(), [t for t, _s in cov.top_of]
+            assert g.names == d.names
+            assert {(base[u], base[v]): x for u, v, x in zip(
+                g.tails().tolist(), g.head.tolist(), g.label.tolist())} \
+                == numbers
+
     def test_tetrahedron_transposition_cover_connected(self):
         rng = random.Random(2)
         found = False
@@ -286,6 +307,14 @@ class TestTrees:
                 tree_adj[u].append(v)
                 tree_adj[v].append(u)
             assert t.diameter() == brute_force_diameter(tree_adj)
+
+    @pytest.mark.parametrize("root", [5, -1, 2.0, True, "0", None])
+    def test_root_must_be_a_vertex(self, root):
+        # 5 ended in an IndexError, 2.0 in a TypeError, True rooted a tree
+        # at vertex 1 and -1 read as a disconnected graph
+        g = Graph(5, [(i, i + 1) for i in range(4)])
+        with pytest.raises(CoverError, match=r"is not a vertex in 0\.\.4"):
+            shortest_path_tree(g, root)
 
     def test_disconnected_rejected(self):
         g = Graph(4, [(0, 1), (2, 3)])
@@ -389,7 +418,8 @@ def labelled_cycle(n, *extra):
 
 def labelled_graph(n, edges):
     """The graph of the edges (u, v, label)."""
-    return Graph(n, [e[:2] for e in edges], [e[2] for e in edges])
+    return pair_labelled_graph(n, [e[:2] for e in edges],
+                               [e[2] for e in edges])
 
 
 def subsets_action(pi):
@@ -495,7 +525,7 @@ class TestOrbitDiameter:
         assert graph_diameter(g) == reference_graph_diameter(g) == 40
         # the path 3 - 0 - 1 - 2 has a label-preserving reflection, but no
         # single image of 0 fixes it once ("a", "a") repeats at 0
-        g = Graph(4, [(0, 1), (0, 3), (1, 2)], [("a", "a")] * 3)
+        g = pair_labelled_graph(4, [(0, 1), (0, 3), (1, 2)], [("a", "a")] * 3)
         assert list(_orbit_sources(g)) == list(range(4))
 
     def test_bijection_that_moves_an_edge_falls_back(self):
@@ -557,6 +587,21 @@ class TestOrbitDiameter:
     def test_vertex_out_of_range_rejected(self, edges):
         with pytest.raises(CoverError, match=r"outside 0\.\.2"):
             Graph(3, edges)
+
+    @pytest.mark.parametrize("label, names", [
+        ([[0, 1]], "ab"), ([[0, 1], [1, 2]], "ab"), ([[0, -2], [1, 0]], "ab"),
+        ([[0.0, 1.0], [1.0, 0.0]], "ab"),
+        ([[True, False], [False, True]], "ab"), ([[0, 0, 0]], "a")],
+        ids=["too_few_rows", "name_out_of_range", "below_minus_one",
+             "float_numbers", "bools", "three_columns"])
+    def test_bad_label_array_rejected(self, label, names):
+        with pytest.raises(CoverError, match="edge labels must be"):
+            Graph(3, [(0, 1), (1, 2)], label, names)
+
+    def test_label_numbers_name_each_direction(self):
+        g = Graph(3, [(1, 0), (1, 2)], [[0, 2], [1, -1]], ["a", "b", "c"])
+        assert edge_labels(g) == {(1, 0): "a", (0, 1): "c", (1, 2): "b"}
+        assert g.names == ["a", "b", "c"]
 
     def test_graph_is_read_only(self):
         g = labelled_cycle(5)
@@ -749,7 +794,7 @@ class TestArrayGluing:
     def test_schreier_graph_built_once(self, monkeypatch):
         cov = build_cover(random_cyclic_cover(torus7(), 3, random.Random(0)))
         built = []
-        monkeypatch.setattr(hodgecover.covers.Graph, "_store",
+        monkeypatch.setattr(hodgecover.covers.Graph, "__init__",
                             lambda *args, **kw: built.append(args))
         g = cov.schreier_graph()
         assert g is cov.schreier_graph()

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -116,6 +117,21 @@ class TestCycleFromWord:
         cov = cyclic_circle_cover()
         with pytest.raises(FillingError, match="starts at top cell 0"):
             cycle_from_word(cov, [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize("letter", [5, (0,), (0, 1, 2), (0, 99), (-1, 1),
+                                        (True, 1), (0.0, 1), "01", None],
+                             ids=["int", "one_cell", "three_cells",
+                                  "beyond_the_tops", "negative", "bool",
+                                  "float", "string", "none"])
+    def test_letter_that_is_no_pair_of_top_cells_rejected(self, letter):
+        # 5 ended in a TypeError, (0,) in an IndexError and (0, 1, 2) read
+        # as an open path
+        base = genus2_surface()
+        cov = build_cover(PermutationCoverSpec(base, 1, {
+            e: (0,) for e in base.facet_adjacencies() if e[0] < e[1]}))
+        message = f"word letter {letter!r} is not a pair of top cells"
+        with pytest.raises(FillingError, match=re.escape(message)):
+            cycle_from_word(cov, [letter, (1, 0)])
 
     def test_letter_that_is_no_adjacency_rejected(self):
         """A closed, composing word whose letters cross no shared facet of
@@ -294,7 +310,7 @@ class TestCombFilling:
     def test_gap_inequality_exact(self):
         K = torus7()
         split = lambda1_split(K, 1, {
-            q: InnerProduct.identity(q, K.n_cells(q)) for q in range(3)})
+            q: InnerProduct.identity(K.n_cells(q)) for q in range(3)})
         rng = random.Random(1)
         for _ in range(10):
             f = random_null_cycle(K, rng)
@@ -339,6 +355,15 @@ class TestWhitneyFilling:
         K = torus7()
         with pytest.raises(FillingError):
             least_norm_filling(cell_boundary(K, 0), "whitney")
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_product_of_another_degree_rejected(self, q):
+        # the degree-0 product returned norm_g 0.7846 on genus2, the
+        # degree-1 product ended in an IndexError
+        K = genus2_surface()
+        ip = whitney_mass_matrix(K, ComplexGeometry.uniform(K), q)
+        with pytest.raises(FillingError, match="degree-2 InnerProduct"):
+            least_norm_filling(cell_boundary(K, 0), "whitney", ip)
 
 
 def _whitney_filling_complexes():

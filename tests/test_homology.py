@@ -1,3 +1,4 @@
+import inspect
 import random
 import re
 
@@ -5,7 +6,9 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from hodgecover import (ComplexError, InnerProduct, build_cover,
+import hodgecover
+from hodgecover import (ComplexError, InnerProduct, SimplicialComplex,
+                        boundary_factors, build_cover,
                         homology_table, lambda1_split, torsion_order,
                         whitney_mass_matrix)
 from hodgecover import homology, ratlinalg, spectra
@@ -99,19 +102,48 @@ def test_torsion_degree_range():
             torsion_order(torus7(), q)
 
 
+def degree_entry_points():
+    """The exported functions with a degree parameter q, found by
+    inspection, and SimplicialComplex.boundary_matrix.  moser_constant is
+    the one exception: its q is the degree of a form in hyperbolic n-space,
+    not a degree of a complex."""
+    found = {name: fn for name, fn in inspect.getmembers(hodgecover,
+                                                         inspect.isfunction)
+             if "q" in inspect.signature(fn).parameters}
+    assert "moser_constant" in found
+    del found["moser_constant"]
+    return {**found, "boundary_matrix": SimplicialComplex.boundary_matrix}
+
+
 @pytest.mark.parametrize("degree", [True, False, 0.5, 1.0, "1", None])
 def test_degree_must_be_an_integer(degree):
-    # a bool used to pass as 0 or 1, and a float ended in a TypeError
+    # a bool used to pass as 0 or 1, and a float ended in a TypeError, in
+    # an IndexError or in an empty factor list
     K = klein_bottle()
     geo = ComplexGeometry.uniform(K)
     ips = {q: whitney_mass_matrix(K, geo, q) for q in range(K.dim + 1)}
-    for call in (lambda: torsion_order(K, degree),
-                 lambda: lambda1_split(K, degree, ips),
-                 lambda: spectra.coexact_gap(K, degree, ips),
-                 lambda: whitney_mass_matrix(K, geo, degree)):
-        message = f"degree must be an integer, not {degree!r}"
+    args = {"K": K, "self": K, "geometry": geo, "inner_products": ips,
+            "ip_q": ips[1], "ip_up": ips[2]}
+    calls = degree_entry_points()
+    assert {"torsion_order", "lambda1_split", "coexact_gap",
+            "whitney_mass_matrix", "charpoly_gap_bound", "up_pencil",
+            "boundary_factors"} <= set(calls)
+    message = f"degree must be an integer, not {degree!r}"
+    for name, fn in calls.items():
+        kw = {p: args[p] for p, v in inspect.signature(fn).parameters.items()
+              if p != "q" and v.default is v.empty}
         with pytest.raises(ComplexError, match=re.escape(message)):
-            call()
+            fn(q=degree, **kw)
+
+
+def test_integer_degree_ranges_are_unchanged():
+    # the integer ranges stay as documented: boundary_factors is () outside
+    # 1..dim, and boundary_matrix raises outside it
+    K = klein_bottle()
+    assert [boundary_factors(K, q) == () for q in (-1, 0, 3)] == [True] * 3
+    for q in (0, 3):
+        with pytest.raises(ComplexError, match=r"out of range \[1, 2\]"):
+            K.boundary_matrix(q)
 
 
 def test_homology_table_consistent():
@@ -171,7 +203,7 @@ def test_each_boundary_map_is_eliminated_once(echelon_calls):
     for fn in FIXTURES.values():
         K = fn()
         geo = ComplexGeometry.uniform(K)
-        products = [{q: InnerProduct.identity(q, K.n_cells(q))
+        products = [{q: InnerProduct.identity(K.n_cells(q))
                      for q in range(K.dim + 1)},
                     {q: whitney_mass_matrix(K, geo, q)
                      for q in range(K.dim + 1)}]

@@ -23,7 +23,7 @@ from helpers import (betti_numbers, dense_pencil, down_gram, down_pencil,
 
 
 def comb_products(K):
-    return {q: InnerProduct.identity(q, K.n_cells(q))
+    return {q: InnerProduct.identity(K.n_cells(q))
             for q in range(K.dim + 1)}
 
 
@@ -62,7 +62,7 @@ def random_spd_products(K, seed):
     out = {}
     for q in range(K.dim + 1):
         R = rng.standard_normal((K.n_cells(q), K.n_cells(q)))
-        out[q] = one_block(q, R @ R.T + np.eye(K.n_cells(q)))
+        out[q] = one_block(R @ R.T + np.eye(K.n_cells(q)))
     return out
 
 
@@ -317,8 +317,34 @@ class TestCharpolyGapBound:
         with pytest.raises(ComplexError, match="out of range"):
             charpoly_gap_bound(K, 2)
 
+    @pytest.mark.parametrize("q", [True, 1.0, 0.5, -1, 3])
+    def test_degree_follows_the_integer_rule(self, q):
+        # True returned the q = 1 bound 223/42; 1.0 and 0.5 a TypeError
+        with pytest.raises(ComplexError):
+            charpoly_gap_bound(torus7(), q)
+
 
 class TestValidation:
+    @pytest.mark.parametrize("q", [True, -1, 3, 0.5])
+    def test_up_pencil_checks_its_degree(self, q):
+        # True and -1 ended in an IndexError, 0.5 in a TypeError
+        K = torus7()
+        ips = comb_products(K)
+        with pytest.raises(ComplexError):
+            up_pencil(K, q, ips[1], ips[2])
+
+    def test_up_pencil_checks_its_products(self):
+        # a degree-0 product on the edges returned a 21 x 21 A beside a
+        # 7 x 7 M
+        K = torus7()
+        ips = comb_products(K)
+        for ip_q, ip_up in ((ips[0], ips[2]), (ips[1], ips[1]),
+                            (ips[1], None)):
+            with pytest.raises(SpectralError):
+                up_pencil(K, 1, ip_q, ip_up)
+        A, M = up_pencil(K, 2, ips[2], None)   # the top degree reads no ip_up
+        assert A.shape == M.shape == (14, 14)
+
     def test_degree_out_of_range(self):
         K = circle(3)
         for f in (lambda1_split, coexact_gap):
@@ -331,7 +357,7 @@ class TestValidation:
         # q = 1 on genus2 reads degrees 0, 1 and 2
         K = genus2_surface()
         for products in (comb_products(K), whitney_products(K)):
-            products[degree] = InnerProduct.identity(degree, size)
+            products[degree] = InnerProduct.identity(size)
             for f in (lambda1_split,) + ((coexact_gap,) if degree else ()):
                 with pytest.raises(SpectralError, match="mismatch"):
                     f(K, 1, products)
@@ -348,14 +374,14 @@ class TestValidation:
     def test_unread_degrees_are_not_needed(self):
         # d_0 = 0 on three isolated points: q = 0 reads only degree 0
         K = load_complex([(0,), (1,), (2,)])
-        products = {0: InnerProduct.identity(0, 3)}
+        products = {0: InnerProduct.identity(3)}
         assert lambda1_split(K, 0, products).lambda1 is None
         assert coexact_gap(K, 0, products) == (None, None)
 
     def test_dimension_mismatch(self):
         K = circle(3)
-        bad = {0: InnerProduct.identity(0, 2),
-               1: InnerProduct.identity(1, 3)}
+        bad = {0: InnerProduct.identity(2),
+               1: InnerProduct.identity(3)}
         with pytest.raises(SpectralError):
             lambda1_split(K, 0, bad)
 

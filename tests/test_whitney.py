@@ -167,26 +167,26 @@ class TestMassMatrices:
 class TestInnerProduct:
     def test_rejects_asymmetric(self):
         with pytest.raises(GeometryError, match="not symmetric"):
-            one_block(0, [[1.0, 2.0], [0.0, 1.0]])
+            one_block([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(GeometryError, match="not symmetric"):
-            InnerProduct(0, 2, [[0, 1], [1, 0]],
+            InnerProduct(2, [[0, 1], [1, 0]],
                          [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]])
 
     def test_rejects_indefinite(self):
         with pytest.raises(np.linalg.LinAlgError):
-            one_block(0, [[1.0, 0.0], [0.0, -1.0]])
+            one_block([[1.0, 0.0], [0.0, -1.0]])
         # each block is certified, not only their sum, which is 1 here
         with pytest.raises(np.linalg.LinAlgError):
-            InnerProduct(0, 1, [[0], [0]], [[[2.0]], [[-1.0]]])
+            InnerProduct(1, [[0], [0]], [[[2.0]], [[-1.0]]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(GeometryError, match="not finite"):
-            one_block(0, [[bad]])
+            one_block([[bad]])
         with pytest.raises(GeometryError, match="not finite"):
-            one_block(0, [[1.0, bad], [bad, 1.0]])
+            one_block([[1.0, bad], [bad, 1.0]])
         with pytest.raises(GeometryError, match="not finite"):
-            InnerProduct(0, 2, [[0], [1]], [[[1.0]], [[bad]]])
+            InnerProduct(2, [[0], [1]], [[[1.0]], [[bad]]])
 
     @pytest.mark.parametrize("glob, B", [
         (np.arange(2), np.ones((2, 1, 1))),
@@ -198,18 +198,18 @@ class TestInnerProduct:
              "float_cells"])
     def test_rejects_bad_shapes(self, glob, B):
         with pytest.raises(GeometryError, match="must be \\(T, m, m\\)"):
-            InnerProduct(0, 1, glob, B)
+            InnerProduct(1, glob, B)
 
     @pytest.mark.parametrize("cell", [-1, 2, 2 ** 40])
     def test_rejects_a_cell_out_of_range(self, cell):
         with pytest.raises(GeometryError, match="must lie in 0..1"):
-            InnerProduct(0, 2, [[0], [1], [cell]], np.ones((3, 1, 1)))
+            InnerProduct(2, [[0], [1], [cell]], np.ones((3, 1, 1)))
 
     def test_rejects_a_cell_in_no_block(self):
         with pytest.raises(GeometryError, match="cell 1 lies in no block"):
-            InnerProduct(0, 3, [[0], [2]], np.ones((2, 1, 1)))
+            InnerProduct(3, [[0], [2]], np.ones((2, 1, 1)))
         with pytest.raises(GeometryError, match="cell 0 lies in no block"):
-            InnerProduct(0, 1, np.zeros((0, 1), dtype=int), np.ones((0, 1, 1)))
+            InnerProduct(1, np.zeros((0, 1), dtype=int), np.ones((0, 1, 1)))
 
 
 class TestGeometry:
@@ -659,7 +659,7 @@ def test_no_dense_matrix_until_read():
         assert ip._dense is None
         M, peak = traced_peak(lambda: ip.matrix)
         assert peak >= n * n * 8 and ip._dense is M
-    ip, peak = traced_peak(lambda: InnerProduct.identity(1, 897))
+    ip, peak = traced_peak(lambda: InnerProduct.identity(897))
     assert peak < 0.1 * 897 * 897 * 8
     assert ip.size == 897 and ip._dense is None
     assert ip._csr().nnz == 897 and ip._dense is None
@@ -691,17 +691,17 @@ def test_dense_view_is_the_assembly_read_once(name, K, geo):
 
 def test_checked_matrix_keeps_its_symmetrized_copy():
     A = np.array([[2.0, 1.0], [1.0, 3.0]])
-    ip = one_block(1, A)
+    ip = one_block(A)
     assert ip.size == 2 and ip._dense is None and ip.matrix is ip.matrix
     assert np.array_equal(ip.matrix, A) and ip.matrix is not A
     assert np.array_equal(ip._csr().toarray(), A)
     assert np.array_equal(ip.diagonal(), [2.0, 3.0])
-    near = one_block(0, [[1.0, 1e-13], [0.0, 1.0]])     # within 1e-12
+    near = one_block([[1.0, 1e-13], [0.0, 1.0]])     # within 1e-12
     assert np.array_equal(near.matrix, [[1.0, 5e-14], [5e-14, 1.0]])
-    assert one_block(0, np.zeros((0, 0))).matrix.shape == (0, 0)
+    assert one_block(np.zeros((0, 0))).matrix.shape == (0, 0)
     for bad in (np.ones(3), np.ones((2, 3))):
         with pytest.raises(GeometryError, match="must be"):
-            one_block(0, bad)
+            one_block(bad)
 
 
 @pytest.mark.parametrize("name, K, geo", GEOMETRY_CASES,
@@ -711,8 +711,7 @@ def test_products_are_the_mass_matrices_bit_for_bit(name, K, geo):
     assert list(products) == list(range(K.dim + 1))
     for q, ip in products.items():
         one = whitney_mass_matrix(K, geo, q)
-        assert (ip.degree, ip.size) == (one.degree, one.size) == \
-            (q, K.n_cells(q))
+        assert ip.size == one.size == K.n_cells(q)
         for a, b in zip(ip._blocks, one._blocks):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
