@@ -2,7 +2,7 @@
 filling certificates for curve-complexity bounds."""
 
 from .bounds import (BoundEntry, BoundError, BoundReport, catalogue_ids,
-                     evaluate_bound, get_entry)
+                     evaluate_all, evaluate_bound, get_entry)
 from .complexes import (ComplexError, LoadReport, SimplicialComplex,
                         SparseIntMatrix, load_complex, load_complex_report)
 from .covers import (Cover, CoverError, FacePairing, FacePairingSet, Graph,

@@ -290,6 +290,31 @@ def get_entry(id: str) -> BoundEntry:
     return _CATALOGUE[id]
 
 
+# the user parameters that `bounds all` fills with other values than 1.0
+_DEFAULT_USER_PARAMS = {"n": 3, "E": 0.5, "delta": 0.5, "mu": 0.5, "mu1": 1.0,
+                        "curvature": 1.0, "k0": 2.0, "r0": 0.5, "d": 2.0,
+                        "lam_probe": 1.0}
+
+
+def evaluate_all(computed: dict, overrides: dict) -> list[BoundReport]:
+    """Every catalogue entry, in id order.  A parameter takes overrides[id]'s
+    value, else computed's if its source is computed (None if computed has
+    none), else its _DEFAULT_USER_PARAMS value (1.0 if unlisted).  BoundError
+    unless overrides maps catalogue ids to objects of their parameters."""
+    if not (isinstance(overrides, dict)
+            and all(isinstance(v, dict) for v in overrides.values())):
+        raise BoundError("bounds all parameters must map bound ids to objects")
+    for bid in overrides:
+        get_entry(bid)
+    reports = []
+    for bid in catalogue_ids():
+        filled = {name: computed.get(name) if source == "computed"
+                  else _DEFAULT_USER_PARAMS.get(name, 1.0)
+                  for name, source in _CATALOGUE[bid].params}
+        reports.append(evaluate_bound(bid, filled | overrides.get(bid, {})))
+    return reports
+
+
 def _finite_real(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
@@ -321,9 +346,9 @@ def evaluate_bound(id: str, params: dict) -> BoundReport:
     null = [k for k, v in params.items() if v is None]
     given = {k: v for k, v in params.items() if v is not None}
     try:
-        if id == "dichotomy" and not null:
-            return _dichotomy_report(given, values)
         rhs, lhs = (_side(f, given, null) for f in (entry.rhs, entry.lhs))
+        if id == "dichotomy" and not null:
+            return _dichotomy_report(given, values, lhs, rhs)
     except KeyError as exc:
         raise BoundError(f"bound {id} missing parameter {exc.args[0]!r}")
     except GeometryError:
@@ -352,22 +377,16 @@ def _side(f, given: dict, null: list) -> float | None:
     return None if x is None else float(x)
 
 
-def _dichotomy_report(params: dict, values: dict) -> BoundReport:
-    lam_w = float(params["lambda1_whitney"])
-    lam_c = float(params["lambda1_comb"])
-    G, C, vol = (float(params[k]) for k in ("G", "C", "vol"))
-    alt1_rhs = 1.0 / (4 * G ** 2 * C ** 2 * vol)
-    alt2_rhs = 4 * G ** 2 * vol * lam_w
+def _dichotomy_report(params, values, lam_w, alt1_rhs) -> BoundReport:
+    """Alternative 1 is the entry's own lam_w >= alt1_rhs; alternative 2
+    reads lambda1_comb <= 4 G^2 vol lam_w."""
+    alt2_rhs = 4 * float(params["G"]) ** 2 * float(params["vol"]) * lam_w
     v1 = _verdict(lam_w, alt1_rhs, "ge")
-    v2 = _verdict(lam_c, alt2_rhs, "le")
+    v2 = _verdict(float(params["lambda1_comb"]), alt2_rhs, "le")
     notes = [f"alternative 1 (gap not small): {v1}",
              f"alternative 2 (gap controls combinatorial gap): {v2}",
              "constants G, C are user-supplied empirical values"]
-    if "marginal" in (v1, v2) and "holds" not in (v1, v2):
-        verdict = "marginal"
-    elif "holds" in (v1, v2):
-        verdict = "holds"
-    else:
-        verdict = "fails"
+    verdict = ("holds" if "holds" in (v1, v2)
+               else "marginal" if "marginal" in (v1, v2) else "fails")
     return BoundReport("dichotomy", values, lam_w, alt1_rhs, "ge",
                        verdict, notes)

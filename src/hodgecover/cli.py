@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from .bounds import BoundError, catalogue_ids, evaluate_bound, get_entry
+from .bounds import BoundError, evaluate_all, evaluate_bound
 from .complexes import (ComplexError, LoadReport, _integer,
                         load_complex_report)
 from .covers import (CoverError, PermutationCoverSpec, build_cover, dual_graph,
@@ -282,47 +282,23 @@ def cmd_bounds(args):
         report = evaluate_bound(args.id, params)
         _emit(_report_dict(report), args.out)
         return
-    # bounds all: evaluate every entry, pulling computed parameters from the
-    # attached complex/geometry (None where nothing here computes them) and
-    # defaults for user parameters
+    # bounds all: every entry, on the parameters computed on the attached
+    # complex and geometry
     K = _load_complex(args.attach).complex
     geometry = _load_geometry(K, args.geometry)
-    computed = _computed_params(K, geometry)
-    overrides = _load_json(args.params) if args.params else {}
-    if not (isinstance(overrides, dict)
-            and all(isinstance(v, dict) for v in overrides.values())):
-        raise CliError("bounds all --params must map bound ids to objects")
-    reports = []
-    for bid in catalogue_ids():
-        given = overrides.get(bid, {})
-        params = {name: given[name] if name in given
-                  else computed.get(name) if source == "computed"
-                  else _DEFAULT_USER_PARAMS.get(name, 1.0)
-                  for name, source in get_entry(bid).params}
-        reports.append(evaluate_bound(bid, params))
-    payload = {"reports": [_report_dict(r) for r in reports],
-               "csv": _bounds_csv(reports)}
-    _emit(payload, args.out)
-
-
-_DEFAULT_USER_PARAMS = {
-    "n": 3, "E": 0.5, "delta": 0.5, "mu": 0.5, "mu1": 1.0, "curvature": 1.0,
-    "k0": 2.0, "r0": 0.5, "d": 2.0, "lam_probe": 1.0,
-}
+    # computed first: a fault of the complex precedes one of the params file
+    reports = evaluate_all(_computed_params(K, geometry),
+                           _load_json(args.params) if args.params else {})
+    _emit({"reports": [_report_dict(r) for r in reports],
+           "csv": _bounds_csv(reports)}, args.out)
 
 
 def _computed_params(K, geometry):
-    ips = _inner_products(K, geometry, "whitney")
-    comb = _inner_products(K, geometry, "comb")
-    gap_w = coexact_gap(K, 1, ips).lambda1 if K.dim >= 1 else None
-    gap_c = coexact_gap(K, 1, comb).lambda1 if K.dim >= 1 else None
-    g = dual_graph(K)
-    table = homology_table(K)
-    out = {
-        "vol": geometry.total_volume(),
-        "b1": table[1]["betti"] if len(table) > 1 else 0,
-        "diam": float(graph_diameter(g)) if g.n else 0.0,
-    }
+    gap_w = coexact_gap(K, 1, _inner_products(K, geometry, "whitney")).lambda1
+    gap_c = coexact_gap(K, 1, _inner_products(K, geometry, "comb")).lambda1
+    out = {"vol": geometry.total_volume(),
+           "diam": float(graph_diameter(dual_graph(K))),
+           "b1": homology_table(K)[1]["betti"]}
     if gap_w is not None:
         out["lambda1_whitney"] = out["lam"] = out["lambda1"] = gap_w
     if gap_c is not None:

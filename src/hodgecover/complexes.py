@@ -181,9 +181,10 @@ class SimplicialComplex:
         return idx
 
     def n_cells(self, q: int) -> int:
-        if 0 <= q <= self.dim:
-            return len(self.cells[q])
-        return 0
+        """The number of q-cells, 0 for an integer q outside 0..dim;
+        ComplexError unless q is an integer, not a bool."""
+        _check_integer_degree(q)
+        return len(self.cells[q]) if 0 <= q <= self.dim else 0
 
     def check_degree(self, q: int) -> None:
         """Raise ComplexError unless q is an integer, not a bool, with
@@ -193,7 +194,9 @@ class SimplicialComplex:
             raise ComplexError(f"degree {q} is out of range 0..{self.dim}")
 
     def uncovered_cell(self, q: int) -> tuple[int, ...] | None:
-        """The first q-cell that is a face of no top cell, or None."""
+        """The first q-cell that is a face of no top cell, or None;
+        ComplexError unless q is an integer, not a bool."""
+        _check_integer_degree(q)
         local = list(combinations(range(self.dim + 1), q + 1))
         covered = np.zeros(self.n_cells(q), dtype=bool)
         covered[self._index(q, self._rows(self.dim)[:, local])] = True

@@ -75,7 +75,7 @@ class Graph:
         return np.searchsorted(self.tails() * self.n + self.head,
                                u * self.n + w)
 
-    def bfs(self, v0: int) -> tuple[list[int], list[int], list[int]]:
+    def _bfs(self, v0: int) -> tuple[list[int], list[int], list[int]]:
         """Breadth-first search from v0 over neighbours in increasing order:
         the vertices in the order they leave the queue, and per vertex its
         parent (the first of its neighbours to leave the queue; -1 at v0)
@@ -114,7 +114,7 @@ class SpanningTree:
         (Handler 1973).  The first sweep is the BFS that built the tree."""
         v = np.flatnonzero(self.parent >= 0)
         tree = Graph(len(self.parent), np.column_stack((v, self.parent[v])))
-        return max(tree.bfs(int(np.argmax(self.depth)))[2])
+        return max(tree._bfs(int(np.argmax(self.depth)))[2])
 
 
 def shortest_path_tree(G: Graph, v0: int) -> SpanningTree:
@@ -127,7 +127,7 @@ def shortest_path_tree(G: Graph, v0: int) -> SpanningTree:
     if isinstance(v0, bool) or not isinstance(v0, (int, np.integer)) \
             or not 0 <= v0 < G.n:
         raise CoverError(f"root {v0!r} is not a vertex in 0..{G.n - 1}")
-    order, parent, depth = G.bfs(v0)
+    order, parent, depth = G._bfs(v0)
     if len(order) != G.n:
         raise CoverError("graph is disconnected")
     parent, depth = np.array(parent), np.array(depth)
@@ -217,7 +217,7 @@ def _orbit_sources(G: Graph) -> np.ndarray:
         cand = cand[lab[start[cand] + j] == lab[j]]
     if not len(cand):
         return every
-    order, parent, depth = G.bfs(0)
+    order, parent, depth = G._bfs(0)
     if len(order) < n:
         return every
     w = np.array(order[1:], dtype=np.intp)

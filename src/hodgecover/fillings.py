@@ -18,7 +18,7 @@ from itertools import accumulate
 import numpy as np
 
 from .complexes import SimplicialComplex, _integer
-from .covers import Cover, CoverError
+from .covers import Cover
 from .homology import invariant_factors
 from .ratlinalg import first_kernel_vector, rat_solve, rat_solve_and_kernel
 from .whitney import ComplexGeometry, InnerProduct
@@ -108,7 +108,8 @@ def cycle_from_word(cover: Cover, word) -> EdgeCycle:
         gates.append(K.cells[0][cover.lift_cell(0, vi, a, s)][0])
         s = cover.spec.perms[(a, b)][s]
     if s != 0:
-        raise CoverError(f"open path: sheet action sends sheet 0 to sheet {s}")
+        raise FillingError(f"open path: sheet action sends sheet 0 to sheet "
+                           f"{s}")
     coeffs = [0] * K.n_cells(1)
     for u, v in zip(gates, gates[1:] + gates[:1]):
         if u == v:

@@ -550,7 +550,7 @@ def holonomy_generators(spec):
     along a BFS tree of the base's dual graph, across one dual edge, and
     back.  These loops generate every closed loop's sheet action."""
     g = dual_graph(spec.base)
-    order, parent, _ = g.bfs(0)
+    order, parent, _ = g._bfs(0)
     if len(order) != g.n:
         raise CoverError("base dual graph is disconnected")
     path = {0: list(range(spec.degree))}      # sheet over 0 -> sheet over v

@@ -1,10 +1,11 @@
 import json
 import math
+import re
 
 import pytest
 
 from hodgecover import (BoundError, InnerProduct, catalogue_ids, coexact_gap,
-                        evaluate_bound, get_entry, lambda1_split,
+                        evaluate_all, evaluate_bound, get_entry, lambda1_split,
                         least_norm_filling)
 from hodgecover.cli import main
 from hodgecover.fillings import EdgeCycle
@@ -84,6 +85,52 @@ class TestCatalogue:
         rep = evaluate_bound("dirichlet_diam", params)
         assert rep.verdict == "not-applicable"
         assert any("right side" in n for n in rep.notes)
+
+
+class TestEvaluateAll:
+    """The one fill rule of `bounds all`: a parameter takes its entry's
+    override, else the computed value if its source is computed, else the
+    default of a user parameter."""
+
+    @staticmethod
+    def reports(computed, overrides):
+        return {r.id: r for r in evaluate_all(computed, overrides)}
+
+    def test_every_entry_in_id_order(self):
+        assert [r.id for r in evaluate_all({}, {})] == catalogue_ids()
+
+    def test_override_beats_computed_beats_default(self):
+        reps = self.reports({"diam": 2.0, "k0": 9.0},
+                            {"dirichlet_diam": {"lhs": 3.0, "diam": 7.0},
+                             "tree_diam_M": {"r0": 4.0}})
+        dirichlet = reps["dirichlet_diam"]
+        assert dirichlet.values["diam"] == {"value": 7.0, "source": "computed"}
+        assert (dirichlet.lhs, dirichlet.rhs) == (3.0, 14.0)
+        # an override belongs to its entry alone; a user parameter takes its
+        # default although computed has a value of that name, and one the
+        # defaults table does not list takes 1.0
+        tree = {k: v["value"] for k, v in reps["tree_diam_M"].values.items()}
+        assert tree == {"lhs": None, "diam_base_domain": 1.0, "k0": 2.0,
+                        "r0": 4.0, "diam": 2.0}
+        assert reps["dirichlet_boundary"].values["n"]["value"] == 3
+
+    def test_uncomputed_parameter_is_none_and_not_applicable(self):
+        rep = self.reports({}, {})["dirichlet_diam"]
+        assert rep.values["diam"] == {"value": None, "source": "computed"}
+        assert rep.verdict == "not-applicable"
+        assert rep.notes == ["parameter 'lhs' not supplied",
+                             "parameter 'diam' not supplied"]
+
+    @pytest.mark.parametrize("overrides, message", [
+        ([1.0], "must map bound ids to objects"),
+        ({"dirichlet_diam": 1.0}, "must map bound ids to objects"),
+        ({"no_such_bound": {}}, "unknown bound id 'no_such_bound'"),
+        ({"dirichlet_diam": {"typo": 5}},
+         "bound dirichlet_diam has no parameter 'typo'")],
+        ids=["list", "value", "unknown_id", "unknown_parameter"])
+    def test_malformed_overrides(self, overrides, message):
+        with pytest.raises(BoundError, match=re.escape(message)):
+            evaluate_all({}, overrides)
 
 
 class TestHandValues:
@@ -219,6 +266,18 @@ class TestDichotomy:
     def test_adversarial_constants_fail(self):
         rep = evaluate_bound("dichotomy", dict(self.params, G=1e-9, C=1.0))
         assert rep.verdict == "fails"
+
+    @pytest.mark.parametrize("lam_w, lam_c, verdict", [
+        (1.0, 1.0, "holds"), (0.01, 1.0, "fails"), (0.25, 2.0, "marginal"),
+        (0.25, 0.5, "holds"), (0.1, 0.4, "marginal")])
+    def test_verdict_of_the_two_alternatives(self, lam_w, lam_c, verdict):
+        # at G = C = vol = 1, alternative 1 reads lam_w >= 1/4 and
+        # alternative 2 lam_c <= 4 lam_w; the entry's sides are those of 1
+        rep = evaluate_bound("dichotomy", dict(SYNTHETIC["dichotomy"],
+                                               lambda1_whitney=lam_w,
+                                               lambda1_comb=lam_c))
+        assert rep.verdict == verdict
+        assert (rep.lhs, rep.rhs, rep.direction) == (lam_w, 0.25, "ge")
 
     def test_direct_entry_matches_check(self, tmp_path, capsys):
         # `bounds all --attach` computes the same parameters

@@ -773,7 +773,22 @@ class TestBoundsCommands:
         code, out, err = run(capsys, "bounds", "all", "--attach", "sphere",
                              "--params", str(path))
         assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.startswith("validation error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"no_such_bound": {"lhs": 1}}, "unknown bound id 'no_such_bound'"),
+        ({"dirichlet_diam": {"lhs": 3.0, "typo": 5}},
+         "bound dirichlet_diam has no parameter 'typo'")],
+        ids=["unknown_id", "unknown_parameter"])
+    def test_all_params_unknown_name_exit_2(self, capsys, tmp_path,
+                                           overrides, message):
+        # both used to be dropped without a word, with exit 0
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(overrides))
+        code, out, err = run(capsys, "bounds", "all", "--attach", "torus",
+                             "--params", str(path))
+        assert code == 2 and out == ""
+        assert err == f"validation error: {message}\n"
 
     def test_all_deterministic(self, capsys):
         outputs = []
@@ -988,12 +1003,18 @@ def test_bounds_eval_fuzz(data):
        st.data())
 def test_bounds_all_fuzz(name, data):
     """Every `bounds all` overrides file ends in exit 0, 2 or 3, never in a
-    traceback."""
+    traceback, and in exit 2 if it names an id outside the catalogue or a
+    parameter its entry does not have."""
     bid = data.draw(st.sampled_from(catalogue_ids()))
+    params = data.draw(bound_params(bid))
     overrides = data.draw(st.sampled_from([
-        {bid: data.draw(bound_params(bid))}, {bid: 1.0}, [bid], {}]))
+        {bid: params}, {"no_such_bound": params}, {bid: 1.0}, [bid], {}]))
     argv = ["bounds", "all", "--attach", name, "--params", "params"]
-    assert_clean_exit(*main_captured(argv, [("params", overrides)]))
+    code, out, err = main_captured(argv, [("params", overrides)])
+    assert_clean_exit(code, out, err)
+    if "no_such_bound" in overrides or (
+            overrides == {bid: params} and "no_such_parameter" in params):
+        assert code == 2
 
 
 @pytest.mark.parametrize("field, prefix", [

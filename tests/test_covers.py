@@ -247,7 +247,7 @@ class TestSchreierGraph:
             spec = random_cyclic_cover(tetrahedron_boundary(), 2, rng)
             g = build_cover(spec).schreier_graph()
             assert g.n == 8
-            found = found or len(g.bfs(0)[0]) < g.n
+            found = found or len(g._bfs(0)[0]) < g.n
         assert found  # sphere has no connected double cover
 
 

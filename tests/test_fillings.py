@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hodgecover
-from hodgecover import (CoverError, EdgeCycle, FillingError, InnerProduct,
+from hodgecover import (EdgeCycle, FillingError, InnerProduct,
                         PermutationCoverSpec, build_cover,
                         cycle_from_word, free_part_coefficients, l1_filling,
                         least_norm_filling, lambda1_split, rationally_null,
@@ -104,8 +104,10 @@ class TestCycleFromWord:
         assert sorted(abs(c) for c in f.coefficients) == [1] * 9
 
     def test_single_loop_does_not_close(self):
+        # the tile path closes but the sheet action does not: the same fault
+        # class as an open tile path
         cov = cyclic_circle_cover()
-        with pytest.raises(CoverError, match="open path"):
+        with pytest.raises(FillingError, match="open path: sheet action"):
             cycle_from_word(cov, [(0, 1), (1, 2), (2, 0)])
 
     def test_word_must_compose(self):

@@ -103,16 +103,19 @@ def test_torsion_degree_range():
 
 
 def degree_entry_points():
-    """The exported functions with a degree parameter q, found by
-    inspection, and SimplicialComplex.boundary_matrix.  moser_constant is
-    the one exception: its q is the degree of a form in hyperbolic n-space,
-    not a degree of a complex."""
+    """The exported functions and the public SimplicialComplex methods with
+    a degree parameter q, found by inspection.  moser_constant is the one
+    exception: its q is the degree of a form in hyperbolic n-space, not a
+    degree of a complex."""
     found = {name: fn for name, fn in inspect.getmembers(hodgecover,
                                                          inspect.isfunction)
              if "q" in inspect.signature(fn).parameters}
     assert "moser_constant" in found
     del found["moser_constant"]
-    return {**found, "boundary_matrix": SimplicialComplex.boundary_matrix}
+    methods = {name: fn for name, fn in vars(SimplicialComplex).items()
+               if not name.startswith("_") and inspect.isfunction(fn)
+               and "q" in inspect.signature(fn).parameters}
+    return {**found, **methods}
 
 
 @pytest.mark.parametrize("degree", [True, False, 0.5, 1.0, "1", None])
@@ -127,7 +130,8 @@ def test_degree_must_be_an_integer(degree):
     calls = degree_entry_points()
     assert {"torsion_order", "lambda1_split", "coexact_gap",
             "whitney_mass_matrix", "charpoly_gap_bound", "up_pencil",
-            "boundary_factors"} <= set(calls)
+            "boundary_factors", "boundary_matrix", "n_cells",
+            "uncovered_cell"} <= set(calls)
     message = f"degree must be an integer, not {degree!r}"
     for name, fn in calls.items():
         kw = {p: args[p] for p, v in inspect.signature(fn).parameters.items()
@@ -138,9 +142,11 @@ def test_degree_must_be_an_integer(degree):
 
 def test_integer_degree_ranges_are_unchanged():
     # the integer ranges stay as documented: boundary_factors is () outside
-    # 1..dim, and boundary_matrix raises outside it
+    # 1..dim, boundary_matrix raises outside it, and n_cells is 0 outside
+    # 0..dim
     K = klein_bottle()
     assert [boundary_factors(K, q) == () for q in (-1, 0, 3)] == [True] * 3
+    assert [K.n_cells(q) for q in (-1, 3)] == [0, 0]
     for q in (0, 3):
         with pytest.raises(ComplexError, match=r"out of range \[1, 2\]"):
             K.boundary_matrix(q)

@@ -126,12 +126,20 @@ def test_every_public_method_has_a_caller_or_a_reason():
     assert listed <= unreached
 
 
+def labelled(func, aliases):
+    """Whether func, called as func(label, fn, *args), is the benchmark's
+    rec.call: an attribute named call, or a name bound to one."""
+    return (isinstance(func, ast.Attribute) and func.attr == "call"
+            or isinstance(func, ast.Name) and func.id in aliases)
+
+
 def calls():
     """(name called, positional arguments, keyword names) of every call in
     the package modules and the benchmark, by the bare name or the last
     attribute called, leaving out a function's calls of itself.  Positional
     arguments are counted up to the first starred one.  The benchmark's
-    rec.call("label", fn, *args) also counts as a call fn(*args)."""
+    rec.call(label, fn, *args), or c(label, fn, *args) after c = rec.call,
+    also counts as a call fn(*args)."""
     found = []
 
     def record(func, args, keywords):
@@ -140,7 +148,7 @@ def calls():
         starred = [isinstance(a, ast.Starred) for a in args] + [True]
         found.append((name, starred.index(True), keywords))
 
-    def visit(node, own):
+    def visit(node, own, aliases):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 args = child.args
@@ -148,16 +156,21 @@ def calls():
                 if not (isinstance(child.func, ast.Name)
                         and child.func.id in own):
                     record(child.func, args, keywords)
-                if len(args) >= 2 and isinstance(args[0], ast.Constant) \
-                        and isinstance(args[0].value, str):
+                if len(args) >= 2 and labelled(child.func, aliases):
                     record(args[1], args[2:], keywords)
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, own | {child.name})
+                visit(child, own | {child.name}, aliases)
             else:
-                visit(child, own)
+                visit(child, own, aliases)
 
     for path in callers():
-        visit(ast.parse(path.read_text(), str(path)), frozenset())
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = {target.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign)
+                   and labelled(node.value, set())
+                   for target in node.targets
+                   if isinstance(target, ast.Name)}
+        visit(tree, frozenset(), aliases)
     return found
 
 
