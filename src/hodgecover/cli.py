@@ -146,6 +146,7 @@ def cmd_cover(args):
         return
     g = cover.schreier_graph()
     tree = shortest_path_tree(g, 0)
+    words, pairings = tree_fundamental_domain(cover, tree)
     if args.action == "tree":
         _emit({
             "tiles": g.n,
@@ -153,10 +154,9 @@ def cmd_cover(args):
             "tree_diameter": tree.diameter(),
             "tree_edges": sorted(list(e) for e in tree.tree_edges),
             "words": {str(v): [list(l) for l in w]
-                      for v, w in sorted(tree.words.items())},
+                      for v, w in sorted(words.items())},
         }, args.out)
         return
-    words, pairings = tree_fundamental_domain(cover, tree)
     _emit({
         "n_pairings": len(pairings),
         "pairings": [{

@@ -195,8 +195,8 @@ class SimplicialComplex:
 
     def uncovered_cell(self, q: int) -> tuple[int, ...] | None:
         """The first q-cell that is a face of no top cell, or None;
-        ComplexError unless q is an integer, not a bool."""
-        _check_integer_degree(q)
+        ComplexError unless q is an integer, not a bool, in 0..dim."""
+        self.check_degree(q)
         local = list(combinations(range(self.dim + 1), q + 1))
         covered = np.zeros(self.n_cells(q), dtype=bool)
         covered[self._index(q, self._rows(self.dim)[:, local])] = True

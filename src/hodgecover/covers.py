@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .complexes import SimplicialComplex, _integer
+from .complexes import SimplicialComplex, _check_integer_degree, _integer
 
 
 class CoverError(ValueError):
@@ -71,9 +71,14 @@ class Graph:
         return np.repeat(np.arange(self.n), np.diff(self.start))
 
     def _edges(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Positions of the directed edges u[i] -> w[i], which must exist."""
-        return np.searchsorted(self.tails() * self.n + self.head,
-                               u * self.n + w)
+        """Positions of the directed edges u[i] -> w[i]; CoverError unless
+        every one is an edge."""
+        key, want = self.tails() * self.n + self.head, u * self.n + w
+        i = np.searchsorted(key, want)
+        if not (hit := (i < len(key)) & (np.append(key, 0)[i] == want)).all():
+            j = hit.argmin()
+            raise CoverError(f"({u[j]}, {w[j]}) is not an edge of the graph")
+        return i
 
     def _bfs(self, v0: int) -> tuple[list[int], list[int], list[int]]:
         """Breadth-first search from v0 over neighbours in increasing order:
@@ -95,13 +100,12 @@ class Graph:
 
 @dataclass
 class SpanningTree:
-    """Shortest-path spanning tree: parent and depth arrays (parent -1 at the
-    root) plus per-vertex access words."""
+    """Shortest-path spanning tree as two arrays: each vertex's parent (-1
+    at the root) and depth."""
 
     root: int
     parent: np.ndarray
     depth: np.ndarray
-    words: dict[int, tuple]  # edge labels along root -> v, in traversal order
 
     @property
     def tree_edges(self) -> set[tuple[int, int]]:
@@ -130,14 +134,7 @@ def shortest_path_tree(G: Graph, v0: int) -> SpanningTree:
     order, parent, depth = G._bfs(v0)
     if len(order) != G.n:
         raise CoverError("graph is disconnected")
-    parent, depth = np.array(parent), np.array(depth)
-    w = np.array(order[1:], dtype=np.intp)
-    names = G.names + [None]            # label -1 reads None
-    words: dict[int, tuple] = {v0: ()}
-    for v, u, x in zip(order[1:], parent[w].tolist(),
-                       G.label[G._edges(parent[w], w)].tolist()):
-        words[v] = words[u] + (names[x],)
-    return SpanningTree(v0, parent, depth, words)
+    return SpanningTree(v0, np.array(parent), np.array(depth))
 
 
 def graph_diameter(G: Graph) -> int:
@@ -351,7 +348,9 @@ class Cover:
 
     def lift_cell(self, q: int, base_cell, top, sheet):
         """The cover q-cell on `sheet` over base q-cell `base_cell` in base
-        top `top`, elementwise; CoverError if one names no incidence."""
+        top `top`, elementwise; CoverError if one names no incidence, and
+        ComplexError unless q is an integer, not a bool."""
+        _check_integer_degree(q)
         T = len(self.top_of) // self.spec.degree
         c, t, s = np.broadcast_arrays(base_cell, top, sheet)
         if 0 <= q < len(self.start) - 1 and \
@@ -491,36 +490,36 @@ class FacePairingSet:
         return len(self.pairings)
 
 
-def _invert_word(word: tuple, rev: dict) -> tuple:
-    """The word read backwards, each label (a, b) replaced by rev's (b, a):
-    one shared tuple per label, not a new one per letter."""
-    return tuple(map(rev.__getitem__, reversed(word)))
-
-
 def tree_fundamental_domain(cover: Cover, tree: SpanningTree
                             ) -> tuple[dict[int, tuple], FacePairingSet]:
     """Tile access words and face pairings of the tree-type domain.
 
-    Tiles are the vertices of the cover's dual graph; each carries the label
-    word of its tree path from the root.  Every non-tree dual edge pairs the
-    facet it crosses, in both of its tiles, by one word: out along the tree,
-    across the edge, back to the root."""
-    g = cover.schreier_graph()
-    if len(tree.parent) != g.n:
+    Tile v is cover top cell v; its word is the labels of its tree path from
+    the root.  Every non-tree edge pairs the facet its tiles share in the
+    face table by one word: out along the tree, across, and back, each label
+    on the way back read from its tree edge's other direction.  CoverError
+    unless the tree spans the Schreier graph: graph edges only, and depth
+    one more than the parent's."""
+    g, parent, depth = cover.schreier_graph(), tree.parent, tree.depth
+    w = np.argsort(depth, kind="stable")      # parents before children
+    # a parent outside 0..n-1 wraps here and then fails _edges
+    if len(parent) != g.n or len(depth) != g.n or w[0] != tree.root or \
+            (depth[w[1:]] != depth.take(parent[w[1:]], mode="wrap") + 1).any():
         raise CoverError("tree does not span the cover's dual graph")
-    words = dict(tree.words)
-    spec, n = cover.spec, cover.spec.base.dim
-    rev = {(a, b): (b, a) for (a, b) in spec.perms}
-    tail, head, parent = g.tails(), g.head, tree.parent
+    w, u, names = w[1:], parent[w[1:]], g.names
+    down, up = (g.label[g._edges(a, b)].tolist() for a, b in ((u, w), (w, u)))
+    flip = {names[a]: names[b] for a, b in zip(down, up)}
+    words = {tree.root: ()}
+    for v, p, x in zip(w.tolist(), u.tolist(), down):
+        words[v] = words[p] + (names[x],)
+    tail, head = g.tails(), g.head
     cross = np.flatnonzero((tail < head) & (parent[head] != tail)
                            & (parent[tail] != head))
-    lab = g.label[cross]
-    face = np.array([spec.base.cell_index[n - 1][spec.adjacencies[e]]
-                     for e in g.names], dtype=np.intp)    # each label's facet
-    t, s = np.array(cover.top_of, dtype=np.intp).reshape(-1, 2)[tail[cross]].T
-    pairings = []
-    for u, w, x, facet in zip(tail[cross].tolist(), head[cross].tolist(),
-                              lab.tolist(), cover.lift_cell(n - 1, face[lab], t, s)):
-        word = words[u] + (g.names[x],) + _invert_word(words[w], rev)
-        pairings.append(FacePairing((u, facet), (w, facet), word))
-    return words, FacePairingSet(pairings)
+    faces = cover.complex._tables[cover.complex.dim][2]   # each tile's facets
+    ft, fh = faces[tail[cross]], faces[head[cross]]
+    facet = ft[(ft[:, :, None] == fh[:, None, :]).any(axis=2)]
+    return words, FacePairingSet([
+        FacePairing((t, f), (h, f), words[t] + (names[x],) +
+                    tuple(map(flip.__getitem__, reversed(words[h]))))
+        for t, h, x, f in zip(tail[cross].tolist(), head[cross].tolist(),
+                              g.label[cross].tolist(), facet.tolist())])

@@ -190,7 +190,6 @@ def _top_grams(K: SimplicialComplex,
 def _check_cells(K: SimplicialComplex, q: int) -> None:
     """Raise ComplexError for a degree out of range, or for a q-cell in no
     top: the assembled mass matrix would be singular."""
-    K.check_degree(q)
     if (cell := K.uncovered_cell(q)) is not None:
         raise ComplexError(f"{q}-cell {cell} lies in no top cell")
 

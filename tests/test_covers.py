@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from dataclasses import fields
 from itertools import combinations
 
 import networkx as nx
@@ -7,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hodgecover.covers
-from hodgecover import (CoverError, Graph, PermutationCoverSpec, build_cover,
-                        dual_graph, graph_diameter,
+from hodgecover import (CoverError, Graph, PermutationCoverSpec, SpanningTree,
+                        build_cover, dual_graph, graph_diameter,
                         shortest_path_tree, tree_fundamental_domain)
 from hodgecover.covers import _orbit_sources
 from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
@@ -345,16 +347,42 @@ class TestTrees:
         cov = build_cover(random_cyclic_cover(FIXTURES[name](), d,
                                               random.Random(d)))
         if cov.connected:
-            assert_tree_matches_reference(cov.schreier_graph(), 0)
+            g = cov.schreier_graph()
+            words = assert_tree_matches_reference(g, 0)
+            tree = shortest_path_tree(g, 0)
+            assert tree_fundamental_domain(cov, tree)[0] == words
+
+    def test_tree_keeps_only_its_arrays(self):
+        # the tree stores no per-tile words: on this long, thin degree-101
+        # cover (tree depth 223) they took 2.6 MB
+        cov = build_cover(random_cyclic_cover(FIXTURES["genus2"](), 101,
+                                              SmallSteps(3)))
+        g = cov.schreier_graph()
+        tracemalloc.start()
+        try:
+            tree = shortest_path_tree(g, 0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 0.5e6
+        assert [f.name for f in fields(tree)] == ["root", "parent", "depth"]
+
+
+class SmallSteps(random.Random):
+    """Cocycle coefficients 0 or 1 only, so a cyclic cover is long and thin."""
+
+    def randrange(self, d):
+        return super().randrange(2)
 
 
 def assert_tree_matches_reference(g, root):
+    """Check the tree's arrays against the reference; return its words."""
     t = shortest_path_tree(g, root)
     parent, depth, words = reference_shortest_path_tree(g, root)
     assert {v: (None if p < 0 else p) for v, p in
             enumerate(t.parent.tolist())} == parent
     assert dict(enumerate(t.depth.tolist())) == depth
-    assert list(t.words.items()) == list(words.items())
+    return words
 
 
 class TestBitsetDiameter:
@@ -658,6 +686,42 @@ class TestFundamentalDomain:
                 _t, s0 = cov.top_of[tree.root]
                 assert word_sheet_action(cov.spec, p.word, s0) == s0
 
+    def test_rejects_a_tree_of_another_graph(self):
+        # the same 130 tiles: another seeded cover's tree gave 120 pairings
+        # in place of 66, and a path's tree ended in a KeyError
+        g2 = FIXTURES["genus2"]()
+        cov, other = (build_cover(random_cyclic_cover(g2, 5, random.Random(s)))
+                      for s in (5, 6))
+        path = Graph(130, [(i, i + 1) for i in range(129)])
+        for g in (other.schreier_graph(), path):
+            with pytest.raises(CoverError, match="is not an edge of the graph"):
+                tree_fundamental_domain(cov, shortest_path_tree(g, 0))
+
+    def test_rejects_arrays_that_are_no_tree(self):
+        cov = build_cover(cyclic_circle_spec(4, 3))
+        t = shortest_path_tree(cov.schreier_graph(), 0)
+        depth = t.depth.copy()
+        depth[t.parent == 0] += 1
+        for bad in (SpanningTree(1, t.parent, t.depth),
+                    SpanningTree(0, t.parent, depth),
+                    SpanningTree(0, t.parent[:-1], t.depth[:-1])):
+            with pytest.raises(CoverError, match="tree does not span"):
+                tree_fundamental_domain(cov, bad)
+
+    def test_pairing_words_end_with_the_flipped_paired_word(self):
+        # out to the face's tile, across, then the paired tile's word read
+        # backwards with every label (a, b) flipped to (b, a)
+        cov = build_cover(random_cyclic_cover(FIXTURES["genus2"](), 5,
+                                              random.Random(5)))
+        words, pairings = tree_fundamental_domain(
+            cov, shortest_path_tree(cov.schreier_graph(), 0))
+        for p in pairings.pairings:
+            (u, _), (w, _) = p.face, p.paired_face
+            back = tuple((b, a) for (a, b) in reversed(words[w]))
+            assert p.word[:len(words[u])] == words[u]
+            assert p.word[len(words[u]) + 1:] == back
+            assert len(p.word) == len(words[u]) + 1 + len(words[w])
+
     def test_words_reach_their_tiles(self):
         cov = build_cover(cyclic_circle_spec(3, 3))
         tree = shortest_path_tree(cov.schreier_graph(), 0)
@@ -800,12 +864,3 @@ class TestArrayGluing:
         assert g is cov.schreier_graph()
         tree_fundamental_domain(cov, shortest_path_tree(g, 0))
         assert built == []
-
-    def test_inverted_words_reverse_and_flip_labels(self):
-        cov = build_cover(random_cyclic_cover(FIXTURES["genus2"](), 5,
-                                              random.Random(5)))
-        tree = shortest_path_tree(cov.schreier_graph(), 0)
-        rev = {(a, b): (b, a) for (a, b) in cov.spec.perms}
-        for word in tree.words.values():
-            assert hodgecover.covers._invert_word(word, rev) == \
-                tuple((b, a) for (a, b) in reversed(word))

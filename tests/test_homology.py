@@ -7,7 +7,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 import hodgecover
-from hodgecover import (ComplexError, InnerProduct, SimplicialComplex,
+from hodgecover import (ComplexError, InnerProduct, PermutationCoverSpec,
                         boundary_factors, build_cover,
                         homology_table, lambda1_split, torsion_order,
                         whitney_mass_matrix)
@@ -103,19 +103,22 @@ def test_torsion_degree_range():
 
 
 def degree_entry_points():
-    """The exported functions and the public SimplicialComplex methods with
-    a degree parameter q, found by inspection.  moser_constant is the one
-    exception: its q is the degree of a form in hyperbolic n-space, not a
-    degree of a complex."""
-    found = {name: fn for name, fn in inspect.getmembers(hodgecover,
-                                                         inspect.isfunction)
+    """The exported functions and the public methods of every exported class
+    with a degree parameter q, by qualified name, found by inspection.
+    moser_constant is the one exception: its q is the degree of a form in
+    hyperbolic n-space, not a degree of a complex."""
+    found = {}
+    for obj in vars(hodgecover).values():
+        if inspect.isclass(obj):
+            found.update((fn.__qualname__, fn) for name, fn in vars(obj).items()
+                         if not name.startswith("_") and inspect.isfunction(fn))
+        elif inspect.isfunction(obj):
+            found[obj.__qualname__] = obj
+    found = {name: fn for name, fn in found.items()
              if "q" in inspect.signature(fn).parameters}
     assert "moser_constant" in found
     del found["moser_constant"]
-    methods = {name: fn for name, fn in vars(SimplicialComplex).items()
-               if not name.startswith("_") and inspect.isfunction(fn)
-               and "q" in inspect.signature(fn).parameters}
-    return {**found, **methods}
+    return found
 
 
 @pytest.mark.parametrize("degree", [True, False, 0.5, 1.0, "1", None])
@@ -125,16 +128,22 @@ def test_degree_must_be_an_integer(degree):
     K = klein_bottle()
     geo = ComplexGeometry.uniform(K)
     ips = {q: whitney_mass_matrix(K, geo, q) for q in range(K.dim + 1)}
-    args = {"K": K, "self": K, "geometry": geo, "inner_products": ips,
-            "ip_q": ips[1], "ip_up": ips[2]}
+    cover = build_cover(PermutationCoverSpec(
+        K, 1, {e: (0,) for e in K.facet_adjacencies()}))
+    args = {"K": K, "SimplicialComplex": K, "Cover": cover, "geometry": geo,
+            "inner_products": ips, "ip_q": ips[1], "ip_up": ips[2],
+            "base_cell": 0, "top": 0, "sheet": 0}
     calls = degree_entry_points()
     assert {"torsion_order", "lambda1_split", "coexact_gap",
             "whitney_mass_matrix", "charpoly_gap_bound", "up_pencil",
-            "boundary_factors", "boundary_matrix", "n_cells",
-            "uncovered_cell"} <= set(calls)
+            "boundary_factors", "SimplicialComplex.boundary_matrix",
+            "SimplicialComplex.n_cells", "SimplicialComplex.uncovered_cell",
+            "Cover.lift_cell"} <= set(calls)
     message = f"degree must be an integer, not {degree!r}"
     for name, fn in calls.items():
-        kw = {p: args[p] for p, v in inspect.signature(fn).parameters.items()
+        # self is an instance of the class that the qualified name names
+        kw = {p: args[name.split(".")[0] if p == "self" else p]
+              for p, v in inspect.signature(fn).parameters.items()
               if p != "q" and v.default is v.empty}
         with pytest.raises(ComplexError, match=re.escape(message)):
             fn(q=degree, **kw)
@@ -142,14 +151,17 @@ def test_degree_must_be_an_integer(degree):
 
 def test_integer_degree_ranges_are_unchanged():
     # the integer ranges stay as documented: boundary_factors is () outside
-    # 1..dim, boundary_matrix raises outside it, and n_cells is 0 outside
-    # 0..dim
+    # 1..dim, boundary_matrix raises outside it, n_cells is 0 outside 0..dim
+    # and uncovered_cell raises outside it
     K = klein_bottle()
     assert [boundary_factors(K, q) == () for q in (-1, 0, 3)] == [True] * 3
     assert [K.n_cells(q) for q in (-1, 3)] == [0, 0]
     for q in (0, 3):
         with pytest.raises(ComplexError, match=r"out of range \[1, 2\]"):
             K.boundary_matrix(q)
+    for q in (-1, 3, 5):
+        with pytest.raises(ComplexError, match=f"degree {q} is out of range"):
+            torus7().uncovered_cell(q)
 
 
 def test_homology_table_consistent():
