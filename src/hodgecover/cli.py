@@ -171,6 +171,7 @@ def cmd_spectrum(args):
     K = _load_complex(args.path).complex
     geometry = _load_geometry(K, args.geometry)
     K.check_degree(args.degree)      # before any product is built
+    bound = charpoly_gap_bound(K, args.degree) if args.charpoly else None
     ips = _inner_products(K, geometry, args.inner)
     split = lambda1_split(K, args.degree, ips)
     out = {
@@ -182,8 +183,8 @@ def cmd_spectrum(args):
         "lambda1_dstar": _round(split.lambda1_dstar),
         "spectrum": [_round(float(x)) for x in split.spectrum],
     }
-    if args.charpoly and args.degree < K.dim:
-        out["reciprocal_sum_bound"] = str(charpoly_gap_bound(K, args.degree))
+    if args.charpoly:
+        out["reciprocal_sum_bound"] = str(bound)
     _emit(out, args.out)
 
 
@@ -349,7 +350,7 @@ def build_parser():
     ps.add_argument("--inner", choices=["comb", "whitney"], default="comb")
     ps.add_argument("--geometry")
     ps.add_argument("--charpoly", action="store_true",
-                    help="add the exact reciprocal-sum bound")
+                    help="add the exact reciprocal-sum bound (degree < dim)")
     ps.add_argument("--out")
     ps.set_defaults(func=cmd_spectrum)
 

@@ -15,6 +15,8 @@ finds only lambda_1^* and, above _DENSE_MAX cells, never forms a dense
 matrix: in degree dim - 1 it solves the dual pencil on (q+1)-cochains
 through one factored saddle-point matrix (the mixed form of Arnold, Falk and
 Winther, Acta Numerica 2006), in degree 0 the shifted up-pencil itself.
+`charpoly_gap_bound` is exact: tr(A^+), A = d d^T, from one elimination of
+the smaller integer Gram bordered by a basis Z of its kernel (_reciprocal_sum).
 """
 
 from __future__ import annotations
@@ -66,14 +68,21 @@ def _stiffness(K: SimplicialComplex, q: int, ip_up: InnerProduct) -> tuple:
     the blocks of M_{q+1}, duplicates not yet summed: block B_t on the
     (q+1)-cells glob[t] adds s_k B_t[a, b] s_l at (face k of cell a, face l
     of cell b), where face k drops vertex q+1-k and s_k = (-1)^(q+1-k).
-    Every value is +-B_t[a, b], so the sum is symmetric up to its order."""
+    Whitney tops (T > 1 blocks of m > 1 cells, one face layout) add D^T B_t D
+    instead, D[a, u] the sum of s_k over faces k of cell a that are face u:
+    9, not 36, triplets per triangle at q = 0.  Symmetric up to rounding."""
     glob, B = ip_up._blocks
-    faces = K._tables[q + 1][2][glob]               # (T, m, q + 2)
+    T, m = glob.shape
+    faces = K._tables[q + 1][2][glob].reshape(T, -1)   # slots (a, k)
     s = (-1.0) ** np.arange(q + 1, -1, -1)
-    shape = faces.shape + faces.shape[1:]
-    rows = np.broadcast_to(faces[:, :, :, None, None], shape)
-    cols = np.broadcast_to(faces[:, None, None, :, :], shape)
-    vals = np.einsum("k,tab,l->takbl", s, B, s)
+    first = (faces[0][:, None] == faces[0]).argmax(1) if T > 1 < m else None
+    if first is not None and (faces[:, first] == faces).all():
+        local = np.unique(first)
+        D = np.kron(np.eye(m), s) @ (first[:, None] == local)
+        faces, vals = faces[:, local], D.T @ B @ D
+    else:
+        vals = np.einsum("k,tab,l->takbl", s, B, s)
+    rows, cols = np.broadcast_arrays(faces[:, :, None], faces[:, None, :])
     return rows.ravel(), cols.ravel(), vals.ravel()
 
 
@@ -246,6 +255,26 @@ def coexact_gap(K: SimplicialComplex, q: int,
     return CoexactGap(float(vals[b]), margin)
 
 
+def _reciprocal_sum(b: SparseIntMatrix) -> Fraction:
+    """tr((b b^T)^+) for a nonzero integer b with n rows.  With Z an integer
+    basis of ker b b^T = ker b^T (one back-substitution per free column of
+    b^T), B = [[b b^T, Z], [Z^T, 0]] is nonsingular and the top-left n x n
+    block of B^-1 is (b b^T)^+ (Ben-Israel and Greville 2003): one
+    elimination of the sparse [B | I_n], one back-substitution per i < n."""
+    n = b.rows
+    pivots, _ = echelon(sparse_rows(b.transpose())[0])
+    Z = [_back_substitute(pivots, {f: 1})[0] for f in range(n)
+         if f not in pivots]
+    N = n + len(Z)
+    rows, _ = sparse_rows(b.matmul(b.transpose()))
+    for i, row in enumerate(rows):          # the rows [b b^T | Z | I_n] of B
+        row |= {n + j: z[i] for j, z in enumerate(Z) if i in z} | {N + i: 1}
+    pivots, _ = echelon(rows + Z)
+    # the kernel vector that is 1 at column N + i is -(B^-1)_ii at column i
+    xs = (_back_substitute(pivots, {N + i: 1}) for i in range(n))
+    return -sum(Fraction(x.get(i, 0), den) for i, (x, den) in enumerate(xs))
+
+
 def charpoly_gap_bound(K: SimplicialComplex, q: int) -> Fraction:
     """Exact upper bound on 1/lambda_1 of the integer up-Laplacian in degree q.
 
@@ -254,35 +283,15 @@ def charpoly_gap_bound(K: SimplicialComplex, q: int) -> Fraction:
     reciprocals of the nonzero eigenvalues.  It equals |a_{k+1}| / |a_k| for
     the characteristic polynomial sum_i a_i x^i, a_k its last nonzero one.
 
-    It is computed as tr((C^T C)^{-1} A[S,S]), one back-substitution per
-    column of S through the echelon rows of [C^T C | A[S,S]], with S the
-    pivot columns of A and C = A[:, S]: A is symmetric positive semidefinite
-    of rank |S|, so A = C A[S,S]^{-1} C^T with C of full column rank.
+    d d^T and d^T d have the same nonzero spectrum, so the trace is read from
+    the sparse bordered system of the one with fewer rows (_reciprocal_sum).
     ComplexError unless q is an integer, not a bool, in 0..dim - 1.
     """
     K.check_degree(q)
     if q == K.dim:
         raise ComplexError(f"degree {q} is out of range 0..{K.dim - 1} for "
                            "an up-Laplacian")
-    n = K.n_cells(q)
     b = K.boundary_matrix(q + 1)
-    A = b.matmul(b.transpose())
-    rows, _ = sparse_rows(A)
-    S = sorted(echelon(rows)[0])
-    r = len(S)
-    if r == 0:
+    if not b.entries:
         raise SpectralError("up-Laplacian is zero; no positive eigenvalues")
-    index = {c: i for i, c in enumerate(S)}
-    C = SparseIntMatrix(n, r, tuple((i, index[c], v) for i, c, v in A.entries
-                                    if c in index))
-    G = C.transpose().matmul(C)
-    # the kernel vector of [C^T C | A[S,S]] that is 1 at column r + i is
-    # [-(C^T C)^{-1} A[S,S] e_i; e_i]: its entry i is minus trace term i
-    aug = SparseIntMatrix(r, 2 * r, G.entries + tuple(
-        (index[i], r + j, v) for i, j, v in C.entries if i in index))
-    pivots, _ = echelon(sparse_rows(aug)[0])
-    trace = Fraction(0)
-    for i in range(r):
-        x, den = _back_substitute(pivots, {r + i: 1})
-        trace -= Fraction(x.get(i, 0), den)
-    return trace
+    return _reciprocal_sum(b.transpose() if b.rows > b.cols else b)

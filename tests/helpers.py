@@ -123,6 +123,21 @@ def random_cyclic_cover(K, d, rng: random.Random) -> PermutationCoverSpec:
     return PermutationCoverSpec(K, d, perms)
 
 
+class SmallSteps(random.Random):
+    """Cocycle coefficients 0 or 1 only, so a cyclic cover is long and thin."""
+
+    def randrange(self, d):
+        return super().randrange(2)
+
+
+def thin_cyclic_cover(K, d, seed) -> PermutationCoverSpec:
+    """random_cyclic_cover with every cocycle coefficient 0 or 1: a long,
+    thin cover with deep spanning trees (depth 223 for genus2 at d = 101,
+    seed 3), as deep as the benchmark's cover, where coefficients in
+    0..d-1 give depth 19-27."""
+    return random_cyclic_cover(K, d, SmallSteps(seed))
+
+
 def random_circle_cover(n: int, d: int, rng: random.Random) -> PermutationCoverSpec:
     """Arbitrary degree-d cover spec of the n-cycle graph; any permutation
     assignment is consistent in dimension one."""

@@ -131,6 +131,26 @@ class TestSpectrumCommand:
         assert code == 0
         assert "reciprocal_sum_bound" in json.loads(out)
 
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_charpoly_at_the_top_degree_exit_2(self, capsys, tmp_path, name):
+        """The bound needs an up-Laplacian, so --charpoly at degree dim is
+        bad input (it used to exit 0 without the bound), named before the
+        products: an edge of length 1e200 would break a Whitney Gram."""
+        K = FIXTURES[name]()
+        geometry = tmp_path / "huge.json"
+        geometry.write_text(json.dumps({"edges": {
+            f"{u},{v}": 1e200 if i == 0 else 1.0
+            for i, (u, v) in enumerate(K.cells[1])}}))
+        for extra in ([], ["--inner", "whitney", "--geometry", str(geometry)]):
+            code, out, err = run(capsys, "spectrum", name, "--degree",
+                                 str(K.dim), "--charpoly", *extra)
+            assert (code, out) == (2, "")
+            assert err == f"validation error: degree {K.dim} is out of " \
+                f"range 0..{K.dim - 1} for an up-Laplacian\n"
+        code, _, err = run(capsys, "spectrum", name, "--degree", str(K.dim),
+                           "--inner", "whitney", "--geometry", str(geometry))
+        assert code == 3 and err.startswith("numerical failure")
+
     def test_whitney_inner(self, capsys):
         code, out, _ = run(capsys, "spectrum", "torus", "--degree", "1",
                            "--inner", "whitney")

@@ -22,7 +22,7 @@ from helpers import (adjacency, betti_numbers, brute_force_diameter,
                      pair_labelled_graph, permutation_schreier_graph,
                      random_cover_specs, random_cyclic_cover,
                      reference_build_cover, reference_graph_diameter,
-                     reference_shortest_path_tree,
+                     reference_shortest_path_tree, thin_cyclic_cover,
                      word_sheet_action, word_tile_action)
 
 
@@ -355,8 +355,7 @@ class TestTrees:
     def test_tree_keeps_only_its_arrays(self):
         # the tree stores no per-tile words: on this long, thin degree-101
         # cover (tree depth 223) they took 2.6 MB
-        cov = build_cover(random_cyclic_cover(FIXTURES["genus2"](), 101,
-                                              SmallSteps(3)))
+        cov = build_cover(thin_cyclic_cover(FIXTURES["genus2"](), 101, 3))
         g = cov.schreier_graph()
         tracemalloc.start()
         try:
@@ -366,13 +365,6 @@ class TestTrees:
             tracemalloc.stop()
         assert held < 0.5e6
         assert [f.name for f in fields(tree)] == ["root", "parent", "depth"]
-
-
-class SmallSteps(random.Random):
-    """Cocycle coefficients 0 or 1 only, so a cyclic cover is long and thin."""
-
-    def randrange(self, d):
-        return super().randrange(2)
 
 
 def assert_tree_matches_reference(g, root):
@@ -652,6 +644,34 @@ def random_connected_graph(rng, max_n=40):
     return Graph(n, [(perm[a], perm[b]) for a, b in edges])
 
 
+def assert_pairing_words_close_up(cov, g, tree):
+    """One pairing per non-tree edge of g; both tiles of a pairing hold the
+    facet it crosses, and its word is a loop at the root tile."""
+    words, pairings = tree_fundamental_domain(cov, tree)
+    assert len(pairings) == len(edge_set(g)) - (g.n - 1)
+    n, cells = cov.complex.dim, cov.complex.cells
+    _t, s0 = cov.top_of[tree.root]
+    for p in pairings.pairings:
+        # both tiles hold the one facet their pairing crosses
+        (u, facet), (w, paired) = p.face, p.paired_face
+        assert facet == paired
+        assert set(cells[n - 1][facet]) <= set(cells[n][u]) & set(cells[n][w])
+        # loop at the root tile: out along the tree, across, back
+        assert word_tile_action(cov, p.word, tree.root) == tree.root
+        assert word_sheet_action(cov.spec, p.word, s0) == s0
+
+
+def assert_pairing_words_flip(words, pairings):
+    """Each pairing word goes out to the face's tile, across, then reads
+    the paired tile's word backwards with every label (a, b) flipped."""
+    for p in pairings.pairings:
+        (u, _), (w, _) = p.face, p.paired_face
+        back = tuple((b, a) for (a, b) in reversed(words[w]))
+        assert p.word[:len(words[u])] == words[u]
+        assert p.word[len(words[u]) + 1:] == back
+        assert len(p.word) == len(words[u]) + 1 + len(words[w])
+
+
 class TestFundamentalDomain:
     def test_cyclic_circle_cover_one_pairing(self):
         cov = build_cover(cyclic_circle_spec(3, 3))
@@ -672,19 +692,7 @@ class TestFundamentalDomain:
                 continue
             g = cov.schreier_graph()
             tree = shortest_path_tree(g, 0)
-            words, pairings = tree_fundamental_domain(cov, tree)
-            assert len(pairings) == len(edge_set(g)) - (g.n - 1)
-            n, cells = cov.complex.dim, cov.complex.cells
-            for p in pairings.pairings:
-                # both tiles hold the one facet their pairing crosses
-                (u, facet), (w, paired) = p.face, p.paired_face
-                assert facet == paired
-                assert set(cells[n - 1][facet]) <= \
-                    set(cells[n][u]) & set(cells[n][w])
-                # loop at the root tile: out along the tree, across, back
-                assert word_tile_action(cov, p.word, tree.root) == tree.root
-                _t, s0 = cov.top_of[tree.root]
-                assert word_sheet_action(cov.spec, p.word, s0) == s0
+            assert_pairing_words_close_up(cov, g, tree)
 
     def test_rejects_a_tree_of_another_graph(self):
         # the same 130 tiles: another seeded cover's tree gave 120 pairings
@@ -713,14 +721,8 @@ class TestFundamentalDomain:
         # backwards with every label (a, b) flipped to (b, a)
         cov = build_cover(random_cyclic_cover(FIXTURES["genus2"](), 5,
                                               random.Random(5)))
-        words, pairings = tree_fundamental_domain(
-            cov, shortest_path_tree(cov.schreier_graph(), 0))
-        for p in pairings.pairings:
-            (u, _), (w, _) = p.face, p.paired_face
-            back = tuple((b, a) for (a, b) in reversed(words[w]))
-            assert p.word[:len(words[u])] == words[u]
-            assert p.word[len(words[u]) + 1:] == back
-            assert len(p.word) == len(words[u]) + 1 + len(words[w])
+        assert_pairing_words_flip(*tree_fundamental_domain(
+            cov, shortest_path_tree(cov.schreier_graph(), 0)))
 
     def test_words_reach_their_tiles(self):
         cov = build_cover(cyclic_circle_spec(3, 3))
@@ -728,6 +730,32 @@ class TestFundamentalDomain:
         words, _ = tree_fundamental_domain(cov, tree)
         for tile, word in words.items():
             assert word_tile_action(cov, word, tree.root) == tile
+
+
+class TestDeepTree:
+    """The domain and its pairing words once on the long, thin degree-101
+    genus2 cover (tree depth >= 200, as deep as the benchmark's cover):
+    the random covers above have trees of depth 19-27 at this degree."""
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        cov = build_cover(thin_cyclic_cover(genus2_surface(), 101, 3))
+        g = cov.schreier_graph()
+        tree = shortest_path_tree(g, 0)
+        assert tree.depth.max() >= 200
+        return cov, g, tree
+
+    def test_words_match_reference_tree(self, deep):
+        cov, g, tree = deep
+        words = assert_tree_matches_reference(g, tree.root)
+        assert tree_fundamental_domain(cov, tree)[0] == words
+
+    def test_pairing_words_close_up(self, deep):
+        assert_pairing_words_close_up(*deep)
+
+    def test_pairing_words_end_with_the_flipped_paired_word(self, deep):
+        cov, _, tree = deep
+        assert_pairing_words_flip(*tree_fundamental_domain(cov, tree))
 
 
 # ---------------------------------------------------------------------------

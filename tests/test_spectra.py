@@ -8,6 +8,8 @@ import pytest
 import sympy
 from scipy.linalg import eigh
 from scipy.sparse import diags_array
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from hodgecover import (ComplexError, SpectralError, build_cover,
                         charpoly_gap_bound, coexact_gap, lambda1_split,
@@ -20,6 +22,24 @@ from hodgecover.whitney import (ComplexGeometry, InnerProduct,
 
 from helpers import (betti_numbers, dense_pencil, down_gram, down_pencil,
                      one_block, random_cyclic_cover, to_float, to_pylists)
+
+
+def genus2_cover(d):
+    """The seeded degree-d cyclic cover of genus2 the oracle tests share."""
+    return build_cover(random_cyclic_cover(genus2_surface(), d,
+                                           random.Random(d))).complex
+
+
+def charpoly_ratio(K, q):
+    """|a_{k+1}| / |a_k| of the characteristic polynomial sum_i a_i x^i of
+    d d^T on q-chains, a_k its last nonzero coefficient, from sympy over
+    the integers: the reciprocal sum of the nonzero eigenvalues."""
+    b = K.boundary_matrix(q + 1)
+    A = DomainMatrix(to_pylists(b.matmul(b.transpose())), (b.rows, b.rows),
+                     ZZ)
+    tail = [int(c) for c in A.charpoly()[::-1]]
+    k = next(i for i, c in enumerate(tail) if c != 0)
+    return Fraction(abs(tail[k + 1]), abs(tail[k]))
 
 
 def comb_products(K):
@@ -296,21 +316,44 @@ class TestCharpolyGapBound:
             assert 1 / lam1 <= float(bound) + 1e-9
 
     def test_equals_charpoly_coefficient_ratio(self):
-        covers = [build_cover(random_cyclic_cover(genus2_surface(), d,
-                                                  random.Random(d))).complex
-                  for d in (2, 3)]
+        # every fixture at q = 0, 1: projective_plane and klein_bottle carry
+        # torsion; at q = 1 the covers' d_2 has more rows than columns, so
+        # the trace is read from d_2^T d_2, bordered by the one 2-cycle
+        covers = [genus2_cover(d) for d in (2, 3)]
         cases = [(fn(), q) for fn in FIXTURES.values() for q in range(2)]
-        cases += [(K, 0) for K in covers] + [(torus_grid(5, 5), 1)]
-        x = sympy.Symbol("x")
+        cases += [(K, q) for K in covers for q in range(2)]
+        cases += [(torus_grid(5, 5), 1)]
         for K, q in cases:
             if q >= K.dim:
                 continue
+            assert charpoly_gap_bound(K, q) == charpoly_ratio(K, q)
+
+    @pytest.mark.parametrize("name", ["torus", "projective_plane", "circle"])
+    def test_two_components(self, name):
+        """Two disjoint copies: b_0 = 2, so Z has two columns at q = 0 (and
+        b_2 = 2 on the torus pair at q = 1, none on the projective planes);
+        the spectrum doubles, and with it the reciprocal sum."""
+        K = FIXTURES[name]()
+        shift = max(v for (v,) in K.cells[0]) + 1
+        tops = [list(c) for c in K.cells[K.dim]]
+        pair = load_complex(tops + [[v + shift for v in c] for c in tops])
+        assert betti_numbers(pair) == [2 * b for b in betti_numbers(K)]
+        for q in range(K.dim):
+            bound = charpoly_gap_bound(pair, q)
+            assert bound == charpoly_ratio(pair, q)
+            assert bound == 2 * charpoly_gap_bound(K, q)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_both_grams_give_one_trace(self, d):
+        """tr((b b^T)^+) = tr((b^T b)^+), whichever side the bordered system
+        is built on: b_0 kernel columns on one side, n_1 - rank on the
+        other at q = 0."""
+        K = genus2_cover(d)
+        for q in range(K.dim):
             b = K.boundary_matrix(q + 1)
-            A = sympy.Matrix(to_pylists(b.matmul(b.transpose())))
-            tail = [int(c) for c in A.charpoly(x).all_coeffs()[::-1]]
-            k = next(i for i, c in enumerate(tail) if c != 0)
-            assert charpoly_gap_bound(K, q) == \
-                Fraction(abs(tail[k + 1]), abs(tail[k]))
+            assert spectra._reciprocal_sum(b) == \
+                spectra._reciprocal_sum(b.transpose()) == \
+                charpoly_gap_bound(K, q)
 
     def test_size_limit_and_degree_checks(self):
         K = torus7()
