@@ -50,8 +50,11 @@ def _emit(obj, out=None):
     except ValueError as exc:
         raise CliError(f"result is not finite: {exc}", EXIT_NUMERICAL) from None
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -152,18 +155,14 @@ def cmd_cover(args):
             "tiles": g.n,
             "graph_diameter": graph_diameter(g),
             "tree_diameter": tree.diameter(),
-            "tree_edges": sorted(list(e) for e in tree.tree_edges),
-            "words": {str(v): [list(l) for l in w]
-                      for v, w in sorted(words.items())},
+            "tree_edges": sorted(tree.tree_edges),
+            "words": {str(v): w for v, w in words.items()},
         }, args.out)
         return
     _emit({
         "n_pairings": len(pairings),
-        "pairings": [{
-            "face": list(p.face),
-            "paired_face": list(p.paired_face),
-            "word": [list(l) for l in p.word],
-        } for p in pairings.pairings],
+        "pairings": [{"face": p.face, "paired_face": p.paired_face,
+                      "word": p.word} for p in pairings.pairings],
     }, args.out)
 
 

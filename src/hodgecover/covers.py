@@ -318,7 +318,9 @@ class Cover:
     """A built cover: the pullback complex, the base top and sheet of each
     cover top cell, and the gluing as read-only arrays: incidences
     start[q]..start[q + 1] - 1, base q-cell c in top t, keyed c T + t
-    increasingly, and cell[i, s] the cover cell on sheet s of incidence i."""
+    increasingly, and cell[i, s] the cover cell on sheet s of incidence i.
+    `build_cover` also builds the Schreier graph and whether it is
+    connected."""
 
     spec: PermutationCoverSpec
     complex: SimplicialComplex
@@ -326,25 +328,12 @@ class Cover:
     start: np.ndarray
     keys: np.ndarray
     cell: np.ndarray
-    connected: bool = field(init=False)
+    connected: bool
+    _schreier: Graph = field(repr=False)
 
     def __post_init__(self):
-        """Build the Schreier graph once: dual graph of the cover's top-cell
-        tiling, tiles numbered as the cover complex's top cells, edges
-        labelled by the base adjacency they project to.  Tile (t, s) joins
-        tile (t', p[s]) across the adjacency (t, t') carrying p."""
         for a in (self.start, self.keys, self.cell):
             a.flags.writeable = False
-        d = self.spec.degree
-        adj = [e for e in self.spec.perms if e[0] < e[1]]
-        tile = self.cell[self.start[-2]:]              # tile[t, s]
-        a, b = np.array(adj, dtype=np.intp).reshape(-1, 2).T
-        p = np.array([self.spec.perms[e] for e in adj], np.intp).reshape(-1, d)
-        edges = np.stack((tile[a], tile[b[:, None], p]), axis=2).reshape(-1, 2)
-        label = np.repeat(np.arange(len(adj))[:, None] + [0, len(adj)], d, 0)
-        self._schreier = Graph(tile.size, edges, label,
-                               adj + [(j, i) for i, j in adj])
-        self.connected = not _classes(tile.size, *edges.T).any()
 
     def lift_cell(self, q: int, base_cell, top, sheet):
         """The cover q-cell on `sheet` over base q-cell `base_cell` in base
@@ -467,8 +456,16 @@ def build_cover(spec: PermutationCoverSpec) -> Cover:
         place.append(np.argsort(o))     # each row's place in the order
 
     top_of = [divmod(k, d) for k in o.tolist()]    # o orders the top rows
+    cell = np.concatenate(place)[cls].reshape(-1, d)
+    # the Schreier graph on the tiles tile[t, s]: tile (a, s) joins tile
+    # (b, P[i, s]) across the i-th adjacency a < b, labelled i, i + m back
+    tile, m = cell[start[-2]:], len(adj)
+    edges = np.stack((tile[A], tile[B[:, None], P]), axis=2).reshape(-1, 2)
+    label = np.repeat(np.arange(m)[:, None] + [0, m], d, axis=0)
     return Cover(spec, SimplicialComplex(cells_by_dim), top_of, start,
-                 np.concatenate(keys), np.concatenate(place)[cls].reshape(-1, d))
+                 np.concatenate(keys), cell,
+                 not _classes(tile.size, *edges.T).any(),
+                 Graph(tile.size, edges, label, adj + [(j, i) for i, j in adj]))
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +492,11 @@ def tree_fundamental_domain(cover: Cover, tree: SpanningTree
     """Tile access words and face pairings of the tree-type domain.
 
     Tile v is cover top cell v; its word is the labels of its tree path from
-    the root.  Every non-tree edge pairs the facet its tiles share in the
-    face table by one word: out along the tree, across, and back, each label
-    on the way back read from its tree edge's other direction.  CoverError
-    unless the tree spans the Schreier graph: graph edges only, and depth
-    one more than the parent's."""
+    the root, and one pass also builds the labels of the path back.  Every
+    non-tree edge pairs the facet its tiles share in the face table by one
+    word: out along the tree to one tile, across, and back from the other
+    tile.  CoverError unless the tree spans the Schreier graph: graph edges
+    only, and depth one more than the parent's."""
     g, parent, depth = cover.schreier_graph(), tree.parent, tree.depth
     w = np.argsort(depth, kind="stable")      # parents before children
     # a parent outside 0..n-1 wraps here and then fails _edges
@@ -508,10 +505,10 @@ def tree_fundamental_domain(cover: Cover, tree: SpanningTree
         raise CoverError("tree does not span the cover's dual graph")
     w, u, names = w[1:], parent[w[1:]], g.names
     down, up = (g.label[g._edges(a, b)].tolist() for a, b in ((u, w), (w, u)))
-    flip = {names[a]: names[b] for a, b in zip(down, up)}
-    words = {tree.root: ()}
-    for v, p, x in zip(w.tolist(), u.tolist(), down):
+    words, back = {tree.root: ()}, {tree.root: ()}
+    for v, p, x, y in zip(w.tolist(), u.tolist(), down, up):
         words[v] = words[p] + (names[x],)
+        back[v] = (names[y],) + back[p]
     tail, head = g.tails(), g.head
     cross = np.flatnonzero((tail < head) & (parent[head] != tail)
                            & (parent[tail] != head))
@@ -519,7 +516,6 @@ def tree_fundamental_domain(cover: Cover, tree: SpanningTree
     ft, fh = faces[tail[cross]], faces[head[cross]]
     facet = ft[(ft[:, :, None] == fh[:, None, :]).any(axis=2)]
     return words, FacePairingSet([
-        FacePairing((t, f), (h, f), words[t] + (names[x],) +
-                    tuple(map(flip.__getitem__, reversed(words[h]))))
+        FacePairing((t, f), (h, f), words[t] + (names[x],) + back[h])
         for t, h, x, f in zip(tail[cross].tolist(), head[cross].tolist(),
                               g.label[cross].tolist(), facet.tolist())])

@@ -4,6 +4,11 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+# one BLAS thread, as the benchmark runs, unless the caller sets one; numpy
+# reads these when it is first imported, which is after this file loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
 

@@ -20,7 +20,11 @@ from hodgecover.bounds import catalogue_ids, get_entry
 from hodgecover.cli import main
 from hodgecover.surfaces import FIXTURES, circle, genus2_surface, torus7
 
-from helpers import random_cyclic_cover, rat_nullspace, to_pylists
+from helpers import (edge_labels, edge_set, pair_labelled_graph,
+                     random_cyclic_cover, rat_nullspace,
+                     reference_build_cover, reference_graph_diameter,
+                     reference_shortest_path_tree, thin_cyclic_cover,
+                     to_pylists)
 
 
 def cli(*argv):
@@ -87,6 +91,16 @@ class TestComplexCommands:
         code, _, err = run(capsys, "complex", "validate", "/no/such/file.json")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("where", ["missing/x.json", "."],
+                             ids=["missing_directory", "directory"])
+    def test_unwritable_out_exit_2(self, capsys, tmp_path, where):
+        out = tmp_path / where
+        code, stdout, err = run(capsys, "complex", "validate", "torus",
+                                "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("action, data", [
         ("validate", [[0, "x", 2]]), ("homology", {"cells": 5}),
@@ -360,6 +374,64 @@ class TestCoverCommands:
                            "--spec", str(spec))
         assert code == 2
         assert "graph is disconnected" in err
+
+
+def reference_cover_output(spec):
+    """The `cover tree` and `cover pairings` objects of a connected cover,
+    spelled from the reference cover, its tile graph and the reference BFS
+    tree from tile 0: a pairing per non-tree edge t < h, in that order,
+    out along t's word, across, and back along h's word reversed with each
+    label (a, b) read as (b, a)."""
+    ref = reference_build_cover(spec)
+    tile = {ts: v for v, ts in enumerate(ref.top_of)}
+    edges, labels = [], []
+    for (a, b), p in sorted(spec.perms.items()):
+        if a < b:
+            edges += [(tile[a, s], tile[b, p[s]]) for s in range(spec.degree)]
+            labels += [(a, b)] * spec.degree
+    g = pair_labelled_graph(len(tile), edges, labels)
+    parent, _, words = reference_shortest_path_tree(g, 0)
+    tree = sorted((min(v, p), max(v, p)) for v, p in parent.items()
+                  if p is not None)
+    # double sweep: a vertex farthest from the root ends a longest path
+    t = pair_labelled_graph(g.n, tree, [None] * len(tree))
+    depth = reference_shortest_path_tree(t, 0)[1]
+    far = max(depth, key=depth.get)
+    n, cells, label = spec.base.dim, ref.complex.cells, edge_labels(g)
+    pairings = []
+    for u, w in sorted(edge_set(g) - set(tree)):
+        f = ref.complex.cell_index[n - 1][
+            tuple(sorted(set(cells[n][u]) & set(cells[n][w])))]
+        pairings.append({"face": [u, f], "paired_face": [w, f], "word": [
+            *map(list, words[u]), list(label[u, w]),
+            *([b, a] for a, b in reversed(words[w]))]})
+    return ({"tiles": g.n, "graph_diameter": reference_graph_diameter(g),
+             "tree_diameter": max(reference_shortest_path_tree(t, far)[1]
+                                  .values()),
+             "tree_edges": [list(e) for e in tree],
+             "words": {str(v): list(map(list, w)) for v, w in words.items()}},
+            {"n_pairings": len(pairings), "pairings": pairings})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: thin_cyclic_cover(genus2_surface(), 101, 3),
+    lambda: random_cyclic_cover(genus2_surface(), 5, random.Random(5))],
+    ids=["thin_101", "seeded_5"])
+def test_cover_tree_and_pairings_bytes(capsys, tmp_path, make):
+    # the tree of the thin degree-101 cover is 223 deep
+    spec = make()
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"degree": spec.degree, "perms": {
+        f"{a},{b}": p for (a, b), p in spec.perms.items() if a < b}}))
+    expect = reference_cover_output(spec)
+    for action, obj in zip(("tree", "pairings"), expect):
+        code, out, err = run(capsys, "cover", action, "--base", "genus2",
+                             "--spec", str(path))
+        assert (code, err) == (0, "")
+        # a flag, not `out == ...` in the assert: pytest's diff of two
+        # strings of megabytes would take minutes
+        same = out == json.dumps(obj, indent=1, sort_keys=True) + "\n"
+        assert same, f"cover {action}: stdout differs from the reference"
 
 
 def main_captured(argv, files=()):

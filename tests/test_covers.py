@@ -242,6 +242,17 @@ class TestSchreierGraph:
                 g.tails().tolist(), g.head.tolist(), g.label.tolist())} \
                 == numbers
 
+    def test_numbering_ignores_the_order_of_the_perms(self):
+        # label i is the i-th adjacency a < b in sorted order, whatever the
+        # order in which the spec's dict lists the permutations
+        spec = random_cyclic_cover(genus2_surface(), 5, random.Random(3))
+        flipped = PermutationCoverSpec(spec.base, spec.degree,
+                                       dict(reversed(spec.perms.items())))
+        g, h = (build_cover(s).schreier_graph() for s in (spec, flipped))
+        assert g.names == h.names
+        for a in ("label", "start", "head"):
+            assert getattr(g, a).tolist() == getattr(h, a).tolist()
+
     def test_tetrahedron_transposition_cover_connected(self):
         rng = random.Random(2)
         found = False
