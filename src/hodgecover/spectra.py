@@ -7,16 +7,18 @@ the exact ranks of the boundary maps, read from the invariant factors that
 `homology` memoises per complex, never from thresholding floats.
 
 The stiffness d^T M_{q+1} d is assembled once, as COO triplets from the
-blocks of M_{q+1} (_stiffness), and summed by either of two sinks: a dense
-numpy array for the eigenvalues, a scipy CSR array for up_pencil and the
-sparse gap.  `lambda1_split` is the dense full-spectrum oracle, numpy only:
+blocks of M_{q+1} (_stiffness), and summed by one of three sinks: a dense
+numpy array for the eigenvalues; up_pencil's symmetrized sums over the
+distinct keys, numpy only, scattered into its dense A beside M_q returned
+as its InnerProduct; a scipy CSR array for the sparse gap alone.  `lambda1_split` is the dense full-spectrum oracle, numpy only:
 M_q = L L^T by Cholesky and the eigenvalues of L^-1 A L^-T.  `coexact_gap`
 finds only lambda_1^* and, above _DENSE_MAX cells, never forms a dense
 matrix: in degree dim - 1 it solves the dual pencil on (q+1)-cochains
 through one factored saddle-point matrix (the mixed form of Arnold, Falk and
 Winther, Acta Numerica 2006), in degree 0 the shifted up-pencil itself.
 `charpoly_gap_bound` is exact: tr(A^+), A = d d^T, from one elimination of
-the smaller integer Gram bordered by a basis Z of its kernel (_reciprocal_sum).
+the smaller integer Gram bordered by a basis Z of its kernel (_reciprocal_sum),
+its rows in reverse Cuthill-McKee order.
 """
 
 from __future__ import annotations
@@ -99,19 +101,25 @@ def _stiffness_csr(K: SimplicialComplex, q: int, ip_up: InnerProduct):
 def up_pencil(K: SimplicialComplex, q: int, ip_q: InnerProduct,
               ip_up: InnerProduct) -> tuple:
     """(A, M) with A = d^T M_{q+1} d the up-Laplacian stiffness on q-cochains,
-    a dense ndarray, and M = M_q as a scipy CSR array.
+    a dense ndarray, and M = M_q, the InnerProduct ip_q itself.
 
-    A sums the triplets of _stiffness into CSR, symmetrized while still
-    sparse and made dense only at the end: O(nnz) work, and no dense
-    temporaries beyond A.  M comes from the product's blocks, so its dense
-    view is never built.  The degree follows check_degree, and SpectralError
+    The triplets of _stiffness are summed over their distinct keys i n + j,
+    symmetrized as (u_ij + u_ji) / 2 and scattered once into one zeroed
+    n x n array: O(nnz) work, A exactly symmetric, no dense temporaries
+    beyond A, and numpy only.  M keeps its blocks, so its dense view is
+    never built here.  The degree follows check_degree, and SpectralError
     unless ip_q and, below dim, ip_up have the sizes of degrees q and q + 1."""
     K.check_degree(q)
     _check_products(K, {q: ip_q, q + 1: ip_up}, q, 0, int(q < K.dim))
     n = K.n_cells(q)
-    if q == K.dim:
-        return np.zeros((n, n)), ip_q._csr()
-    return _stiffness_csr(K, q, ip_up).toarray(), ip_q._csr()
+    A = np.zeros(n * n)
+    if q < K.dim:
+        rows, cols, vals = _stiffness(K, q, ip_up)
+        keys, at = np.unique(rows * n + cols, return_inverse=True)
+        u = np.bincount(at, vals)
+        # the triplets come in mirrored pairs, so each key's mirror is a key
+        A[keys] = (u + u[np.searchsorted(keys, keys % n * n + keys // n)]) / 2
+    return A.reshape(n, n), ip_q
 
 
 @dataclass
@@ -255,18 +263,50 @@ def coexact_gap(K: SimplicialComplex, q: int,
     return CoexactGap(float(vals[b]), margin)
 
 
+def _reverse_cuthill_mckee(rows: list[dict[int, int]]) -> list[int]:
+    """The rows of a structurally symmetric sparse matrix in reverse
+    Cuthill-McKee order: breadth-first through its graph, each component
+    from a row of least degree and each row's new neighbours by ascending
+    degree, ties by index, the whole order then reversed."""
+    degree = [len(row) for row in rows]
+    seen = [False] * len(rows)
+    order = []
+    for start in sorted(range(len(rows)), key=degree.__getitem__):
+        if seen[start]:
+            continue
+        seen[start] = True
+        k = len(order)
+        order.append(start)
+        while k < len(order):
+            new = sorted((w for w in rows[order[k]] if not seen[w]),
+                         key=degree.__getitem__)
+            for w in new:
+                seen[w] = True
+            order += new
+            k += 1
+    return order[::-1]
+
+
 def _reciprocal_sum(b: SparseIntMatrix) -> Fraction:
-    """tr((b b^T)^+) for a nonzero integer b with n rows.  With Z an integer
-    basis of ker b b^T = ker b^T (one back-substitution per free column of
-    b^T), B = [[b b^T, Z], [Z^T, 0]] is nonsingular and the top-left n x n
-    block of B^-1 is (b b^T)^+ (Ben-Israel and Greville 2003): one
-    elimination of the sparse [B | I_n], one back-substitution per i < n."""
+    """tr((b b^T)^+) for a nonzero integer b with n rows.  The rows of b are
+    first renumbered in reverse Cuthill-McKee order through b b^T, which
+    keeps the fill-in of the eliminations below small and leaves the trace
+    as it is.  With Z an integer basis of ker b b^T = ker b^T (one
+    back-substitution per free column of b^T), B = [[b b^T, Z], [Z^T, 0]]
+    is nonsingular and the top-left n x n block of B^-1 is (b b^T)^+
+    (Ben-Israel and Greville 2003): one elimination of the sparse [B | I_n],
+    one back-substitution per i < n."""
     n = b.rows
-    pivots, _ = echelon(sparse_rows(b.transpose())[0])
+    gram, _ = sparse_rows(b.matmul(b.transpose()))
+    order = _reverse_cuthill_mckee(gram)
+    new = {old: i for i, old in enumerate(order)}
+    bt = SparseIntMatrix._trusted(b.cols, n, tuple((c, new[r], v)
+                                                   for r, c, v in b.entries))
+    pivots, _ = echelon(sparse_rows(bt)[0])
     Z = [_back_substitute(pivots, {f: 1})[0] for f in range(n)
          if f not in pivots]
     N = n + len(Z)
-    rows, _ = sparse_rows(b.matmul(b.transpose()))
+    rows = [{new[j]: v for j, v in gram[old].items()} for old in order]
     for i, row in enumerate(rows):          # the rows [b b^T | Z | I_n] of B
         row |= {n + j: z[i] for j, z in enumerate(Z) if i in z} | {N + i: 1}
     pivots, _ = echelon(rows + Z)

@@ -2,11 +2,20 @@ import argparse
 import ast
 import dataclasses
 import inspect
+import math
+import os
+import random
 import re
+import subprocess
+import sys
 from functools import cached_property
 from pathlib import Path
 
 import hodgecover
+from hodgecover import EdgeCycle, build_cover, rationally_null
+from hodgecover.surfaces import genus2_surface
+
+from helpers import rat_nullspace, random_cyclic_cover, to_pylists
 
 PACKAGE = Path(hodgecover.__file__).resolve().parent
 ROOT = PACKAGE.parent.parent
@@ -40,6 +49,64 @@ def test_no_module_imports_scipy_linalg():
                    for n in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+_TOWER_LEVEL = """
+import sys
+from hodgecover import (
+    ComplexGeometry, EdgeCycle, PermutationCoverSpec, build_cover,
+    charpoly_gap_bound, coexact_gap, graph_diameter, homology_table,
+    l1_filling, lambda1_split, least_norm_filling, norm_equivalence_constants,
+    rationally_null, shortest_path_tree, tree_fundamental_domain, up_pencil,
+    whitney_mass_matrix)
+from hodgecover.surfaces import genus2_surface
+
+cover = build_cover(PermutationCoverSpec(genus2_surface(), 3, {perms!r}))
+K = cover.complex
+assert max(K.n_cells(q) for q in range(3)) < 400
+geo = ComplexGeometry.uniform(K, 1.0)
+for q in (1, 2):
+    K.boundary_matrix(q)
+homology_table(K)
+ips = {{q: whitney_mass_matrix(K, geo, q) for q in range(3)}}
+norm_equivalence_constants(K, geo, 1)
+up_pencil(K, 1, ips[1], ips[2])
+lambda1_split(K, 1, ips)
+coexact_gap(K, 1, ips)
+charpoly_gap_bound(K, 0)
+chain = [int(t % 3 == 0) for t in range(K.n_cells(2))]
+f = EdgeCycle(K, tuple(K.boundary_matrix(2).apply(chain)))
+assert rationally_null(f)[0]
+least_norm_filling(f, "comb")
+least_norm_filling(f, "whitney", ips[2])
+l1_filling(f)
+assert not rationally_null(EdgeCycle(K, {non_null!r}))[0]
+g = cover.schreier_graph()
+tree = shortest_path_tree(g, 0)
+graph_diameter(g)
+tree.diameter()
+tree_fundamental_domain(cover, tree)
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_a_tower_level_loads_no_scipy():
+    """Every library call of one level of the paper's tower, below 400
+    cells in each degree, is numpy only: a fresh interpreter that makes
+    them all on a degree-3 cover of genus2 has loaded no scipy module."""
+    spec = random_cyclic_cover(genus2_surface(), 3, random.Random(3))
+    K = build_cover(spec).complex
+    for v in rat_nullspace(to_pylists(K.boundary_matrix(1))):
+        den = math.lcm(*(x.denominator for x in v))
+        cycle = tuple(int(x * den) for x in v)
+        if not rationally_null(EdgeCycle(K, cycle))[0]:
+            break
+    code = _TOWER_LEVEL.format(perms=dict(spec.perms), non_null=cycle)
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def references(path, attributes=False):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import sympy
 from scipy.linalg import eigh
-from scipy.sparse import diags_array
+from scipy.sparse import csr_array, diags_array
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 
@@ -77,6 +78,16 @@ def dense_up(K, q, M_up):
     return (A + A.T) / 2
 
 
+def scipy_up(K, q, ip_up):
+    """d^T M_{q+1} d densified from scipy's sums of the triplets of
+    _stiffness, in key order, and its (A + A^T) / 2 taken while sparse."""
+    rows, cols, vals = spectra._stiffness(K, q, ip_up)
+    n = K.n_cells(q)
+    order = np.argsort(rows * n + cols, kind="stable")
+    A = csr_array((vals[order], (rows[order], cols[order])), shape=(n, n))
+    return ((A + A.T) / 2).toarray()
+
+
 def random_spd_products(K, seed):
     rng = np.random.default_rng(seed)
     out = {}
@@ -117,11 +128,9 @@ class TestUpPencil:
         for K, q, products in self.cases():
             viewed = products[q]._dense is not None
             A, M = up_pencil(K, q, products[q], products.get(q + 1))
-            assert type(A) is np.ndarray and M.format == "csr"
-            # M comes from the blocks: up_pencil builds no dense view
+            assert type(A) is np.ndarray and M is products[q]
+            # M is the product itself: up_pencil builds no dense view
             assert (products[q]._dense is not None) == viewed
-            assert np.allclose(M.toarray(), products[q].matrix, rtol=1e-15,
-                               atol=1e-16)
             if q == K.dim:
                 assert np.array_equal(A, np.zeros((K.n_cells(q),) * 2))
                 continue
@@ -138,6 +147,22 @@ class TestUpPencil:
                 A, _ = up_pencil(K, q, products[q], products[q + 1])
                 assert np.array_equal(A, dense_up(K, q,
                                                   products[q + 1].matrix))
+
+    def test_bitwise_against_scipy_sums(self):
+        # the reference sums the same triplets in scipy CSR, then (A + A^T)/2;
+        # they go in stably sorted by key, since scipy's own index sort is
+        # unstable and leaves the order of the summands in a long row open
+        def covers():
+            for d in (23, 53):
+                K = genus2_cover(d)
+                ips = perturbed_whitney_products(K, d)
+                for q in range(K.dim + 1):
+                    yield K, q, ips
+        for K, q, products in itertools.chain(self.cases(), covers()):
+            A, _ = up_pencil(K, q, products[q], products.get(q + 1))
+            assert np.array_equal(A, A.T)
+            if q < K.dim:
+                assert np.array_equal(A, scipy_up(K, q, products[q + 1]))
 
     def test_no_dense_temporaries(self):
         # the traced peak is the dense output A and sparse work beside it;
@@ -386,7 +411,7 @@ class TestValidation:
             with pytest.raises(SpectralError):
                 up_pencil(K, 1, ip_q, ip_up)
         A, M = up_pencil(K, 2, ips[2], None)   # the top degree reads no ip_up
-        assert A.shape == M.shape == (14, 14)
+        assert A.shape == (14, 14) and M is ips[2] and M._dense is None
 
     def test_degree_out_of_range(self):
         K = circle(3)
