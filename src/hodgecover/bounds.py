@@ -311,7 +311,8 @@ def evaluate_all(computed: dict, overrides: dict) -> list[BoundReport]:
         filled = {name: computed.get(name) if source == "computed"
                   else _DEFAULT_USER_PARAMS.get(name, 1.0)
                   for name, source in _CATALOGUE[bid].params}
-        reports.append(evaluate_bound(bid, filled | overrides.get(bid, {})))
+        reports.append(evaluate_bound(bid, filled | overrides.get(bid, {}),
+                                      overflow=True))
     return reports
 
 
@@ -324,12 +325,13 @@ def _finite_real(value) -> bool:
         return False
 
 
-def evaluate_bound(id: str, params: dict) -> BoundReport:
+def evaluate_bound(id: str, params: dict, overflow=False) -> BoundReport:
     """Substitute params into the catalogue entry and compare both sides.
 
     Parameter values are finite real numbers, or None for one that is not
     supplied: a side that reads it is None, and the entry is not applicable.
-    A parameter absent from params that a side reads is an error."""
+    A parameter absent from params that a side reads is an error, and so is
+    a side beyond a float unless `overflow`: then it is None, and noted."""
     entry = get_entry(id)
     if not isinstance(params, dict):
         raise BoundError(f"parameters of bound {id} must be a JSON object, "
@@ -345,9 +347,11 @@ def evaluate_bound(id: str, params: dict) -> BoundReport:
         values[name] = {"value": value, "source": sources[name]}
     null = [k for k, v in params.items() if v is None]
     given = {k: v for k, v in params.items() if v is not None}
+    beyond = [] if overflow else None       # notes of overflowed sides
     try:
-        rhs, lhs = (_side(f, given, null) for f in (entry.rhs, entry.lhs))
-        if id == "dichotomy" and not null:
+        rhs, lhs = (_side(f, given, null, beyond, side) for side, f in
+                    (("right", entry.rhs), ("left", entry.lhs)))
+        if id == "dichotomy" and not (null or beyond):
             return _dichotomy_report(given, values, lhs, rhs)
     except KeyError as exc:
         raise BoundError(f"bound {id} missing parameter {exc.args[0]!r}")
@@ -358,23 +362,29 @@ def evaluate_bound(id: str, params: dict) -> BoundReport:
     except (ArithmeticError, ValueError, TypeError) as exc:
         raise BoundError(f"bound {id} cannot be evaluated at these "
                          f"parameters: {exc}")
-    verdict = "not-applicable" if null else _verdict(lhs, rhs, entry.direction)
-    notes = [f"parameter {k!r} not supplied" for k in null]
-    if lhs is None and rhs is not None:
+    verdict = ("not-applicable" if null or beyond
+               else _verdict(lhs, rhs, entry.direction))
+    notes = [f"parameter {k!r} not supplied" for k in null] + (beyond or [])
+    if lhs is None and rhs is not None and not beyond:
         notes.append("left side not supplied; right side reported only")
     return BoundReport(id, values, lhs, rhs, entry.direction, verdict, notes)
 
 
-def _side(f, given: dict, null: list) -> float | None:
+def _side(f, given: dict, null: list, beyond, side: str) -> float | None:
     """f(given) as a float, None if f returns None or reads a parameter in
-    null; any other parameter f reads must be in given (KeyError)."""
+    null; any other parameter f reads must be in given (KeyError).  When
+    beyond is a list, an overflow is None too, and noted there."""
     try:
         x = f(given)
+        return None if x is None else float(x)
     except KeyError as exc:
-        if exc.args[0] in null:
-            return None
-        raise
-    return None if x is None else float(x)
+        if exc.args[0] not in null:
+            raise
+    except OverflowError as exc:
+        if beyond is None:
+            raise
+        beyond.append(f"{side} side overflows a float: {exc}")
+    return None
 
 
 def _dichotomy_report(params, values, lam_w, alt1_rhs) -> BoundReport:

@@ -38,9 +38,7 @@ class CliError(Exception):
 
 
 def _round(x, nd=12):
-    if isinstance(x, float):
-        return round(x, nd)
-    return x
+    return round(x, nd) if isinstance(x, float) else x
 
 
 def _emit(obj, out=None):
@@ -333,14 +331,12 @@ def build_parser():
     pc = sub.add_parser("complex", help="validate a complex or compute homology")
     pc.add_argument("action", choices=["validate", "homology"])
     pc.add_argument("path")
-    pc.add_argument("--out")
     pc.set_defaults(func=cmd_complex)
 
     pv = sub.add_parser("cover", help="build covers and fundamental domains")
     pv.add_argument("action", choices=["build", "tree", "pairings"])
     pv.add_argument("--base", required=True)
     pv.add_argument("--spec", required=True)
-    pv.add_argument("--out")
     pv.set_defaults(func=cmd_cover)
 
     ps = sub.add_parser("spectrum", help="Hodge Laplacian spectrum and split")
@@ -350,7 +346,6 @@ def build_parser():
     ps.add_argument("--geometry")
     ps.add_argument("--charpoly", action="store_true",
                     help="add the exact reciprocal-sum bound (degree < dim)")
-    ps.add_argument("--out")
     ps.set_defaults(func=cmd_spectrum)
 
     pn = sub.add_parser("norms", help="mass matrices and norm constants")
@@ -358,7 +353,6 @@ def build_parser():
     pn.add_argument("path")
     pn.add_argument("--degree", type=int, default=1)
     pn.add_argument("--geometry")
-    pn.add_argument("--out")
     pn.set_defaults(func=cmd_norms)
 
     pf = sub.add_parser("scl", help="rational fillings and complexity reports")
@@ -369,7 +363,6 @@ def build_parser():
     pf.add_argument("--geometry")
     pf.add_argument("--l1", action="store_true",
                     help="1-norm minimizing filling via linear programming")
-    pf.add_argument("--out")
     pf.set_defaults(func=cmd_scl)
 
     pb = sub.add_parser("bounds", help="evaluate catalogue inequalities")
@@ -378,15 +371,15 @@ def build_parser():
     pb.add_argument("--params")
     pb.add_argument("--attach")
     pb.add_argument("--geometry")
-    pb.add_argument("--out")
     pb.set_defaults(func=cmd_bounds)
 
     pk = sub.add_parser("constants", help="analytic constants")
     pk.add_argument("--ball", nargs=3, type=float, metavar=("N", "R", "K"))
     pk.add_argument("--moser", nargs=4, type=float,
                     metavar=("N", "Q", "L", "LAM"))
-    pk.add_argument("--out")
     pk.set_defaults(func=cmd_constants)
+    for command in sub.choices.values():
+        command.add_argument("--out")
     return p
 
 

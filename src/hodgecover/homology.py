@@ -28,16 +28,11 @@ def _smith(D: list[list[int]]) -> None:
     while True:
         # move the smallest-magnitude entry of the block to the pivot slot;
         # re-searched after every reduction pass so entries stay moderate
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] != 0 and (best is None or abs(D[i][j]) < best):
-                    best = abs(D[i][j])
-                    pivot = (i, j)
-        if pivot is None:
+        entries = [(abs(D[i][j]), i, j) for i in range(t, m)
+                   for j in range(t, n) if D[i][j]]
+        if not entries:
             break
-        pi, pj = pivot
+        _, pi, pj = min(entries)    # the first least one in row order
         D[t], D[pi] = D[pi], D[t]
         for row in D:
             row[t], row[pj] = row[pj], row[t]
@@ -61,11 +56,8 @@ def _smith(D: list[list[int]]) -> None:
 
         # pivot must divide the rest of the block; if not, fold the offending
         # row into row t and start over
-        offender = None
-        for i in range(t + 1, m):
-            if any(D[i][j] % D[t][t] != 0 for j in range(t + 1, n)):
-                offender = i
-                break
+        offender = next((i for i in range(t + 1, m) if any(
+            D[i][j] % D[t][t] for j in range(t + 1, n))), None)
         if offender is not None:
             D[t] = [x + y for x, y in zip(D[t], D[offender])]
             continue

@@ -64,7 +64,9 @@ def ball_volume(n: int, r: float, K: float) -> float:
         return 0.0
     m, x = n - 1, math.sqrt(K) * r
     try:
-        if x < 1:       # n + 8 nodes are exact on the leading t^m part
+        if x == 0:      # s r below a float: the flat limit J_m = r^n / n
+            log_j = n * math.log(r) - math.log(n)
+        elif x < 1:     # n + 8 nodes are exact on the leading t^m part
             t, w = np.polynomial.legendre.leggauss(n + 8)
             f = np.sinh(x * (t + 1) / 2) / math.sqrt(K)
             log_j = m * math.log(f.max()) + math.log(

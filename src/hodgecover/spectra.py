@@ -7,15 +7,16 @@ the exact ranks of the boundary maps, read from the invariant factors that
 `homology` memoises per complex, never from thresholding floats.
 
 The stiffness d^T M_{q+1} d is assembled once, as COO triplets from the
-blocks of M_{q+1} (_stiffness), and summed by one of three sinks: a dense
-numpy array for the eigenvalues; up_pencil's symmetrized sums over the
-distinct keys, numpy only, scattered into its dense A beside M_q returned
-as its InnerProduct; a scipy CSR array for the sparse gap alone.  `lambda1_split` is the dense full-spectrum oracle, numpy only:
-M_q = L L^T by Cholesky and the eigenvalues of L^-1 A L^-T.  `coexact_gap`
-finds only lambda_1^* and, above _DENSE_MAX cells, never forms a dense
-matrix: in degree dim - 1 it solves the dual pencil on (q+1)-cochains
-through one factored saddle-point matrix (the mixed form of Arnold, Falk and
-Winther, Acta Numerica 2006), in degree 0 the shifted up-pencil itself.
+blocks of M_{q+1} (_stiffness), and summed in key order like every matrix
+built from blocks (whitney._summed): the dense eigensolve scatters those
+sums, up_pencil's dense A and the sparse degree-0 gap's CSR array read
+their mirrored mean (_stiffness_sums).  `lambda1_split` is the dense
+full-spectrum oracle, numpy only: M_q = L L^T by Cholesky and the
+eigenvalues of L^-1 A L^-T.  `coexact_gap` finds only lambda_1^* and, above
+_DENSE_MAX cells, never forms a dense matrix: in degree dim - 1 it solves
+the dual pencil on (q+1)-cochains through one factored saddle-point matrix
+(the mixed form of Arnold, Falk and Winther, Acta Numerica 2006), in degree
+0 the shifted up-pencil itself.
 `charpoly_gap_bound` is exact: tr(A^+), A = d d^T, from one elimination of
 the smaller integer Gram bordered by a basis Z of its kernel (_reciprocal_sum),
 its rows in reverse Cuthill-McKee order.
@@ -32,7 +33,7 @@ import numpy as np
 from .complexes import ComplexError, SimplicialComplex, SparseIntMatrix
 from .homology import boundary_factors
 from .ratlinalg import _back_substitute, echelon, sparse_rows
-from .whitney import InnerProduct
+from .whitney import InnerProduct, _scatter, _sparse, _summed
 
 
 _DENSE_MAX = 400     # coexact_gap takes the dense path up to this many q-cells
@@ -58,11 +59,12 @@ def _check_products(K: SimplicialComplex, ips: dict[int, InnerProduct],
 
 
 def _coboundary(K: SimplicialComplex, q: int):
-    """d_q: C^q -> C^{q+1} as a float scipy CSR array."""
-    from scipy.sparse import csr_array
-    face, cell, sign = np.array(K.boundary_matrix(q + 1).entries).T
-    return csr_array((sign.astype(float), (cell, face)),
-                     shape=(K.n_cells(q + 1), K.n_cells(q)))
+    """d_q: C^q -> C^{q+1} as a float scipy CSR array, from the face table:
+    a (q+1)-cell has (-1)^(q+1-k) at its face k, which drops vertex q+1-k."""
+    faces = K._tables[q + 1][2]
+    return _sparse(len(faces), K.n_cells(q), *_summed(
+        K.n_cells(q), np.arange(len(faces))[:, None], faces,
+        (-1.0) ** np.arange(q + 1, -1, -1)))
 
 
 def _stiffness(K: SimplicialComplex, q: int, ip_up: InnerProduct) -> tuple:
@@ -88,38 +90,28 @@ def _stiffness(K: SimplicialComplex, q: int, ip_up: InnerProduct) -> tuple:
     return rows.ravel(), cols.ravel(), vals.ravel()
 
 
-def _stiffness_csr(K: SimplicialComplex, q: int, ip_up: InnerProduct):
-    """A = d_q^T M_{q+1} d_q as a scipy CSR array: the triplets of _stiffness
-    summed, then symmetrized while still sparse."""
-    from scipy.sparse import csr_array
-    rows, cols, vals = _stiffness(K, q, ip_up)
+def _stiffness_sums(K: SimplicialComplex, q: int, ip_up: InnerProduct):
+    """(keys, sums) of A = d_q^T M_{q+1} d_q, exactly symmetric: the sums u
+    of the mirrored triplets of _stiffness, as (u_ij + u_ji) / 2."""
     n = K.n_cells(q)
-    A = csr_array((vals, (rows, cols)), shape=(n, n))
-    return (A + A.T) / 2
+    keys, u = _summed(n, *_stiffness(K, q, ip_up))
+    return keys, (u + u[np.searchsorted(keys, keys % n * n + keys // n)]) / 2
 
 
 def up_pencil(K: SimplicialComplex, q: int, ip_q: InnerProduct,
               ip_up: InnerProduct) -> tuple:
     """(A, M) with A = d^T M_{q+1} d the up-Laplacian stiffness on q-cochains,
-    a dense ndarray, and M = M_q, the InnerProduct ip_q itself.
-
-    The triplets of _stiffness are summed over their distinct keys i n + j,
-    symmetrized as (u_ij + u_ji) / 2 and scattered once into one zeroed
-    n x n array: O(nnz) work, A exactly symmetric, no dense temporaries
-    beyond A, and numpy only.  M keeps its blocks, so its dense view is
-    never built here.  The degree follows check_degree, and SpectralError
-    unless ip_q and, below dim, ip_up have the sizes of degrees q and q + 1."""
+    the sums of _stiffness_sums scattered once into one zeroed n x n array
+    (numpy only, no dense temporaries), and M = M_q, the InnerProduct ip_q
+    itself, whose dense view is never built here.  The degree follows
+    check_degree, and SpectralError unless ip_q and, below dim, ip_up have
+    the sizes of degrees q and q + 1."""
     K.check_degree(q)
     _check_products(K, {q: ip_q, q + 1: ip_up}, q, 0, int(q < K.dim))
     n = K.n_cells(q)
-    A = np.zeros(n * n)
-    if q < K.dim:
-        rows, cols, vals = _stiffness(K, q, ip_up)
-        keys, at = np.unique(rows * n + cols, return_inverse=True)
-        u = np.bincount(at, vals)
-        # the triplets come in mirrored pairs, so each key's mirror is a key
-        A[keys] = (u + u[np.searchsorted(keys, keys % n * n + keys // n)]) / 2
-    return A.reshape(n, n), ip_q
+    if q == K.dim:
+        return np.zeros((n, n)), ip_q
+    return _scatter(n, *_stiffness_sums(K, q, ip_up)), ip_q
 
 
 @dataclass
@@ -150,14 +142,13 @@ def _forward(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _positive_up(K: SimplicialComplex, q: int, ips: dict[int, InnerProduct],
                  rank: int) -> np.ndarray:
     """The positive eigenvalues of the degree-q up-pencil (A, M) of exact rank
-    `rank`, numpy only: the triplets of A summed densely, M = L L^T by
-    Cholesky, and the ascending eigenvalues of L^-1 A L^-T, the reduction of
-    LAPACK's sygv, from two forward substitutions."""
+    `rank`, numpy only: the sums of the triplets of A, not symmetrized,
+    M = L L^T by Cholesky, and the ascending eigenvalues of L^-1 A L^-T,
+    the reduction of LAPACK's sygv, from two forward substitutions."""
     if rank == 0:
         return np.zeros(0)
     n = K.n_cells(q)
-    rows, cols, vals = _stiffness(K, q, ips[q + 1])
-    A = np.bincount(rows * n + cols, vals, n * n).reshape(n, n)
+    A = _scatter(n, *_summed(n, *_stiffness(K, q, ips[q + 1])))
     L = np.linalg.cholesky(ips[q].matrix)
     return np.linalg.eigvalsh(_forward(L, _forward(L, A).T))[n - rank:]
 
@@ -233,7 +224,7 @@ def coexact_gap(K: SimplicialComplex, q: int,
     sigma = -1e-9 * scale
     M = ip_q._csr()
     if side == q:
-        A = _stiffness_csr(K, q, ip_up)
+        A = _sparse(n, n, *_stiffness_sums(K, q, ip_up))
         solve = splu((A - sigma * M).tocsc(), permc_spec="COLAMD").solve
         B = M
     else:

@@ -20,13 +20,9 @@ def projective_plane() -> SimplicialComplex:
 
 def torus7() -> SimplicialComplex:
     """Minimal 7-vertex triangulated torus."""
-    faces = []
-    for i in range(7):
-        faces.append(tuple(sorted(((i % 7) + 1, ((i + 1) % 7) + 1,
-                                   ((i + 3) % 7) + 1))))
-        faces.append(tuple(sorted(((i % 7) + 1, ((i + 2) % 7) + 1,
-                                   ((i + 3) % 7) + 1))))
-    return load_complex(faces)
+    return load_complex([tuple(sorted((i + 1, (i + k) % 7 + 1,
+                                       (i + 3) % 7 + 1)))
+                         for i in range(7) for k in (1, 2)])
 
 
 def _grid_faces(m: int, n: int, wrap):
@@ -34,12 +30,9 @@ def _grid_faces(m: int, n: int, wrap):
     faces = []
     for i in range(m):
         for j in range(n):
-            a = wrap(i, j)
-            b = wrap(i + 1, j)
-            c = wrap(i, j + 1)
-            d = wrap(i + 1, j + 1)
-            faces.append((a, b, d))
-            faces.append((a, d, c))
+            a, b = wrap(i, j), wrap(i + 1, j)
+            c, d = wrap(i, j + 1), wrap(i + 1, j + 1)
+            faces += [(a, b, d), (a, d, c)]
     return faces
 
 

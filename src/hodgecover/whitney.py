@@ -39,8 +39,9 @@ class InnerProduct:
     symmetric to 1e-12; B is then symmetrized, and a block that is not
     positive definite raises LinAlgError.  A Whitney product keeps the local
     mass matrices of its tops, `identity` n unit 1x1 blocks, any other Gram
-    one n x n block.  `matrix` is the dense view, assembled on its first
-    read and cached; `_csr` is the sparse one and `apply` the product."""
+    one n x n block.  The dense view `matrix`, assembled on its first read
+    and cached, and the sparse `_csr` both read the blocks' entries summed
+    once in key order (_summed); `apply` is the product, block by block."""
 
     def __init__(self, size: int, glob, B):
         glob, B = np.asarray(glob), np.asarray(B)
@@ -65,22 +66,19 @@ class InnerProduct:
         self.size, self._blocks = size, (glob, B)
         self._dense = None
 
+    def _sums(self) -> tuple[np.ndarray, np.ndarray]:
+        glob, B = self._blocks
+        return _summed(self.size, glob[:, :, None], glob[:, None, :], B)
+
     @property
     def matrix(self) -> np.ndarray:
         if self._dense is None:
-            glob, B = self._blocks
-            self._dense = np.zeros((self.size, self.size))
-            np.add.at(self._dense, (glob[:, :, None], glob[:, None, :]), B)
+            self._dense = _scatter(self.size, *self._sums())
         return self._dense
 
     def _csr(self):
-        """The matrix as a scipy CSR array without the dense view: COO
-        triplets of the blocks, duplicates summed."""
-        from scipy.sparse import csr_array
-        glob, B = self._blocks
-        ij = np.broadcast_arrays(glob[:, :, None], glob[:, None, :])
-        return csr_array((B.ravel(), [a.ravel() for a in ij]),
-                         shape=(self.size, self.size))
+        """The matrix as a scipy CSR array, without the dense view."""
+        return _sparse(self.size, self.size, *self._sums())
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The matrix times x (a vector, or a matrix of columns), block by
@@ -99,6 +97,27 @@ class InnerProduct:
     @staticmethod
     def identity(n: int) -> "InnerProduct":
         return InnerProduct(n, np.arange(n)[:, None], np.ones((n, 1, 1)))
+
+
+def _summed(n: int, rows, cols, vals) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, sums): the distinct keys i n + j of the broadcast triplets of a
+    matrix with n columns, ascending, and each key's sum in input order.
+    Every matrix assembled from blocks is summed here, and only here."""
+    keys, at = np.unique(ij := rows * n + cols, return_inverse=True)
+    return keys, np.bincount(at.ravel(),
+                             np.broadcast_to(vals, ij.shape).ravel())
+
+
+def _scatter(n: int, keys: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """The dense n x n matrix of (keys, sums), one zeroed array."""
+    return np.bincount(keys, sums, n * n).reshape(n, n)
+
+
+def _sparse(m: int, n: int, keys: np.ndarray, sums: np.ndarray):
+    """The m x n scipy CSR array of (keys, sums), canonical as built."""
+    from scipy.sparse import csr_array
+    return csr_array((sums, keys % n, np.searchsorted(
+        keys, np.arange(m + 1) * n)), shape=(m, n))
 
 
 def _edges(K: SimplicialComplex) -> list[tuple[int, int]]:

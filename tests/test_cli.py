@@ -918,6 +918,36 @@ class TestBoundsCommands:
         assert out.returncode == 2 and out.stdout == ""
         assert "float division by zero" in out.stderr
 
+    def test_all_on_a_dual_diameter_of_60(self, tmp_path):
+        # a strip of 61 triangles, (i, i+1, i+2): its dual graph is a path
+        # of diameter 60, so dirichlet_boundary's exp(12 diam) is beyond a
+        # float; `bounds all` reports that side as null, and `bounds eval`
+        # on the same parameters still exits 2
+        path = tmp_path / "strip.json"
+        path.write_text(json.dumps([[i, i + 1, i + 2] for i in range(61)]))
+        out = cli("bounds", "all", "--attach", str(path))
+        assert out.returncode == 0, out.stderr
+        data = json.loads(out.stdout)
+        reps = {r["id"]: r for r in data["reports"]}
+        rep = reps["dirichlet_boundary"]
+        assert rep["values"]["diam"] == {"value": 60.0, "source": "computed"}
+        assert rep["lhs"] is None and rep["rhs"] is None
+        assert rep["verdict"] == "not-applicable"
+        assert rep["notes"] == ["parameter 'lhs' not supplied",
+                                "right side overflows a float: math range "
+                                "error"]
+        assert "\ndirichlet_boundary,,,not-applicable\n" in data["csv"]
+        assert reps["dirichlet_diam"]["rhs"] == 120.0
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps(dict(
+            {k: v["value"] for k, v in rep["values"].items()}, lhs=1.0)))
+        out = cli("bounds", "eval", "--id", "dirichlet_boundary",
+                  "--params", str(params))
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == (
+            "validation error: bound dirichlet_boundary cannot be evaluated "
+            "at these parameters: math range error\n")
+
     def test_all_invents_no_computed_value(self):
         # a computed parameter the CLI does not compute is null, and every
         # entry that has one is not applicable and names it

@@ -97,6 +97,17 @@ class TestBallVolume:
                         assert ball_volume(n, r, K) == pytest.approx(
                             float(exact), rel=1e-12), (K, r)
 
+    @pytest.mark.parametrize("n, r, K, volume", [(2, 1e-300, 1e-160, 0.0),
+                                                 (3, 1e-300, 1e-160, 0.0),
+                                                 (2, 1e-162, 5e-324, 5e-324),
+                                                 (3, 1e-200, 1e-300, 0.0)])
+    def test_flat_limit_when_s_r_underflows(self, n, r, K, volume):
+        # sqrt(K) r rounds to 0, so the ball is flat to every digit: its
+        # volume vol(S^(n-1)) r^n / n, r < 2e-162, is 0.0 or the least
+        # subnormal (pi 1e-324 rounds up); this used to raise on log(0)
+        assert math.sqrt(K) * r == 0
+        assert ball_volume(n, r, K) == volume
+
     def test_monotone_in_radius(self):
         vols = [ball_volume(3, r, 1) for r in (0.1, 0.5, 1.0, 2.0)]
         assert all(a < b for a, b in zip(vols, vols[1:]))

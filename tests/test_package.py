@@ -51,6 +51,34 @@ def test_no_module_imports_scipy_linalg():
     assert found == []
 
 
+def test_sparse_arrays_are_built_in_one_reader():
+    """A scipy sparse array built from COO triplets sums their duplicates in
+    an order scipy leaves open, so every block-assembled matrix is summed
+    by whitney._summed and handed to scipy by its one CSR reader,
+    whitney._sparse; the linear program's constraints in
+    fillings._l1_coefficients, one triplet per position, are the only
+    other construction."""
+    allowed = {("whitney.py", "_sparse"),
+               ("fillings.py", "_l1_coefficients")}
+    found = set()
+
+    def visit(node, path, fn):
+        """Record each sparse constructor call under its innermost
+        enclosing function (None at module level)."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and re.fullmatch(
+                    r"(csr|csc|coo|bsr|dia|dok|lil)_(array|matrix)",
+                    getattr(child.func, "id", None)
+                    or getattr(child.func, "attr", "")):
+                found.add((path.name, fn))
+            visit(child, path, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, None)
+    assert found == allowed
+
+
 _TOWER_LEVEL = """
 import sys
 from hodgecover import (

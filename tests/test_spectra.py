@@ -18,7 +18,7 @@ from hodgecover import (ComplexError, SpectralError, build_cover,
 from hodgecover.cli import main
 from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
                                  tetrahedron_boundary, torus7, torus_grid)
-from hodgecover.whitney import (ComplexGeometry, InnerProduct,
+from hodgecover.whitney import (ComplexGeometry, InnerProduct, _sparse,
                                 whitney_mass_matrix)
 
 from helpers import (betti_numbers, dense_pencil, down_gram, down_pencil,
@@ -163,6 +163,27 @@ class TestUpPencil:
             assert np.array_equal(A, A.T)
             if q < K.dim:
                 assert np.array_equal(A, scipy_up(K, q, products[q + 1]))
+
+    def test_sparse_stiffness_is_the_dense_one(self):
+        # coexact_gap's degree-0 CSR and up_pencil's dense A read the same
+        # key-order sums, so they agree bit for bit, and the CSR comes
+        # canonical with one stored entry per key: scipy sums nothing
+        def covers():
+            for d in (23, 53):
+                K = genus2_cover(d)
+                yield K, 0, perturbed_whitney_products(K, d)
+        seen = 0
+        for K, q, products in itertools.chain(self.cases(), covers()):
+            if q != 0 or K.dim == 0:
+                continue
+            n = K.n_cells(0)
+            keys, sums = spectra._stiffness_sums(K, 0, products[1])
+            A = _sparse(n, n, keys, sums)
+            assert A.has_canonical_format and A.nnz == len(keys)
+            dense, _ = up_pencil(K, 0, products[0], products[1])
+            assert np.array_equal(A.toarray(), dense)
+            seen += 1
+        assert seen > 20
 
     def test_no_dense_temporaries(self):
         # the traced peak is the dense output A and sparse work beside it;
