@@ -10,12 +10,11 @@ from .covers import (Cover, CoverError, FacePairing, FacePairingSet, Graph,
                      dual_graph, graph_diameter, shortest_path_tree,
                      tree_fundamental_domain)
 from .fillings import (EdgeCycle, FillingCertificate, FillingError,
-                       cycle_from_word, free_part_coefficients, l1_filling,
-                       least_norm_filling, rationally_null, scl_report)
-from .homology import (boundary_factors, homology_table, invariant_factors,
-                       torsion_order)
+                       cycle_from_word, l1_filling, least_norm_filling,
+                       rationally_null, scl_report)
+from .homology import boundary_factors, homology_table, invariant_factors
 from .hypgeom import (DomainError, GeometryError, MoserConstant, ball_volume,
-                      kappa, moser_constant, right_triangle_area, sphere_volume)
+                      kappa, moser_constant, sphere_volume)
 from .spectra import (CoexactGap, SpectralError, SpectralSplit,
                       charpoly_gap_bound, coexact_gap, lambda1_split,
                       up_pencil)

@@ -295,8 +295,11 @@ def _computed_params(K, geometry):
     gap_w = coexact_gap(K, 1, _inner_products(K, geometry, "whitney")).lambda1
     gap_c = coexact_gap(K, 1, _inner_products(K, geometry, "comb")).lambda1
     out = {"vol": geometry.total_volume(),
-           "diam": float(graph_diameter(dual_graph(K))),
            "b1": homology_table(K)[1]["betti"]}
+    try:        # a disconnected dual graph has no diameter: diam not computed
+        out["diam"] = float(graph_diameter(dual_graph(K)))
+    except CoverError:
+        pass
     if gap_w is not None:
         out["lambda1_whitney"] = out["lam"] = out["lambda1"] = gap_w
     if gap_c is not None:

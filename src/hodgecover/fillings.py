@@ -4,7 +4,8 @@ A certified filling is a rational 2-chain g with boundary exactly a given
 1-cycle f, with small norm relative to the coexact spectral gap.  Clearing
 denominators gives an integral chain m*g whose 1-norm bounds the Euler
 characteristic of a simplicial surface bounding m*f, since a triangulated
-surface has 3F >= V and 3F >= E.
+surface has 3F >= V and 3F >= E.  Every exact vector here is integers over
+one positive denominator, (nums, den); only a public result holds Fractions.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
 from .complexes import SimplicialComplex, _integer
 from .covers import Cover
-from .homology import invariant_factors
-from .ratlinalg import first_kernel_vector, rat_solve, rat_solve_and_kernel
+from .ratlinalg import _fractions, _solve_and_kernel, first_kernel_vector
 from .whitney import ComplexGeometry, InnerProduct
 
 _SLACK = 1e-6                         # Whitney rounding: allowed norm increase
@@ -60,14 +61,14 @@ class EdgeCycle:
                    for c, e in zip(self.coefficients, self.complex.cells[1]))
 
     @cached_property
-    def solution_space(self) -> tuple[list[Fraction] | None,
-                                      list[list[Fraction]]]:
+    def solution_space(self) -> tuple:
         """(g0, N): an exact solution g0 of d2 g = f (None when f does not
-        bound over the rationals) and a basis N of ker d2, from one
+        bound over the rationals) and a basis N of ker d2, each vector as
+        integers over one positive denominator, (nums, den), from one
         elimination of [d2 | f] kept on this cycle; the complex needs 2-cells.
         """
-        return rat_solve_and_kernel(self.complex.boundary_matrix(2),
-                                    list(self.coefficients))
+        return _solve_and_kernel(self.complex.boundary_matrix(2),
+                                 list(self.coefficients))
 
 
 def cycle_from_word(cover: Cover, word) -> EdgeCycle:
@@ -126,35 +127,18 @@ def rationally_null(f: EdgeCycle):
     rationals, else (False, certificate functional y with y.d2 = 0, <y,f> != 0)."""
     K = f.complex
     b = list(f.coefficients)
-    if K.dim < 2:
-        if not any(b):
-            return True, []
-        i = next(i for i, c in enumerate(b) if c != 0)
-        y = [Fraction(int(i == j)) for j in range(len(b))]
-        return False, y
+    if K.dim < 2:           # only 0 bounds; y picks f's first nonzero entry
+        i = next((i for i, c in enumerate(b) if c != 0), None)
+        return (True, []) if i is None else \
+            (False, _fractions(([int(i == j) for j in range(len(b))], 1)))
     g0, _ = f.solution_space
     if g0 is not None:
-        return True, list(g0)
+        return True, _fractions(g0)
     # certificate: functional vanishing on the image of the 2-boundary
     y = first_kernel_vector(K.boundary_matrix(2).transpose(), b)
     if y is None:
         raise FillingError("no certificate found for a non-null cycle")
     return False, y
-
-
-def free_part_coefficients(A, b) -> list[int]:
-    """Solve A n = b exactly; A must be integer with det = +-1, so the
-    solution is unique and integral.  |det A| is the product of the
-    invariant factors, so A is unimodular when they are n ones."""
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise FillingError("matrix must be square")
-    factors = invariant_factors(A)
-    if factors != [1] * n:
-        d = math.prod(factors) if len(factors) == n else 0
-        raise FillingError(f"basis pairing matrix has |determinant| {d}, "
-                           "not 1")
-    return [int(x) for x in rat_solve(A, b)]
 
 
 @dataclass
@@ -169,40 +153,52 @@ class FillingCertificate:
     norm_g: float             # norm of g in the chosen inner product
 
 
-def _certify(f: EdgeCycle, g: list[Fraction], inner: str, delta: float,
-             norm_g: float) -> FillingCertificate:
-    m = math.lcm(*(c.denominator for c in g))
-    mg = [c.numerator * (m // c.denominator) for c in g]
+def _certify(f: EdgeCycle, g: tuple[list[int], int], inner: str,
+             delta: float, norm_g: float) -> FillingCertificate:
+    """The certificate of the chain g = nums / den: m = den / gcd(den, nums)
+    clears its denominators."""
+    nums, den = g
+    s = math.gcd(den, *nums)
+    mg = [a // s for a in nums]
     # d2 g = f exactly, checked in integers on the chain m g
     if f.complex.boundary_matrix(2).apply(mg) != \
-            [m * c for c in f.coefficients]:
+            [den // s * c for c in f.coefficients]:
         raise FillingError("chain does not bound the cycle exactly")
-    one_norm = Fraction(sum(abs(c) for c in mg))
-    return FillingCertificate(f, tuple(g), m, one_norm, 4 * one_norm,
-                              inner, delta, norm_g)
+    one_norm = Fraction(sum(map(abs, mg)))
+    return FillingCertificate(f, tuple(_fractions(g)), den // s, one_norm,
+                              4 * one_norm, inner, delta, norm_g)
 
 
-def _particular_and_kernel(f: EdgeCycle) -> tuple[list[Fraction], list]:
+def _particular_and_kernel(f: EdgeCycle) -> tuple:
     """f's memoised solution space (g0, N); g0 must exist."""
-    g0, kernel = f.solution_space
-    if g0 is None:
+    if f.solution_space[0] is None:
         raise FillingError("cycle is not rationally null")
-    return g0, kernel
+    return f.solution_space
 
 
-def _dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
+def _floats(v: tuple[list[int], int]) -> np.ndarray:
+    """nums / den, each correctly rounded, as float(Fraction) rounds it."""
+    return np.array([a / v[1] for a in v[0]], dtype=float)
+
+
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
 
 
 def _mass_norm(ip: InnerProduct, x: np.ndarray) -> float:
     return math.sqrt(max(x @ ip.apply(x), 0.0))
 
 
-def _rounded_chain(g0, kernel, coeffs, denom: int) -> list[Fraction]:
-    """g0 + sum_k c_k kernel[k], each c_k rounded to a multiple of 1/denom."""
-    cr = [Fraction(round(c * denom), denom) for c in coeffs]
-    return [g0[j] + sum(ck * v[j] for ck, v in zip(cr, kernel))
-            for j in range(len(g0))]
+def _combination(g0, kernel, r, denom: int) -> tuple[list[int], int]:
+    """g0 + sum_k (r_k / denom) kernel[k] for integers r_k, as integers over
+    one lcm of g0's denominator and denom times each kernel vector's."""
+    nums, d0 = g0
+    den = math.lcm(d0, *(denom * e for _, e in kernel))
+    g = [a * (den // d0) for a in nums]
+    for rk, (v, e) in zip(r, kernel):
+        if w := rk * (den // (denom * e)):
+            g = [a + w * x for a, x in zip(g, v)]
+    return g, den
 
 
 def least_norm_filling(f: EdgeCycle, inner: str,
@@ -212,10 +208,11 @@ def least_norm_filling(f: EdgeCycle, inner: str,
     Both read f's solution space: the solutions are g0 + N c, g0 exact and N
     an exact basis of ker d2.  Combinatorial inner product: the Euclidean
     minimizer, c from the exact k x k system (N^T N) c = -N^T g0 (k = dim ker
-    d2), so no slack is needed.  Whitney inner product: c minimizes the mass
-    norm in floats, (N^T M N) c = -N^T M g0, and is rounded to rationals at
-    each of _DENOMINATORS in turn until the norm grows by at most _SLACK; ip
-    must be a product on the 2-cells of f's complex, else FillingError.
+    d2) with integer Gram and right side, so no slack is needed.  Whitney
+    inner product: c minimizes the mass norm in floats, (N^T M N) c =
+    -N^T M g0, and is rounded to rationals at each of _DENOMINATORS in turn
+    until the norm grows by at most _SLACK; ip must be a product on the
+    2-cells of f's complex, else FillingError.  g is rebuilt over one lcm.
     """
     if f.complex.dim < 2:
         raise FillingError("filling needs 2-cells")
@@ -230,41 +227,44 @@ def least_norm_filling(f: EdgeCycle, inner: str,
     if inner == "comb":
         g = g0
         if kernel:
-            c = rat_solve([[_dot(u, v) for v in kernel] for u in kernel],
-                          [-_dot(u, g0) for u in kernel])
-            g = [g0[j] + sum(ck * v[j] for ck, v in zip(c, kernel) if v[j])
-                 for j in range(len(g0))]
-        norm_g = math.sqrt(float(sum(c * c for c in g)))
+            # (V^T V) y = -V^T a, V N's integer directions and a = d0 g0
+            (a, d0), V = g0, [v for v, _ in kernel]
+            y, den = _solve_and_kernel([[_dot(u, v) for v in V] for u in V],
+                                       [-_dot(u, a) for u in V])[0]
+            g = _combination(g0, [(v, 1) for v in V], y, den * d0)
+        norm_g = math.sqrt(_dot(g[0], g[0]) / g[1] ** 2)
         return _certify(f, g, "comb", 0.0, norm_g)
 
-    g0f = np.array([float(c) for c in g0])
+    g0f = _floats(g0)
     if not kernel:
         return _certify(f, g0, "whitney", 0.0, _mass_norm(ip, g0f))
     # the M-least-norm g0 + N c: (N^T M N) c = -N^T M g0, k x k and SPD
-    N = np.array([[float(x) for x in v] for v in kernel], dtype=float).T
+    N = np.array([_floats(v) for v in kernel]).T
     MN = ip.apply(N)
     c = np.linalg.solve(N.T @ MN, -(MN.T @ g0f))
     norm_float = _mass_norm(ip, g0f + N @ c)
     for denom in _DENOMINATORS:
-        g = _rounded_chain(g0, kernel, c, denom)
-        norm_g = _mass_norm(ip, np.array([float(x) for x in g]))
+        g = _combination(g0, kernel, [round(x * denom) for x in c], denom)
+        norm_g = _mass_norm(ip, _floats(g))
         if norm_g <= (1.0 + _SLACK) * norm_float or norm_float == 0.0:
             return _certify(f, g, "whitney", _SLACK, norm_g)
     raise FillingError(
         "rounded filling exceeds the allowed norm slack at every denominator")
 
 
-def _weighted_median(g0, n) -> Fraction:
-    """The least c minimizing |g0 + c n|_1 = sum_i |n_i| |c + g0_i / n_i| +
-    const, exactly: the lower median of the points -g0_i / n_i (n_i != 0)
-    with weights |n_i| (Bloomfield and Steiger, Least Absolute Deviations,
-    1983).  At exactly half the weight every c up to the next point is a
-    minimizer too."""
-    points, weights = zip(*sorted((Fraction(-a) / b, abs(b))
-                                  for a, b in zip(g0, n) if b))
+def _weighted_median(a: list[int], v: list[int]) -> tuple[int, int]:
+    """(p, L): the least c = p / L minimizing |a + c v|_1 = sum_i |v_i|
+    |c + a_i / v_i| + const, exactly: the lower median of the points
+    -a_i / v_i (v_i != 0) with weights |v_i| (Bloomfield and Steiger, Least
+    Absolute Deviations, 1983), sorted as the integer keys -a_i (L / v_i),
+    L = lcm |v_i|.  At exactly half the weight every c up to the next point
+    is a minimizer too."""
+    L = math.lcm(*(x for x in v if x))
+    keys, weights = zip(*sorted((-x * (L // y), abs(y))
+                                for x, y in zip(a, v) if y))
     total = sum(weights)
-    return next(c for c, seen in zip(points, accumulate(weights))
-                if 2 * seen >= total)
+    return next(p for p, seen in zip(keys, accumulate(weights))
+                if 2 * seen >= total), L
 
 
 def l1_filling(f: EdgeCycle) -> FillingCertificate:
@@ -273,7 +273,7 @@ def l1_filling(f: EdgeCycle) -> FillingCertificate:
     Often gives tighter chi bounds than the least-squares route.  With one
     kernel vector (k = dim ker d2 = 1, as on every closed connected oriented
     surface and its covers) the optimal c is the exact weighted median of
-    _weighted_median, no LP; for k >= 2 it comes from a linear program
+    _weighted_median on integer keys, no LP; for k >= 2 from a linear program
     (HiGHS), whose constraint matrix is sparse: 2 (nnz N + n2) entries.
     Either c is rounded to multiples of 10^-6 and g rebuilt exactly from the
     particular solution g0, so g bounds f exactly.
@@ -282,15 +282,18 @@ def l1_filling(f: EdgeCycle) -> FillingCertificate:
         raise FillingError("filling needs 2-cells")
     g0, kernel = _particular_and_kernel(f)
     if not kernel:
-        gf = np.array([float(c) for c in g0])
-        return _certify(f, g0, "l1", 0.0, float(np.sum(np.abs(gf))))
+        return _certify(f, g0, "l1", 0.0, float(np.sum(np.abs(_floats(g0)))))
     if len(kernel) == 1:
-        c = [_weighted_median(g0, kernel[0])]
+        # |g0 + c v / e|_1 = |a + c' v|_1 / d0 with a = d0 g0, c' = c d0 / e
+        (a, d0), [(v, e)] = g0, kernel
+        p, L = _weighted_median(a, v)
+        # round(c 10^6) exactly, ties to even, as round(Fraction) rounds
+        n, rest = divmod(p * e * 10 ** 6, L * d0)
+        r = [n + (2 * rest > L * d0 or 2 * rest == L * d0 and n % 2)]
     else:
-        c = _l1_coefficients(g0, kernel)
-    g = _rounded_chain(g0, kernel, c, 10 ** 6)
-    norm_g = float(sum(abs(float(x)) for x in g))
-    return _certify(f, g, "l1", 0.0, norm_g)
+        r = [round(x * 10 ** 6) for x in _l1_coefficients(g0, kernel)]
+    g = _combination(g0, kernel, r, 10 ** 6)
+    return _certify(f, g, "l1", 0.0, sum(abs(a / g[1]) for a in g[0]))
 
 
 def _l1_coefficients(g0, kernel) -> np.ndarray:
@@ -300,10 +303,10 @@ def _l1_coefficients(g0, kernel) -> np.ndarray:
     keeps b_ub within the solver's range, and c is scaled back exactly."""
     from scipy.optimize import linprog
     from scipy.sparse import csr_array
-    n2, k = len(g0), len(kernel)
-    N = np.array([[float(x) for x in v] for v in kernel], dtype=float).T
-    scale = 2 ** max(math.ceil(max(map(abs, g0))) - 1, 0).bit_length()
-    g0f = np.array([float(x / scale) for x in g0])
+    (a, d0), n2, k = g0, len(g0[0]), len(kernel)
+    N = np.array([_floats(v) for v in kernel]).T
+    scale = 2 ** max(-(-max(map(abs, a)) // d0) - 1, 0).bit_length()
+    g0f = _floats((a, d0 * scale))
     i, j = np.nonzero(N)
     cells = np.arange(n2)
     A_ub = csr_array((

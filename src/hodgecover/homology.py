@@ -98,15 +98,6 @@ def boundary_factors(K: SimplicialComplex, q: int) -> tuple[int, ...]:
     return K._factor_cache[q]
 
 
-def torsion_order(K: SimplicialComplex, q: int) -> int:
-    """|tors H_q(K; Z)|: the product of the invariant factors > 1 of the
-    boundary map entering degree q, 1 for q = dim (ker of the boundary
-    leaving q is saturated in C_q, so no kernel basis is needed).  Raises
-    ComplexError for a degree outside 0..dim."""
-    K.check_degree(q)
-    return prod(d for d in boundary_factors(K, q + 1) if d > 1)
-
-
 def homology_table(K: SimplicialComplex) -> list[dict]:
     """Per-degree summary: betti number, invariant factors, torsion order;
     one elimination of each boundary map gives both rank and torsion."""

@@ -1,8 +1,8 @@
 """Hyperbolic-space numerics and the explicit analytic constants.
 
-The area of a hyperbolic right triangle is its angle defect; ball volumes
-come from a recurrence; the Sobolev and sup-norm iteration constants are
-evaluated from their closed forms with a rigorous truncation tail.
+Ball volumes come from a recurrence; the Sobolev and sup-norm iteration
+constants are evaluated from their closed forms with a rigorous truncation
+tail.
 """
 
 from __future__ import annotations
@@ -24,17 +24,6 @@ class GeometryError(ValueError):
 
 class DomainError(ValueError):
     """An argument outside the domain of the function it is passed to."""
-
-
-def right_triangle_area(a: float, b: float) -> float:
-    """Area of the hyperbolic right triangle with legs a and b.
-
-    Equal to the angle defect; the half-angle form tan(area/2) =
-    tanh(a/2) tanh(b/2) avoids cancellation for small triangles.
-    """
-    if a < 0 or b < 0:
-        raise DomainError("leg lengths must be nonnegative")
-    return 2 * math.atan(math.tanh(a / 2) * math.tanh(b / 2))
 
 
 def sphere_volume(n: int) -> float:

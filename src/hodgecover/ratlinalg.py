@@ -13,8 +13,11 @@ appears, until the leading column is free; the row then becomes that column's
 pivot.  The pivot is always the leading column in natural order, so the pivot
 set is the matrix's whatever the order of its rows.  The echelon rows are the
 only factor: a solution or a kernel vector is one integer back-substitution
-through them, highest pivot first, over one common denominator.  Work and
-storage follow the nonzeros and fill-in, not the matrix shape.
+through them, highest pivot first, over one common denominator.  An exact
+vector stays integers over one positive denominator, (nums, den), for the
+callers in the package; it becomes Fractions only in the public results
+(`_fractions`).  Work and storage follow the nonzeros and fill-in, not the
+matrix shape.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ def sparse_rows(A, rhs=()) -> tuple[list[dict[int, int]], int]:
                 row[ncols + k] = x
     for i, row in enumerate(rows):
         if any(not isinstance(x, int) for x in row.values()):
-            row = {j: Fraction(x) for j, x in row.items()}
-            den = lcm(*(x.denominator for x in row.values()))
-            rows[i] = {j: int(x * den) for j, x in row.items()}
+            den = lcm(*(int(x.denominator) for x in row.values()))
+            rows[i] = {j: int(x.numerator) * (den // int(x.denominator))
+                       for j, x in row.items()}
     return rows, ncols
 
 
@@ -127,15 +130,16 @@ def echelon(rows, unimodular: bool = False
     return pivots, [_reduce(row, pivots, False) for row in residual]
 
 
-def _back_substitute(pivots: dict[int, dict[int, int]],
-                     free: dict[int, int]) -> tuple[dict[int, int], int]:
-    """(x, den): the vector x / den that the echelon rows `pivots` send to 0,
-    with the integer values `free` at the free columns it names, 0 at the
-    other free columns, and each pivot column solved from its row, the
-    highest first.  x holds only nonzero integers; den > 0 grows only when a
+def _back_substitute(rows: list, free: dict[int, int]
+                     ) -> tuple[dict[int, int], int]:
+    """(x, den): the vector x / den that the echelon rows send to 0, with
+    the integer values `free` at the free columns it names, 0 at the other
+    free columns, and each pivot column solved from its row in the order of
+    `rows`, (pivot column, row) pairs highest first, as sorted once per
+    elimination.  x holds only nonzero integers; den > 0 grows only when a
     leading entry does not divide its row's sum."""
     x, den = dict(free), 1
-    for c, row in sorted(pivots.items(), reverse=True):
+    for c, row in rows:
         s = sum(v * x[k] for k, v in row.items() if k in x)
         if s:
             g = gcd(s, row[c])
@@ -146,30 +150,36 @@ def _back_substitute(pivots: dict[int, dict[int, int]],
     return x, den
 
 
-def _kernel_vector(pivots: dict[int, dict[int, int]], ncols: int,
-                   free: dict[int, int]) -> list[Fraction]:
-    """The first ncols entries of _back_substitute(pivots, free)."""
-    x, den = _back_substitute(pivots, free)
-    v = [Fraction(0)] * ncols
-    for k, a in x.items():
-        if k < ncols:
-            v[k] = Fraction(a, den)
-    return v
+def _kernel_vector(rows: list, ncols: int,
+                   free: dict[int, int]) -> tuple[list[int], int]:
+    """(v, den): the first ncols entries of _back_substitute(rows, free), a
+    dense list of integers over den > 0."""
+    x, den = _back_substitute(rows, free)
+    return [x.get(k, 0) for k in range(ncols)], den
 
 
-def _solution(pivots: dict[int, dict[int, int]],
-              ncols: int) -> list[Fraction] | None:
-    """The solution with free variables 0 from the echelon rows of [A | b]
-    (b in column ncols): the kernel vector of [A | b] that is -1 at b's
-    column; None if that column is a pivot."""
-    return None if ncols in pivots else _kernel_vector(pivots, ncols,
-                                                       {ncols: -1})
+def _fractions(v: tuple[list[int], int] | None) -> list[Fraction] | None:
+    """The rationals of integers over one denominator, (nums, den), or None:
+    the only place an exact vector becomes Fractions, for a public result."""
+    return None if v is None else [Fraction(a, v[1]) for a in v[0]]
+
+
+def _solve_and_kernel(A, b) -> tuple:
+    """rat_solve_and_kernel(A, b), each vector as integers over one
+    denominator, (nums, den).  The solution is the kernel vector of [A | b]
+    that is -1 at b's column, ncols; None if that column is a pivot."""
+    rows, ncols = sparse_rows(A, [b])
+    pivots, _ = echelon(rows)
+    order = sorted(pivots.items(), reverse=True)
+    return (None if ncols in pivots else
+            _kernel_vector(order, ncols, {ncols: -1}),
+            [_kernel_vector(order, ncols, {f: 1}) for f in range(ncols)
+             if f not in pivots])
 
 
 def rat_solve(A, b) -> list[Fraction] | None:
     """One exact solution of A x = b, free variables 0; None if inconsistent."""
-    rows, ncols = sparse_rows(A, [b])
-    return _solution(echelon(rows)[0], ncols)
+    return _fractions(_solve_and_kernel(A, b)[0])
 
 
 def rat_solve_and_kernel(A, b) -> tuple[list[Fraction] | None,
@@ -177,11 +187,8 @@ def rat_solve_and_kernel(A, b) -> tuple[list[Fraction] | None,
     """(rat_solve(A, b), a basis of the rational kernel of A, as column
     vectors) from one elimination of [A | b]; kernel vector f is 1 at free
     column f and 0 at the other free columns."""
-    rows, ncols = sparse_rows(A, [b])
-    pivots, _ = echelon(rows)
-    return _solution(pivots, ncols), [_kernel_vector(pivots, ncols, {f: 1})
-                                      for f in range(ncols)
-                                      if f not in pivots]
+    x, kernel = _solve_and_kernel(A, b)
+    return _fractions(x), list(map(_fractions, kernel))
 
 
 def first_kernel_vector(A, b) -> list[Fraction] | None:
@@ -194,4 +201,5 @@ def first_kernel_vector(A, b) -> list[Fraction] | None:
     pivots, _ = echelon(rows)
     (b,), _ = sparse_rows([b])     # b as one integer row
     f = min((k for k in _reduce(b, pivots, True) if k < ncols), default=None)
-    return None if f is None else _kernel_vector(pivots, ncols, {f: 1})
+    return None if f is None else _fractions(_kernel_vector(
+        sorted(pivots.items(), reverse=True), ncols, {f: 1}))

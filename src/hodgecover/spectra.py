@@ -19,13 +19,15 @@ the dual pencil on (q+1)-cochains through one factored saddle-point matrix
 0 the shifted up-pencil itself.
 `charpoly_gap_bound` is exact: tr(A^+), A = d d^T, from one elimination of
 the smaller integer Gram bordered by a basis Z of its kernel (_reciprocal_sum),
-its rows in reverse Cuthill-McKee order.
+its rows in reverse Cuthill-McKee order; each diagonal entry of the inverse is
+one back-substitution stopped at its pivot, summed in integers over one lcm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -286,7 +288,7 @@ def _reciprocal_sum(b: SparseIntMatrix) -> Fraction:
     back-substitution per free column of b^T), B = [[b b^T, Z], [Z^T, 0]]
     is nonsingular and the top-left n x n block of B^-1 is (b b^T)^+
     (Ben-Israel and Greville 2003): one elimination of the sparse [B | I_n],
-    one back-substitution per i < n."""
+    one back-substitution per i < n, summed in integers."""
     n = b.rows
     gram, _ = sparse_rows(b.matmul(b.transpose()))
     order = _reverse_cuthill_mckee(gram)
@@ -294,16 +296,21 @@ def _reciprocal_sum(b: SparseIntMatrix) -> Fraction:
     bt = SparseIntMatrix._trusted(b.cols, n, tuple((c, new[r], v)
                                                    for r, c, v in b.entries))
     pivots, _ = echelon(sparse_rows(bt)[0])
-    Z = [_back_substitute(pivots, {f: 1})[0] for f in range(n)
+    rows = sorted(pivots.items(), reverse=True)
+    Z = [_back_substitute(rows, {f: 1})[0] for f in range(n)
          if f not in pivots]
     N = n + len(Z)
     rows = [{new[j]: v for j, v in gram[old].items()} for old in order]
     for i, row in enumerate(rows):          # the rows [b b^T | Z | I_n] of B
         row |= {n + j: z[i] for j, z in enumerate(Z) if i in z} | {N + i: 1}
-    pivots, _ = echelon(rows + Z)
-    # the kernel vector that is 1 at column N + i is -(B^-1)_ii at column i
-    xs = (_back_substitute(pivots, {N + i: 1}) for i in range(n))
-    return -sum(Fraction(x.get(i, 0), den) for i, (x, den) in enumerate(xs))
+    # the kernel vector that is 1 at column N + i is -(B^-1)_ii at column
+    # i; B's pivots are the columns N - 1, ..., 0, and those below i only
+    # rescale x and den together, so the back-substitution stops at i
+    rows = sorted(echelon(rows + Z)[0].items(), reverse=True)
+    xs = [_back_substitute(rows[:N - i], {N + i: 1}) for i in range(n)]
+    den = lcm(*(d for _, d in xs))
+    return Fraction(-sum(x.get(i, 0) * (den // d)
+                         for i, (x, d) in enumerate(xs)), den)
 
 
 def charpoly_gap_bound(K: SimplicialComplex, q: int) -> Fraction:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
@@ -24,7 +25,7 @@ from hodgecover import CoverError, InnerProduct, PermutationCoverSpec
 from hodgecover.complexes import SimplicialComplex, SparseIntMatrix
 from hodgecover.covers import Graph, dual_graph
 from hodgecover.homology import homology_table
-from hodgecover.ratlinalg import rat_solve_and_kernel
+from hodgecover.ratlinalg import rat_solve, rat_solve_and_kernel
 from hodgecover.surfaces import FIXTURES
 
 
@@ -151,6 +152,22 @@ def random_circle_cover(n: int, d: int, rng: random.Random) -> PermutationCoverS
             rng.shuffle(p)
             perms[(i, j)] = tuple(p)
     return PermutationCoverSpec(K, d, perms)
+
+
+def bench_tower_covers(seed: int) -> dict:
+    """The complexes of the benchmark's `tower` workload at this seed, the
+    cyclic covers of genus2 of bench/workloads.py, by degree."""
+    import importlib
+    import sys
+    from pathlib import Path
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+    return {lv.degree: hodgecover.build_cover(lv.spec).complex
+            for lv in workloads.make_levels("tower", seed, False)}
 
 
 def random_cover_specs(count: int, seed: int = 0):
@@ -399,16 +416,6 @@ def moser_oracle(n, q, L, lam, terms=500):
         br = (q * (n - q) + lam) * g ** k + mp.mpf(4) ** (k + 1) / (L * L)
         s += (mp.log(br) - mp.log(kap)) / g ** k
     return float(mp.e ** s)
-
-
-def right_triangle_area_oracle(a, b):
-    """Angle defect of the right triangle with legs a, b, from hyperbolic
-    trigonometry (independent of the half-angle closed form)."""
-    mp.mp.dps = 40
-    c = mp.acosh(mp.cosh(a) * mp.cosh(b))
-    A = mp.asin(mp.sinh(a) / mp.sinh(c))
-    B = mp.asin(mp.sinh(b) / mp.sinh(c))
-    return float(mp.pi - (A + B + mp.pi / 2))
 
 
 def brute_force_diameter(adjacency):
@@ -687,6 +694,122 @@ def reference_mass_matrix(K, geometry, q):
 
 
 # ---------------------------------------------------------------------------
+# reference fillings in Fraction arithmetic: every exact step on Python
+# Fractions, one entry at a time, where the package keeps integers over one
+# denominator
+
+
+def reference_certify(f, g, inner, delta, norm_g):
+    """The certificate of the Fraction chain g: m the lcm of its
+    denominators, and d2 (m g) = m f checked in integers."""
+    from hodgecover.fillings import FillingCertificate, FillingError
+    m = math.lcm(*(c.denominator for c in g))
+    mg = [c.numerator * (m // c.denominator) for c in g]
+    if f.complex.boundary_matrix(2).apply(mg) != \
+            [m * c for c in f.coefficients]:
+        raise FillingError("chain does not bound the cycle exactly")
+    one_norm = Fraction(sum(abs(c) for c in mg))
+    return FillingCertificate(f, tuple(g), m, one_norm, 4 * one_norm,
+                              inner, delta, norm_g)
+
+
+def reference_rounded_chain(g0, kernel, coeffs, denom):
+    """g0 + sum_k c_k kernel[k], each c_k rounded to a multiple of 1/denom."""
+    cr = [Fraction(round(c * denom), denom) for c in coeffs]
+    return [g0[j] + sum(ck * v[j] for ck, v in zip(cr, kernel))
+            for j in range(len(g0))]
+
+
+def _fraction_dot(u, v):
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
+
+
+def _mass_norm(ip, x):
+    return math.sqrt(max(x @ ip.apply(x), 0.0))
+
+
+def reference_weighted_median(g0, n):
+    """The least c minimizing |g0 + c n|_1: the lower median of the
+    Fraction points -g0_i / n_i (n_i != 0) with weights |n_i|."""
+    points, weights = zip(*sorted((Fraction(-a) / b, abs(b))
+                                  for a, b in zip(g0, n) if b))
+    total, seen = sum(weights), 0
+    for c, w in zip(points, weights):
+        seen += w
+        if 2 * seen >= total:
+            return c
+
+
+def reference_l1_coefficients(g0, kernel):
+    """The float c minimizing |g0 + N c|_1 by HiGHS, from the Fraction g0:
+    the LP in (c, t), t >= +-(g0 + N c), solved for g0 / 2^e with
+    2^e >= max |g0| and scaled back."""
+    from scipy.optimize import linprog
+    n2, k = len(g0), len(kernel)
+    N = np.array([[float(x) for x in v] for v in kernel], dtype=float).T
+    scale = 2 ** max(math.ceil(max(map(abs, g0))) - 1, 0).bit_length()
+    g0f = np.array([float(x / scale) for x in g0])
+    i, j = np.nonzero(N)
+    cells = np.arange(n2)
+    A_ub = csr_array((
+        np.concatenate([N[i, j], -N[i, j], -np.ones(2 * n2)]),
+        (np.concatenate([i, i + n2, cells, cells + n2]),
+         np.concatenate([j, j, cells + k, cells + k]))),
+        shape=(2 * n2, k + n2))
+    res = linprog(np.concatenate([np.zeros(k), np.ones(n2)]), A_ub=A_ub,
+                  b_ub=np.concatenate([-g0f, g0f]),
+                  bounds=[(None, None)] * (k + n2), method="highs")
+    assert res.success, res.message
+    return res.x[:k] * scale
+
+
+def reference_filling(f, inner, ip=None):
+    """The certified comb, Whitney (with the degree-2 product ip) or l1
+    filling of f in Fractions, from rat_solve_and_kernel's g0 and basis N:
+    the comb solves its k x k normal equations (N^T N) c = -N^T g0 with
+    rat_solve; the Whitney c, the float minimizer of the mass norm, is
+    rounded at 10^-6, else 10^-9, within a norm slack of 10^-6; the l1 c is
+    the weighted median (k = 1) or the LP's, rounded at 10^-6."""
+    from hodgecover.fillings import FillingError
+    g0, kernel = rat_solve_and_kernel(f.complex.boundary_matrix(2),
+                                      list(f.coefficients))
+    if g0 is None:
+        raise FillingError("cycle is not rationally null")
+    if inner == "comb":
+        g = g0
+        if kernel:
+            c = rat_solve([[_fraction_dot(u, v) for v in kernel]
+                           for u in kernel],
+                          [-_fraction_dot(u, g0) for u in kernel])
+            g = [g0[j] + sum(ck * v[j] for ck, v in zip(c, kernel) if v[j])
+                 for j in range(len(g0))]
+        return reference_certify(f, g, "comb", 0.0,
+                                 math.sqrt(float(sum(c * c for c in g))))
+    g0f = np.array([float(c) for c in g0])
+    if inner == "l1":
+        if not kernel:
+            return reference_certify(f, g0, "l1", 0.0,
+                                     float(np.sum(np.abs(g0f))))
+        c = [reference_weighted_median(g0, kernel[0])] if len(kernel) == 1 \
+            else reference_l1_coefficients(g0, kernel)
+        g = reference_rounded_chain(g0, kernel, c, 10 ** 6)
+        return reference_certify(f, g, "l1", 0.0,
+                                 float(sum(abs(float(x)) for x in g)))
+    if not kernel:
+        return reference_certify(f, g0, "whitney", 0.0, _mass_norm(ip, g0f))
+    N = np.array([[float(x) for x in v] for v in kernel], dtype=float).T
+    MN = ip.apply(N)
+    c = np.linalg.solve(N.T @ MN, -(MN.T @ g0f))
+    norm_float = _mass_norm(ip, g0f + N @ c)
+    for denom in (10 ** 6, 10 ** 9):
+        g = reference_rounded_chain(g0, kernel, c, denom)
+        norm_g = _mass_norm(ip, np.array([float(x) for x in g]))
+        if norm_g <= (1.0 + 1e-6) * norm_float or norm_float == 0.0:
+            return reference_certify(f, g, "whitney", 1e-6, norm_g)
+    raise FillingError("rounded filling exceeds the allowed norm slack")
+
+
+# ---------------------------------------------------------------------------
 # reference Whitney filling: the dense normal equations
 
 
@@ -696,8 +819,7 @@ def reference_whitney_filling(f, ip, delta=1e-6,
     minimizer M^-1 A^T (A M^-1 A^T)^+ f from a Cholesky solve with n_1
     right-hand sides and two least-squares solves, mapped back onto the
     exact solution set g0 + span N and rounded as the package does."""
-    from hodgecover.fillings import FillingError, _certify, _rounded_chain
-    from hodgecover.ratlinalg import rat_solve_and_kernel
+    from hodgecover.fillings import FillingError
     A = f.complex.boundary_matrix(2)
     b = list(f.coefficients)
     g0, kernel = rat_solve_and_kernel(A, b)
@@ -711,16 +833,16 @@ def reference_whitney_filling(f, ip, delta=1e-6,
     norm_float = math.sqrt(max(g_float @ M @ g_float, 0.0))
     g0f = np.array([float(c) for c in g0])
     if not kernel:
-        return _certify(f, g0, "whitney", 0.0,
-                        math.sqrt(max(g0f @ M @ g0f, 0.0)))
+        return reference_certify(f, g0, "whitney", 0.0,
+                                 math.sqrt(max(g0f @ M @ g0f, 0.0)))
     N = np.array([[float(x) for x in v] for v in kernel], dtype=float).T
     c, *_ = np.linalg.lstsq(N, g_float - g0f, rcond=None)
     for denom in denominators:
-        g = _rounded_chain(g0, kernel, c, denom)
+        g = reference_rounded_chain(g0, kernel, c, denom)
         gf = np.array([float(x) for x in g])
         norm_g = math.sqrt(max(gf @ M @ gf, 0.0))
         if norm_g <= (1.0 + delta) * norm_float or norm_float == 0.0:
-            return _certify(f, g, "whitney", delta, norm_g)
+            return reference_certify(f, g, "whitney", delta, norm_g)
     raise FillingError("rounded filling exceeds the allowed norm slack")
 
 
@@ -733,15 +855,15 @@ def reference_comb_filling(f):
     """Comb least-norm filling through the exact normal equations: g = d2^T y
     with (d2 d2^T) y = f.  The Euclidean minimizer is unique, so any exact
     route must give this g."""
-    from hodgecover.fillings import FillingError, _certify
-    from hodgecover.ratlinalg import rat_solve
+    from hodgecover.fillings import FillingError
     A = f.complex.boundary_matrix(2)
     At = A.transpose()
     y = rat_solve(A.matmul(At), list(f.coefficients))
     if y is None:
         raise FillingError("cycle is not rationally null")
     g = At.apply(y)
-    return _certify(f, g, "comb", 0.0, math.sqrt(float(sum(c * c for c in g))))
+    return reference_certify(f, g, "comb", 0.0,
+                             math.sqrt(float(sum(c * c for c in g))))
 
 
 def reference_certificate(f):

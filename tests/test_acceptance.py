@@ -17,21 +17,18 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from hodgecover import (EdgeCycle, InnerProduct, PermutationCoverSpec,
                         ball_volume, build_cover,
-                        charpoly_gap_bound, evaluate_bound,
-                        free_part_coefficients, graph_diameter, lambda1_split,
-                        least_norm_filling, moser_constant,
-                        invariant_factors, right_triangle_area,
-                        shortest_path_tree)
+                        charpoly_gap_bound, evaluate_bound, graph_diameter,
+                        lambda1_split, least_norm_filling, moser_constant,
+                        invariant_factors, shortest_path_tree)
 from hodgecover.cli import main as cli_main
-from hodgecover.fillings import FillingError
+from hodgecover.ratlinalg import rat_solve
 from hodgecover.surfaces import FIXTURES, circle, tetrahedron_boundary, torus7
 from hodgecover.whitney import ComplexGeometry, whitney_mass_matrix
 
 from helpers import (adjacency, betti_numbers, brute_force_diameter,
                      dense_pencil, down_pencil, is_transitive, moser_oracle,
                      random_cover_specs, random_cyclic_cover, rat_nullspace,
-                     right_triangle_area_oracle, to_float, to_pylists,
-                     torsion_invariants)
+                     to_float, to_pylists, torsion_invariants)
 
 
 CRITERIA = {
@@ -42,7 +39,7 @@ CRITERIA = {
     5: "Euler characteristic multiplicativity and connectivity law",
     6: "tree diameter at most twice the graph diameter",
     7: "iteration constant: oracle value, monotonicity, tail bound",
-    8: "triangle areas and ball volumes against closed forms",
+    8: "ball volumes against closed forms",
     9: "certified fillings on random null cycles of every surface",
     10: "exact characteristic-polynomial gap bounds",
     11: "exact integer solves for unimodular pairing matrices",
@@ -184,15 +181,11 @@ def test_criterion_7():
     assert abs(math.log(mc.value) - math.log(doubled)) <= mc.tail_bound
 
 
-@criterion(8, "triangle areas and ball volumes against closed forms")
+@criterion(8, "ball volumes against closed forms")
 def test_criterion_8():
-    rng = random.Random(8)
-    for _ in range(50):
-        a = rng.uniform(1e-6, 3.0)
-        b = rng.uniform(1e-6, 3.0)
-        assert abs(right_triangle_area(a, b)
-                   - right_triangle_area_oracle(a, b)) < 1e-9
     for r in (0.5, 1.0, 2.0):
+        assert abs(ball_volume(2, r, 1)
+                   - 2 * math.pi * (math.cosh(r) - 1)) < 1e-10
         assert abs(ball_volume(3, r, 1)
                    - math.pi * (math.sinh(2 * r) - 2 * r)) < 1e-10
     for n in (2, 3, 4):
@@ -260,11 +253,12 @@ def test_criterion_11():
                 for c in range(n):
                     A[i][c] += k * A[j][c]
         b = [rng.randint(-9, 9) for _ in range(n)]
-        sol = free_part_coefficients(A, b)
+        assert invariant_factors(A) == [1] * n      # |det A| = 1
+        sol = rat_solve(A, b)
+        assert all(x.denominator == 1 for x in sol)
         for i in range(n):
             assert sum(A[i][j] * sol[j] for j in range(n)) == b[i]
-    with pytest.raises(FillingError):
-        free_part_coefficients([[2, 0], [0, 1]], [1, 1])
+    assert invariant_factors([[2, 0], [0, 1]]) == [1, 2]
 
 
 @criterion(12, "bounds catalogue evaluates with hand-checked values")

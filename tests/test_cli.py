@@ -948,6 +948,23 @@ class TestBoundsCommands:
             "validation error: bound dirichlet_boundary cannot be evaluated "
             "at these parameters: math range error\n")
 
+    def test_all_on_a_disconnected_dual_graph(self, tmp_path):
+        # two triangles sharing one vertex: a valid, connected complex whose
+        # dual graph has two components, so it has no diameter; this exited
+        # 2 with "validation error: graph is disconnected"
+        path = tmp_path / "bowtie.json"
+        path.write_text("[[0,1,2],[0,3,4]]")
+        out = cli("bounds", "all", "--attach", str(path))
+        assert out.returncode == 0, out.stderr
+        reps = json.loads(out.stdout)["reports"]
+        needs = [r for r in reps if "diam" in r["values"]]
+        assert len(needs) >= 6
+        for rep in needs:
+            assert rep["values"]["diam"] == {"value": None,
+                                             "source": "computed"}
+            assert rep["verdict"] == "not-applicable"
+            assert "parameter 'diam' not supplied" in rep["notes"]
+
     def test_all_invents_no_computed_value(self):
         # a computed parameter the CLI does not compute is null, and every
         # entry that has one is not applicable and names it

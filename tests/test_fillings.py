@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 import hodgecover
 from hodgecover import (EdgeCycle, FillingError, InnerProduct,
                         PermutationCoverSpec, build_cover,
-                        cycle_from_word, free_part_coefficients, l1_filling,
+                        cycle_from_word, invariant_factors, l1_filling,
                         least_norm_filling, lambda1_split, rationally_null,
                         scl_report)
-from hodgecover.fillings import (_l1_coefficients, _rounded_chain,
+from hodgecover.fillings import (_combination, _l1_coefficients,
                                  _weighted_median)
+from hodgecover.ratlinalg import _fractions, rat_solve
 from hodgecover.surfaces import (circle, genus2_surface, load_complex,
                                  tetrahedron_boundary, torus7)
 from hodgecover.whitney import ComplexGeometry, whitney_mass_matrix
@@ -214,18 +215,22 @@ class TestRationallyNull:
 
 
 class TestFreePartCoefficients:
+    """The free-part solve A n = b of a square integer pairing matrix A:
+    invariant_factors shows A unimodular (n ones, since |det A| is their
+    product), and then rat_solve's unique solution is integral."""
+
     def test_identity(self):
-        assert free_part_coefficients([[1, 0], [0, 1]], [5, -3]) == [5, -3]
+        assert invariant_factors([[1, 0], [0, 1]]) == [1, 1]
+        assert rat_solve([[1, 0], [0, 1]], [5, -3]) == [5, -3]
 
     def test_hand_oracle_2x2(self):
-        # det [[2,1],[3,1]] = -1; det of column-replaced matrices by hand
-        assert free_part_coefficients([[1, 1], [0, 1]], [2, 3]) == [-1, 3]
+        assert invariant_factors([[1, 1], [0, 1]]) == [1, 1]
+        assert rat_solve([[1, 1], [0, 1]], [2, 3]) == [-1, 3]
 
     def test_non_unimodular_rejected(self):
-        with pytest.raises(FillingError):
-            free_part_coefficients([[2, 0], [0, 1]], [1, 1])
-        with pytest.raises(FillingError):
-            free_part_coefficients([[1, 0, 0], [0, 1, 0]], [1, 1])
+        assert invariant_factors([[2, 0], [0, 1]]) == [1, 2]
+        assert rat_solve([[2, 0], [0, 1]], [1, 1]) == [Fraction(1, 2), 1]
+        assert invariant_factors([[1, 0, 0], [0, 1, 0]]) == [1, 1]
 
     def test_random_unimodular_exact(self):
         rng = random.Random(7)
@@ -241,25 +246,27 @@ class TestFreePartCoefficients:
                     for c in range(n):
                         A[i][c] += k * A[j][c]
             assert bareiss_det(A) in (1, -1)
+            assert invariant_factors(A) == [1] * n
             b = [rng.randint(-9, 9) for _ in range(n)]
-            sol = free_part_coefficients(A, b)
+            sol = rat_solve(A, b)
+            assert all(x.denominator == 1 for x in sol)
             for i in range(n):
                 assert sum(A[i][j] * sol[j] for j in range(n)) == b[i]
             checked += 1
-        # random square matrices: rejected exactly when det != +-1
+        # random square matrices: n unit factors exactly when det = +-1, and
+        # their product is |det| when det != 0
         unimodular = 0
         for _ in range(300):
             n = rng.randint(1, 5)
             A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             b = [rng.randint(-9, 9) for _ in range(n)]
-            d = bareiss_det(A)
+            d, factors = bareiss_det(A), invariant_factors(A)
+            assert (factors == [1] * n) == (d in (1, -1))
+            assert math.prod(factors) == abs(d) if d else len(factors) < n
             if d not in (1, -1):
-                with pytest.raises(FillingError,
-                                   match=rf"\|determinant\| {abs(d)},"):
-                    free_part_coefficients(A, b)
                 continue
-            sol = free_part_coefficients(A, b)
-            assert all(type(x) is int for x in sol)
+            sol = rat_solve(A, b)
+            assert all(x.denominator == 1 for x in sol)
             for i in range(n):
                 assert sum(A[i][j] * sol[j] for j in range(n)) == b[i]
             unimodular += 1
@@ -504,6 +511,52 @@ def test_comb_filling_and_certificate_match_the_oracles(name):
     assert (False in kinds) == (betti_numbers(K)[1] > 0)
 
 
+def _reference_cases():
+    """(K, geometry, cycles): every ORACLE_CASES complex on unit lengths,
+    and the seed-1 genus2 covers of degree 2, 3 and 23 on unit and +-10 %
+    lengths with a cell boundary and a random null cycle."""
+    from helpers import random_cyclic_cover
+    cases = {name: (K, ComplexGeometry.uniform(K), cycles)
+             for name, (K, cycles) in ORACLE_CASES.items()}
+    for d in (2, 3, 23):
+        K = build_cover(random_cyclic_cover(genus2_surface(), d,
+                                            random.Random(1))).complex
+        for kind in ("unit", "perturbed"):
+            rng = random.Random(d)
+            geo = ComplexGeometry(K, {e: rng.uniform(0.9, 1.1)
+                                      if kind == "perturbed" else 1.0
+                                      for e in K.cells[1]})
+            cases[f"genus2_d{d}_s1_{kind}"] = (
+                K, geo, [cell_boundary(K, 0), random_null_cycle(K, rng)])
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_fillings_match_the_fraction_reference(name):
+    """The fillings in integers over one denominator give every field of the
+    certificate that Fraction arithmetic gives, bit for bit, for all three
+    products: g, m, one_norm, chi_bound, delta and repr(norm_g)."""
+    from helpers import reference_filling
+    K, geo, cycles = REFERENCE_CASES[name]
+    ip = whitney_mass_matrix(K, geo, 2)
+    nulls = [f for f in cycles if rationally_null(f)[0]]
+    assert nulls
+    for f in nulls:
+        for inner in ("comb", "whitney", "l1"):
+            got = l1_filling(f) if inner == "l1" else \
+                least_norm_filling(f, inner, ip)
+            want = reference_filling(f, inner, ip)
+            assert (got.inner, got.g, got.m, got.one_norm, got.chi_bound,
+                    got.delta, repr(got.norm_g)) == \
+                (want.inner, want.g, want.m, want.one_norm, want.chi_bound,
+                 want.delta, repr(want.norm_g))
+            assert all(type(c) is Fraction for c in got.g)
+            assert type(got.m) is int and type(got.one_norm) is Fraction
+
+
 def test_one_elimination_per_cycle(monkeypatch):
     """[d2 | f] is eliminated once for rationally_null and all three
     fillings of one cycle, and the l1 constraint matrix is never dense."""
@@ -636,7 +689,7 @@ def drawn_cases(draw):
 @given(st.one_of(drawn_cases(), tied_cases()))
 def test_weighted_median_against_highs(case):
     g0, n, lower = case
-    c = _weighted_median([Fraction(a) for a in g0], [Fraction(b) for b in n])
+    c = Fraction(*_weighted_median(g0, n))
     best = one_norm(g0, n, c)
     # the 1-norm is convex and piecewise linear with breakpoints -g0_i / n_i
     assert best == min(one_norm(g0, n, Fraction(-a, b))
@@ -661,8 +714,9 @@ def test_median_certificate_is_the_linear_programs(d):
         f = random_null_cycle(K, rng)
         g0, kernel = f.solution_space
         assert len(kernel) == 1
-        lp = _rounded_chain(g0, kernel, _l1_coefficients(g0, kernel), 10 ** 6)
-        assert l1_filling(f).g == tuple(lp)
+        c = _l1_coefficients(g0, kernel)
+        lp = _combination(g0, kernel, [round(x * 10 ** 6) for x in c], 10 ** 6)
+        assert l1_filling(f).g == tuple(_fractions(lp))
 
 
 def test_l1_with_two_kernel_vectors_solves_a_sparse_lp(monkeypatch):
@@ -727,7 +781,6 @@ class TestSclReport:
 def test_exactness_checks_survive_python_O():
     """The exact checks behind a certificate raise, so `python -O` keeps them."""
     code = textwrap.dedent("""
-        from fractions import Fraction
         from hodgecover import FillingError
         from hodgecover.fillings import EdgeCycle, _certify
         from hodgecover.surfaces import genus2_surface
@@ -739,7 +792,7 @@ def test_exactness_checks_survive_python_O():
                 col[r] = v
         f = EdgeCycle(K, tuple(col))
         try:
-            _certify(f, [Fraction(0)] * K.n_cells(2), "comb", 0.0, 0.0)
+            _certify(f, ([0] * K.n_cells(2), 1), "comb", 0.0, 0.0)
         except FillingError:
             print("zero filling rejected")
         try:

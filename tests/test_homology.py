@@ -9,8 +9,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 import hodgecover
 from hodgecover import (ComplexError, InnerProduct, PermutationCoverSpec,
                         boundary_factors, build_cover,
-                        homology_table, lambda1_split, torsion_order,
-                        whitney_mass_matrix)
+                        homology_table, lambda1_split, whitney_mass_matrix)
 from hodgecover import homology, ratlinalg, spectra
 from hodgecover.cli import main
 from hodgecover.homology import invariant_factors
@@ -90,16 +89,15 @@ def test_torsion_oracles():
     assert torsion_invariants(klein_bottle()) == [[], [2], []]
     assert torsion_invariants(torus7()) == [[], [], []]
     assert torsion_invariants(tetrahedron_boundary()) == [[], [], []]
-    assert torsion_order(projective_plane(), 1) == 2
+    assert homology_table(projective_plane())[1]["torsion_order"] == 2
 
 
 def test_torsion_degree_range():
-    # H_dim is free, so its torsion order is 1; other degrees are rejected
-    # by the complex's one degree check
-    assert [torsion_order(klein_bottle(), q) for q in range(3)] == [1, 2, 1]
-    for q in (-1, 3):
-        with pytest.raises(ComplexError, match=f"degree {q} is out of range"):
-            torsion_order(torus7(), q)
+    # H_dim is free, so its torsion order is 1, and so is H_0's
+    assert [row["torsion_order"] for row in homology_table(klein_bottle())] \
+        == [1, 2, 1]
+    assert [row["torsion_order"] for row in homology_table(torus7())] == \
+        [1, 1, 1]
 
 
 def degree_entry_points():
@@ -134,7 +132,7 @@ def test_degree_must_be_an_integer(degree):
             "inner_products": ips, "ip_q": ips[1], "ip_up": ips[2],
             "base_cell": 0, "top": 0, "sheet": 0}
     calls = degree_entry_points()
-    assert {"torsion_order", "lambda1_split", "coexact_gap",
+    assert {"lambda1_split", "coexact_gap",
             "whitney_mass_matrix", "charpoly_gap_bound", "up_pencil",
             "boundary_factors", "SimplicialComplex.boundary_matrix",
             "SimplicialComplex.n_cells", "SimplicialComplex.uncovered_cell",
@@ -227,8 +225,6 @@ def test_each_boundary_map_is_eliminated_once(echelon_calls):
                      for q in range(K.dim + 1)}]
         echelon_calls.clear()
         homology_table(K)
-        for q in range(K.dim + 1):
-            torsion_order(K, q)
         for q in range(K.dim + 1):
             for ips in products:
                 lambda1_split(K, q, ips)

@@ -8,35 +8,12 @@ import pytest
 
 from hodgecover import (ComplexError, ComplexGeometry, DomainError,
                         GeometryError, ball_volume, kappa, load_complex,
-                        moser_constant, right_triangle_area, sphere_volume,
+                        moser_constant, sphere_volume,
                         whitney_mass_matrix)
 from hodgecover.hypgeom import _TAIL_TOL
 from hodgecover.whitney import _top_grams
 
-from helpers import moser_oracle, reference_gram, right_triangle_area_oracle
-
-
-class TestTriangleArea:
-    def test_against_angle_defect_oracle(self):
-        rng = random.Random(2)
-        for _ in range(50):
-            a = rng.uniform(1e-3, 3.0)
-            b = rng.uniform(1e-3, 3.0)
-            assert abs(right_triangle_area(a, b)
-                       - right_triangle_area_oracle(a, b)) < 1e-9
-
-    def test_limits(self):
-        assert right_triangle_area(0.0, 1.0) == 0.0
-        # ideal limit: area of a triangle never exceeds pi
-        assert right_triangle_area(50.0, 50.0) < math.pi / 2 + 1e-9
-
-    def test_small_triangle_euclidean_limit(self):
-        a, b = 1e-4, 2e-4
-        assert abs(right_triangle_area(a, b) - a * b / 2) < 1e-12
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            right_triangle_area(-1.0, 1.0)
+from helpers import moser_oracle, reference_gram
 
 
 class TestBallVolume:

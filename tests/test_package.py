@@ -79,6 +79,38 @@ def test_sparse_arrays_are_built_in_one_reader():
     assert found == allowed
 
 
+def _fraction_calls(node):
+    """The calls of Fraction, or of one of its attributes, under node."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call) and "Fraction"
+            in (getattr(n.func, "id", None),
+                getattr(getattr(n.func, "value", None), "id", None))]
+
+
+def test_exact_vectors_become_fractions_only_in_results():
+    """The exact layer keeps a vector as integers over one denominator, so
+    fillings and ratlinalg call Fraction only where a public result holds
+    one: ratlinalg._fractions builds every such vector, and
+    fillings._certify the certificate's one-norm; spectra._reciprocal_sum
+    calls it once, for the value it returns."""
+    found = {(name, fn.name)
+             for name in ("fillings.py", "ratlinalg.py")
+             for fn in ast.walk(ast.parse((PACKAGE / name).read_text()))
+             if isinstance(fn, ast.FunctionDef) and any(
+                 _fraction_calls(stmt) for stmt in fn.body)}
+    assert found == {("ratlinalg.py", "_fractions"),
+                     ("fillings.py", "_certify")}
+    for name in ("fillings.py", "ratlinalg.py"):      # none at module level
+        tree = ast.parse((PACKAGE / name).read_text())
+        assert not [c for stmt in tree.body
+                    if not isinstance(stmt, ast.FunctionDef)
+                    for c in _fraction_calls(stmt)]
+    tree = ast.parse((PACKAGE / "spectra.py").read_text())
+    fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+              and n.name == "_reciprocal_sum")
+    assert _fraction_calls(fn) == [n.value for n in ast.walk(fn)
+                                   if isinstance(n, ast.Return)]
+
+
 _TOWER_LEVEL = """
 import sys
 from hodgecover import (

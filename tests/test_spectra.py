@@ -21,8 +21,9 @@ from hodgecover.surfaces import (FIXTURES, circle, genus2_surface,
 from hodgecover.whitney import (ComplexGeometry, InnerProduct, _sparse,
                                 whitney_mass_matrix)
 
-from helpers import (betti_numbers, dense_pencil, down_gram, down_pencil,
-                     one_block, random_cyclic_cover, to_float, to_pylists)
+from helpers import (bench_tower_covers, betti_numbers, dense_pencil,
+                     down_gram, down_pencil, one_block, random_cyclic_cover,
+                     to_float, to_pylists)
 
 
 def genus2_cover(d):
@@ -400,6 +401,17 @@ class TestCharpolyGapBound:
             assert spectra._reciprocal_sum(b) == \
                 spectra._reciprocal_sum(b.transpose()) == \
                 charpoly_gap_bound(K, q)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_benchmark_tower_covers(self, d):
+        """The benchmark tower's seed-1 covers: both orientations of b give
+        sympy's exact tr(A^+) in degrees 0 and 1."""
+        K = bench_tower_covers(1)[d]
+        for q in range(2):
+            b = K.boundary_matrix(q + 1)
+            assert spectra._reciprocal_sum(b) == \
+                spectra._reciprocal_sum(b.transpose()) == \
+                charpoly_gap_bound(K, q) == charpoly_ratio(K, q)
 
     def test_size_limit_and_degree_checks(self):
         K = torus7()
