@@ -29,6 +29,7 @@ from .whitney import (ComplexGeometry, InnerProduct, norm_equivalence_constants,
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+_DIGITS = 11        # significant digits of every printed float (_round)
 
 
 class CliError(Exception):
@@ -37,8 +38,8 @@ class CliError(Exception):
         self.code = code
 
 
-def _round(x, nd=12):
-    return round(x, nd) if isinstance(x, float) else x
+def _round(x):
+    return float(f"{x:.{_DIGITS}g}") if isinstance(x, float) else x
 
 
 def _emit(obj, out=None):
@@ -241,7 +242,7 @@ def _scl(args, K, geometry, f):
         "g": [str(c) for c in cert.g],
         "one_norm": str(cert.one_norm),
         "chi_bound": str(cert.chi_bound),
-        "delta": cert.delta,
+        "delta": _round(cert.delta),
         "norm_g": _round(cert.norm_g),
     }
     if args.action == "fill":
@@ -318,7 +319,7 @@ def cmd_constants(args):
         mc = moser_constant(_integer(n, "N", CliError),
                             _integer(q, "Q", CliError), L, lam)
         out["moser_constant"] = {"value": _round(mc.value), "terms": mc.terms,
-                                 "tail_bound": mc.tail_bound}
+                                 "tail_bound": _round(mc.tail_bound)}
     _emit(out, args.out)
 
 

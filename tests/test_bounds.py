@@ -7,7 +7,7 @@ import pytest
 from hodgecover import (BoundError, InnerProduct, catalogue_ids, coexact_gap,
                         evaluate_all, evaluate_bound, get_entry, lambda1_split,
                         least_norm_filling)
-from hodgecover.cli import main
+from hodgecover.cli import _round, main
 from hodgecover.fillings import EdgeCycle
 from hodgecover.hypgeom import GeometryError, ball_volume
 from hodgecover.surfaces import torus7
@@ -289,11 +289,11 @@ class TestDichotomy:
                   if r["id"] == "dichotomy"]
         rep = evaluate_bound("dichotomy", dict(self.params, G=1e-9, C=1.0))
         assert got["verdict"] == rep.verdict == "fails"
-        assert got["lhs"] == round(rep.lhs, 12)
-        assert got["rhs"] == round(rep.rhs, 12)
+        assert got["lhs"] == _round(rep.lhs)
+        assert got["rhs"] == _round(rep.rhs)
         assert {k: v["value"] for k, v in got["values"].items()} == \
-            {k: round(v, 12) for k, v in dict(self.params, G=1e-9,
-                                              C=1.0).items()}
+            {k: _round(v) for k, v in dict(self.params, G=1e-9,
+                                           C=1.0).items()}
 
 
 class TestFillingChain:

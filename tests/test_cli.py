@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import hodgecover
 from hodgecover.bounds import catalogue_ids, get_entry
-from hodgecover.cli import main
+from hodgecover.cli import _DIGITS, _round, main
 from hodgecover.surfaces import FIXTURES, circle, genus2_surface, torus7
 
 from helpers import (edge_labels, edge_set, pair_labelled_graph,
@@ -1037,8 +1038,7 @@ class TestConstantsCommand:
     def test_ball_in_high_dimension(self, capsys, r, volume):
         code, out, _ = run(capsys, "constants", "--ball", "1000", r, "1")
         assert code == 0
-        assert json.loads(out)["ball_volume"] == pytest.approx(volume,
-                                                               rel=1e-12)
+        assert json.loads(out)["ball_volume"] == _round(volume)
 
     @pytest.mark.parametrize("argv, message", [
         (("--ball", "1", "1.0", "1.0"), "dimension must be >= 2"),
@@ -1083,6 +1083,122 @@ class TestConstantsCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+
+
+def significant_digits(text):
+    """The significant digits of a printed number: 1 for zero."""
+    return len(Decimal(text).normalize().as_tuple().digits)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.one_of(st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300),
+                 st.floats(-2.3e-308, 2.3e-308),     # subnormals and +-0.0
+                 st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300,
+                                  0.5, 9.999999999995, 99999999999.5])))
+def test_round_to_significant_digits(x):
+    """_round(x) prints with at most _DIGITS significant digits, lies within
+    half a unit of x's last kept digit (plus the half binary ulp of reading
+    that decimal back as a float) and keeps x's sign; rounding again changes
+    nothing."""
+    r = _round(x)
+    assert type(r) is float and math.copysign(1, r) == math.copysign(1, x)
+    assert significant_digits(repr(r)) <= _DIGITS
+    unit = Fraction(10) ** (Decimal(x).adjusted() - _DIGITS + 1) if x else 0
+    assert abs(Fraction(r) - Fraction(x)) <= unit / 2 + Fraction(
+        math.ulp(r)) / 2
+    assert _round(r) == r
+
+
+@pytest.mark.parametrize("value", [0, -7, 10 ** 400, True, "0.12345678901234",
+                                   "3/7", None, Fraction(1, 3)])
+def test_round_passes_non_floats_through(value):
+    assert _round(value) is value
+
+
+def _perturbed_geometry(K, seed):
+    rng = random.Random(seed)
+    return {"edges": {",".join(map(str, e)): rng.uniform(0.9, 1.1)
+                      for e in K.cells[1]}}
+
+
+def _torus_null_cycle():
+    return {"coefficients": [row[0] for row in
+                             to_pylists(torus7().boundary_matrix(2))]}
+
+
+PRINTED_FLOATS = {
+    "spectrum.comb": (["spectrum", "genus2", "--degree", "1"], []),
+    "spectrum.whitney": (["spectrum", "genus2", "--degree", "1", "--inner",
+                          "whitney", "--geometry", "geo"],
+                         [("geo", _perturbed_geometry(genus2_surface(), 1))]),
+    "spectrum.whitney.torus": (["spectrum", "torus", "--degree", "0",
+                                "--inner", "whitney"], []),
+    "norms.constants": (["norms", "constants", "genus2", "--geometry", "geo"],
+                        [("geo", _perturbed_geometry(genus2_surface(), 2))]),
+    "norms.mass": (["norms", "mass", "torus", "--degree", "1", "--geometry",
+                    "geo"], [("geo", _perturbed_geometry(torus7(), 3))]),
+    "scl.fill": (["scl", "fill", "--base", "torus", "--cycle", "cycle",
+                  "--inner", "whitney", "--geometry", "geo"],
+                 [("cycle", _torus_null_cycle()),
+                  ("geo", _perturbed_geometry(torus7(), 4))]),
+    "scl.report": (["scl", "report", "--base", "torus", "--cycle", "cycle",
+                    "--inner", "whitney", "--geometry", "geo"],
+                   [("cycle", _torus_null_cycle()),
+                    ("geo", _perturbed_geometry(torus7(), 5))]),
+    "bounds.eval": (["bounds", "eval", "--id", "dichotomy", "--params", "p"],
+                    [("p", {"lambda1_whitney": 2e-13, "lambda1_comb": 1.0,
+                            "G": 1e-13, "C": 1.0, "vol": 1.0})]),
+    "bounds.all.circle": (["bounds", "all", "--attach", "circle"], []),
+    "bounds.all.genus2": (["bounds", "all", "--attach", "genus2",
+                           "--geometry", "geo"],
+                          [("geo", _perturbed_geometry(genus2_surface(), 6))]),
+    "constants": (["constants", "--ball", "3", "0.7", "1.0", "--moser", "3",
+                   "1", "1.3", "0.4"], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRINTED_FLOATS))
+def test_every_printed_float_follows_the_rule(name):
+    """No float escapes _round: every float of the JSON, and of the CSV that
+    `bounds all` embeds, is printed with at most _DIGITS significant
+    digits."""
+    argv, files = PRINTED_FLOATS[name]
+    code, out, err = main_captured(argv, files)
+    assert code == 0, err
+    printed = []
+
+    def walk(path, value):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(f"{path}.{k}", v)
+        elif isinstance(value, list):
+            for i, v in enumerate(value):
+                walk(f"{path}[{i}]", v)
+        elif isinstance(value, Decimal):
+            printed.append((path, str(value)))
+    data = json.loads(out, parse_float=Decimal)
+    walk("", data)
+    for line in data.get("csv", "").splitlines()[1:]:
+        bid, lhs, rhs, _verdict = line.split(",")
+        printed += [(f"csv.{bid}", x) for x in (lhs, rhs) if x]
+    assert printed
+    assert [(path, x) for path, x in printed
+            if significant_digits(x) > _DIGITS] == []
+
+
+def test_tiny_parameters_are_not_printed_as_zero(capsys, tmp_path):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"lambda1_whitney": 2e-13, "G": 1e-13,
+                                  "lambda1_comb": 1.0, "C": 1.0, "vol": 1.0}))
+    code, out, _ = run(capsys, "bounds", "eval", "--id", "dichotomy",
+                       "--params", str(params))
+    assert code == 0
+    data = json.loads(out)
+    assert (data["lhs"], data["rhs"]) == (2e-13, 2.5e25)
+    assert {k: v["value"] for k, v in data["values"].items()} == {
+        "lambda1_whitney": 2e-13, "G": 1e-13, "lambda1_comb": 1.0, "C": 1.0,
+        "vol": 1.0}
+    assert '"value": 2e-13' in out and '"value": 1e-13' in out
 
 
 # numbers that reach the edges of the analytic constants: dimensions past

@@ -149,17 +149,19 @@ class TestUpPencil:
                 assert np.array_equal(A, dense_up(K, q,
                                                   products[q + 1].matrix))
 
+    def perturbed_covers(self):
+        for d in (23, 53):
+            K = genus2_cover(d)
+            ips = perturbed_whitney_products(K, d)
+            for q in range(K.dim + 1):
+                yield K, q, ips
+
     def test_bitwise_against_scipy_sums(self):
         # the reference sums the same triplets in scipy CSR, then (A + A^T)/2;
         # they go in stably sorted by key, since scipy's own index sort is
         # unstable and leaves the order of the summands in a long row open
-        def covers():
-            for d in (23, 53):
-                K = genus2_cover(d)
-                ips = perturbed_whitney_products(K, d)
-                for q in range(K.dim + 1):
-                    yield K, q, ips
-        for K, q, products in itertools.chain(self.cases(), covers()):
+        for K, q, products in itertools.chain(self.cases(),
+                                              self.perturbed_covers()):
             A, _ = up_pencil(K, q, products[q], products.get(q + 1))
             assert np.array_equal(A, A.T)
             if q < K.dim:
@@ -185,6 +187,31 @@ class TestUpPencil:
             assert np.array_equal(A.toarray(), dense)
             seen += 1
         assert seen > 20
+
+    def test_dense_eigensolve_reduces_this_stiffness(self, monkeypatch):
+        # _positive_up (lambda1_split, coexact_gap's dense path) reduces
+        # up_pencil's A itself: one exactly symmetric stiffness, the one the
+        # sparse degree-0 gap reads too; the reduction stops at its first
+        # forward substitution, which receives that A
+        class Reduced(Exception):
+            pass
+
+        def forward(L, B):
+            raise Reduced(B)
+        monkeypatch.setattr(spectra, "_forward", forward)
+        seen = 0
+        for K, q, products in itertools.chain(self.cases(),
+                                              self.perturbed_covers()):
+            rank = len(homology.boundary_factors(K, q + 1))
+            if rank == 0:
+                continue
+            with pytest.raises(Reduced) as reduced:
+                spectra._positive_up(K, q, products, rank)
+            A, _ = up_pencil(K, q, products[q], products[q + 1])
+            assert np.array_equal(reduced.value.args[0], A)
+            assert np.array_equal(A, A.T)
+            seen += 1
+        assert seen > 60
 
     def test_no_dense_temporaries(self):
         # the traced peak is the dense output A and sparse work beside it;
