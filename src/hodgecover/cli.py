@@ -39,12 +39,20 @@ class CliError(Exception):
 
 
 def _round(x):
-    return float(f"{x:.{_DIGITS}g}") if isinstance(x, float) else x
+    """x with each float in it, in dicts and lists too, to _DIGITS digits."""
+    if isinstance(x, dict):
+        return {k: _round(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_round(v) for v in x]
+    if not isinstance(x, float):
+        return x
+    r = float(f"{x:.{_DIGITS}g}")
+    return r if abs(r) <= sys.float_info.max else x    # x if r overflowed
 
 
 def _emit(obj, out=None):
     try:
-        text = json.dumps(obj, indent=1, sort_keys=True, default=str,
+        text = json.dumps(_round(obj), indent=1, sort_keys=True, default=str,
                           allow_nan=False) + "\n"
     except ValueError as exc:
         raise CliError(f"result is not finite: {exc}", EXIT_NUMERICAL) from None
@@ -172,15 +180,10 @@ def cmd_spectrum(args):
     bound = charpoly_gap_bound(K, args.degree) if args.charpoly else None
     ips = _inner_products(K, geometry, args.inner)
     split = lambda1_split(K, args.degree, ips)
-    out = {
-        "degree": split.degree,
-        "inner": args.inner,
-        "kernel_dim": split.kernel_dim,
-        "lambda1": _round(split.lambda1),
-        "lambda1_d": _round(split.lambda1_d),
-        "lambda1_dstar": _round(split.lambda1_dstar),
-        "spectrum": [_round(float(x)) for x in split.spectrum],
-    }
+    out = {"degree": split.degree, "inner": args.inner,
+           "kernel_dim": split.kernel_dim, "lambda1": split.lambda1,
+           "lambda1_d": split.lambda1_d, "lambda1_dstar": split.lambda1_dstar,
+           "spectrum": split.spectrum.tolist()}
     if args.charpoly:
         out["reciprocal_sum_bound"] = str(bound)
     _emit(out, args.out)
@@ -191,13 +194,11 @@ def cmd_norms(args):
     geometry = _load_geometry(K, args.geometry)
     if args.action == "constants":
         lo, hi = norm_equivalence_constants(K, geometry, args.degree)
-        _emit({"degree": args.degree, "c_min": _round(lo), "c_max": _round(hi),
-               "volume": _round(geometry.total_volume())}, args.out)
+        _emit({"degree": args.degree, "c_min": lo, "c_max": hi,
+               "volume": geometry.total_volume()}, args.out)
         return
     ip = whitney_mass_matrix(K, geometry, args.degree)
-    _emit({"degree": args.degree,
-           "mass_matrix": [[_round(float(x)) for x in row]
-                           for row in ip.matrix]}, args.out)
+    _emit({"degree": args.degree, "mass_matrix": ip.matrix.tolist()}, args.out)
 
 
 def _load_cycle(K, path):
@@ -242,8 +243,8 @@ def _scl(args, K, geometry, f):
         "g": [str(c) for c in cert.g],
         "one_norm": str(cert.one_norm),
         "chi_bound": str(cert.chi_bound),
-        "delta": _round(cert.delta),
-        "norm_g": _round(cert.norm_g),
+        "delta": cert.delta,
+        "norm_g": cert.norm_g,
     }
     if args.action == "fill":
         _emit(payload, args.out)
@@ -252,8 +253,7 @@ def _scl(args, K, geometry, f):
     if gap is None:
         raise CliError("no positive coexact eigenvalue in degree 1",
                        EXIT_NUMERICAL)
-    report = scl_report(cert, geometry, gap)
-    payload["report"] = {k: _round(v) for k, v in report.items()}
+    payload["report"] = scl_report(cert, geometry, gap)
     _emit(payload, args.out)
 
 
@@ -267,10 +267,10 @@ def _bounds_csv(reports):
 
 
 def _report_dict(r):
-    return {"id": r.id, "lhs": _round(r.lhs), "rhs": _round(r.rhs),
+    return {"id": r.id, "lhs": r.lhs, "rhs": r.rhs,
             "direction": r.direction, "verdict": r.verdict,
             "notes": r.notes,
-            "values": {k: {"value": _round(v["value"]),
+            "values": {k: {"value": v["value"],
                            "source": v["source"]}
                        for k, v in sorted(r.values.items())}}
 
@@ -309,17 +309,16 @@ def _computed_params(K, geometry):
 
 
 def cmd_constants(args):
-    out = {"kappa": {str(n): _round(kappa(n)) for n in range(3, 7)}}
+    out = {"kappa": {str(n): kappa(n) for n in range(3, 7)}}
     if args.ball is not None:
         n, r, k = args.ball
-        out["ball_volume"] = _round(ball_volume(_integer(n, "N", CliError),
-                                                r, k))
+        out["ball_volume"] = ball_volume(_integer(n, "N", CliError), r, k)
     if args.moser is not None:
         n, q, L, lam = args.moser
         mc = moser_constant(_integer(n, "N", CliError),
                             _integer(q, "Q", CliError), L, lam)
-        out["moser_constant"] = {"value": _round(mc.value), "terms": mc.terms,
-                                 "tail_bound": _round(mc.tail_bound)}
+        out["moser_constant"] = {"value": mc.value, "terms": mc.terms,
+                                 "tail_bound": mc.tail_bound}
     _emit(out, args.out)
 
 

@@ -164,22 +164,22 @@ def _fractions(v: tuple[list[int], int] | None) -> list[Fraction] | None:
     return None if v is None else [Fraction(a, v[1]) for a in v[0]]
 
 
-def _solve_and_kernel(A, b, kernel: bool = True) -> tuple:
-    """rat_solve_and_kernel(A, b) as integers over one denominator, (nums,
-    den): the solution is the kernel vector of [A | b] that is -1 at b's
-    column ncols, None if it is a pivot; the basis is [] unless `kernel`."""
+def _solve_and_kernel(A, b) -> tuple:
+    """rat_solve_and_kernel(A, b), each vector as integers over one
+    denominator, (nums, den).  The solution is the kernel vector of [A | b]
+    that is -1 at b's column, ncols; None if that column is a pivot."""
     rows, ncols = sparse_rows(A, [b])
     pivots, _ = echelon(rows)
     order = sorted(pivots.items(), reverse=True)
     return (None if ncols in pivots else
             _kernel_vector(order, ncols, {ncols: -1}),
             [_kernel_vector(order, ncols, {f: 1}) for f in range(ncols)
-             if kernel and f not in pivots])
+             if f not in pivots])
 
 
 def rat_solve(A, b) -> list[Fraction] | None:
     """One exact solution of A x = b, free variables 0; None if inconsistent."""
-    return _fractions(_solve_and_kernel(A, b, kernel=False)[0])
+    return _fractions(_solve_and_kernel(A, b)[0])
 
 
 def rat_solve_and_kernel(A, b) -> tuple[list[Fraction] | None,

@@ -8,10 +8,10 @@ the exact ranks of the boundary maps, read from the invariant factors that
 
 The stiffness d^T M_{q+1} d is assembled once, as COO triplets from the
 blocks of M_{q+1} (_stiffness), summed in key order like every matrix built
-from blocks (whitney._summed), and read as their exactly symmetric mirrored
-mean (_stiffness_sums): up_pencil's dense A, which the dense eigensolve
-reduces, and the sparse degree-0 gap's CSR array.  `lambda1_split` is the
-dense full-spectrum oracle, numpy only: M_q = L L^T by Cholesky and the
+from blocks (whitney._summed), and read as one exactly symmetric mirrored
+mean (_stiffness_sums): the dense A of up_pencil and the dense eigensolve,
+and the sparse degree-0 gap's CSR array.  `lambda1_split` is the dense
+full-spectrum oracle, numpy only: M_q = L L^T by Cholesky and the
 eigenvalues of L^-1 A L^-T.  `coexact_gap` finds only lambda_1^* and, above
 _DENSE_MAX cells, never forms a dense matrix: in degree dim - 1 it solves
 the dual pencil on (q+1)-cochains through one factored saddle-point matrix
@@ -144,14 +144,15 @@ def _forward(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _positive_up(K: SimplicialComplex, q: int, ips: dict[int, InnerProduct],
                  rank: int) -> np.ndarray:
     """The positive eigenvalues of the degree-q up-pencil (A, M) of exact rank
-    `rank`, numpy only: up_pencil's exactly symmetric A, M = L L^T by
-    Cholesky, and the ascending eigenvalues of L^-1 A L^-T, the reduction of
-    LAPACK's sygv, from two forward substitutions."""
+    `rank`, numpy only: A's exactly symmetric sums (_stiffness_sums),
+    M = L L^T by Cholesky, and the ascending eigenvalues of L^-1 A L^-T,
+    the reduction of LAPACK's sygv, from two forward substitutions."""
     if rank == 0:
         return np.zeros(0)
-    A, _ = up_pencil(K, q, ips[q], ips[q + 1])
+    n = K.n_cells(q)
+    A = _scatter(n, *_stiffness_sums(K, q, ips[q + 1]))
     L = np.linalg.cholesky(ips[q].matrix)
-    return np.linalg.eigvalsh(_forward(L, _forward(L, A).T))[len(A) - rank:]
+    return np.linalg.eigvalsh(_forward(L, _forward(L, A).T))[n - rank:]
 
 
 def lambda1_split(K: SimplicialComplex, q: int,

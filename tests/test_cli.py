@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import decimal
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -1090,18 +1091,29 @@ def significant_digits(text):
     return len(Decimal(text).normalize().as_tuple().digits)
 
 
+FLOAT_MAX = sys.float_info.max
+
+
 @settings(max_examples=1000, deadline=None, derandomize=True)
-@given(st.one_of(st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300),
+@given(st.one_of(st.floats(1e-300, FLOAT_MAX),
+                 st.floats(-FLOAT_MAX, -1e-300),
                  st.floats(-2.3e-308, 2.3e-308),     # subnormals and +-0.0
                  st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300,
-                                  0.5, 9.999999999995, 99999999999.5])))
+                                  0.5, 9.999999999995, 99999999999.5,
+                                  FLOAT_MAX, -FLOAT_MAX, 1.7976931348e308,
+                                  1.797693134849e308, 1.797693134851e308])))
 def test_round_to_significant_digits(x):
     """_round(x) prints with at most _DIGITS significant digits, lies within
     half a unit of x's last kept digit (plus the half binary ulp of reading
     that decimal back as a float) and keeps x's sign; rounding again changes
-    nothing."""
+    nothing.  Where the nearest number of _DIGITS digits lies past the
+    largest float, x itself is kept."""
     r = _round(x)
     assert type(r) is float and math.copysign(1, r) == math.copysign(1, x)
+    nearest = decimal.Context(prec=_DIGITS).plus(Decimal(x))
+    if abs(nearest) > Decimal(FLOAT_MAX):
+        assert r == x
+        return
     assert significant_digits(repr(r)) <= _DIGITS
     unit = Fraction(10) ** (Decimal(x).adjusted() - _DIGITS + 1) if x else 0
     assert abs(Fraction(r) - Fraction(x)) <= unit / 2 + Fraction(
@@ -1199,6 +1211,20 @@ def test_tiny_parameters_are_not_printed_as_zero(capsys, tmp_path):
         "lambda1_whitney": 2e-13, "G": 1e-13, "lambda1_comb": 1.0, "C": 1.0,
         "vol": 1.0}
     assert '"value": 2e-13' in out and '"value": 1e-13' in out
+
+
+@pytest.mark.parametrize("name", ["lambda1_whitney", "vol"])
+def test_float_maximum_parameter_is_printed(capsys, tmp_path, name):
+    """A finite parameter next to the largest float stays finite in print:
+    rounding it to _DIGITS digits would pass the float range."""
+    params = dict({"lambda1_whitney": 1.0, "G": 1.0, "lambda1_comb": 1.0,
+                   "C": 1.0, "vol": 1.0}, **{name: FLOAT_MAX})
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
+    code, out, err = run(capsys, "bounds", "eval", "--id", "dichotomy",
+                         "--params", str(path))
+    assert code == 0, err
+    assert json.loads(out)["values"][name]["value"] == FLOAT_MAX
 
 
 # numbers that reach the edges of the analytic constants: dimensions past

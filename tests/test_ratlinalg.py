@@ -52,27 +52,6 @@ def test_solve_inconsistent_returns_none():
     assert rat_solve([[1, 1], [1, 1]], [1, 2]) is None
 
 
-@pytest.mark.parametrize("A, b, free", [
-    ([[1, 1, 1]], [1], 2),
-    ([[1, 2, 0, 3, -1], [0, 0, 1, 1, 1]], [4, 2], 3),
-    ([[2, 4, 6, 8], [1, 2, 3, 4]], [2, 1], 3),
-])
-def test_solve_back_substitutes_only_its_solution(monkeypatch, A, b, free):
-    """rat_solve shares rat_solve_and_kernel's elimination but
-    back-substitutes one vector, its solution, however many free columns A
-    has; rat_solve_and_kernel adds one per free column."""
-    import hodgecover.ratlinalg as ratlinalg
-    calls = []
-    inner = ratlinalg._back_substitute
-    monkeypatch.setattr(ratlinalg, "_back_substitute",
-                        lambda *a: calls.append(1) or inner(*a))
-    x = rat_solve(A, b)
-    assert len(calls) == 1
-    y, kernel = rat_solve_and_kernel(A, b)
-    assert len(calls) == 1 + 1 + free == 2 + len(kernel)
-    assert x == y and x is not None
-
-
 def test_solve_rejects_wrong_length_rhs():
     with pytest.raises(ValueError):
         rat_solve([[1, 0], [0, 1]], [1])

@@ -190,8 +190,8 @@ class TestUpPencil:
 
     def test_dense_eigensolve_reduces_this_stiffness(self, monkeypatch):
         # _positive_up (lambda1_split, coexact_gap's dense path) reduces
-        # up_pencil's A itself: one exactly symmetric stiffness, the one the
-        # sparse degree-0 gap reads too; the reduction stops at its first
+        # up_pencil's A bit for bit: one exactly symmetric stiffness, the one
+        # the sparse degree-0 gap reads too; the reduction stops at its first
         # forward substitution, which receives that A
         class Reduced(Exception):
             pass
