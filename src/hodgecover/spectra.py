@@ -83,7 +83,7 @@ def _stiffness(K: SimplicialComplex, q: int, ip_up: InnerProduct) -> tuple:
     s = (-1.0) ** np.arange(q + 1, -1, -1)
     first = (faces[0][:, None] == faces[0]).argmax(1) if T > 1 < m else None
     if first is not None and (faces[:, first] == faces).all():
-        local = np.unique(first)
+        local = np.flatnonzero(np.bincount(first))
         D = np.kron(np.eye(m), s) @ (first[:, None] == local)
         faces, vals = faces[:, local], D.T @ B @ D
     else:

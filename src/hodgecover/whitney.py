@@ -3,23 +3,21 @@ the flat geometry of top simplices from edge lengths.
 
 On a flat n-simplex with barycentric coordinates l_0..l_n, the Whitney form
 of a q-face sigma is W_sigma = q! sum_k (-1)^k l_{sigma_k} dl_{sigma - sigma_k}
-(Arnold, Falk and Winther, "Finite element exterior calculus", Acta Numerica
-2006), so W_sigma = sum X[sigma, (I, v)] l_v dl_I with a fixed table X of
-+-q! entries.  With H the Gram of the barycentric gradients, the pointwise
-product <l_v dl_I, l_w dl_J> is l_v l_w C[I, J], C[I, J] = det H[I, J] the
-q-th compound of H, and the integral of l_v l_w is
-E[v, w] = vol (1 + [v = w]) / ((n+1)(n+2)).  Hence the local mass matrix is
-the one expression X (C kron E) X^T (_assemble), and the InnerProduct
-constructor certifies the sum of these blocks.  The Grams and volumes of all
-top simplices come from one checked law-of-cosines step (_top_grams), which
-the mass matrices and ComplexGeometry.total_volume share.
+(Arnold, Falk and Winther, Acta Numerica 2006) = sum X[sigma, (I, v)] l_v dl_I.
+With H the Gram of the barycentric gradients, <l_v dl_I, l_w dl_J> is
+l_v l_w det H[I, J], and l_v l_w integrates to vol (1 + [v = w]) /
+((n+1)(n+2)), so the local mass matrix is linear in the q-minors of H, and
+so in the complementary minors of the edge-vector Gram (_assemble).  The
+InnerProduct constructor certifies the blocks; Grams and volumes come from
+one checked law-of-cosines step (_top_grams).  The bottom of a large mass
+spectrum is shift-inverted below Wathen's block bound, by a symmetric LU.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 from numbers import Real
 from types import MappingProxyType
 
@@ -120,22 +118,16 @@ def _sparse(m: int, n: int, keys: np.ndarray, sums: np.ndarray):
         keys, np.arange(m + 1) * n)), shape=(m, n))
 
 
-def _edges(K: SimplicialComplex) -> list[tuple[int, int]]:
-    """The edges of K, none when K is 0-dimensional."""
-    return K.cells[1] if K.dim >= 1 else []
-
-
 class ComplexGeometry:
     """Edge-length table for every edge of a complex, one flat metric per
     top simplex.  Keys are vertex pairs in either order; a key that names no
     edge, an edge without a length, or a length that is a bool or not a
     finite positive real raises ComplexError.  `edge_lengths` is the
-    read-only table of float lengths, in the order of the edges."""
+    read-only table of float lengths in edge order, `_lengths` their array."""
 
     def __init__(self, K: SimplicialComplex, edge_lengths: dict):
         self.K = K
-        edges = _edges(K)
-        index = K.cell_index[1] if edges else {}
+        edges, index = (K.cells[1], K.cell_index[1]) if K.dim else ([], {})
         lengths = [None] * len(edges)
         for key, x in edge_lengths.items():
             i = index.get(key)
@@ -154,10 +146,13 @@ class ComplexGeometry:
             raise ComplexError("geometry gives no length for edge "
                                f"{edges[lengths.index(None)]}")
         self.edge_lengths = MappingProxyType(dict(zip(edges, lengths)))
+        self._lengths = np.array(lengths, dtype=float)
+        self._lengths.flags.writeable = False
 
     @staticmethod
     def uniform(K: SimplicialComplex, length: float = 1.0) -> "ComplexGeometry":
-        return ComplexGeometry(K, {e: length for e in _edges(K)})
+        return ComplexGeometry(K, dict.fromkeys(K.cells[1] if K.dim else (),
+                                                length))
 
     def total_volume(self) -> float:
         """The sum of the volumes of the top simplices, in their order."""
@@ -181,8 +176,7 @@ def _top_grams(K: SimplicialComplex,
         raise ComplexError("the geometry was made for another complex")
     tops = K._rows(n)
     pairs = np.array(list(combinations(range(n + 1), 2)))
-    lengths = np.array([geometry.edge_lengths[e] for e in K.cells[1]])
-    L = lengths[K._index(1, tops[:, pairs])]
+    L = geometry._lengths[K._index(1, tops[:, pairs])]
     L2 = np.zeros((len(tops), n + 1, n + 1))
     with np.errstate(over="ignore", invalid="ignore"):    # tested below
         # libm pow rounds like Python's float ** 2, which x * x does not
@@ -213,47 +207,51 @@ def _check_cells(K: SimplicialComplex, q: int) -> None:
         raise ComplexError(f"{q}-cell {cell} lies in no top cell")
 
 
+def _minors(A: np.ndarray, rows: list, cols: list) -> np.ndarray:
+    """The minors det A[I, J, t], I in rows and J in cols (k-subsets), of the
+    T matrices A[:, :, t]: (len(rows), len(cols), T) Leibniz sums."""
+    perms = np.array(list(permutations(range(len(rows[0])))), dtype=int)
+    F = A[np.array(rows, dtype=int).T[:, None, :, None],
+          np.array(cols, dtype=int)[:, perms].transpose(2, 1, 0)[:, :, None]]
+    return np.tensordot(np.linalg.det(np.eye(len(rows[0]))[perms]),  # signs
+                        F.prod(axis=0), 1)
+
+
 def _assemble(K: SimplicialComplex, q: int, G: np.ndarray,
               vol: np.ndarray) -> InnerProduct:
-    """The Whitney q-form mass matrix from the edge-vector Grams G and the
-    volumes vol of the tops (_top_grams), as the blocks X (C_t kron E_t) X^T.
-    Row sigma of X holds W_sigma in the products l_v dl_I (columns (I, v), I
-    a q-subset of the local vertices), C_t[I, J] = det H_t[I, J] with H_t the
-    barycentric-gradient Gram of top t, and E_t[v, w] the integral of
-    l_v l_w over it.  The blocks go in symmetrized, so the constructor's
-    symmetry check passes every geometry that _top_grams accepts."""
-    n = K.dim
-    Ginv = np.linalg.inv(G)     # grad l_1..l_n; l_0 = 1 - their sum
-    H = np.empty((len(G), n + 1, n + 1))
-    H[:, 1:, 1:] = Ginv
-    H[:, 0, 1:] = -Ginv.sum(axis=1)
-    H[:, 1:, 0] = -Ginv.sum(axis=2)
-    H[:, 0, 0] = Ginv.sum(axis=(1, 2))
+    """The Whitney q-form mass matrix from the Grams G and volumes vol of the
+    tops (_top_grams): blocks X (C_t kron vol_t E_0) X^T, C_t the q-minors of
+    H_t = P G_t^-1 P^T.  C_t = Z C_q(G_t^-1) Z^T (Cauchy-Binet), and the
+    q-minors of G_t^-1 are the signed complementary minors c_t of G_t over
+    det G_t = (n! vol_t)^2 (Jacobi), so the blocks are W c_t / (n!^2 vol_t),
+    W fixed, or vol_t W at q = 0.  They go in symmetrized, so the symmetry
+    check passes every geometry that _top_grams accepts."""
+    n, T = K.dim, len(G)
     faces = list(combinations(range(n + 1), q + 1))
     subsets = list(combinations(range(n + 1), q))
-    X = np.zeros((len(faces), len(subsets), n + 1))
+    inner = list(combinations(range(n), q))
+    P = np.vstack([-np.ones(n), np.eye(n)])     # l_0 = 1 - l_1 - ... - l_n
+    Z = _minors(P[:, :, None], subsets, inner)[:, :, 0] * \
+        [math.factorial(q) * (-1) ** sum(J) for J in inner]
+    Y = np.zeros((len(faces), len(inner), n + 1))   # W_sigma in l_v dl_J
     for a, f in enumerate(faces):
         for k, v in enumerate(f):
-            X[a, subsets.index(f[:k] + f[k + 1:]), v] = \
-                (-1) ** k * math.factorial(q)
-    X = X.reshape(len(faces), -1)
-    S = np.array(subsets, dtype=int).reshape(len(subsets), q)
-    C = np.linalg.det(H[:, S[:, None, :, None], S[None, :, None, :]])
-    E = vol[:, None, None] * (1 + np.eye(n + 1)) / ((n + 1) * (n + 2))
-    T, s, _ = C.shape
-    CE = np.einsum("tij,tvw->tivjw", C, E).reshape(
-        T, s * (n + 1), s * (n + 1))
-    B = X @ CE @ X.T
+            Y[a, :, v] = (-1) ** k * Z[subsets.index(f[:k] + f[k + 1:])]
+    W = np.einsum("akv,vw,blw->lkab", Y, (1 + np.eye(n + 1)) / (
+        (n + 1) * (n + 2)), Y).reshape(-1, len(faces), len(faces))
+    rest = list(combinations(range(n), n - q))[::-1]    # inner's complements
+    c = _minors(G.transpose(1, 2, 0), rest, rest).reshape(-1, T) / (
+        math.factorial(n) ** 2 * vol) if q else vol[None]
+    B = np.tensordot(c, W, (0, 0))
     return InnerProduct(K.n_cells(q), K._index(q, K._rows(n)[:, faces]),
                         (B + B.transpose(0, 2, 1)) / 2)
 
 
 def whitney_mass_matrix(K: SimplicialComplex, geometry: ComplexGeometry,
                         q: int) -> InnerProduct:
-    """The global Whitney q-form Gram matrix over all top simplices, kept as
-    its blocks: each top adds X (C kron E) X^T, E[v, w] the integral of
-    l_v l_w.  The cells are checked before the Grams (_check_cells), and the
-    dense matrix is assembled only when `.matrix` is read."""
+    """The global Whitney q-form Gram matrix, kept as its blocks (_assemble);
+    the cells are checked before the Grams (_check_cells), and the dense
+    matrix is assembled only when `.matrix` is read."""
     _check_cells(K, q)
     return _assemble(K, q, *_top_grams(K, geometry))
 
@@ -276,10 +274,11 @@ def norm_equivalence_constants(K: SimplicialComplex, geometry: ComplexGeometry,
     eigvalsh up to _DENSE_MAX rows (no scipy; on one BLAS thread ARPACK costs
     as much near 400 rows), else by Lanczos on M assembled sparse.  Its bottom,
     a tight cluster on covers, is shift-inverted (Ericsson and Ruhe 1980) at
-    sigma = (1 - 2^-8) min_e sum_{t ∋ e} lambda_min(B_t) < lambda_min, as M
-    dominates that diagonal (Wathen 1987); its top, of multiplicity about n/3
-    on unit lengths, is not.  Start and restart vectors are seeded; an ARPACK
-    failure raises LinAlgError naming the end that failed."""
+    sigma = (1 - 2^-20) min_e sum_{t ∋ e} lambda_min(B_t) < lambda_min, as M
+    dominates that diagonal (Wathen 1987), so SuperLU factors M - sigma I in
+    its symmetric mode; its top, of multiplicity about n/3 on unit lengths,
+    is not.  Start and restart vectors are seeded; an ARPACK failure raises
+    LinAlgError naming the end that failed."""
     ip = whitney_mass_matrix(K, geometry, q)
     n = ip.size
     if n <= _DENSE_MAX:
@@ -288,9 +287,10 @@ def norm_equivalence_constants(K: SimplicialComplex, geometry: ComplexGeometry,
     from scipy.sparse import eye_array
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
     M, (glob, B) = ip._csr(), ip._blocks
-    sigma = (1 - 2 ** -8) * np.bincount(glob.ravel(), np.repeat(
+    sigma = (1 - 2 ** -20) * np.bincount(glob.ravel(), np.repeat(
         np.linalg.eigvalsh(B)[:, 0], glob.shape[1]), n).min()
-    lu = splu((M - sigma * eye_array(n)).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    lu = splu((M - sigma * eye_array(n)).tocsc(), permc_spec="MMD_AT_PLUS_A",
+              diag_pivot_thresh=0, options=dict(SymmetricMode=True))
     rng = np.random.default_rng(0)     # also any restart vectors
 
     def end(name, **how):

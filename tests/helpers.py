@@ -693,6 +693,64 @@ def reference_mass_matrix(K, geometry, q):
     return (M + M.T) / 2
 
 
+def reference_mass_blocks(K, q, G, vol):
+    """The (T, m, m) Whitney q-form blocks X (C_t kron E_t) X^T of the tops
+    of K from their edge-vector Grams G and volumes vol, in batched LAPACK:
+    the barycentric-gradient Grams H_t filled entry block by entry block,
+    the minors C_t[I, J] by np.linalg.det of the (T, s, s, q, q) stack of
+    submatrices, and the explicit product with the Kronecker matrix
+    C_t kron E_t; symmetrized."""
+    n = K.dim
+    Ginv = np.linalg.inv(G)
+    H = np.empty((len(G), n + 1, n + 1))
+    H[:, 1:, 1:] = Ginv
+    H[:, 0, 1:] = -Ginv.sum(axis=1)
+    H[:, 1:, 0] = -Ginv.sum(axis=2)
+    H[:, 0, 0] = Ginv.sum(axis=(1, 2))
+    faces = list(combinations(range(n + 1), q + 1))
+    subsets = list(combinations(range(n + 1), q))
+    X = np.zeros((len(faces), len(subsets), n + 1))
+    for a, f in enumerate(faces):
+        for k, v in enumerate(f):
+            X[a, subsets.index(f[:k] + f[k + 1:]), v] = \
+                (-1) ** k * math.factorial(q)
+    X = X.reshape(len(faces), -1)
+    S = np.array(subsets, dtype=int).reshape(len(subsets), q)
+    C = np.linalg.det(H[:, S[:, None, :, None], S[None, :, None, :]])
+    E = vol[:, None, None] * (1 + np.eye(n + 1)) / ((n + 1) * (n + 2))
+    T, s, _ = C.shape
+    CE = np.einsum("tij,tvw->tivjw", C, E).reshape(
+        T, s * (n + 1), s * (n + 1))
+    B = X @ CE @ X.T
+    return (B + B.transpose(0, 2, 1)) / 2
+
+
+def exact_mass_blocks(K, q, G, vol, digits=50):
+    """The blocks of reference_mass_blocks for the same G and vol, top by
+    top in mpmath at `digits` digits, rounded to floats once."""
+    n = K.dim
+    faces = list(combinations(range(n + 1), q + 1))
+    subsets = list(combinations(range(n + 1), q))
+    with mp.workdps(digits):
+        P = mp.matrix([[-1] * n] + np.eye(n, dtype=int).tolist())
+        out = []
+        for g, v in zip(G, vol):
+            H = P * mp.matrix(g.tolist()) ** -1 * P.T
+
+            def C(I, J):
+                return mp.det(mp.matrix([[H[a, b] for b in J] for a in I])) \
+                    if q else mp.mpf(1)
+
+            def W(f, g):     # the integral of <W_f, W_g>, term by term
+                return sum((-1) ** (k + j) * math.factorial(q) ** 2
+                           * C(f[:k] + f[k + 1:], g[:j] + g[j + 1:])
+                           * mp.mpf(v) * (1 + (u == w)) / ((n + 1) * (n + 2))
+                           for k, u in enumerate(f) for j, w in enumerate(g))
+
+            out.append([[float(W(f, g)) for g in faces] for f in faces])
+    return np.array(out)
+
+
 # ---------------------------------------------------------------------------
 # reference fillings in Fraction arithmetic: every exact step on Python
 # Fractions, one entry at a time, where the package keeps integers over one

@@ -1041,6 +1041,13 @@ class TestConstantsCommand:
         assert code == 0
         assert json.loads(out)["ball_volume"] == _round(volume)
 
+    def test_tiny_ball_underflows_to_zero(self, capsys):
+        # the area is about pi r^2 = pi 1e-600 for so small a curvature
+        code, out, err = run(capsys, "constants", "--ball", "2", "1e-300",
+                             "1e-160")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["ball_volume"] == 0.0
+
     @pytest.mark.parametrize("argv, message", [
         (("--ball", "1", "1.0", "1.0"), "dimension must be >= 2"),
         (("--ball", "3", "-1", "1"), "radius must be >= 0"),
@@ -1398,12 +1405,14 @@ def test_commands_load_only_the_scipy_they_need(tmp_path):
     cycle = tmp_path / "cycle.json"
     bd = to_pylists(genus2_surface().boundary_matrix(2))
     cycle.write_text(json.dumps({"coefficients": [row[0] for row in bd]}))
-    run_main = ("import contextlib, io, hodgecover.cli\n"
+    run_main = ("import contextlib, io, sys, hodgecover.cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
-                "    assert hodgecover.cli.main({!r}) == 0")
+                "    assert hodgecover.cli.main({!r}) == 0\n"
+                "assert 'numpy.ma' not in sys.modules")
     # the dense pencil eigenvalues and the k = 1 weighted median are numpy
     # only, and coexact_gap stays dense below its cutoff: no fixture command
-    # here loads any scipy package
+    # here loads any scipy package, nor numpy.ma (which np.unique without
+    # return_inverse loads on numpy 2.4)
     for argv in (["cover", "tree", "--base", str(base), "--spec", str(spec)],
                  ["cover", "build", "--base", "genus2", "--spec", str(spec2)],
                  ["complex", "validate", "genus2"],

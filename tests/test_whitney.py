@@ -21,7 +21,8 @@ from hodgecover.whitney import (ComplexGeometry, InnerProduct,
                                 norm_equivalence_constants,
                                 whitney_mass_matrix)
 
-from helpers import (one_block, random_cyclic_cover, reference_gram,
+from helpers import (exact_mass_blocks, one_block, random_cyclic_cover,
+                     reference_gram, reference_mass_blocks,
                      reference_mass_matrix)
 
 
@@ -354,6 +355,41 @@ def test_mass_matrix_matches_reference_assembly(name, K, geo):
         assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
+def block_errors(B, expect):
+    """The largest entry error of each block, relative to the block."""
+    assert B.shape == expect.shape
+    return np.abs(B - expect).max(axis=(1, 2)) / np.abs(expect).max(axis=(1, 2))
+
+
+@pytest.mark.parametrize("name, K, geo", GEOMETRY_CASES,
+                         ids=[c[0] for c in GEOMETRY_CASES])
+def test_blocks_match_the_batched_lapack_assembly(name, K, geo):
+    G, vol = whitney._top_grams(K, geo)
+    for q in range(K.dim + 1):
+        got = whitney._assemble(K, q, G, vol)._blocks[1]
+        assert block_errors(got, reference_mass_blocks(K, q, G, vol)).max() \
+            <= 1e-14, q
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_blocks_on_random_tetrahedra_as_accurate_as_lapack(seed):
+    # three tetrahedra on uniform points of a cube, many of them thin (cond
+    # G up to 4e9 here): against 50-digit blocks from the same G and vol,
+    # every degree is as accurate as the batched LAPACK assembly, which a
+    # Leibniz sum of the 3x3 minors of H is not (1e-11 against 8e-14)
+    rng = np.random.default_rng(100 + seed)
+    K = load_complex([(0, 1, 2, 3), (1, 2, 3, 4), (0, 1, 2, 5)])
+    P = rng.uniform(-1.0, 1.0, (K.n_cells(0), 3))
+    geo = ComplexGeometry(K, {(i, j): float(np.linalg.norm(P[i] - P[j]))
+                              for i, j in K.cells[1]})
+    G, vol = whitney._top_grams(K, geo)
+    for q in range(4):
+        exact = exact_mass_blocks(K, q, G, vol)
+        got = block_errors(whitney._assemble(K, q, G, vol)._blocks[1], exact)
+        lapack = block_errors(reference_mass_blocks(K, q, G, vol), exact)
+        assert got.max() <= 4 * lapack.max() + 1e-15, (q, got, lapack)
+
+
 @pytest.mark.parametrize("name, K, geo", GEOMETRY_CASES,
                          ids=[c[0] for c in GEOMETRY_CASES])
 def test_total_volume_is_the_top_by_top_sum(name, K, geo):
@@ -385,6 +421,18 @@ def test_norm_constants_on_degree_23_cover():
     assert lo == pytest.approx(math.sqrt(eigs[0]), rel=1e-12)
     assert hi == pytest.approx(math.sqrt(eigs[-1]), rel=1e-12)
     assert norm_equivalence_constants(K, geo, 1) == (lo, hi)
+
+
+@pytest.mark.parametrize("d, q", [(23, 1), (23, 2), (53, 0)])
+def test_sparse_norm_constants_match_dense_eigvalsh(d, q):
+    K = build_cover(random_cyclic_cover(genus2_surface(), d,
+                                        random.Random(d))).complex
+    assert K.n_cells(q) > whitney._DENSE_MAX
+    for geo in (ComplexGeometry.uniform(K), perturbed_geometry(K, d)):
+        eigs = np.linalg.eigvalsh(reference_mass_matrix(K, geo, q))
+        lo, hi = norm_equivalence_constants(K, geo, q)
+        assert lo == pytest.approx(math.sqrt(eigs[0]), rel=1e-13)
+        assert hi == pytest.approx(math.sqrt(eigs[-1]), rel=1e-13)
 
 
 BIG_TORUS = torus_grid(32, 32)     # above the dense crossover in every degree
@@ -480,6 +528,20 @@ def test_certified_shift_on_large_covers(d, sparse_path):
     for geo in (ComplexGeometry.uniform(K), perturbed_geometry(K, d)):
         for q in range(3):
             shift_and_constants(K, geo, q, sparse_path)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_shift_stays_below_an_attained_block_bound(q, sparse_path):
+    # on unit lengths the least eigenvalue of M_1 and M_2 is the block bound
+    # itself, so the shift lies only 2^-20 of it below lambda_min
+    K = build_cover(random_cyclic_cover(genus2_surface(), 23,
+                                        random.Random(23))).complex
+    M, lo, _ = shift_and_constants(K, ComplexGeometry.uniform(K), q,
+                                   sparse_path)
+    least = np.linalg.eigvalsh(M)[0]
+    (sigma,) = sparse_path
+    assert sigma / (1 - 2 ** -20) == pytest.approx(least, rel=1e-14)
+    assert sigma < least and lo == pytest.approx(math.sqrt(least), rel=1e-13)
 
 
 @pytest.mark.parametrize("end", ["bottom", "top"])
